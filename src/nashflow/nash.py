@@ -35,6 +35,16 @@ class PhaseBudgetExceeded(RuntimeError):
     """The construction hit the phase cap before the horizon."""
 
 
+class StalledPhase(RuntimeError):
+    """A phase came out with non-positive length, so the construction
+    cannot advance past its particle."""
+
+    def __init__(self, phase: int, particle):
+        super().__init__(f"phase {phase} at particle {particle} has no positive length")
+        self.phase = phase
+        self.particle = particle
+
+
 class NotFeasible(RuntimeError):
     """Equilibrium verification is gated on flow feasibility."""
 
@@ -135,7 +145,8 @@ def construct_nash_single(instance: Instance, horizon=None,
         if value == ONE and volume is not None and phi < volume:
             remaining = min(remaining, volume - phi)
         alpha = _phase_alpha(instance, nodes, labels, slopes, remaining)
-        assert alpha > 0
+        if alpha <= 0:
+            raise StalledPhase(len(phases), phi)
         phases.append(Phase(phi, phi + alpha, thin, {c.id: dict(thin.flow)}))
         for v in nodes:
             labels[v] += slopes[v] * alpha
@@ -184,7 +195,8 @@ def construct_common_destination(instance: Instance, horizon,
         thin = solve_thinflow_multisource(instance, active, resetting, sources, sink)
         slopes = thin.label_slopes
         alpha = _phase_alpha(instance, nodes, labels, slopes, horizon - phi)
-        assert alpha > 0
+        if alpha <= 0:
+            raise StalledPhase(len(phases), phi)
         flows = _group_by_source(virtual, group, thin)
         phases.append(Phase(phi, phi + alpha, thin, flows))
         for v in nodes:

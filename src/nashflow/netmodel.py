@@ -98,11 +98,24 @@ class Instance:
             self.__dict__["_commodity_index_cache"] = idx
         return idx
 
+    @property
+    def _adjacency(self) -> tuple[dict, dict]:
+        adj = self.__dict__.get("_adjacency_cache")
+        if adj is None:
+            out: dict[str, list[Arc]] = {}
+            inc: dict[str, list[Arc]] = {}
+            for a in self.arcs:
+                out.setdefault(a.tail, []).append(a)
+                inc.setdefault(a.head, []).append(a)
+            adj = (out, inc)
+            self.__dict__["_adjacency_cache"] = adj
+        return adj
+
     def out_arcs(self, node: str) -> list[Arc]:
-        return [a for a in self.arcs if a.tail == node]
+        return list(self._adjacency[0].get(node, ()))
 
     def in_arcs(self, node: str) -> list[Arc]:
-        return [a for a in self.arcs if a.head == node]
+        return list(self._adjacency[1].get(node, ()))
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,19 @@ resetting arc imposes (x'+y')/capacity, any other active arc the maximum of
 that and the tail's slope; node slopes are the minimum over incoming active
 arcs and arcs carrying flow must attain it.
 
-The solvers enumerate per-arc states (no equation / label-setting /
-capacity-setting), solve the induced rational linear system and keep the
-first assignment whose solution passes the independent condition evaluator.
-This doubles as a brute-force oracle at small sizes; there is no polynomial
-algorithm here by design.
+Both solvers run one depth-first search over per-arc states (zero flow /
+tail slope attained / capacity ratio attained), each adding one row to an
+exact linear system kept in sparse row-echelon form.  Prefixes whose rows
+are inconsistent or can no longer reach full rank are pruned; every
+full-rank leaf is solved and the first, in the lexicographic order of the
+state tuples, that passes the independent condition evaluator is returned.
+The worst case stays exponential in the number of active arcs: building the
+equilibrium of a 3x3 grid, whose phases reach 12 active arcs, takes about
+16 s on a 2-vCPU machine with Python 3.11.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,52 +139,88 @@ def _is_acyclic(instance: Instance, arc_ids) -> bool:
     return not any(color.get(u, 0) == 0 and dfs(u) for u in list(adj))
 
 
-def _solve_linear(rows, variables):
-    """Gauss elimination over the rationals.
+def _conservation_rows(instance, usable, nodes, extra):
+    """Per node, out-flow minus in-flow on the usable arcs, plus the terms
+    and right-hand side that ``extra(v)`` gives."""
+    usable = set(usable)
+    rows = []
+    for v in sorted(nodes):
+        coeffs, rhs = extra(v)
+        for a in instance.out_arcs(v):
+            if a.id in usable:
+                coeffs[("x", a.id)] = ONE
+        for a in instance.in_arcs(v):
+            if a.id in usable:
+                coeffs[("x", a.id)] = -ONE
+        rows.append((coeffs, rhs))
+    return rows
 
-    ``rows`` are (coefficient dict, rhs) pairs.  Returns the unique solution
-    as a dict, None when inconsistent, or "under" when underdetermined.
+
+def _state_solutions(instance, usable, resetting, base_rows, unknowns):
+    """Yield the unique solutions of the per-arc state systems, in order.
+
+    Every usable arc keeps its flow unknown ("x", e) and adds one row for its
+    state: "Z" sets x = 0, "L" asserts the tail's slope is attained (not on
+    resetting arcs), "C" asserts the capacity ratio is attained.  Arcs are
+    taken in the given order and states in that order, so systems come in the
+    lexicographic order of their state tuples.  A depth-first search keeps
+    the rows in sparse row-echelon form: the base rows are reduced once and
+    each level reduces only its new row.  A prefix whose rows contradict each
+    other, or that can no longer reach full rank in ``unknowns`` unknowns,
+    is pruned with its whole subtree, since adding rows can repair neither.
+    Full-rank leaves are solved by back substitution.
     """
-    index = {v: k for k, v in enumerate(variables)}
-    n = len(variables)
-    matrix = []
-    for coeffs, rhs in rows:
-        vec = [ZERO] * n
-        for var, cf in coeffs.items():
-            vec[index[var]] += Fraction(cf)
-        matrix.append((vec, Fraction(rhs)))
-    pivots = {}
-    row_at = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][0][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        vec, rhs = matrix[row_at]
-        inv = 1 / vec[col]
-        vec = [c * inv for c in vec]
-        rhs *= inv
-        matrix[row_at] = (vec, rhs)
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][0][col] != 0:
-                f = matrix[r][0][col]
-                matrix[r] = ([a - f * b for a, b in zip(matrix[r][0], vec)],
-                             matrix[r][1] - f * rhs)
-        pivots[col] = row_at
-        row_at += 1
-    for vec, rhs in matrix[row_at:]:
-        if rhs != 0:
-            return None
-    if len(pivots) < n:
-        return "under"
-    solution = {}
-    for col, r in pivots.items():
-        solution[variables[col]] = matrix[r][1]
-    return solution
+    echelon = []  # (pivot, other coefficients, rhs); no row holds an earlier pivot
+
+    def push(coeffs, rhs):
+        """Reduce a row and append it.  True if it raised the rank, False if
+        it was redundant, None if it contradicts the rows before it."""
+        row = {v: c for v, c in coeffs.items() if c}
+        for pivot, others, r in echelon:
+            c = row.pop(pivot, None)
+            if c is None:
+                continue
+            for v, a in others.items():
+                left = row.get(v, ZERO) - c * a
+                if left:
+                    row[v] = left
+                else:
+                    del row[v]
+            rhs -= c * r
+        if not row:
+            return None if rhs else False
+        pivot, c = next(iter(row.items()))
+        del row[pivot]
+        echelon.append((pivot, {v: a / c for v, a in row.items()}, rhs / c))
+        return True
+
+    def solution():
+        values = {}
+        for pivot, others, rhs in reversed(echelon):
+            values[pivot] = rhs - sum((a * values[v] for v, a in others.items()), ZERO)
+        return values
+
+    def visit(depth):
+        if len(echelon) + len(usable) - depth < unknowns:
+            return
+        if depth == len(usable):
+            yield solution()
+            return
+        arc = instance.arc(usable[depth])
+        x = ("x", arc.id)
+        rows = {"Z": {x: ONE},
+                "L": {arc.head: ONE, arc.tail: -ONE},
+                "C": {x: ONE, arc.head: -arc.capacity}}
+        for state in ("Z", "C") if arc.id in resetting else ("Z", "L", "C"):
+            grown = push(rows[state], ZERO)
+            if grown is None:
+                continue
+            yield from visit(depth + 1)
+            if grown:
+                echelon.pop()
+
+    if all(push(coeffs, rhs) is not None for coeffs, rhs in base_rows):
+        yield from visit(0)
 
 
 def _conditions_single(instance, active, resetting, source, sink, rate, value,
@@ -235,6 +274,8 @@ def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
     resetting = frozenset(resetting)
     rate = Fraction(rate)
     value = Fraction(value)
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
     if not resetting <= active:
         raise ValueError("resetting arcs must be active")
     if not _is_acyclic(instance, active):
@@ -251,20 +292,13 @@ def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
         return ThinFlow({e: ZERO for e in usable}, slopes, active, resetting,
                         rate, value)
 
-    base_rows = [({source: ONE}, 1 / rate)]
-    for v in nodes:
-        coeffs = {}
-        for a in instance.out_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = coeffs.get(("x", a.id), ZERO) + 1
-        for a in instance.in_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = coeffs.get(("x", a.id), ZERO) - 1
-        rhs = value if v == source else (-value if v == sink else ZERO)
-        base_rows.append((coeffs, rhs))
-
-    for flow, slopes in _enumerate_assignments(instance, usable, resetting,
-                                               nodes, base_rows):
+    base_rows = [({source: ONE}, 1 / rate)] + _conservation_rows(
+        instance, usable, nodes,
+        lambda v: ({}, value if v == source else (-value if v == sink else ZERO)))
+    for values in _state_solutions(instance, usable, resetting, base_rows,
+                                   len(nodes) + len(usable)):
+        flow = {e: values[("x", e)] for e in usable}
+        slopes = {v: values[v] for v in sorted(nodes)}
         if not _conditions_single(instance, active, resetting, source, sink,
                                   rate, value, flow, slopes, nodes):
             return ThinFlow(flow, slopes, active, resetting, rate, value)
@@ -303,46 +337,6 @@ def _topological(instance, arc_ids, nodes) -> list:
             if indeg[w] == 0:
                 queue.append(w)
     return order
-
-
-def _enumerate_assignments(instance, usable, resetting, nodes, base_rows):
-    """Yield (flow, slopes) solutions of per-arc state assignments.
-
-    States: "Z" forces x=0 with no equation, "L" asserts the tail's slope is
-    attained (only meaningful off the resetting set), "C" asserts the
-    capacity ratio is attained.
-    """
-    state_options = []
-    for e in usable:
-        if e in resetting:
-            state_options.append(("Z", "C"))
-        else:
-            state_options.append(("Z", "L", "C"))
-    for states in itertools.product(*state_options):
-        rows = list(base_rows)
-        variables = [v for v in sorted(nodes)]
-        for e, st in zip(usable, states):
-            arc = instance.arc(e)
-            if st == "Z":
-                continue
-            variables.append(("x", e))
-            if st == "L":
-                rows.append(({arc.head: ONE, arc.tail: -ONE}, ZERO))
-            else:
-                rows.append(({("x", e): ONE, arc.head: -arc.capacity}, ZERO))
-        # Z arcs keep coefficient entries in conservation rows; zero them out
-        zset = {e for e, st in zip(usable, states) if st == "Z"}
-        fixed_rows = []
-        for coeffs, rhs in rows:
-            fixed = {var: cf for var, cf in coeffs.items()
-                     if not (isinstance(var, tuple) and var[0] == "x" and var[1] in zset)}
-            fixed_rows.append((fixed, rhs))
-        solution = _solve_linear(fixed_rows, variables)
-        if solution is None or solution == "under":
-            continue
-        flow = {e: solution.get(("x", e), ZERO) for e in usable}
-        slopes = {v: solution[v] for v in sorted(nodes)}
-        yield flow, slopes
 
 
 def _conditions_multisource(instance, active, resetting, sources, sink,
@@ -403,6 +397,10 @@ def solve_thinflow_multisource(instance: Instance, active, resetting,
     """
     active = frozenset(active)
     resetting = frozenset(resetting)
+    sources = {j: (s_j, Fraction(r_j)) for j, (s_j, r_j) in sources.items()}
+    for j, (_, r_j) in sources.items():
+        if r_j <= 0:
+            raise ValueError(f"rate of source {j} must be positive, got {r_j}")
     if not resetting <= active:
         raise ValueError("resetting arcs must be active")
     if not _is_acyclic(instance, active):
@@ -423,48 +421,16 @@ def solve_thinflow_multisource(instance: Instance, active, resetting,
 
     base_rows = [({("s", j): ONE for j in sources}, ONE)]
     for j, (s_j, r_j) in sources.items():
-        base_rows.append(({("s", j): ONE, s_j: -Fraction(r_j)}, ZERO))
-    for v in nodes:
-        coeffs = {}
-        for a in instance.out_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = coeffs.get(("x", a.id), ZERO) + 1
-        for a in instance.in_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = coeffs.get(("x", a.id), ZERO) - 1
-        for j, (s_j, _) in sources.items():
-            if s_j == v:
-                coeffs[("s", j)] = coeffs.get(("s", j), ZERO) - 1
-        rhs = -ONE if v == sink else ZERO
-        base_rows.append((coeffs, rhs))
-
-    state_options = []
-    for e in usable:
-        state_options.append(("Z", "C") if e in resetting else ("Z", "L", "C"))
-    for states in itertools.product(*state_options):
-        rows = list(base_rows)
-        variables = [v for v in sorted(nodes)] + [("s", j) for j in sorted(sources)]
-        for e, st in zip(usable, states):
-            arc = instance.arc(e)
-            if st == "Z":
-                continue
-            variables.append(("x", e))
-            if st == "L":
-                rows.append(({arc.head: ONE, arc.tail: -ONE}, ZERO))
-            else:
-                rows.append(({("x", e): ONE, arc.head: -arc.capacity}, ZERO))
-        zset = {e for e, st in zip(usable, states) if st == "Z"}
-        fixed_rows = []
-        for coeffs, rhs in rows:
-            fixed = {var: cf for var, cf in coeffs.items()
-                     if not (isinstance(var, tuple) and var[0] == "x" and var[1] in zset)}
-            fixed_rows.append((fixed, rhs))
-        solution = _solve_linear(fixed_rows, variables)
-        if solution is None or solution == "under":
-            continue
-        flow = {e: solution.get(("x", e), ZERO) for e in usable}
-        slopes = {v: solution[v] for v in sorted(nodes)}
-        supplies = {j: solution[("s", j)] for j in sources}
+        base_rows.append(({("s", j): ONE, s_j: -r_j}, ZERO))
+    base_rows += _conservation_rows(
+        instance, usable, nodes,
+        lambda v: ({("s", j): -ONE for j, (s_j, _) in sources.items() if s_j == v},
+                   -ONE if v == sink else ZERO))
+    for values in _state_solutions(instance, usable, resetting, base_rows,
+                                   len(nodes) + len(usable) + len(sources)):
+        flow = {e: values[("x", e)] for e in usable}
+        slopes = {v: values[v] for v in sorted(nodes)}
+        supplies = {j: values[("s", j)] for j in sources}
         if not _conditions_multisource(instance, active, resetting, sources,
                                        sink, supplies, flow, slopes, nodes):
             return MultiSourceThinFlow(supplies, flow, slopes, active, resetting)

@@ -121,6 +121,17 @@ def test_thinflow_command(single_arc_file, tmp_path):
     assert doc["label_slopes"]["s"] == "1/2"
 
 
+def test_thinflow_zero_rate_is_exit_2(single_arc_file, tmp_path, capsys):
+    config = {"active": ["e"], "resetting": [], "source": "s", "sink": "t",
+              "rate": 0}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    code = main(["thinflow", str(single_arc_file), str(config_file),
+                 "--out", str(tmp_path / "thin.json"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: rate must be positive")
+
+
 def test_labels_command(single_arc_file, tmp_path):
     instance = single_arc_canonical()
     flow, _ = load_network(instance,

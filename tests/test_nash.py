@@ -6,7 +6,9 @@ from nashflow.netmodel import (COMMON_ORIGIN, Arc, Commodity, Instance,
                                validate_instance)
 from nashflow.loading import check_feasibility, derive_profile, load_network
 from nashflow.labels import earliest_arrival, waiting_from_labels
-from nashflow.nash import (PhaseBudgetExceeded, check_derivatives_thinflow,
+from nashflow import nash
+from nashflow.nash import (PhaseBudgetExceeded, StalledPhase,
+                           check_derivatives_thinflow,
                            construct_common_destination,
                            construct_common_origin, construct_nash_single,
                            verify_nash)
@@ -79,6 +81,14 @@ class TestConstructVariants:
     def test_phase_budget(self):
         with pytest.raises(PhaseBudgetExceeded):
             construct_nash_single(single_arc_canonical(), horizon=4, max_phases=1)
+
+    def test_stalled_phase_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(nash, "_phase_alpha", lambda *args: F(0))
+        with pytest.raises(StalledPhase, match="phase 0 at particle 0"):
+            construct_nash_single(single_arc_canonical(), horizon=4)
+        inst = next(i for n, i, _ in corpus() if n == "evac_symmetric")
+        with pytest.raises(StalledPhase, match="phase 0 at particle 0"):
+            construct_common_destination(inst, horizon=2)
 
 
 class TestCommonDestination:

@@ -188,3 +188,23 @@ class TestJsonRoundTrip:
         assert inst.arc("e").transit == F(3, 2)
         assert inst.arc("e").capacity == F(1, 3)
         assert inst.commodity("1").inflow_end == F(1, 2)
+
+
+class TestAdjacency:
+    def test_cached_lists_equal_plain_scan(self):
+        from corpus import corpus
+        name, inst, _ = max(corpus(), key=lambda item: len(item[1].arcs))
+        before = hash(inst)
+        copy = Instance(inst.nodes, inst.arcs, inst.commodities, inst.mode)
+        for v in inst.nodes:
+            assert inst.out_arcs(v) == [a for a in inst.arcs if a.tail == v], name
+            assert inst.in_arcs(v) == [a for a in inst.arcs if a.head == v], name
+        assert inst.out_arcs("not a node") == []
+        # the cache stays out of equality and hashing
+        assert hash(inst) == before
+        assert inst == copy and hash(inst) == hash(copy)
+
+    def test_returned_list_does_not_alias_the_cache(self):
+        inst = single_arc_instance()
+        inst.out_arcs("s").clear()
+        assert [a.id for a in inst.out_arcs("s")] == ["e"]

@@ -58,6 +58,14 @@ class TestSolveSingle:
         assert thin.flow == {"a": F(1, 3), "b": F(2, 3)}
         assert thin.label_slopes["t"] == F(1, 3)
 
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_non_positive_rate_rejected(self, rate):
+        inst = make_instance([("e", "s", "t", 1)])
+        with pytest.raises(ValueError, match="positive"):
+            solve_thinflow_single(inst, {"e"}, set(), "s", "t", rate)
+        with pytest.raises(ValueError, match="positive"):
+            solve_thinflow_multisource(inst, {"e"}, set(), {"1": ("s", rate)}, "t")
+
     def test_zero_value_drain(self):
         inst = make_instance([("e", "s", "t", 1)])
         thin = solve_thinflow_single(inst, {"e"}, {"e"}, "s", "t", F(2), F(0))
@@ -199,8 +207,9 @@ class TestOracleEquivalence:
                         for _, other in solutions[1:]:
                             assert other == slopes, (active, resetting)
                         assert thin.label_slopes == slopes, (active, resetting)
-                        assert (dict(thin.flow), dict(thin.label_slopes)) in \
-                            [(dict(f), dict(s)) for f, s in solutions]
+                        # the first solution in enumeration order, exactly
+                        assert dict(thin.flow) == dict(solutions[0][0]), \
+                            (active, resetting)
         assert checked > 50
 
     def test_all_configurations_multisource(self):
@@ -253,6 +262,9 @@ class TestOracleEquivalence:
                         for _, _, other in solutions[1:]:
                             assert other == slopes, (active, resetting)
                         assert thin.label_slopes == slopes
+                        assert (thin.supplies, dict(thin.flow)) == \
+                            (solutions[0][0], dict(solutions[0][1])), \
+                            (active, resetting)
         assert checked > 20
 
 
