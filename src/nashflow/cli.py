@@ -140,7 +140,14 @@ def cmd_nash(args):
     if instance is None:
         print("; ".join(map(str, violations)), file=sys.stderr)
         return 2
-    result = _construct(instance, args)
+    try:
+        result = _construct(instance, args)
+    except (nash_mod.PhaseBudgetExceeded, nash_mod.StalledPhase,
+            nash_mod.NotFeasible) as exc:
+        _write_report(args.out or "nash.json", {"ok": False, "error": str(exc)},
+                      args.quiet)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # construct-then-verify gate: never exit 0 on an uncertified equilibrium
     report = nash_mod.verify_nash(result.instance, result.flow)
     doc = result.to_json()

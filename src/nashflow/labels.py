@@ -34,6 +34,10 @@ class BreakpointBudgetExceeded(RuntimeError):
     """The label extension exceeded the configured breakpoint budget."""
 
 
+class SweepInvariantBroken(RuntimeError):
+    """The label-extension sweep reached a state its invariants exclude."""
+
+
 class ThetaOutsideRange(ValueError):
     """A queried time is not reached by some commodity's labels."""
 
@@ -233,7 +237,9 @@ class _Track:
     is_source: bool = False
 
     def value_at(self, phi: Fraction) -> Fraction:
-        assert phi <= self.frontier_phi, "sampled beyond the frontier"
+        if phi > self.frontier_phi:
+            raise SweepInvariantBroken(
+                f"particle {phi} sampled beyond the frontier {self.frontier_phi}")
         pts = self.pts
         if phi <= pts[0][0]:
             return pts[0][1] + self.tail_slope * (phi - pts[0][0])
@@ -295,9 +301,13 @@ class _Queue:
     slope: Fraction = ZERO
     value: Fraction = ZERO  # at the live edge
     edge: Fraction = ZERO   # live-edge time
+    arc_id: str = ""
 
     def value_at(self, theta: Fraction) -> Fraction:
-        assert theta <= self.edge
+        if theta > self.edge:
+            raise SweepInvariantBroken(
+                f"arc {self.arc_id}: waiting time at {theta} sampled beyond "
+                f"the live edge {self.edge}")
         pts = self.pts
         if theta <= pts[0][0]:
             return pts[0][1]
@@ -393,7 +403,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 pts=[(phi0, ZERO)], frontier_phi=phi0, frontier_val=ZERO,
                 slope=Fraction(1, 1) / c.rate if v == c.origin else None,
                 is_source=(v == c.origin))
-    queues = {a.id: _Queue() for a in instance.arcs}
+    queues = {a.id: _Queue(arc_id=a.id) for a in instance.arcs}
     in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
     out_arcs = {v: instance.out_arcs(v) for v in instance.nodes}
     theta0 = ZERO
@@ -425,10 +435,14 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         live = [c for c in cands if not c.pending]
         tied = [c for c in live if c.value == theta0]
         if not tied:
-            raise AssertionError(
+            raise SweepInvariantBroken(
                 f"label invariant broken at ({j}, {v}): no candidate attains "
                 f"the frontier time {theta0}")
-        assert all(c.value >= theta0 for c in live)
+        for c in live:
+            if c.value < theta0:
+                raise SweepInvariantBroken(
+                    f"label invariant broken at ({j}, {v}): arc {c.arc_id} "
+                    f"reaches {c.value} before the frontier time {theta0}")
         return min(c.slope for c in tied), cands
 
     def mass_on(j: str, v: str, lo: Fraction, hi: Fraction) -> bool:
@@ -466,7 +480,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 if stop > track_v.frontier_phi and (next_phi is None or stop < next_phi):
                     next_phi = stop
             if next_phi is None or next_phi <= track_v.frontier_phi:
-                raise AssertionError(f"flat stretch at ({j}, {v}) cannot advance")
+                raise SweepInvariantBroken(f"flat stretch at ({j}, {v}) cannot advance")
             if mass_on(j, v, track_v.frontier_phi, next_phi):
                 raise ValueError(
                     f"strategy sends positive mass of commodity {j} through a "

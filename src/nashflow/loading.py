@@ -10,12 +10,14 @@ feasibility checker that certifies the flow dynamics piece by piece.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance
 from .timefn import (ONE, ZERO, PwlFunction, StepFunction, breakpoint_budget,
-                     compose, differentiate, integrate, min_preimage)
+                     compose, differentiate, integrate, min_preimages,
+                     sorted_union, zero_crossings)
 
 
 class NegativeInflow(ValueError):
@@ -28,6 +30,10 @@ class UnboundedBreakpoints(RuntimeError):
 
 class BeyondHorizon(ValueError):
     """Evaluation past the horizon the profile was computed for."""
+
+
+class LoadingInvariantBroken(RuntimeError):
+    """The event sweep of one arc ended in a state its invariants exclude."""
 
 
 @dataclass
@@ -127,7 +133,7 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
         per_commodity = {c.id: flow.inflow[(c.id, arc.id)]
                          for c in instance.commodities}
         total_in = StepFunction.sum_of(per_commodity.values())
-        total_out, z = _load_arc(total_in, arc.transit, arc.capacity)
+        total_out, z = _load_arc(total_in, arc)
         q = z.shift(-arc.transit).scale(1 / arc.capacity)
         T = q + PwlFunction.line(ONE, ZERO, arc.transit)
         for j, f_j in per_commodity.items():
@@ -153,14 +159,15 @@ def _total_volume(f: StepFunction) -> Fraction:
     return total
 
 
-def _load_arc(total_in: StepFunction, transit: Fraction, capacity: Fraction):
+def _load_arc(total_in: StepFunction, arc):
     """Total outflow and queue volume for one arc under queue dynamics.
 
     The queue volume grows at arrival rate minus capacity while positive;
     at zero it grows only when arrivals exceed capacity.  Outflow is the
     capacity while a queue stands, otherwise min(arrival rate, capacity).
     """
-    g = total_in.shift(transit)  # arrival rate at the queue
+    capacity = arc.capacity
+    g = total_in.shift(arc.transit)  # arrival rate at the queue
     if not g.breakpoints:
         zero = PwlFunction.constant(ZERO)
         return StepFunction.zero(), zero
@@ -202,7 +209,9 @@ def _load_arc(total_in: StepFunction, transit: Fraction, capacity: Fraction):
             break
     volume = PwlFunction(z_bps, z_vals, ZERO, final_slope)
     outflow = StepFunction.from_pieces(_dedupe(out_pieces), ZERO)
-    assert outflow.final == final_out
+    if outflow.final != final_out:
+        raise LoadingInvariantBroken(
+            f"arc {arc.id}: outflow settles at {outflow.final}, the sweep at {final_out}")
     return outflow, volume
 
 
@@ -223,26 +232,18 @@ def _split_outflow(inflow_j: StepFunction, total_in: StepFunction,
     taken at the FIFO entry time of the particles currently leaving."""
     if not inflow_j.breakpoints and inflow_j.initial == 0:
         return StepFunction.zero()
-    cut = set(total_out.breakpoints)
-    for b in set(T.breakpoints) | set(total_in.breakpoints) | set(inflow_j.breakpoints):
-        cut.add(T(b))
-    cuts = sorted(cut)
-    if not cuts:
-        return StepFunction.zero()
-    samples = [(lo, (lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:])]
-    samples.append((cuts[-1], cuts[-1] + 1))
-    vals = []
-    for lo, m in samples:
-        out_total = total_out(m)
-        if out_total == 0:
-            vals.append(ZERO)
-            continue
-        entry = min_preimage(T, m)
-        den = total_in(entry)
-        if den == 0:
-            vals.append(ZERO)
-        else:
-            vals.append(out_total * inflow_j(entry) / den)
+    marks = sorted_union(T.breakpoints, total_in.breakpoints, inflow_j.breakpoints)
+    cuts = sorted_union(total_out.breakpoints, T.at_sorted(marks))
+    # one sample per cut; samples, and with T non-decreasing their FIFO entry
+    # times, increase, so each function is read in one merge pass
+    samples = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
+    out_totals = total_out.at_sorted(samples)
+    live = [k for k, out in enumerate(out_totals) if out != 0]
+    entries = min_preimages(T, [samples[k] for k in live])
+    vals = [ZERO] * len(samples)
+    for k, den, num in zip(live, total_in.at_sorted(entries), inflow_j.at_sorted(entries)):
+        if den != 0:
+            vals[k] = out_totals[k] * num / den
     return StepFunction(cuts, vals, ZERO)
 
 
@@ -315,13 +316,15 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
 
 
 def _refine_with_zeros(points: list[Fraction], fn: PwlFunction) -> list[Fraction]:
-    """Add the zero crossings of ``fn`` falling strictly inside the mesh."""
-    extra = []
-    for lo, hi in zip(points, points[1:]):
-        va, vb = fn(lo), fn(hi)
-        if va != 0 and vb != 0 and (va > 0) != (vb > 0):
-            extra.append(lo + (hi - lo) * (-va) / (vb - va))
-    return sorted(set(points) | set(extra))
+    """Add the zero crossings of ``fn`` falling strictly inside the sorted
+    mesh ``points``."""
+    return sorted_union(points, zero_crossings(points, fn.at_sorted(points)))
+
+
+def _probes(mesh: list[Fraction]) -> list[Fraction]:
+    """One point inside every cell of the mesh, the two outer rays included."""
+    return [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
+        [mesh[-1] + 1]
 
 
 def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, arc):
@@ -352,15 +355,15 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
 
     # total outflow law on every piece
     g = f_in.shift(arc.transit)
-    mesh = sorted(set(z.breakpoints) | set(g.breakpoints) | set(f_out.breakpoints))
+    mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
     if mesh:
         mesh = _refine_with_zeros(mesh, z)
-        probes = [(None, mesh[0] - 1)] + \
-            [((lo, hi), (lo + hi) / 2) for lo, hi in zip(mesh, mesh[1:])] + \
-            [(None, mesh[-1] + 1)]
-        for cell, m in probes:
-            expected = arc.capacity if z(m) > 0 else min(g(m), arc.capacity)
-            if f_out(m) != expected:
+        probes = _probes(mesh)
+        cells = [None] + list(zip(mesh, mesh[1:])) + [None]
+        for cell, m, zm, gm, out in zip(cells, probes, z.at_sorted(probes),
+                                        g.at_sorted(probes), f_out.at_sorted(probes)):
+            expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
+            if out != expected:
                 violations.append(FlowViolation("OutflowLawViolated", e,
                                                 str(cell) if cell else str(m)))
                 break
@@ -389,40 +392,57 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
 
     # waiting-time derivative case formula, checked per piece
     dq = differentiate(q)
-    mesh = sorted(set(q.breakpoints) | set(f_in.breakpoints))
-    mesh = _refine_with_zeros(mesh, q)
-    probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + [mesh[-1] + 1]
-    for m in probes:
-        ratio = f_in(m) / arc.capacity - 1
-        expected = ratio if q(m) > 0 else max(ratio, ZERO)
-        if dq(m) != expected:
+    mesh = _refine_with_zeros(sorted_union(q.breakpoints, f_in.breakpoints), q)
+    probes = _probes(mesh)
+    for m, rate, wait, dm in zip(probes, f_in.at_sorted(probes), q.at_sorted(probes),
+                                 dq.at_sorted(probes)):
+        ratio = rate / arc.capacity - 1
+        expected = ratio if wait > 0 else max(ratio, ZERO)
+        if dm != expected:
             violations.append(FlowViolation("WaitingDerivativeViolated", e, str(m)))
             break
 
     # positive waiting keeps the queue positive throughout the waiting window
+    for theta in _queue_positivity_failures(q, z, arc.transit):
+        violations.append(FlowViolation("QueuePositivityViolated", e, str(theta)))
+
+    # frozen exit times across zero-inflow stretches with a standing queue
+    dT = differentiate(T)
+    mesh = sorted_union(T.breakpoints, f_in.breakpoints, z.breakpoints)
+    if mesh:
+        mesh = _refine_with_zeros(mesh, z)
+        mids = [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])]
+        idle = [m for m, rate in zip(mids, f_in.at_sorted(mids)) if rate == 0]
+        for m, zm, dm in zip(idle, z.at_sorted([m + arc.transit for m in idle]),
+                             dT.at_sorted(idle)):
+            if zm > 0 and dm != 0:
+                violations.append(FlowViolation("ExitTimeNotFrozen", e, str(m)))
+                break
+    return violations
+
+
+def _queue_positivity_failures(q: PwlFunction, z: PwlFunction, transit) -> list:
+    """Particles theta, probed at every anchor b of q and at b + 1/2 (the
+    first failing one per anchor), whose positive wait meets a non-positive
+    queue volume in the window [theta + transit, theta + transit + q(theta)).
+
+    z is linear between its anchors, so the window fails exactly when
+    z(theta + transit) <= 0 or some anchor inside it has z <= 0: one
+    bisection into the sorted anchors where z <= 0.
+    """
+    dry = [x for x, v in zip(z.breakpoints, z.values) if v <= 0]
+    failures = []
     for b in q.breakpoints:
         for theta in (b, b + Fraction(1, 2)):
             w = q(theta)
             if w <= 0:
                 continue
-            lo = theta + arc.transit
-            hi = lo + w
-            inside = [z(lo)] + [z(x) for x in z.breakpoints if lo < x < hi]
-            if min(inside) <= 0:
-                violations.append(FlowViolation("QueuePositivityViolated", e, str(theta)))
+            lo = theta + transit
+            k = bisect_right(dry, lo)
+            if z(lo) <= 0 or (k < len(dry) and dry[k] < lo + w):
+                failures.append(theta)
                 break
-
-    # frozen exit times across zero-inflow stretches with a standing queue
-    dT = differentiate(T)
-    mesh = sorted(set(T.breakpoints) | set(f_in.breakpoints) | set(z.breakpoints))
-    if mesh:
-        mesh = _refine_with_zeros(mesh, z)
-        for lo, hi in zip(mesh, mesh[1:]):
-            m = (lo + hi) / 2
-            if f_in(m) == 0 and z(m + arc.transit) > 0 and dT(m) != 0:
-                violations.append(FlowViolation("ExitTimeNotFrozen", e, str(m)))
-                break
-    return violations
+    return failures
 
 
 def _check_conservation(instance: Instance, flow: FlowOverTime):
@@ -452,8 +472,9 @@ def _check_conservation(instance: Instance, flow: FlowOverTime):
 
 
 def _first_difference(a: StepFunction, b: StepFunction) -> str:
-    for x in sorted(set(a.breakpoints) | set(b.breakpoints)):
-        if a(x) != b(x):
+    mesh = sorted_union(a.breakpoints, b.breakpoints)
+    for x, u, v in zip(mesh, a.at_sorted(mesh), b.at_sorted(mesh)):
+        if u != v:
             return str(x)
     return "initial"
 

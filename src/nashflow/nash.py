@@ -28,7 +28,7 @@ from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
 from .timefn import (ONE, ZERO, PwlFunction, StepFunction, compose,
-                     differentiate, integrate)
+                     differentiate, integrate, sorted_union)
 
 
 class PhaseBudgetExceeded(RuntimeError):
@@ -47,6 +47,10 @@ class StalledPhase(RuntimeError):
 
 class NotFeasible(RuntimeError):
     """Equilibrium verification is gated on flow feasibility."""
+
+
+class FlowReconstructionError(RuntimeError):
+    """Phase flows put mass where the labels leave no time for it."""
 
 
 @dataclass
@@ -319,7 +323,10 @@ def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict
                 x = flows.get(a.id, ZERO)
                 if a.tail not in node_labels or a.head not in node_labels:
                     # unreachable endpoints never carry flow
-                    assert x == 0, (j, a.id)
+                    if x != 0:
+                        raise FlowReconstructionError(
+                            f"commodity {j} sends {x} into arc {a.id}, which "
+                            f"has an unreachable endpoint")
                     continue
                 for node, book, ends in ((a.tail, in_pieces, ends_in),
                                          (a.head, out_pieces, ends_out)):
@@ -328,8 +335,9 @@ def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict
                     t1 = lab(p.phi_end)
                     if t1 == t0:
                         if x != 0:
-                            raise AssertionError(
-                                f"flow {x} of {j} through a frozen label at {node}")
+                            raise FlowReconstructionError(
+                                f"flow {x} of {j} on arc {a.id} through a frozen "
+                                f"label at {node}")
                         continue
                     slope = (t1 - t0) / (p.phi_end - p.phi_start)
                     key = (j, a.id)
@@ -458,12 +466,12 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
 
 
 def _first_pwl_difference(a: PwlFunction, b: PwlFunction):
-    mesh = sorted(set(a.breakpoints) | set(b.breakpoints))
-    probes = [mesh[0] - 1] + mesh + \
-        [(x + y) / 2 for x, y in zip(mesh, mesh[1:])] + [mesh[-1] + 1]
-    for x in sorted(probes):
-        if a(x) != b(x):
-            return x, a(x) - b(x)
+    mesh = sorted_union(a.breakpoints, b.breakpoints)
+    probes = sorted([mesh[0] - 1] + mesh + [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]
+                    + [mesh[-1] + 1])
+    for x, u, v in zip(probes, a.at_sorted(probes), b.at_sorted(probes)):
+        if u != v:
+            return x, u - v
     return None, None
 
 

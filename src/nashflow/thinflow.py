@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance
-from .timefn import ONE, ZERO, StepFunction, differentiate, min_preimage
+from .timefn import (ONE, ZERO, StepFunction, ValueNotAttained,
+                     breakpoint_budget, differentiate, min_preimage,
+                     sorted_union, zero_crossings)
 from .labels import foreign_rate_at, waiting_from_labels
 
 SIZE_LIMIT = 25
@@ -43,6 +45,10 @@ class SizeLimitExceeded(RuntimeError):
 
 class UnreachableNode(ValueError):
     """Some referenced node is unreachable from every source."""
+
+
+class PartitionBudgetExceeded(RuntimeError):
+    """Refining the verifier's partition passed the breakpoint budget."""
 
 
 class NewArcInactive(RuntimeError):
@@ -674,31 +680,34 @@ def _partition(instance, labels_all, strategies, j, horizon):
                     cuts.add(phi)
     cells = sorted(cuts)
     # refine by sign changes of the per-arc gap curves against each other,
-    # zero, and the commodity's own gap (activity / resetting switches)
-    for _ in range(3):
-        extra = set()
-        for a in instance.arcs:
-            lu_j = ls.labels.get(a.tail)
-            if lu_j is None:
-                continue
-            curves = [_gap_curve(instance, labels_all, i, a, lu_j)
-                      for i in labels_all]
-            curves = [c for c in curves if c is not None]
-            curves.append(lambda phi: ZERO)
-            for x0, x1 in zip(cells, cells[1:]):
-                for p in range(len(curves)):
-                    for r in range(p + 1, len(curves)):
-                        va = curves[p](x0) - curves[r](x0)
-                        vb = curves[p](x1) - curves[r](x1)
-                        if va != 0 and vb != 0 and (va > 0) != (vb > 0):
-                            extra.add(x0 + (x1 - x0) * (-va) / (vb - va))
-        if not extra - set(cells):
-            break
-        cells = sorted(set(cells) | extra)
-    return list(zip(cells, cells[1:]))
+    # zero, and the commodity's own gap (activity / resetting switches),
+    # until no new cell appears
+    per_arc = []
+    for a in instance.arcs:
+        lu_j = ls.labels.get(a.tail)
+        if lu_j is not None:
+            curves = [_gap_curve(labels_all, i, a, lu_j) for i in labels_all]
+            per_arc.append([c for c in curves if c is not None])
+    budget = breakpoint_budget()
+    while True:
+        extra = []
+        for curves in per_arc:
+            table = [[curve(x) for x in cells] for curve in curves]
+            table.append([ZERO] * len(cells))
+            for p in range(len(table)):
+                for r in range(p + 1, len(table)):
+                    diff = [u - v for u, v in zip(table[p], table[r])]
+                    extra += zero_crossings(cells, diff)
+        refined = sorted_union(cells, extra)
+        if len(refined) == len(cells):
+            return list(zip(cells, cells[1:]))
+        if len(refined) > budget:
+            raise PartitionBudgetExceeded(
+                f"partition of commodity {j} passed {budget} cells")
+        cells = refined
 
 
-def _gap_curve(instance, labels_all, i, arc, lu_j):
+def _gap_curve(labels_all, i, arc, lu_j):
     """Commodity i's label gap on ``arc`` as a function of commodity j's
     particle (sampled through the shared tail arrival time)."""
     ols = labels_all[i]
@@ -708,7 +717,6 @@ def _gap_curve(instance, labels_all, i, arc, lu_j):
         return None
 
     def curve(phi):
-        from .timefn import ValueNotAttained
         theta = lu_j(phi)
         try:
             phi_i = min_preimage(lu_i, theta)
@@ -720,7 +728,6 @@ def _gap_curve(instance, labels_all, i, arc, lu_j):
 
 
 def _preimage_or_none(f, value):
-    from .timefn import ValueNotAttained
     try:
         return min_preimage(f, value)
     except ValueNotAttained:

@@ -9,14 +9,30 @@ construction so that structural equality coincides with pointwise equality.
 
 All breakpoints and values are ``fractions.Fraction``; there is no floating
 point anywhere.
+
+Cost.  With n breakpoints, one evaluation is a bisection, O(log n).  A
+``PwlFunction`` computes its n - 1 segment slopes and whether it is
+non-decreasing once, on first use, and keeps them on the instance; equality,
+hashing and ``to_json`` read the four fields only.  ``at_sorted`` evaluates
+a function at m non-decreasing points in one merge pass, O(n + m), and every
+primitive that evaluates on a sorted mesh goes through it: ``+`` and
+``integrate`` are linear in the breakpoints involved, ``sum_of`` of k
+functions with N breakpoints in all costs O(N log k), ``compose`` is linear
+in the breakpoints of both functions (its level crossings come from one
+two-pointer pass), and ``min_compose`` of k functions on a mesh of N points
+costs O(k^2 N).  ``min_preimage`` is a bisection on the values,
+O(log n), and ``min_preimages`` answers m non-decreasing queries in
+O(n + m).
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,7 +48,30 @@ def breakpoint_budget() -> int:
 
 
 def _as_fractions(seq) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in seq)
+    return tuple(x if x.__class__ is Fraction else Fraction(x) for x in seq)
+
+
+def sorted_union(*seqs) -> list:
+    """The distinct elements of the given sequences in increasing order;
+    sorted inputs merge in time linear in their total length."""
+    merged = sorted(chain.from_iterable(seqs))
+    out = merged[:1]
+    for x in merged:
+        if x != out[-1]:
+            out.append(x)
+    return out
+
+
+def _segment_indices(bps, xs) -> list[int]:
+    """``bisect_right(bps, x) - 1`` for every x of the non-decreasing ``xs``,
+    found in one merge pass over both sequences."""
+    out = []
+    i, last = -1, len(bps) - 1
+    for x in xs:
+        while i < last and bps[i + 1] <= x:
+            i += 1
+        out.append(i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,9 +126,16 @@ class StepFunction:
         return self.values[-1] if self.values else self.initial
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
         i = bisect_right(self.breakpoints, x) - 1
         return self.initial if i < 0 else self.values[i]
+
+    def at_sorted(self, xs) -> list[Fraction]:
+        """Values at every point of the non-decreasing sequence ``xs``."""
+        vals, init = self.values, self.initial
+        return [init if i < 0 else vals[i]
+                for i in _segment_indices(self.breakpoints, xs)]
 
     def pieces(self):
         """Yield (lo, hi, value) with lo=None / hi=None for the infinite ends."""
@@ -101,12 +147,10 @@ class StepFunction:
             hi = self.breakpoints[k + 1] if k + 1 < len(self.breakpoints) else None
             yield (b, hi, self.values[k])
 
-    def _merge_bps(self, other: "StepFunction"):
-        return sorted(set(self.breakpoints) | set(other.breakpoints))
-
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        bps = self._merge_bps(other)
-        return StepFunction(bps, [self(b) + other(b) for b in bps],
+        bps = sorted_union(self.breakpoints, other.breakpoints)
+        return StepFunction(bps, [a + b for a, b in zip(self.at_sorted(bps),
+                                                        other.at_sorted(bps))],
                             self.initial + other.initial)
 
     def __neg__(self) -> "StepFunction":
@@ -139,9 +183,10 @@ class StepFunction:
         funcs = list(funcs)
         if not funcs:
             return StepFunction.zero()
-        bps = sorted({b for f in funcs for b in f.breakpoints})
+        bps = sorted_union(*(f.breakpoints for f in funcs))
         init = sum((f.initial for f in funcs), ZERO)
-        return StepFunction(bps, [sum((f(b) for f in funcs), ZERO) for b in bps], init)
+        columns = [f.at_sorted(bps) for f in funcs]
+        return StepFunction(bps, [sum(col, ZERO) for col in zip(*columns)], init)
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -172,7 +217,8 @@ class PwlFunction:
     Linear interpolation between (breakpoints[k], values[k]); the function
     continues to the left of the first breakpoint with ``initial_slope`` and
     to the right of the last with ``final_slope``.  Collinear breakpoints are
-    removed on construction (at least one anchor is always kept).
+    removed on construction (at least one anchor is always kept).  The
+    segment slopes and the monotonicity flag are cached on first use.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -192,14 +238,12 @@ class PwlFunction:
         s0 = Fraction(self.initial_slope)
         s1 = Fraction(self.final_slope)
         # drop interior collinear anchors, then collinear outermost anchors
-        keep = [True] * len(bps)
-        for k in range(1, len(bps) - 1):
-            left = _seg_slope(bps[k - 1], vals[k - 1], bps[k], vals[k])
-            right = _seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
-            if left == right:
-                keep[k] = False
-        bps = [b for b, k in zip(bps, keep) if k]
-        vals = [v for v, k in zip(vals, keep) if k]
+        slopes = [_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
+                  for k in range(len(bps) - 1)]
+        keep = [0 < k < len(slopes) and slopes[k - 1] == slopes[k]
+                for k in range(len(bps))]
+        bps = [b for b, drop in zip(bps, keep) if not drop]
+        vals = [v for v, drop in zip(vals, keep) if not drop]
         while len(bps) > 1 and _seg_slope(bps[0], vals[0], bps[1], vals[1]) == s0:
             bps.pop(0)
             vals.pop(0)
@@ -224,49 +268,66 @@ class PwlFunction:
     def constant(cls, c) -> "PwlFunction":
         return cls.line(ZERO, ZERO, c)
 
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
         bps, vals = self.breakpoints, self.values
-        i = bisect_right(bps, x) - 1
+        return tuple(_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
+                     for k in range(len(bps) - 1))
+
+    @cached_property
+    def _nondecreasing(self) -> bool:
+        if self.initial_slope < 0 or self.final_slope < 0:
+            return False
+        vals = self.values
+        return all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def _slope_on(self, i: int) -> Fraction:
+        """Slope right of breakpoint i (left of the first one for i = -1)."""
         if i < 0:
-            return vals[0] + self.initial_slope * (x - bps[0])
-        if i == len(bps) - 1:
-            return vals[-1] + self.final_slope * (x - bps[-1])
-        return vals[i] + _seg_slope(bps[i], vals[i], bps[i + 1], vals[i + 1]) * (x - bps[i])
+            return self.initial_slope
+        if i == len(self.breakpoints) - 1:
+            return self.final_slope
+        return self._slopes[i]
+
+    def _value(self, i: int, x) -> Fraction:
+        """Value at x, given i = bisect_right(breakpoints, x) - 1."""
+        if i < 0:
+            return self.values[0] + self.initial_slope * (x - self.breakpoints[0])
+        d = x - self.breakpoints[i]
+        if not d:
+            return self.values[i]
+        return self.values[i] + self._slope_on(i) * d
+
+    def __call__(self, x) -> Fraction:
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return self._value(bisect_right(self.breakpoints, x) - 1, x)
+
+    def at_sorted(self, xs) -> list[Fraction]:
+        """Values at every point of the non-decreasing sequence ``xs``."""
+        value = self._value
+        return [value(i, x) for i, x in zip(_segment_indices(self.breakpoints, xs), xs)]
 
     def slope_right(self, x) -> Fraction:
         """Right derivative at x."""
-        x = Fraction(x)
-        bps = self.breakpoints
-        i = bisect_right(bps, x) - 1
-        if i < 0:
-            return self.initial_slope
-        if i == len(bps) - 1:
-            return self.final_slope
-        return _seg_slope(bps[i], self.values[i], bps[i + 1], self.values[i + 1])
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return self._slope_on(bisect_right(self.breakpoints, x) - 1)
 
     def slope_left(self, x) -> Fraction:
         """Left derivative at x."""
-        x = Fraction(x)
-        bps = self.breakpoints
-        i = bisect_right(bps, x) - 1
-        if i >= 0 and x == bps[i]:
-            i -= 1
-        if i < 0:
-            return self.initial_slope
-        if i == len(bps) - 1:
-            return self.final_slope
-        return _seg_slope(bps[i], self.values[i], bps[i + 1], self.values[i + 1])
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return self._slope_on(bisect_left(self.breakpoints, x) - 1)
 
     def segment_slopes(self) -> list[Fraction]:
         """Slopes on [b_k, b_{k+1}] for consecutive anchors."""
-        bps, vals = self.breakpoints, self.values
-        return [_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
-                for k in range(len(bps) - 1)]
+        return list(self._slopes)
 
     def __add__(self, other: "PwlFunction") -> "PwlFunction":
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return PwlFunction(bps, [self(b) + other(b) for b in bps],
+        bps = sorted_union(self.breakpoints, other.breakpoints)
+        return PwlFunction(bps, [a + b for a, b in zip(self.at_sorted(bps),
+                                                       other.at_sorted(bps))],
                            self.initial_slope + other.initial_slope,
                            self.final_slope + other.final_slope)
 
@@ -294,16 +355,16 @@ class PwlFunction:
                            self.initial_slope, self.final_slope)
 
     def is_nondecreasing(self) -> bool:
-        if self.initial_slope < 0 or self.final_slope < 0:
-            return False
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
+        return self._nondecreasing
 
     def is_zero_on(self, lo, hi) -> bool:
         """True iff the function vanishes identically on [lo, hi]."""
         lo, hi = Fraction(lo), Fraction(hi)
         if self(lo) != 0 or self(hi) != 0:
             return False
-        return all(self(b) == 0 for b in self.breakpoints if lo < b < hi)
+        bps = self.breakpoints
+        inside = self.values[bisect_right(bps, lo):bisect_left(bps, hi)]
+        return all(v == 0 for v in inside)
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -336,21 +397,21 @@ def _seg_slope(x0, y0, x1, y1) -> Fraction:
 def integrate(f: StepFunction, start) -> PwlFunction:
     """Exact antiderivative F(x) = integral of f from ``start`` to x."""
     start = Fraction(start)
-    bps = sorted(set(f.breakpoints) | {start})
-    vals = []
+    bps = sorted_union(f.breakpoints, (start,))
+    rates = f.at_sorted(bps)
+    vals = [ZERO] * len(bps)
     # accumulate from the anchor outwards in both directions
-    idx = bps.index(start)
+    idx = bisect_left(bps, start)
     acc = ZERO
-    vals_right = [acc]
     for k in range(idx + 1, len(bps)):
-        acc += f(bps[k - 1]) * (bps[k] - bps[k - 1])
-        vals_right.append(acc)
+        if rates[k - 1]:
+            acc += rates[k - 1] * (bps[k] - bps[k - 1])
+        vals[k] = acc
     acc = ZERO
-    vals_left = []
     for k in range(idx - 1, -1, -1):
-        acc -= f(bps[k]) * (bps[k + 1] - bps[k])
-        vals_left.append(acc)
-    vals = list(reversed(vals_left)) + vals_right
+        if rates[k]:
+            acc -= rates[k] * (bps[k + 1] - bps[k])
+        vals[k] = acc
     return PwlFunction(bps, vals, f.initial, f.final)
 
 
@@ -365,42 +426,35 @@ def differentiate(F: PwlFunction) -> StepFunction:
 
 
 def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
-    """Exact composition outer(inner(x)) for non-decreasing ``inner``."""
+    """Exact composition outer(inner(x)) for non-decreasing ``inner``.
+
+    The mesh is the inner breakpoints plus the points where ``inner`` crosses
+    an outer breakpoint strictly inside a segment or an outer ray; both
+    functions are then evaluated on it by merge passes.
+    """
     if not inner.is_nondecreasing():
         raise ValueError("compose requires a non-decreasing inner function")
-    pts = set(inner.breakpoints)
-    for beta in outer.breakpoints:
-        x = _strict_preimage(inner, beta)
-        if x is not None:
-            pts.add(x)
-    mesh = sorted(pts)
-    vals = [outer(inner(x)) for x in mesh]
-    y_lo = inner(mesh[0])
-    y_hi = inner(mesh[-1])
-    s0 = outer.slope_left(y_lo) * inner.initial_slope if inner.initial_slope != 0 \
-        else ZERO
-    s1 = outer.slope_right(y_hi) * inner.final_slope if inner.final_slope != 0 \
-        else ZERO
+    ivals = inner.values
+    crossings = []
+    k, n = 0, len(ivals)
+    for beta in outer.breakpoints:  # increasing, so k only moves forward
+        while k < n and ivals[k] < beta:
+            k += 1
+        if k < n and ivals[k] == beta:
+            continue  # the level set starts at an inner breakpoint
+        try:
+            crossings.append(_leftmost_preimage(inner, beta, k))
+        except ValueNotAttained:
+            continue  # on or beyond a flat outer ray
+    # the crossings avoid the inner breakpoints: two sorted, disjoint runs
+    mesh = sorted(inner.breakpoints + tuple(crossings))
+    inner_vals = inner.at_sorted(mesh)
+    vals = outer.at_sorted(inner_vals)
+    s0 = outer.slope_left(inner_vals[0]) * inner.initial_slope \
+        if inner.initial_slope != 0 else ZERO
+    s1 = outer.slope_right(inner_vals[-1]) * inner.final_slope \
+        if inner.final_slope != 0 else ZERO
     return PwlFunction(mesh, vals, s0, s1)
-
-
-def _strict_preimage(F: PwlFunction, y) -> Fraction | None:
-    """An x with F(x) = y where F crosses y strictly inside a segment.
-
-    Level sets hitting breakpoints or flat segments need no extra mesh point;
-    returns None in those cases and when y is outside the attained range.
-    """
-    y = Fraction(y)
-    bps, vals = F.breakpoints, F.values
-    if F.initial_slope > 0 and y < vals[0]:
-        return bps[0] - (vals[0] - y) / F.initial_slope
-    if F.final_slope > 0 and y > vals[-1]:
-        return bps[-1] + (y - vals[-1]) / F.final_slope
-    for k in range(len(bps) - 1):
-        lo, hi = vals[k], vals[k + 1]
-        if lo < y < hi:
-            return bps[k] + (y - lo) * (bps[k + 1] - bps[k]) / (hi - lo)
-    return None
 
 
 def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
@@ -410,7 +464,8 @@ def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
     endpoint (clipped to ``lo``) is returned.  Raises ValueNotAttained when
     the value is below F(lo) or never reached.
     """
-    value = Fraction(value)
+    if value.__class__ is not Fraction:
+        value = Fraction(value)
     if not F.is_nondecreasing():
         raise ValueError("min_preimage requires a non-decreasing function")
     if lo is not None:
@@ -421,23 +476,41 @@ def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
         if flo == value:
             return lo
     # from here on any preimage lies strictly above lo (F is non-decreasing)
+    return _leftmost_preimage(F, value, bisect_left(F.values, value))
+
+
+def min_preimages(F: PwlFunction, values) -> list[Fraction]:
+    """``min_preimage(F, y)`` for every y of the non-decreasing ``values``,
+    found in one pass over F."""
+    if not F.is_nondecreasing():
+        raise ValueError("min_preimage requires a non-decreasing function")
+    vals = F.values
+    out = []
+    k, n = 0, len(vals)
+    for y in values:
+        while k < n and vals[k] < y:
+            k += 1
+        out.append(_leftmost_preimage(F, y, k))
+    return out
+
+
+def _leftmost_preimage(F: PwlFunction, value: Fraction, k: int) -> Fraction:
+    """Smallest x with F(x) == value for non-decreasing F, given the first
+    index k with ``F.values[k] >= value``."""
     bps, vals = F.breakpoints, F.values
-    if value < vals[0]:
-        if F.initial_slope > 0:
-            return bps[0] - (vals[0] - value) / F.initial_slope
-        raise ValueNotAttained(f"value {value} below the function range")
-    if value == vals[0]:
+    if k == 0:
+        if value < vals[0]:
+            if F.initial_slope > 0:
+                return bps[0] - (vals[0] - value) / F.initial_slope
+            raise ValueNotAttained(f"value {value} below the function range")
         if F.initial_slope > 0:
             return bps[0]
         raise ValueNotAttained("value attained on an unbounded leading flat")
-    for k in range(len(bps)):
+    if k < len(vals):
         if vals[k] == value:
             return bps[k]
-        if vals[k] > value:
-            # first reached inside segment (k-1, k); k >= 1 since value > vals[0]
-            span = bps[k] - bps[k - 1]
-            rise = vals[k] - vals[k - 1]
-            return bps[k - 1] + (value - vals[k - 1]) * span / rise
+        # first reached inside segment (k-1, k), which rises
+        return bps[k - 1] + (value - vals[k - 1]) / F._slopes[k - 1]
     if F.final_slope > 0:
         return bps[-1] + (value - vals[-1]) / F.final_slope
     raise ValueNotAttained(f"value {value} above the function range")
@@ -454,67 +527,53 @@ def min_compose(candidates) -> tuple[PwlFunction, list]:
     funcs = list(candidates)
     if not funcs:
         raise ValueError("min_compose needs at least one candidate")
-    mesh = sorted({b for f in funcs for b in f.breakpoints})
+    mesh = sorted_union(*(f.breakpoints for f in funcs))
+    table = [f.at_sorted(mesh) for f in funcs]
     # refine by pairwise crossings so that the order is constant per cell
-    extra = set()
-    cells = _cells(mesh)
-    for lo, hi in cells:
-        for a in range(len(funcs)):
-            for b in range(a + 1, len(funcs)):
-                x = _crossing_in_cell(funcs[a], funcs[b], lo, hi)
-                if x is not None:
-                    extra.add(x)
-    mesh = sorted(set(mesh) | extra)
-    vals = [min(f(x) for f in funcs) for x in mesh]
-    # outer slopes from the winning candidate on the unbounded cells
-    left_probe = mesh[0] - 1
-    right_probe = mesh[-1] + 1
-    left_min = min(f(left_probe) for f in funcs)
-    right_min = min(f(right_probe) for f in funcs)
-    s0 = min(f.slope_right(left_probe) for f in funcs if f(left_probe) == left_min)
-    s1 = min(f.slope_right(right_probe) for f in funcs if f(right_probe) == right_min)
+    extra = []
+    for a in range(len(funcs)):
+        for b in range(a + 1, len(funcs)):
+            diff = [u - v for u, v in zip(table[a], table[b])]
+            extra += zero_crossings(mesh, diff,
+                                    funcs[a].initial_slope - funcs[b].initial_slope,
+                                    funcs[a].final_slope - funcs[b].final_slope)
+    if extra:
+        mesh = sorted_union(mesh, extra)
+        table = [f.at_sorted(mesh) for f in funcs]
+    vals = [min(col) for col in zip(*table)]
+    # one unit beyond the mesh every candidate runs with its outer slope
+    left = [col[0] - f.initial_slope for f, col in zip(funcs, table)]
+    right = [col[-1] + f.final_slope for f, col in zip(funcs, table)]
+    left_ties, right_ties = _argmins(left, min(left)), _argmins(right, min(right))
+    s0 = min(funcs[i].initial_slope for i in left_ties)
+    s1 = min(funcs[i].final_slope for i in right_ties)
     result = PwlFunction(mesh, vals, s0, s1)
-    segments = []
-    for lo, hi in _cells(mesh):
-        a = mesh[0] - 1 if lo is None else lo
-        b = mesh[-1] + 1 if hi is None else hi
-        mv_a = min(f(a) for f in funcs)
-        mv_b = min(f(b) for f in funcs)
-        members = frozenset(i for i, f in enumerate(funcs)
-                            if f(a) == mv_a and f(b) == mv_b)
-        segments.append((lo, hi, members))
+    ties = [left_ties] + [_argmins(col, v) for col, v in zip(zip(*table), vals)] \
+        + [right_ties]
+    bounds = [None] + mesh + [None]
+    segments = [(bounds[k], bounds[k + 1], ties[k] & ties[k + 1])
+                for k in range(len(mesh) + 1)]
     return result, segments
 
 
-def _cells(mesh):
-    cells = [(None, mesh[0])]
-    for a, b in zip(mesh, mesh[1:]):
-        cells.append((a, b))
-    cells.append((mesh[-1], None))
-    return cells
+def _argmins(column, least) -> frozenset:
+    return frozenset(i for i, v in enumerate(column) if v == least)
 
 
-def _crossing_in_cell(f: PwlFunction, g: PwlFunction, lo, hi) -> Fraction | None:
-    """Crossing point of two functions linear on the open cell (lo, hi).
-
-    Crossings at cell boundaries need no refinement and yield None.
-    """
-    if lo is None:  # (-inf, hi): difference is linear with the left-tail slope
-        sl = f.slope_left(hi) - g.slope_left(hi)
-        dv = f(hi) - g(hi)
-        if sl == 0 or dv == 0:
-            return None
-        x = hi - dv / sl
-        return x if x < hi else None
-    if hi is None:  # (lo, inf)
-        sl = f.slope_right(lo) - g.slope_right(lo)
-        dv = f(lo) - g(lo)
-        if sl == 0 or dv == 0:
-            return None
-        x = lo - dv / sl
-        return x if x > lo else None
-    da = f(lo) - g(lo)
-    db = f(hi) - g(hi)
-    if da == 0 or db == 0 or (da > 0) == (db > 0):
-        return None
-    return lo + (hi - lo) * (-da) / (db - da)
+def zero_crossings(mesh, values, left_slope=ZERO, right_slope=ZERO) -> list:
+    """Zeros strictly inside the cells of ``mesh`` of a function that is
+    linear on each cell, given its ``values`` on the mesh and its slopes on
+    the two outer rays.  Zeros on the mesh need no refinement."""
+    out = []
+    if left_slope and values[0]:
+        x = mesh[0] - values[0] / left_slope
+        if x < mesh[0]:
+            out.append(x)
+    for lo, hi, va, vb in zip(mesh, mesh[1:], values, values[1:]):
+        if va and vb and (va > 0) != (vb > 0):
+            out.append(lo + (hi - lo) * (-va) / (vb - va))
+    if right_slope and values[-1]:
+        x = mesh[-1] - values[-1] / right_slope
+        if x > mesh[-1]:
+            out.append(x)
+    return out

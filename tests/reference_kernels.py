@@ -1,0 +1,188 @@
+"""Per-point reference scans for the sweep kernels of ``timefn`` and
+``loading``.
+
+Each function here answers the same question as a production kernel, but by
+the plain method: evaluate the functions point by point (one bisection per
+call) and scan every segment or breakpoint in turn.  They are slow on
+purpose, share no helper with the kernels beyond single-point evaluation,
+and serve the equivalence tests only.
+"""
+
+from fractions import Fraction
+
+from nashflow.timefn import PwlFunction, StepFunction, ValueNotAttained
+
+ZERO = Fraction(0)
+
+
+def is_nondecreasing(F: PwlFunction) -> bool:
+    if F.initial_slope < 0 or F.final_slope < 0:
+        return False
+    return all(a <= b for a, b in zip(F.values, F.values[1:]))
+
+
+def strict_preimage(F: PwlFunction, y):
+    """An x with F(x) = y where F crosses y strictly inside a segment or an
+    outer ray; None otherwise."""
+    y = Fraction(y)
+    bps, vals = F.breakpoints, F.values
+    if F.initial_slope > 0 and y < vals[0]:
+        return bps[0] - (vals[0] - y) / F.initial_slope
+    if F.final_slope > 0 and y > vals[-1]:
+        return bps[-1] + (y - vals[-1]) / F.final_slope
+    for k in range(len(bps) - 1):
+        lo, hi = vals[k], vals[k + 1]
+        if lo < y < hi:
+            return bps[k] + (y - lo) * (bps[k + 1] - bps[k]) / (hi - lo)
+    return None
+
+
+def min_preimage(F: PwlFunction, value, lo=None):
+    """Smallest x (x >= lo if given) with F(x) == value, by a linear scan."""
+    value = Fraction(value)
+    if not is_nondecreasing(F):
+        raise ValueError("min_preimage requires a non-decreasing function")
+    if lo is not None:
+        lo = Fraction(lo)
+        flo = F(lo)
+        if flo > value:
+            raise ValueNotAttained(f"value {value} below F({lo}) = {flo}")
+        if flo == value:
+            return lo
+    bps, vals = F.breakpoints, F.values
+    if value < vals[0]:
+        if F.initial_slope > 0:
+            return bps[0] - (vals[0] - value) / F.initial_slope
+        raise ValueNotAttained(f"value {value} below the function range")
+    if value == vals[0]:
+        if F.initial_slope > 0:
+            return bps[0]
+        raise ValueNotAttained("value attained on an unbounded leading flat")
+    for k in range(len(bps)):
+        if vals[k] == value:
+            return bps[k]
+        if vals[k] > value:
+            span = bps[k] - bps[k - 1]
+            rise = vals[k] - vals[k - 1]
+            return bps[k - 1] + (value - vals[k - 1]) * span / rise
+    if F.final_slope > 0:
+        return bps[-1] + (value - vals[-1]) / F.final_slope
+    raise ValueNotAttained(f"value {value} above the function range")
+
+
+def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
+    if not is_nondecreasing(inner):
+        raise ValueError("compose requires a non-decreasing inner function")
+    pts = set(inner.breakpoints)
+    for beta in outer.breakpoints:
+        x = strict_preimage(inner, beta)
+        if x is not None:
+            pts.add(x)
+    mesh = sorted(pts)
+    vals = [outer(inner(x)) for x in mesh]
+    y_lo = inner(mesh[0])
+    y_hi = inner(mesh[-1])
+    s0 = outer.slope_left(y_lo) * inner.initial_slope if inner.initial_slope != 0 \
+        else ZERO
+    s1 = outer.slope_right(y_hi) * inner.final_slope if inner.final_slope != 0 \
+        else ZERO
+    return PwlFunction(mesh, vals, s0, s1)
+
+
+def _cells(mesh):
+    return [(None, mesh[0])] + list(zip(mesh, mesh[1:])) + [(mesh[-1], None)]
+
+
+def _crossing_in_cell(f, g, lo, hi):
+    if lo is None:
+        sl = f.slope_left(hi) - g.slope_left(hi)
+        dv = f(hi) - g(hi)
+        if sl == 0 or dv == 0:
+            return None
+        x = hi - dv / sl
+        return x if x < hi else None
+    if hi is None:
+        sl = f.slope_right(lo) - g.slope_right(lo)
+        dv = f(lo) - g(lo)
+        if sl == 0 or dv == 0:
+            return None
+        x = lo - dv / sl
+        return x if x > lo else None
+    da = f(lo) - g(lo)
+    db = f(hi) - g(hi)
+    if da == 0 or db == 0 or (da > 0) == (db > 0):
+        return None
+    return lo + (hi - lo) * (-da) / (db - da)
+
+
+def min_compose(candidates):
+    funcs = list(candidates)
+    mesh = sorted({b for f in funcs for b in f.breakpoints})
+    extra = set()
+    for lo, hi in _cells(mesh):
+        for a in range(len(funcs)):
+            for b in range(a + 1, len(funcs)):
+                x = _crossing_in_cell(funcs[a], funcs[b], lo, hi)
+                if x is not None:
+                    extra.add(x)
+    mesh = sorted(set(mesh) | extra)
+    vals = [min(f(x) for f in funcs) for x in mesh]
+    left_probe = mesh[0] - 1
+    right_probe = mesh[-1] + 1
+    left_min = min(f(left_probe) for f in funcs)
+    right_min = min(f(right_probe) for f in funcs)
+    s0 = min(f.slope_right(left_probe) for f in funcs if f(left_probe) == left_min)
+    s1 = min(f.slope_right(right_probe) for f in funcs if f(right_probe) == right_min)
+    result = PwlFunction(mesh, vals, s0, s1)
+    segments = []
+    for lo, hi in _cells(mesh):
+        a = mesh[0] - 1 if lo is None else lo
+        b = mesh[-1] + 1 if hi is None else hi
+        mv_a = min(f(a) for f in funcs)
+        mv_b = min(f(b) for f in funcs)
+        members = frozenset(i for i, f in enumerate(funcs)
+                            if f(a) == mv_a and f(b) == mv_b)
+        segments.append((lo, hi, members))
+    return result, segments
+
+
+def split_outflow(inflow_j: StepFunction, total_in: StepFunction,
+                  total_out: StepFunction, T: PwlFunction) -> StepFunction:
+    """Per-commodity outflow under FIFO, one preimage search per cut."""
+    if not inflow_j.breakpoints and inflow_j.initial == 0:
+        return StepFunction.zero()
+    cut = set(total_out.breakpoints)
+    for b in set(T.breakpoints) | set(total_in.breakpoints) | set(inflow_j.breakpoints):
+        cut.add(T(b))
+    cuts = sorted(cut)
+    samples = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
+    vals = []
+    for m in samples:
+        out_total = total_out(m)
+        if out_total == 0:
+            vals.append(ZERO)
+            continue
+        entry = min_preimage(T, m)
+        den = total_in(entry)
+        vals.append(ZERO if den == 0 else out_total * inflow_j(entry) / den)
+    return StepFunction(cuts, vals, ZERO)
+
+
+def queue_positivity_failures(q: PwlFunction, z: PwlFunction, transit) -> list:
+    """Particles theta, probed at every anchor b of q and at b + 1/2 (the
+    first failing one per anchor), whose positive wait q(theta) meets a
+    non-positive queue volume somewhere in [theta + transit,
+    theta + transit + q(theta))."""
+    failures = []
+    for b in q.breakpoints:
+        for theta in (b, b + Fraction(1, 2)):
+            w = q(theta)
+            if w <= 0:
+                continue
+            lo = theta + transit
+            hi = lo + w
+            inside = [z(lo)] + [z(x) for x in z.breakpoints if lo < x < hi]
+            if min(inside) <= 0:
+                failures.append(theta)
+                break
+    return failures

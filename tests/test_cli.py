@@ -132,6 +132,17 @@ def test_thinflow_zero_rate_is_exit_2(single_arc_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rate must be positive")
 
 
+def test_nash_constructor_failure_writes_report(single_arc_file, tmp_path, capsys):
+    out = tmp_path / "r" / "n.json"
+    code = main(["nash", str(single_arc_file), "--max-phases", "1",
+                 "--horizon", "4", "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert json.loads(out.read_text()) == {"ok": False,
+                                           "error": err[len("error: "):].strip()}
+
+
 def test_labels_command(single_arc_file, tmp_path):
     instance = single_arc_canonical()
     flow, _ = load_network(instance,

@@ -7,10 +7,12 @@ import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import UnboundedBreakpoints, derive_profile, load_network
-from nashflow.labels import (BreakpointBudgetExceeded, earliest_arrival,
-                             extend_labels)
+from nashflow import labels as labels_mod
+from nashflow.labels import (BreakpointBudgetExceeded, SweepInvariantBroken,
+                             earliest_arrival, extend_labels)
+from nashflow.nash import FlowReconstructionError, Phase, _reconstruct_flow
 from nashflow.thinflow import verify_multicommodity_thinflow
-from nashflow.timefn import StepFunction, compose, differentiate
+from nashflow.timefn import PwlFunction, StepFunction, compose, differentiate
 
 from corpus import corpus
 from test_loading import random_inflows, random_instance
@@ -137,3 +139,25 @@ class TestImpulseRejection:
         }
         with pytest.raises(ValueError, match="flat"):
             extend_labels(instance, strategies, 2)
+
+
+class TestTypedInvariantErrors:
+    """Invariant checks raise typed errors that name what broke."""
+
+    def test_track_sampled_beyond_its_frontier(self):
+        track = labels_mod._Track(F(1), [(F(0), F(0))], F(1), F(1), F(1))
+        with pytest.raises(SweepInvariantBroken, match="particle 2 "):
+            track.value_at(F(2))
+
+    def test_queue_sampled_beyond_its_edge(self):
+        with pytest.raises(SweepInvariantBroken, match="arc e:"):
+            labels_mod._Queue(arc_id="e").value_at(F(1))
+
+    def test_flow_on_an_arc_without_labels(self):
+        instance = validate_instance(Instance(
+            ("s", "t", "u"), (Arc("e", "s", "t", F(1), F(1)), Arc("f", "t", "u", F(1), F(1))),
+            (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
+        node_labels = {"s": PwlFunction.line(1), "t": PwlFunction.line(1, 0, 1)}
+        phase = Phase(F(0), F(1), None, {"1": {"e": F(1), "f": F(1)}})
+        with pytest.raises(FlowReconstructionError, match="commodity 1 .* arc f"):
+            _reconstruct_flow(instance, [phase], node_labels)

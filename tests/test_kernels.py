@@ -1,0 +1,205 @@
+"""The sweep kernels of ``timefn`` and ``loading`` against the per-point
+reference scans in ``reference_kernels``: results must agree exactly,
+exceptions included."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from nashflow import loading
+from nashflow.netmodel import Arc, Commodity, Instance
+from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
+                             compose, min_compose, min_preimage, min_preimages)
+
+F = Fraction
+
+
+def rationals(lo=-20, hi=20, den=6):
+    return st.builds(F, st.integers(lo * den, hi * den), st.just(den))
+
+
+def _points(draw, n, lo=-20, hi=20):
+    return sorted(draw(st.sets(rationals(lo, hi), min_size=n, max_size=n)))
+
+
+@st.composite
+def pwl_functions(draw, max_pieces=6):
+    n = draw(st.integers(1, max_pieces))
+    bps = _points(draw, n)
+    vals = [draw(rationals()) for _ in bps]
+    return PwlFunction(bps, vals, draw(rationals(-3, 3)), draw(rationals(-3, 3)))
+
+
+@st.composite
+def monotone_pwl(draw, max_pieces=6):
+    """Non-decreasing, with flats and flat outer rays drawn often."""
+    n = draw(st.integers(1, max_pieces))
+    bps = _points(draw, n)
+    rise = st.one_of(st.just(F(0)), rationals(0, 5))
+    vals = [draw(rationals(-5, 5))]
+    for _ in range(n - 1):
+        vals.append(vals[-1] + draw(rise))
+    return PwlFunction(bps, vals, draw(st.one_of(st.just(F(0)), rationals(0, 3))),
+                       draw(st.one_of(st.just(F(0)), rationals(0, 3))))
+
+
+@st.composite
+def step_functions(draw, max_pieces=6, lo=0, hi=5):
+    n = draw(st.integers(0, max_pieces))
+    bps = _points(draw, n)
+    return StepFunction(bps, [draw(rationals(lo, hi)) for _ in bps],
+                        draw(rationals(lo, hi)))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("value", fn(*args, **kwargs))
+    except ValueError as exc:  # ValueNotAttained included
+        return (type(exc), str(exc))
+
+
+def _query(draw, F_):
+    """A value hitting an anchor, a flat or an outer ray, or a random one."""
+    return draw(st.one_of(st.sampled_from(F_.values), rationals(-30, 30),
+                          st.sampled_from([F_.values[0] - 1, F_.values[-1] + 1])))
+
+
+class TestMinPreimage:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_scan(self, data):
+        f = data.draw(monotone_pwl())
+        value = _query(data.draw, f)
+        lo = data.draw(st.one_of(st.none(), rationals(-25, 25),
+                                 st.sampled_from(f.breakpoints)))
+        assert _outcome(min_preimage, f, value, lo) == \
+            _outcome(ref.min_preimage, f, value, lo)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_matches_single(self, data):
+        f = data.draw(monotone_pwl())
+        values = sorted(data.draw(st.lists(rationals(-10, 40), max_size=8)))
+        expected = [_outcome(ref.min_preimage, f, y) for y in values]
+        if all(kind == "value" for kind, _ in expected):
+            assert min_preimages(f, values) == [x for _, x in expected]
+        else:
+            first = next(e for e in expected if e[0] != "value")
+            assert _outcome(min_preimages, f, values) == first
+
+    def test_unbounded_ends(self):
+        f = PwlFunction([0, 1, 2], [1, 1, 3], 0, 0)
+        for value in (F(0), F(1), F(4)):
+            assert _outcome(min_preimage, f, value) == _outcome(ref.min_preimage, f, value)
+            assert _outcome(min_preimage, f, value)[0] is ValueNotAttained
+        assert min_preimage(f, 1, lo=F(1, 2)) == F(1, 2)
+        assert min_preimage(f, 2) == F(3, 2)
+
+    def test_rejects_decreasing(self):
+        f = PwlFunction([0, 1], [1, 0], 0, 0)
+        assert _outcome(min_preimage, f, 0) == _outcome(ref.min_preimage, f, 0)
+
+
+class TestCompose:
+    @settings(max_examples=300, deadline=None)
+    @given(pwl_functions(), monotone_pwl())
+    def test_matches_scan(self, outer, inner):
+        assert compose(outer, inner) == ref.compose(outer, inner)
+
+
+class TestMinCompose:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(pwl_functions(), min_size=1, max_size=4))
+    def test_minimum_and_argmin_segments(self, funcs):
+        assert min_compose(funcs) == ref.min_compose(funcs)
+
+    def test_ties_on_shared_segments(self):
+        f = PwlFunction([0, 2], [0, 2], 1, 0)
+        g = PwlFunction([1, 2], [1, 2], 1, 1)
+        assert min_compose([f, g, f]) == ref.min_compose([f, g, f])
+
+
+class TestSplitOutflow:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scan(self, data):
+        inflow_j = data.draw(step_functions())
+        total_in = inflow_j + data.draw(step_functions())
+        total_out = data.draw(step_functions())
+        T = data.draw(monotone_pwl())
+        assert _outcome(loading._split_outflow, inflow_j, total_in, total_out, T) == \
+            _outcome(ref.split_outflow, inflow_j, total_in, total_out, T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(step_functions(lo=0, hi=3), min_size=2, max_size=2),
+           rationals(1, 3), rationals(1, 3))
+    def test_matches_scan_on_loaded_arcs(self, inflows, transit, capacity):
+        inflows = [StepFunction([b for b in f.breakpoints], f.values, 0)
+                   for f in inflows]
+        instance = Instance(("s", "t"), (Arc("e", "s", "t", transit, capacity),),
+                            (Commodity("1", "s", "t", F(1)), Commodity("2", "s", "t", F(1))))
+        flow, profile = loading.load_network(
+            instance, {("1", "e"): inflows[0], ("2", "e"): inflows[1]})
+        total_in, total_out = flow.total_inflow["e"], flow.total_outflow["e"]
+        T = profile.exit_time["e"]
+        for j, f in zip("12", inflows):
+            expected = ref.split_outflow(f, total_in, total_out, T)
+            assert flow.outflow[(j, "e")] == expected
+            assert loading._split_outflow(f, total_in, total_out, T) == expected
+
+
+@st.composite
+def nonnegative_pwl(draw, max_pieces=8):
+    """A queue-volume-like profile: non-negative anchors, zeros drawn often."""
+    n = draw(st.integers(1, max_pieces))
+    bps = _points(draw, n, 0, 20)
+    vals = [draw(st.one_of(st.just(F(0)), rationals(0, 4))) for _ in bps]
+    return PwlFunction(bps, vals, 0, draw(st.one_of(st.just(F(0)), rationals(0, 2))))
+
+
+class TestQueuePositivity:
+    @settings(max_examples=400, deadline=None)
+    @given(nonnegative_pwl(), nonnegative_pwl(), rationals(0, 3))
+    def test_matches_scan(self, q, z, transit):
+        assert loading._queue_positivity_failures(q, z, transit) == \
+            ref.queue_positivity_failures(q, z, transit)
+
+    def test_queue_touching_zero_inside_the_window_is_reported(self):
+        # arrivals at rate 2 on [1, 2) and [3, 4) through capacity 1: the
+        # queue volume z drains to 0 at t = 3 and refills.  A waiting time
+        # half a unit longer than z / capacity (with matching exit times, so
+        # the check is reached) stretches the window of particle 1 to
+        # [2, 7/2), which contains the touch.
+        arc = Arc("e", "s", "t", F(1), F(1))
+        instance = Instance(("s", "t"), (arc,), (Commodity("1", "s", "t", F(2), F(0), F(3)),))
+        inflow = StepFunction([0, 1, 2, 3], [2, 0, 2, 0], 0)
+        flow, _ = loading.load_network(instance, {("1", "e"): inflow})
+        z = loading.derive_profile(instance, flow).volume["e"]
+        q = z.shift(-arc.transit).add_constant(F(1, 2))
+        profile = loading.QueueProfile(
+            {"e": z}, {"e": q}, {"e": q + PwlFunction.line(1, 0, arc.transit)})
+        assert z(3) == 0 and z(2) > 0 and z(4) > 0 and q(1) == F(3, 2)
+        assert F(1) in ref.queue_positivity_failures(q, z, arc.transit)
+        report = loading.check_feasibility(instance, flow, profile)
+        assert any(v.code == "QueuePositivityViolated" and v.where == "1"
+                   for v in report.violations)
+
+
+class TestCache:
+    def test_cached_function_equals_fresh_one(self):
+        bps, vals = [0, 1, 3], [0, 2, F(5, 2)]
+        used = PwlFunction(bps, vals, 1, F(1, 3))
+        used(F(1, 2))
+        used.slope_right(2)
+        assert used.is_nondecreasing()
+        min_preimage(used, 1)
+        fresh = PwlFunction(bps, vals, 1, F(1, 3))
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert used.to_json() == fresh.to_json()
+        doc = json.loads(json.dumps(used.to_json()))
+        assert PwlFunction.from_json(doc) == fresh
+        assert len({used, fresh}) == 1

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.labels import extend_labels
-from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath, ThinFlow,
+from nashflow.labels import LabelSet, extend_labels
+from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
+                               PartitionBudgetExceeded, ThinFlow, _partition,
                                check_thinflow, decompose,
                                solve_thinflow_multisource,
                                solve_thinflow_single, stress,
@@ -352,3 +353,28 @@ class TestVerifyMulticommodity:
         labels = extend_labels(instance, strategies, 1)
         report = verify_multicommodity_thinflow(instance, strategies, labels, 1)
         assert any(v.code == "SupportViolated" for v in report.violations)
+
+
+class TestPartition:
+    """The verifier's partition refines until no new cell appears."""
+
+    @staticmethod
+    def _crossing_gap():
+        # the gap l_t - l_s - 1 runs from -1 at 0 to 1 at 2 and crosses 0 at
+        # particle 1, which no label breakpoint marks
+        instance = validate_instance(Instance(
+            ("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
+            (Commodity("1", "s", "t", F(1), F(0), F(2)),)))
+        labels = {"1": LabelSet("1", {"s": PwlFunction.line(1),
+                                      "t": PwlFunction([0, 2], [0, 4], 1, 1)}, F(2))}
+        return instance, labels
+
+    def test_refines_at_gap_crossings(self):
+        instance, labels = self._crossing_gap()
+        assert _partition(instance, labels, {}, "1", F(2)) == [(0, 1), (1, 2)]
+
+    def test_budget_stops_refinement(self, monkeypatch):
+        instance, labels = self._crossing_gap()
+        monkeypatch.setenv("NASHFLOW_MAX_BREAKPOINTS", "2")
+        with pytest.raises(PartitionBudgetExceeded):
+            _partition(instance, labels, {}, "1", F(2))
