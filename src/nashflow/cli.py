@@ -47,6 +47,15 @@ def _load_instance(path):
     return result, []
 
 
+def _valid_instance(path):
+    """The validated instance at ``path``; otherwise a ValueError listing
+    every violation, which ``main`` reports with exit code 2."""
+    instance, violations = _load_instance(path)
+    if instance is None:
+        raise ValueError("; ".join(map(str, violations)))
+    return instance
+
+
 def _export_pwl_csv(path, name, fn):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -68,10 +77,7 @@ def cmd_validate(args):
 
 
 def cmd_load(args):
-    instance, violations = _load_instance(args.instance)
-    if instance is None:
-        print("; ".join(map(str, violations)), file=sys.stderr)
-        return 2
+    instance = _valid_instance(args.instance)
     inflows = inflows_from_json(_read_json(args.flowrates))
     horizon = parse_rational(args.horizon) if args.horizon else None
     flow, profile = load_network(instance, inflows, horizon)
@@ -100,10 +106,7 @@ def cmd_load(args):
 
 
 def cmd_thinflow(args):
-    instance, violations = _load_instance(args.instance)
-    if instance is None:
-        print("; ".join(map(str, violations)), file=sys.stderr)
-        return 2
+    instance = _valid_instance(args.instance)
     config = _read_json(args.config)
     active = [str(e) for e in config["active"]]
     resetting = [str(e) for e in config.get("resetting", [])]
@@ -136,10 +139,7 @@ def _construct(instance, args):
 
 
 def cmd_nash(args):
-    instance, violations = _load_instance(args.instance)
-    if instance is None:
-        print("; ".join(map(str, violations)), file=sys.stderr)
-        return 2
+    instance = _valid_instance(args.instance)
     try:
         result = _construct(instance, args)
     except (nash_mod.PhaseBudgetExceeded, nash_mod.StalledPhase,
@@ -167,10 +167,7 @@ def cmd_nash(args):
 
 
 def cmd_verify(args):
-    instance, violations = _load_instance(args.instance)
-    if instance is None:
-        print("; ".join(map(str, violations)), file=sys.stderr)
-        return 2
+    instance = _valid_instance(args.instance)
     flow = flow_from_json(instance, _read_json(args.flow))
     report = nash_mod.verify_nash(instance, flow)
     _write_report(args.out or "verify_report.json", report.to_json(), args.quiet)
@@ -186,10 +183,7 @@ def cmd_verify(args):
 
 
 def cmd_labels(args):
-    instance, violations = _load_instance(args.instance)
-    if instance is None:
-        print("; ".join(map(str, violations)), file=sys.stderr)
-        return 2
+    instance = _valid_instance(args.instance)
     flow = flow_from_json(instance, _read_json(args.flow))
     profile = derive_profile(instance, flow)
     ls = labels_mod.earliest_arrival(instance, profile, args.commodity)

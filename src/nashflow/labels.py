@@ -12,6 +12,7 @@ sweep.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -220,14 +221,48 @@ def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Track:
-    """One label function under construction.
+class _Grown:
+    """Reading of a piecewise-linear function grown forward: ``pts`` are its
+    committed anchors, it runs with ``slope`` from the last anchor to the
+    live edge and with ``tail_slope`` left of the first anchor."""
 
-    ``pts`` are the committed anchors; from the last anchor to the frontier
-    the function runs with ``slope``.  Left of the first anchor it runs with
-    the commodity's tail slope 1/r.
-    """
+    def _value(self, x: Fraction) -> Fraction:
+        pts = self.pts
+        if x <= pts[0][0]:
+            return pts[0][1] + self.tail_slope * (x - pts[0][0])
+        for k in range(len(pts) - 1, -1, -1):
+            if pts[k][0] <= x:
+                if k == len(pts) - 1:
+                    return pts[k][1] + self.slope * (x - pts[k][0])
+                x0, y0 = pts[k]
+                x1, y1 = pts[k + 1]
+                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        raise SweepInvariantBroken(f"{x} precedes every anchor")
+
+    def slope_right_at(self, x: Fraction) -> Fraction:
+        pts = self.pts
+        if x < pts[0][0]:
+            return self.tail_slope
+        for k in range(len(pts) - 1, -1, -1):
+            if pts[k][0] <= x:
+                if k == len(pts) - 1:
+                    return self.slope
+                x0, y0 = pts[k]
+                x1, y1 = pts[k + 1]
+                return (y1 - y0) / (x1 - x0)
+        raise SweepInvariantBroken(f"{x} precedes every anchor")
+
+    def next_anchor_after(self, x: Fraction) -> Fraction | None:
+        for b, _ in self.pts:
+            if b > x:
+                return b
+        return None
+
+
+@dataclass
+class _Track(_Grown):
+    """One label function under construction, up to the frontier particle;
+    its tail slope is the commodity's 1/r."""
 
     tail_slope: Fraction
     pts: list
@@ -240,36 +275,7 @@ class _Track:
         if phi > self.frontier_phi:
             raise SweepInvariantBroken(
                 f"particle {phi} sampled beyond the frontier {self.frontier_phi}")
-        pts = self.pts
-        if phi <= pts[0][0]:
-            return pts[0][1] + self.tail_slope * (phi - pts[0][0])
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= phi:
-                if k == len(pts) - 1:
-                    return pts[k][1] + self.slope * (phi - pts[k][0])
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return y0 + (y1 - y0) * (phi - x0) / (x1 - x0)
-        raise AssertionError
-
-    def slope_right_at(self, phi: Fraction) -> Fraction:
-        pts = self.pts
-        if phi < pts[0][0]:
-            return self.tail_slope
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= phi:
-                if k == len(pts) - 1:
-                    return self.slope
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return (y1 - y0) / (x1 - x0)
-        raise AssertionError
-
-    def next_anchor_after(self, phi: Fraction) -> Fraction | None:
-        for x, _ in self.pts:
-            if x > phi:
-                return x
-        return None
+        return self._value(phi)
 
     def commit_slope(self, new_slope: Fraction):
         if self.slope is None:
@@ -294,7 +300,7 @@ class _Track:
 
 
 @dataclass
-class _Queue:
+class _Queue(_Grown):
     """Waiting time of one arc as a function of entry time, grown forward."""
 
     pts: list = field(default_factory=lambda: [(ZERO, ZERO)])
@@ -302,42 +308,14 @@ class _Queue:
     value: Fraction = ZERO  # at the live edge
     edge: Fraction = ZERO   # live-edge time
     arc_id: str = ""
+    tail_slope = ZERO  # no queue before time 0; a class constant, not a field
 
     def value_at(self, theta: Fraction) -> Fraction:
         if theta > self.edge:
             raise SweepInvariantBroken(
                 f"arc {self.arc_id}: waiting time at {theta} sampled beyond "
                 f"the live edge {self.edge}")
-        pts = self.pts
-        if theta <= pts[0][0]:
-            return pts[0][1]
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= theta:
-                if k == len(pts) - 1:
-                    return pts[k][1] + self.slope * (theta - pts[k][0])
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return y0 + (y1 - y0) * (theta - x0) / (x1 - x0)
-        raise AssertionError
-
-    def slope_right_at(self, theta: Fraction) -> Fraction:
-        pts = self.pts
-        if theta < pts[0][0]:
-            return ZERO
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= theta:
-                if k == len(pts) - 1:
-                    return self.slope
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return (y1 - y0) / (x1 - x0)
-        raise AssertionError
-
-    def next_point_after(self, theta: Fraction) -> Fraction | None:
-        for x, _ in self.pts:
-            if x > theta:
-                return x
-        return None
+        return self._value(theta)
 
     def commit_slope(self, new_slope: Fraction):
         if new_slope != self.slope:
@@ -472,7 +450,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 if nb is None or nb > track_u.frontier_phi:
                     nb = track_u.frontier_phi
                 stops = [nb]
-                qnext = queues[c.arc_id].next_point_after(c.entry_time)
+                qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
                 if qnext is not None and c.entry_slope > 0:
                     stops.append(track_v.frontier_phi
                                  + (qnext - c.entry_time) / c.entry_slope)
@@ -553,7 +531,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 if nb is not None:
                     note((nb - track_v.frontier_phi) * m_v)
                 if c.entry_slope and c.entry_slope > 0:
-                    qnext = queues[c.arc_id].next_point_after(c.entry_time)
+                    qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
                     if qnext is not None:
                         note((qnext - c.entry_time) * m_v / c.entry_slope)
                 # frontier of v catching up with the data of u
@@ -567,10 +545,9 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                     f = strategies.get((c.id, a.id))
                     if f is None:
                         continue
-                    for b in f.breakpoints:
-                        if b > track.frontier_phi:
-                            note((b - track.frontier_phi) * track.slope)
-                            break
+                    k = bisect_right(f.breakpoints, track.frontier_phi)
+                    if k < len(f.breakpoints):
+                        note((f.breakpoints[k] - track.frontier_phi) * track.slope)
         for a in instance.arcs:
             q = queues[a.id]
             if q.value > 0 and q.slope < 0:

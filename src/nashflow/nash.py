@@ -22,8 +22,8 @@ from .labels import LabelSet, earliest_arrival
 from .loading import (FeasibilityReport, FlowOverTime, QueueProfile, _anchor,
                       _dedupe, check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
-                       Instance, extend_with_super_sink, transit_distances,
-                       validate_instance)
+                       Instance, InvalidDerivedInstance, extend_with_super_sink,
+                       transit_distances, validate_instance)
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
@@ -90,11 +90,11 @@ class NashFlowOverTime:
         }
 
 
-def _label_state(instance: Instance, nodes, labels: dict):
+def _label_state(instance: Instance, labels: dict):
     """Active/resetting arcs implied by current label values (gap test)."""
     active, resetting = set(), set()
     for a in instance.arcs:
-        if a.tail not in nodes or a.head not in nodes:
+        if a.tail not in labels or a.head not in labels:
             continue
         gap = labels[a.head] - labels[a.tail] - a.transit
         if gap >= 0:
@@ -104,12 +104,12 @@ def _label_state(instance: Instance, nodes, labels: dict):
     return active, resetting
 
 
-def _phase_alpha(instance: Instance, nodes, labels: dict, slopes: dict,
+def _phase_alpha(instance: Instance, labels: dict, slopes: dict,
                  remaining: Fraction) -> Fraction:
     """Largest step before an arc activates or a standing queue depletes."""
     alpha = remaining
     for a in instance.arcs:
-        if a.tail not in nodes or a.head not in nodes:
+        if a.tail not in labels or a.head not in labels:
             continue
         gap = labels[a.head] - labels[a.tail] - a.transit
         rate = slopes[a.head] - slopes[a.tail]
@@ -118,6 +118,40 @@ def _phase_alpha(instance: Instance, nodes, labels: dict, slopes: dict,
         elif gap > 0 and rate < 0:
             alpha = min(alpha, gap / -rate)
     return alpha
+
+
+def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
+                max_phases: int, solve, split, cap, tail_slope):
+    """The phase loop both constructors share, from the initial ``labels``
+    of the reachable nodes: (phases, node labels over particles).
+
+    ``solve(active, resetting, phi)`` gives the thin flow of the phase
+    starting at particle phi and ``split(thin)`` its flows per commodity.
+    No phase crosses the particle ``cap`` (None for no cap), and the labels
+    run left of particle 0 with ``tail_slope``.
+    """
+    labels = dict(labels)
+    label_pts = {v: [(ZERO, labels[v])] for v in labels}
+    phases: list[Phase] = []
+    phi = ZERO
+    while phi < horizon:
+        if len(phases) >= max_phases:
+            raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
+        active, resetting = _label_state(instance, labels)
+        thin = solve(active, resetting, phi)
+        slopes = thin.label_slopes
+        remaining = horizon - phi
+        if cap is not None and phi < cap:
+            remaining = min(remaining, cap - phi)
+        alpha = _phase_alpha(instance, labels, slopes, remaining)
+        if alpha <= 0:
+            raise StalledPhase(len(phases), phi)
+        phases.append(Phase(phi, phi + alpha, thin, split(thin)))
+        for v in labels:
+            labels[v] += slopes[v] * alpha
+            label_pts[v].append((phi + alpha, labels[v]))
+        phi += alpha
+    return phases, _finish_labels(label_pts, tail_slope)
 
 
 def construct_nash_single(instance: Instance, horizon=None,
@@ -132,31 +166,17 @@ def construct_nash_single(instance: Instance, horizon=None,
     if horizon is None:
         raise ValueError("an unbounded inflow interval needs an explicit horizon")
     dist = transit_distances(instance, c.origin)
-    nodes = {v for v in instance.nodes if dist[v] is not INF}
-    labels = {v: c.inflow_start + dist[v] for v in nodes}
-    label_pts = {v: [(ZERO, labels[v])] for v in nodes}
-    phases: list[Phase] = []
-    phi = ZERO
-    while phi < horizon:
-        if len(phases) >= max_phases:
-            raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
-        active, resetting = _label_state(instance, nodes, labels)
+    labels = {v: c.inflow_start + dist[v] for v in instance.nodes
+              if dist[v] is not INF}
+
+    def solve(active, resetting, phi):
         value = ONE if (volume is None or phi < volume) else ZERO
-        thin = solve_thinflow_single(instance, active, resetting, c.origin,
+        return solve_thinflow_single(instance, active, resetting, c.origin,
                                      c.destination, c.rate, value)
-        slopes = thin.label_slopes
-        remaining = horizon - phi
-        if value == ONE and volume is not None and phi < volume:
-            remaining = min(remaining, volume - phi)
-        alpha = _phase_alpha(instance, nodes, labels, slopes, remaining)
-        if alpha <= 0:
-            raise StalledPhase(len(phases), phi)
-        phases.append(Phase(phi, phi + alpha, thin, {c.id: dict(thin.flow)}))
-        for v in nodes:
-            labels[v] += slopes[v] * alpha
-            label_pts[v].append((phi + alpha, labels[v]))
-        phi += alpha
-    node_labels = _finish_labels(label_pts, 1 / c.rate)
+
+    phases, node_labels = _run_phases(
+        instance, labels, horizon, max_phases, solve,
+        lambda thin: {c.id: dict(thin.flow)}, volume, 1 / c.rate)
     flow = _reconstruct_flow(instance, phases, node_labels)
     effective = _truncate_instance(instance, {c.id: min(horizon, volume)
                                               if volume is not None else horizon})
@@ -184,31 +204,16 @@ def construct_common_destination(instance: Instance, horizon,
     horizon = Fraction(horizon)
     sink = instance.commodities[0].destination
     sources = {c.id: (c.origin, c.rate) for c in instance.commodities}
-    dists = {c.id: transit_distances(instance, c.origin) for c in instance.commodities}
-    nodes = {v for v in instance.nodes
-             if any(d[v] is not INF for d in dists.values())}
-    labels = {v: min(d[v] for d in dists.values() if d[v] is not INF) for v in nodes}
-    label_pts = {v: [(ZERO, labels[v])] for v in nodes}
+    dists = [transit_distances(instance, c.origin) for c in instance.commodities]
+    labels = {v: min(d[v] for d in dists if d[v] is not INF) for v in instance.nodes
+              if any(d[v] is not INF for d in dists)}
     virtual, group = _virtual_super_source(instance, sources)
-    phases: list[Phase] = []
-    phi = ZERO
-    while phi < horizon:
-        if len(phases) >= max_phases:
-            raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
-        active, resetting = _label_state(instance, nodes, labels)
-        thin = solve_thinflow_multisource(instance, active, resetting, sources, sink)
-        slopes = thin.label_slopes
-        alpha = _phase_alpha(instance, nodes, labels, slopes, horizon - phi)
-        if alpha <= 0:
-            raise StalledPhase(len(phases), phi)
-        flows = _group_by_source(virtual, group, thin)
-        phases.append(Phase(phi, phi + alpha, thin, flows))
-        for v in nodes:
-            labels[v] += slopes[v] * alpha
-            label_pts[v].append((phi + alpha, labels[v]))
-        phi += alpha
     total_rate = sum((c.rate for c in instance.commodities), ZERO)
-    node_labels = _finish_labels(label_pts, 1 / total_rate)
+    phases, node_labels = _run_phases(
+        instance, labels, horizon, max_phases,
+        lambda active, resetting, phi: solve_thinflow_multisource(
+            instance, active, resetting, sources, sink),
+        lambda thin: _group_by_source(virtual, group, thin), None, 1 / total_rate)
     flow = _reconstruct_flow(instance, phases, node_labels)
     ends = {c.id: node_labels[c.origin](horizon) for c in instance.commodities}
     effective = _truncate_instance(instance, None, time_ends=ends)
@@ -374,7 +379,7 @@ def _truncate_instance(instance: Instance, volumes: dict | None,
     result = validate_instance(Instance(instance.nodes, instance.arcs,
                                         tuple(commodities), instance.mode))
     if isinstance(result, list):
-        raise AssertionError(f"truncated instance invalid: {result}")
+        raise InvalidDerivedInstance(f"truncated instance invalid: {result}")
     return result
 
 

@@ -1,6 +1,8 @@
 """Network instances: arcs with transit times and capacities, commodities,
-validation, transit-only shortest distances, and the super-sink extension
-used to reduce common-origin instances to a single commodity.
+validation, transit-only shortest distances, the graph searches the
+thin-flow solvers share (cycles, reachability, topological order), and the
+super-sink extension used to reduce common-origin instances to a single
+commodity.
 
 Instances are immutable after validation and safe to share.
 """
@@ -25,6 +27,10 @@ INF = math.inf  # sentinel for unreachable nodes; never enters arithmetic
 
 class NotCommonOrigin(ValueError):
     """The super-sink extension needs a common-origin instance."""
+
+
+class InvalidDerivedInstance(RuntimeError):
+    """An instance the program built from a valid one failed validation."""
 
 
 @dataclass(frozen=True)
@@ -184,32 +190,14 @@ def validate_instance(raw: Instance):
         dist = transit_distances(raw, c.origin)
         if dist[c.destination] is INF:
             violations.append(Violation("MissingPath", c.id))
-    if raw.mode == COMMON_DESTINATION and _has_zero_transit_cycle(raw):
+    # transit times are non-negative, so a zero-transit cycle uses only
+    # zero-transit arcs
+    if raw.mode == COMMON_DESTINATION and topological_order(
+            raw, [a.id for a in raw.arcs if a.transit == 0]) is None:
         violations.append(Violation("CycleWithZeroTransit", raw.mode))
     if violations:
         return violations
     return Instance(raw.nodes, raw.arcs, raw.commodities, raw.mode, validated=True)
-
-
-def _has_zero_transit_cycle(instance: Instance) -> bool:
-    # transit times are non-negative, so a zero-transit cycle uses only
-    # zero-transit arcs; check that subgraph for acyclicity
-    adj: dict[str, list[str]] = {}
-    for a in instance.arcs:
-        if a.transit == 0:
-            adj.setdefault(a.tail, []).append(a.head)
-    color: dict[str, int] = {}
-
-    def dfs(u: str) -> bool:
-        color[u] = 1
-        for w in adj.get(u, ()):
-            c = color.get(w, 0)
-            if c == 1 or (c == 0 and dfs(w)):
-                return True
-        color[u] = 2
-        return False
-
-    return any(color.get(u, 0) == 0 and dfs(u) for u in list(adj))
 
 
 def transit_distances(instance: Instance, source: str, arcs=None) -> dict:
@@ -235,6 +223,49 @@ def transit_distances(instance: Instance, source: str, arcs=None) -> dict:
                 dist[a.head] = nd
                 heapq.heappush(heap, (nd, a.head))
     return dist
+
+
+def reachable(instance: Instance, roots, arc_ids) -> set:
+    """Nodes reachable from ``roots`` along the given arcs, roots included."""
+    adj: dict[str, list[str]] = {}
+    for e in arc_ids:
+        a = instance.arc(e)
+        adj.setdefault(a.tail, []).append(a.head)
+    seen = set(roots)
+    stack = list(roots)
+    while stack:
+        u = stack.pop()
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def topological_order(instance: Instance, arc_ids) -> list | None:
+    """The endpoints of the given arcs, each before the heads of its arcs,
+    or None when the arcs contain a directed cycle (three-colour DFS)."""
+    adj: dict[str, list[str]] = {}
+    for e in arc_ids:
+        a = instance.arc(e)
+        adj.setdefault(a.tail, []).append(a.head)
+        adj.setdefault(a.head, [])
+    color: dict[str, int] = {}
+    finished: list[str] = []
+
+    def dfs(u: str) -> bool:
+        color[u] = 1
+        for w in adj[u]:
+            c = color.get(w, 0)
+            if c == 1 or (c == 0 and dfs(w)):
+                return True
+        color[u] = 2
+        finished.append(u)
+        return False
+
+    if any(color.get(u, 0) == 0 and dfs(u) for u in adj):
+        return None
+    return finished[::-1]
 
 
 SUPER_SINK = "__sink__"
@@ -287,7 +318,7 @@ def extend_with_super_sink(instance: Instance):
                         (merged,), GENERAL)
     extended = validate_instance(extended)
     if isinstance(extended, list):
-        raise AssertionError(f"extension produced an invalid instance: {extended}")
+        raise InvalidDerivedInstance(f"extension produced an invalid instance: {extended}")
     return extended, arc_map
 
 

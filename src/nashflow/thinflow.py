@@ -6,15 +6,19 @@ resetting arc imposes (x'+y')/capacity, any other active arc the maximum of
 that and the tail's slope; node slopes are the minimum over incoming active
 arcs and arcs carrying flow must attain it.
 
-Both solvers run one depth-first search over per-arc states (zero flow /
-tail slope attained / capacity ratio attained), each adding one row to an
-exact linear system kept in sparse row-echelon form.  Prefixes whose rows
-are inconsistent or can no longer reach full rank are pruned; every
-full-rank leaf is solved and the first, in the lexicographic order of the
-state tuples, that passes the independent condition evaluator is returned.
-The worst case stays exponential in the number of active arcs: building the
-equilibrium of a 3x3 grid, whose phases reach 12 active arcs, takes about
-16 s on a 2-vCPU machine with Python 3.11.
+A single commodity is the one-source case of the multi-source thin flow,
+so both solvers share one core: each source's supply is its rate times its
+label slope, and the caller's source rows pin those slopes.  The core runs
+one depth-first search over per-arc states (zero flow, tail slope attained,
+capacity ratio attained), each adding one row to an exact linear system
+kept in sparse row-echelon form.  Prefixes whose rows are inconsistent or
+can no longer reach full rank are pruned; every full-rank leaf is solved
+and the first, in the lexicographic order of the state tuples, that passes
+the condition evaluator is returned.  The same evaluator, which knows
+nothing of the linear algebra, backs ``check_thinflow`` and
+``check_multisource_thinflow``.  The worst case stays exponential in the
+number of active arcs: building the equilibrium of a 3x3 grid, whose phases
+reach 12 active arcs, takes about 16 s on a 2-vCPU machine with Python 3.11.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import Instance
+from .netmodel import Instance, reachable, topological_order
 from .timefn import (ONE, ZERO, StepFunction, ValueNotAttained,
                      breakpoint_budget, differentiate, min_preimage,
                      sorted_union, zero_crossings)
 from .labels import foreign_rate_at, waiting_from_labels
 
 SIZE_LIMIT = 25
+_NO_FLOW = StepFunction.zero()  # default strategy; frozen, so safe to share
 
 
 class NoSinkPath(ValueError):
@@ -43,12 +48,20 @@ class SizeLimitExceeded(RuntimeError):
     """The exact solver only handles small active sets."""
 
 
+class NoThinFlow(RuntimeError):
+    """No state system of the configuration passes the thin-flow conditions."""
+
+
 class UnreachableNode(ValueError):
     """Some referenced node is unreachable from every source."""
 
 
 class PartitionBudgetExceeded(RuntimeError):
     """Refining the verifier's partition passed the breakpoint budget."""
+
+
+class DecompositionError(RuntimeError):
+    """A flow does not split into paths as its grouping arcs require."""
 
 
 class NewArcInactive(RuntimeError):
@@ -108,58 +121,6 @@ class MultiSourceThinFlow:
             "active": sorted(self.active),
             "resetting": sorted(self.resetting),
         }
-
-
-def _reachable(instance: Instance, roots, arc_ids) -> set:
-    adj: dict[str, list[str]] = {}
-    for e in arc_ids:
-        a = instance.arc(e)
-        adj.setdefault(a.tail, []).append(a.head)
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _is_acyclic(instance: Instance, arc_ids) -> bool:
-    adj: dict[str, list[str]] = {}
-    for e in arc_ids:
-        a = instance.arc(e)
-        adj.setdefault(a.tail, []).append(a.head)
-    color: dict[str, int] = {}
-
-    def dfs(u):
-        color[u] = 1
-        for w in adj.get(u, ()):
-            c = color.get(w, 0)
-            if c == 1 or (c == 0 and dfs(w)):
-                return True
-        color[u] = 2
-        return False
-
-    return not any(color.get(u, 0) == 0 and dfs(u) for u in list(adj))
-
-
-def _conservation_rows(instance, usable, nodes, extra):
-    """Per node, out-flow minus in-flow on the usable arcs, plus the terms
-    and right-hand side that ``extra(v)`` gives."""
-    usable = set(usable)
-    rows = []
-    for v in sorted(nodes):
-        coeffs, rhs = extra(v)
-        for a in instance.out_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = ONE
-        for a in instance.in_arcs(v):
-            if a.id in usable:
-                coeffs[("x", a.id)] = -ONE
-        rows.append((coeffs, rhs))
-    return rows
 
 
 def _state_solutions(instance, usable, resetting, base_rows, unknowns):
@@ -229,134 +190,72 @@ def _state_solutions(instance, usable, resetting, base_rows, unknowns):
         yield from visit(0)
 
 
-def _conditions_single(instance, active, resetting, source, sink, rate, value,
-                       flow, slopes, nodes):
-    """Violations of the defining conditions; independent of solver algebra."""
-    violations = []
-    if slopes.get(source) != 1 / Fraction(rate):
-        violations.append(("SourceSlope", source))
-    for e, x in flow.items():
-        if x < 0:
-            violations.append(("NegativeFlow", e))
-        if x > 0 and e not in active:
-            violations.append(("SupportViolated", e))
-    for v in nodes:
-        net = sum((flow.get(a.id, ZERO) for a in instance.out_arcs(v)), ZERO) \
-            - sum((flow.get(a.id, ZERO) for a in instance.in_arcs(v)), ZERO)
-        expected = value if v == source else (-value if v == sink else ZERO)
-        if net != expected:
-            violations.append(("ConservationViolated", v))
-    for v in nodes:
-        if v == source:
-            continue
-        rhos = []
-        for a in instance.in_arcs(v):
-            if a.id not in active or a.tail not in nodes:
-                continue
-            rhos.append((a.id, stress(a.capacity, slopes[a.tail],
-                                      flow.get(a.id, ZERO), ZERO,
-                                      a.id in resetting)))
-        if not rhos:
-            violations.append(("NoActiveIncoming", v))
-            continue
-        best = min(r for _, r in rhos)
-        if slopes[v] != best:
-            violations.append(("MinViolated", v))
-        for e, r in rhos:
-            if flow.get(e, ZERO) > 0 and r != slopes[v]:
-                violations.append(("TightnessViolated", e))
-    return violations
-
-
-def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
-                          rate, value=ONE) -> ThinFlow:
-    """Unique-label thin flow for one source and sink.
-
-    The label slopes are unique; among flow parts the first consistent
-    assignment in a fixed enumeration order is returned, so outputs are
-    deterministic.
-    """
-    active = frozenset(active)
-    resetting = frozenset(resetting)
-    rate = Fraction(rate)
-    value = Fraction(value)
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if not resetting <= active:
-        raise ValueError("resetting arcs must be active")
-    if not _is_acyclic(instance, active):
+def _support(instance: Instance, active, roots, sink):
+    """Nodes the roots reach through the active arcs, and the active arcs
+    leaving those nodes in id order; rejects cycles and an unreached sink."""
+    if topological_order(instance, active) is None:
         raise Cyclic("active arcs contain a cycle")
-    nodes = _reachable(instance, [source], active)
+    nodes = reachable(instance, roots, active)
     if sink not in nodes:
-        raise NoSinkPath(f"{sink} unreachable from {source} in the active arcs")
-    usable = [e for e in sorted(active) if instance.arc(e).tail in nodes]
+        raise NoSinkPath(f"{sink} unreachable from {', '.join(sorted(roots))} "
+                         f"in the active arcs")
+    return nodes, [e for e in sorted(active) if instance.arc(e).tail in nodes]
+
+
+def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
+           source_rows):
+    """The first solution of the per-arc state systems, in search order, that
+    passes the condition evaluator, as (flow, label slopes).
+
+    ``rates`` maps each source node to its rate: the source's supply, its
+    rate times its label slope, leaves it.  ``source_rows`` pin the source
+    slopes, and the sink absorbs ``demand``.
+    """
     if len(usable) > SIZE_LIMIT:
         raise SizeLimitExceeded(f"{len(usable)} active arcs exceed {SIZE_LIMIT}")
-
-    if value == 0:
-        slopes = _propagate_zero_flow(instance, usable, resetting, source, rate, nodes)
-        return ThinFlow({e: ZERO for e in usable}, slopes, active, resetting,
-                        rate, value)
-
-    base_rows = [({source: ONE}, 1 / rate)] + _conservation_rows(
-        instance, usable, nodes,
-        lambda v: ({}, value if v == source else (-value if v == sink else ZERO)))
-    for values in _state_solutions(instance, usable, resetting, base_rows,
+    rows = list(source_rows)
+    kept = set(usable)
+    for v in sorted(nodes):
+        coeffs = {v: -rates[v]} if v in rates else {}
+        for a in instance.out_arcs(v):
+            if a.id in kept:
+                coeffs[("x", a.id)] = ONE
+        for a in instance.in_arcs(v):
+            if a.id in kept:
+                coeffs[("x", a.id)] = -ONE
+        rows.append((coeffs, -demand if v == sink else ZERO))
+    for values in _state_solutions(instance, usable, resetting, rows,
                                    len(nodes) + len(usable)):
         flow = {e: values[("x", e)] for e in usable}
         slopes = {v: values[v] for v in sorted(nodes)}
-        if not _conditions_single(instance, active, resetting, source, sink,
-                                  rate, value, flow, slopes, nodes):
-            return ThinFlow(flow, slopes, active, resetting, rate, value)
-    raise RuntimeError("no thin flow found; the configuration is inconsistent")
+        # the source rows fix the source slopes; the evaluator checks the
+        # supplies they imply
+        supplied = {s: (slopes[s], r * slopes[s]) for s, r in rates.items()}
+        if not _conditions(instance, active, resetting, supplied, sink, demand,
+                           flow, slopes, nodes):
+            return flow, slopes
+    raise NoThinFlow("no thin flow found; the configuration is inconsistent")
 
 
-def _propagate_zero_flow(instance, usable, resetting, source, rate, nodes):
-    """Label slopes for the zero-value thin flow (direct propagation)."""
-    order = _topological(instance, usable, nodes)
-    slopes = {source: 1 / Fraction(rate)}
-    for v in order:
-        if v == source:
-            continue
-        rhos = [ZERO if a.id in resetting else slopes[a.tail]
-                for a in instance.in_arcs(v)
-                if a.id in usable and a.tail in slopes]
-        slopes[v] = min(rhos) if rhos else ZERO
-    return slopes
+def _conditions(instance, active, resetting, sources, sink, demand, flow,
+                slopes, nodes):
+    """Violations of the defining conditions; independent of solver algebra.
 
-
-def _topological(instance, arc_ids, nodes) -> list:
-    adj: dict[str, list[str]] = {}
-    indeg = {v: 0 for v in nodes}
-    for e in arc_ids:
-        a = instance.arc(e)
-        if a.tail in nodes and a.head in nodes:
-            adj.setdefault(a.tail, []).append(a.head)
-            indeg[a.head] += 1
-    queue = sorted(v for v in nodes if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for w in sorted(adj.get(u, ())):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order
-
-
-def _conditions_multisource(instance, active, resetting, sources, sink,
-                            supplies, flow, slopes, nodes):
+    ``sources`` maps each source node to its (expected label slope, supply),
+    and the sink absorbs ``demand``.  Supplies must be non-negative and sum
+    to the demand.  A source's slope never exceeds its incoming stress; every
+    other node takes the minimum incoming stress, attained wherever flow
+    runs.
+    """
     violations = []
-    total = sum(supplies.values(), ZERO)
-    if total != 1:
+    total = sum((supply for _, supply in sources.values()), ZERO)
+    if total != demand:
         violations.append(("SupplySum", str(total)))
-    for j, (s_j, r_j) in sources.items():
-        if supplies[j] < 0:
-            violations.append(("NegativeSupply", j))
-        if slopes.get(s_j) != supplies[j] / r_j:
-            violations.append(("SourceSlope", j))
-    source_nodes = {s for s, _ in sources.values()}
+    for s, (slope, supply) in sources.items():
+        if supply < 0:
+            violations.append(("NegativeSupply", s))
+        if slopes.get(s) != slope:
+            violations.append(("SourceSlope", s))
     for e, x in flow.items():
         if x < 0:
             violations.append(("NegativeFlow", e))
@@ -365,9 +264,9 @@ def _conditions_multisource(instance, active, resetting, sources, sink,
     for v in nodes:
         net = sum((flow.get(a.id, ZERO) for a in instance.out_arcs(v)), ZERO) \
             - sum((flow.get(a.id, ZERO) for a in instance.in_arcs(v)), ZERO)
-        expected = sum((supplies[j] for j, (s, _) in sources.items() if s == v), ZERO)
+        expected = sources[v][1] if v in sources else ZERO
         if v == sink:
-            expected -= 1
+            expected -= demand
         if net != expected:
             violations.append(("ConservationViolated", v))
     for v in nodes:
@@ -378,7 +277,7 @@ def _conditions_multisource(instance, active, resetting, sources, sink,
             rhos.append((a.id, stress(a.capacity, slopes[a.tail],
                                       flow.get(a.id, ZERO), ZERO,
                                       a.id in resetting)))
-        if v in source_nodes:
+        if v in sources:
             if rhos and slopes[v] > min(r for _, r in rhos):
                 violations.append(("SourceMinViolated", v))
         else:
@@ -393,6 +292,47 @@ def _conditions_multisource(instance, active, resetting, sources, sink,
     return violations
 
 
+def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
+                          rate, value=ONE) -> ThinFlow:
+    """Unique-label thin flow for one source and sink.
+
+    The label slopes are unique; among flow parts the first consistent
+    assignment in a fixed enumeration order is returned, so outputs are
+    deterministic.  Active arcs the source cannot reach carry no flow.
+    """
+    active = frozenset(active)
+    resetting = frozenset(resetting)
+    rate = Fraction(rate)
+    value = Fraction(value)
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    if not resetting <= active:
+        raise ValueError("resetting arcs must be active")
+    nodes, usable = _support(instance, active, [source], sink)
+    if value == 0:
+        slopes = _propagate_zero_flow(instance, usable, resetting, source, rate)
+        return ThinFlow({e: ZERO for e in usable}, slopes, active, resetting,
+                        rate, value)
+    # slope 1 / rate and supply ``value``: a source of rate value * rate
+    flow, slopes = _solve(instance, active, resetting, nodes, usable,
+                          {source: value * rate}, sink, value,
+                          [({source: ONE}, 1 / rate)])
+    return ThinFlow(flow, slopes, active, resetting, rate, value)
+
+
+def _propagate_zero_flow(instance, usable, resetting, source, rate):
+    """Label slopes for the zero-value thin flow (direct propagation)."""
+    slopes = {source: 1 / Fraction(rate)}
+    for v in topological_order(instance, usable):
+        if v == source:
+            continue
+        rhos = [ZERO if a.id in resetting else slopes[a.tail]
+                for a in instance.in_arcs(v)
+                if a.id in usable and a.tail in slopes]
+        slopes[v] = min(rhos) if rhos else ZERO
+    return slopes
+
+
 def solve_thinflow_multisource(instance: Instance, active, resetting,
                                sources: dict, sink) -> MultiSourceThinFlow:
     """Thin flow with per-source supplies summing to one.
@@ -400,6 +340,7 @@ def solve_thinflow_multisource(instance: Instance, active, resetting,
     ``sources`` maps commodity id to (source node, rate).  Source label
     slopes are supply/rate and never exceed the incoming stress; all other
     nodes take the minimum incoming stress, attained wherever flow runs.
+    Every active arc must be reachable from some source.
     """
     active = frozenset(active)
     resetting = frozenset(resetting)
@@ -409,54 +350,37 @@ def solve_thinflow_multisource(instance: Instance, active, resetting,
             raise ValueError(f"rate of source {j} must be positive, got {r_j}")
     if not resetting <= active:
         raise ValueError("resetting arcs must be active")
-    if not _is_acyclic(instance, active):
-        raise Cyclic("active arcs contain a cycle")
-    source_nodes = {s for s, _ in sources.values()}
-    if len(source_nodes) != len(sources):
+    rates = dict(sources.values())  # source node -> rate
+    if len(rates) != len(sources):
         raise ValueError("sources must be distinct nodes")
-    nodes = _reachable(instance, source_nodes, active)
-    if sink not in nodes:
-        raise NoSinkPath(f"{sink} unreachable from the sources")
-    usable = [e for e in sorted(active) if instance.arc(e).tail in nodes]
-    for e in active:
-        a = instance.arc(e)
-        if a.tail not in nodes or a.head not in nodes:
-            raise UnreachableNode(e)
-    if len(usable) > SIZE_LIMIT:
-        raise SizeLimitExceeded(f"{len(usable)} active arcs exceed {SIZE_LIMIT}")
-
-    base_rows = [({("s", j): ONE for j in sources}, ONE)]
-    for j, (s_j, r_j) in sources.items():
-        base_rows.append(({("s", j): ONE, s_j: -r_j}, ZERO))
-    base_rows += _conservation_rows(
-        instance, usable, nodes,
-        lambda v: ({("s", j): -ONE for j, (s_j, _) in sources.items() if s_j == v},
-                   -ONE if v == sink else ZERO))
-    for values in _state_solutions(instance, usable, resetting, base_rows,
-                                   len(nodes) + len(usable) + len(sources)):
-        flow = {e: values[("x", e)] for e in usable}
-        slopes = {v: values[v] for v in sorted(nodes)}
-        supplies = {j: values[("s", j)] for j in sources}
-        if not _conditions_multisource(instance, active, resetting, sources,
-                                       sink, supplies, flow, slopes, nodes):
-            return MultiSourceThinFlow(supplies, flow, slopes, active, resetting)
-    raise RuntimeError("no multi-source thin flow found")
+    nodes, usable = _support(instance, active, rates, sink)
+    stray = sorted(active - set(usable))
+    if stray:
+        raise UnreachableNode(stray[0])
+    # the supplies r_j * l'(s_j) sum to one
+    flow, slopes = _solve(instance, active, resetting, nodes, usable, rates,
+                          sink, ONE, [(rates, ONE)])
+    supplies = {j: r_j * slopes[s_j] for j, (s_j, r_j) in sources.items()}
+    return MultiSourceThinFlow(supplies, flow, slopes, active, resetting)
 
 
 def check_thinflow(instance, thin: ThinFlow, source, sink) -> list:
     """Public re-check of a single-commodity thin flow's conditions."""
-    nodes = _reachable(instance, [source], thin.active)
-    return _conditions_single(instance, thin.active, thin.resetting, source,
-                              sink, thin.rate, thin.value, thin.flow,
-                              thin.label_slopes, nodes)
+    return _conditions(instance, thin.active, thin.resetting,
+                       {source: (1 / thin.rate, thin.value)}, sink, thin.value,
+                       thin.flow, thin.label_slopes,
+                       reachable(instance, [source], thin.active))
 
 
 def check_multisource_thinflow(instance, thin: MultiSourceThinFlow,
                                sources: dict, sink) -> list:
-    nodes = _reachable(instance, {s for s, _ in sources.values()}, thin.active)
-    return _conditions_multisource(instance, thin.active, thin.resetting,
-                                   sources, sink, thin.supplies, thin.flow,
-                                   thin.label_slopes, nodes)
+    """Public re-check of a multi-source thin flow's conditions."""
+    return _conditions(instance, thin.active, thin.resetting,
+                       {s_j: (thin.supplies[j] / r_j, thin.supplies[j])
+                        for j, (s_j, r_j) in sources.items()},
+                       sink, ONE, thin.flow, thin.label_slopes,
+                       reachable(instance, {s for s, _ in sources.values()},
+                                 thin.active))
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +405,7 @@ def decompose(instance: Instance, thin: ThinFlow, group_arcs: dict,
         for j, share in expected_shares.items():
             got = thin.flow.get(group_arcs[j], ZERO)
             if got != share:
-                raise AssertionError(
+                raise DecompositionError(
                     f"share of commodity {j} is {got}, expected {share}")
     residual = {e: x for e, x in thin.flow.items() if x > 0}
     group_of = {e: j for j, e in group_arcs.items()}
@@ -517,7 +441,7 @@ def decompose(instance: Instance, thin: ThinFlow, group_arcs: dict,
         delta = min(residual[e] for e in path)
         members = [e for e in path if e in group_of]
         if len(members) != 1:
-            raise AssertionError(f"path {path} uses {len(members)} grouping arcs")
+            raise DecompositionError(f"path {path} uses {len(members)} grouping arcs")
         j = group_of[members[0]]
         for e in path:
             if e not in group_of:
@@ -529,7 +453,7 @@ def decompose(instance: Instance, thin: ThinFlow, group_arcs: dict,
                 if not tails[instance.arc(e).tail]:
                     del tails[instance.arc(e).tail]
     if residual:
-        raise AssertionError(f"decomposition left residual flow on {sorted(residual)}")
+        raise DecompositionError(f"decomposition left residual flow on {sorted(residual)}")
     return out
 
 
@@ -579,8 +503,11 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     slope the minimum stress over its active incoming arcs (with foreign
     rates sampled from the other commodities), arcs carrying flow must attain
     that minimum, and flow is confined to active arcs.  With
-    ``require_tightness=False`` only the first two conditions are checked;
-    extended labels satisfy those for arbitrary strategies.
+    ``require_tightness=False`` only the first two conditions are checked.
+    Extended labels satisfy those for arbitrary strategies unless a queue
+    stands on an arc that the labels bypass: waiting times are read off the
+    label gaps, which understate such a queue, so the arc counts as active
+    and resetting and its lower stress can break the minimum (TF2Violated).
     """
     horizon = Fraction(horizon)
     violations = []
@@ -607,7 +534,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                 q = waiting_from_labels(instance, labels_all, a.id, theta)
                 active = lv is not None and lv(m) == theta + a.transit + q
                 status[a.id] = (active, q > 0)
-                x = strategies.get((j, a.id), StepFunction.zero())(m)
+                x = strategies.get((j, a.id), _NO_FLOW)(m)
                 if require_tightness and x > 0 and not active:
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
             for v in instance.nodes:
@@ -618,7 +545,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                     st = status.get(a.id)
                     if not st or not st[0]:
                         continue
-                    x = strategies.get((j, a.id), StepFunction.zero())(m)
+                    x = strategies.get((j, a.id), _NO_FLOW)(m)
                     y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
                     rho = stress(a.capacity, lslope[a.tail](m), x, y, st[1])
                     rhos.append((a.id, x, rho))
@@ -634,9 +561,9 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                             violations.append(ThinFlowViolation("TF3Violated", j, e, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
             for v in instance.nodes:
-                net = sum((strategies.get((j, a.id), StepFunction.zero())(m)
+                net = sum((strategies.get((j, a.id), _NO_FLOW)(m)
                            for a in instance.out_arcs(v)), ZERO) \
-                    - sum((strategies.get((j, a.id), StepFunction.zero())(m)
+                    - sum((strategies.get((j, a.id), _NO_FLOW)(m)
                            for a in instance.in_arcs(v)), ZERO)
                 expected = ZERO
                 if v == c.origin:
@@ -673,7 +600,7 @@ def _partition(instance, labels_all, strategies, j, horizon):
             lv_i = ols.labels.get(a.head)
             if lv_i is not None:
                 marks |= set(lv_i.breakpoints)
-            marks |= set(strategies.get((i, a.id), StepFunction.zero()).breakpoints)
+            marks |= set(strategies.get((i, a.id), _NO_FLOW).breakpoints)
             for beta in marks:
                 phi = _preimage_or_none(lu_j, lu_i(beta))
                 if phi is not None and 0 < phi < horizon:

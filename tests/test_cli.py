@@ -41,6 +41,24 @@ def test_validate_bad_capacity(bad_instance_file, tmp_path, capsys):
     assert json.loads(out.read_text())["ok"] is False
 
 
+@pytest.mark.parametrize("command,extra", [("load", ["rates.json"]),
+                                           ("thinflow", ["config.json"]),
+                                           ("nash", []),
+                                           ("verify", ["flow.json"]),
+                                           ("labels", ["flow.json", "1"])])
+def test_invalid_instance_is_exit_2(command, extra, tmp_path, capsys):
+    doc = instance_to_json(single_arc_canonical())
+    doc["arcs"][0]["capacity"] = 0
+    doc["arcs"][0]["transit"] = -1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)] + [str(tmp_path / x) for x in extra]
+                + ["--out", str(tmp_path / "out.json"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveCapacity(e)" in err and "NegativeTransit(e)" in err
+
+
 def test_nash_single_arc_csv(single_arc_file, tmp_path):
     out = tmp_path / "nash.json"
     code = main(["nash", str(single_arc_file), "--horizon", "2",

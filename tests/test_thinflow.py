@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,8 @@ from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.labels import LabelSet, extend_labels
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
                                PartitionBudgetExceeded, ThinFlow, _partition,
-                               check_thinflow, decompose,
+                               check_multisource_thinflow, check_thinflow,
+                               decompose,
                                solve_thinflow_multisource,
                                solve_thinflow_single, stress,
                                verify_multicommodity_thinflow)
@@ -280,6 +282,105 @@ def _reach_all(arcs, active, roots):
                 seen.add(v)
                 changed = True
     return seen
+
+
+class TestOneSourceIsSingle:
+    """A single commodity is the one-source case of the multi-source thin
+    flow: on every configuration whose active arcs the source reaches, both
+    solvers return the same flow and slopes or raise the same error."""
+
+    @pytest.mark.parametrize("arcs,rate", [(diamond_arcs(), F(2)),
+                                           (parallel_arcs6(), F(3))])
+    def test_all_configurations(self, arcs, rate):
+        instance = _instance_from(arcs)
+        ids = sorted(arcs)
+        compared = 0
+        for k in range(1, len(ids) + 1):
+            for active in combinations(ids, k):
+                reached = _reach_all(arcs, active, ["s"])
+                if any(arcs[e][0] not in reached for e in active):
+                    continue  # the multi-source solver rejects stray arcs
+                for m in range(0, len(active) + 1):
+                    for resetting in combinations(active, m):
+                        outcomes = []
+                        for solve in (
+                                lambda: solve_thinflow_single(
+                                    instance, active, resetting, "s", "t", rate),
+                                lambda: solve_thinflow_multisource(
+                                    instance, active, resetting,
+                                    {"1": ("s", rate)}, "t")):
+                            try:
+                                thin = solve()
+                            except (ValueError, RuntimeError) as exc:
+                                outcomes.append(type(exc))
+                            else:
+                                outcomes.append((thin.flow, thin.label_slopes))
+                        assert outcomes[0] == outcomes[1], (active, resetting)
+                        compared += isinstance(outcomes[0], tuple)
+        assert compared > 100
+
+
+def _corrupt_flow(**changes):
+    return lambda thin: replace(thin, flow={**thin.flow, **changes})
+
+
+def _corrupt_slope(node, slope):
+    return lambda thin: replace(thin, label_slopes={**thin.label_slopes, node: slope})
+
+
+class TestConditionMutations:
+    """Each corruption of a solved thin flow is reported by its checker."""
+
+    SINGLE = {
+        "source slope": (_corrupt_slope("s", F(1)), "SourceSlope"),
+        "negative flow": (_corrupt_flow(a=F(-1, 3), b=F(4, 3)), "NegativeFlow"),
+        "inactive arc": (_corrupt_flow(a=F(0), c=F(1, 3)), "SupportViolated"),
+        "conservation": (_corrupt_flow(a=F(1)), "ConservationViolated"),
+        "minimum": (_corrupt_slope("t", F(1)), "MinViolated"),
+        "tightness": (_corrupt_flow(a=F(2, 3), b=F(1, 3)), "TightnessViolated"),
+        "supply sum": (lambda thin: replace(thin, value=F(2)), "ConservationViolated"),
+    }
+    MULTI = {
+        "source slope": (_corrupt_slope("s1", F(1)), "SourceSlope"),
+        "negative flow": (_corrupt_flow(a=F(-1, 3), c=F(1)), "NegativeFlow"),
+        "inactive arc": (_corrupt_flow(b=F(0), d=F(1, 3)), "SupportViolated"),
+        "conservation": (_corrupt_flow(b=F(1)), "ConservationViolated"),
+        "minimum": (_corrupt_slope("t", F(1)), "MinViolated"),
+        "tightness": (_corrupt_flow(a=F(2, 3), c=F(0)), "TightnessViolated"),
+        "supply sum": (lambda thin: replace(thin, supplies={"1": F(2, 3), "2": F(2, 3)}),
+                       "SupplySum"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SINGLE))
+    def test_single(self, name):
+        # a and b share the load at slope 1/3; c stays inactive
+        inst = make_instance([("a", "s", "t", 1), ("b", "s", "t", 2), ("c", "s", "t", 1)])
+        thin = solve_thinflow_single(inst, {"a", "b"}, set(), "s", "t", F(3))
+        assert (thin.flow, thin.label_slopes["t"]) == ({"a": F(1, 3), "b": F(2, 3)}, F(1, 3))
+        assert check_thinflow(inst, thin, "s", "t") == []
+        corrupt, code = self.SINGLE[name]
+        codes = [c for c, _ in check_thinflow(inst, corrupt(thin), "s", "t")]
+        assert code in codes, codes
+
+    @pytest.mark.parametrize("name", sorted(MULTI))
+    def test_multisource(self, name):
+        # s1 sends 2/3 over c, s2 sends 1/3 over b; a is tight but idle and
+        # d inactive
+        inst = make_instance(
+            [("a", "s1", "t", 1), ("c", "s1", "t", 2), ("b", "s2", "t", 1),
+             ("d", "s2", "t", 1)],
+            (Commodity("1", "s1", "t", F(2), F(0), None),
+             Commodity("2", "s2", "t", F(1), F(0), None)),
+            mode="commonDestination")
+        sources = {"1": ("s1", F(2)), "2": ("s2", F(1))}
+        thin = solve_thinflow_multisource(inst, {"a", "b", "c"}, set(), sources, "t")
+        assert thin.flow == {"a": F(0), "b": F(1, 3), "c": F(2, 3)}
+        assert thin.label_slopes == {"s1": F(1, 3), "s2": F(1, 3), "t": F(1, 3)}
+        assert check_multisource_thinflow(inst, thin, sources, "t") == []
+        corrupt, code = self.MULTI[name]
+        codes = [c for c, _ in check_multisource_thinflow(inst, corrupt(thin),
+                                                           sources, "t")]
+        assert code in codes, codes
 
 
 class TestDecompose:

@@ -16,5 +16,21 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_raise_assertion_error(path):
+    """A broken invariant raises a typed ``RuntimeError`` subclass, which
+    callers can tell apart and tests cannot mistake for a failed check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _raises_assertion_error(node)]
+    assert not lines, f"{path.name}: raise AssertionError at lines {lines}"
+
+
 def test_sources_found():
     assert len(SOURCES) >= 9
