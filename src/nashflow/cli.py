@@ -81,7 +81,6 @@ def cmd_load(args):
     inflows = inflows_from_json(_read_json(args.flowrates))
     horizon = parse_rational(args.horizon) if args.horizon else None
     flow, profile = load_network(instance, inflows, horizon)
-    flow.fill_totals(instance)
     report = check_feasibility(instance, flow, profile)
     doc = {"feasibility": report.to_json(), "flow": flow_to_json(instance, flow)}
     if args.format == "json":

@@ -7,20 +7,20 @@ arcs as active/resetting for a particle, reconstructs waiting times from the
 labels of an equilibrium, differentiates the foreign flow (the other
 commodities' traffic as one commodity samples it), and extends labels from
 scratch for given per-particle routing strategies by an exact time-frontier
-sweep.
+sweep, which grows the labels and the queues as ``timefn.GrowingPwl`` curves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .netmodel import INF, Instance, transit_distances
 from .loading import QueueProfile
-from .timefn import (ZERO, PwlFunction, StepFunction, ValueNotAttained,
-                     breakpoint_budget, compose, integrate, min_compose,
-                     min_preimage)
+from .timefn import (ZERO, GrowingPwl, PwlFunction, StepFunction,
+                     SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
+                     compose, integrate, min_compose, min_preimage)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -33,10 +33,6 @@ class ZeroTransitArc(ValueError):
 
 class BreakpointBudgetExceeded(RuntimeError):
     """The label extension exceeded the configured breakpoint budget."""
-
-
-class SweepInvariantBroken(RuntimeError):
-    """The label-extension sweep reached a state its invariants exclude."""
 
 
 class ThetaOutsideRange(ValueError):
@@ -114,25 +110,31 @@ def arc_status(instance: Instance, labelset: LabelSet, profile: QueueProfile,
     return active, resetting
 
 
+def label_gap(labelset: LabelSet, arc, theta: Fraction) -> Fraction | None:
+    """Label gap l_head - l_tail - transit on ``arc`` of the commodity's first
+    particle to reach the tail at ``theta``; None when the commodity has no
+    label at an end of the arc.  Raises ValueNotAttained when its tail label
+    never reaches ``theta``."""
+    lu = labelset.labels.get(arc.tail)
+    lv = labelset.labels.get(arc.head)
+    if lu is None or lv is None:
+        return None
+    return lv(min_preimage(lu, theta)) - theta - arc.transit
+
+
 def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
                         theta) -> Fraction:
     """Waiting time reconstructed from equilibrium labels alone: the largest
-    label gap over all commodities whose first particle reaches the tail at
-    ``theta``."""
+    of 0 and the label gaps of all commodities at tail arrival ``theta``."""
     theta = Fraction(theta)
     arc = instance.arc(arc_id)
     q = ZERO
     for j, ls in labels_all.items():
-        lu = ls.labels.get(arc.tail)
-        lv = ls.labels.get(arc.head)
-        if lu is None or lv is None:
-            continue
         try:
-            phi_j = min_preimage(lu, theta)
+            gap = label_gap(ls, arc, theta)
         except ValueNotAttained:
             raise ThetaOutsideRange(j, theta) from None
-        gap = lv(phi_j) - lu(phi_j) - arc.transit
-        if gap > q:
+        if gap is not None and gap > q:
             q = gap
     return q
 
@@ -221,113 +223,6 @@ def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
 # --------------------------------------------------------------------------
 
 
-class _Grown:
-    """Reading of a piecewise-linear function grown forward: ``pts`` are its
-    committed anchors, it runs with ``slope`` from the last anchor to the
-    live edge and with ``tail_slope`` left of the first anchor."""
-
-    def _value(self, x: Fraction) -> Fraction:
-        pts = self.pts
-        if x <= pts[0][0]:
-            return pts[0][1] + self.tail_slope * (x - pts[0][0])
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= x:
-                if k == len(pts) - 1:
-                    return pts[k][1] + self.slope * (x - pts[k][0])
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise SweepInvariantBroken(f"{x} precedes every anchor")
-
-    def slope_right_at(self, x: Fraction) -> Fraction:
-        pts = self.pts
-        if x < pts[0][0]:
-            return self.tail_slope
-        for k in range(len(pts) - 1, -1, -1):
-            if pts[k][0] <= x:
-                if k == len(pts) - 1:
-                    return self.slope
-                x0, y0 = pts[k]
-                x1, y1 = pts[k + 1]
-                return (y1 - y0) / (x1 - x0)
-        raise SweepInvariantBroken(f"{x} precedes every anchor")
-
-    def next_anchor_after(self, x: Fraction) -> Fraction | None:
-        for b, _ in self.pts:
-            if b > x:
-                return b
-        return None
-
-
-@dataclass
-class _Track(_Grown):
-    """One label function under construction, up to the frontier particle;
-    its tail slope is the commodity's 1/r."""
-
-    tail_slope: Fraction
-    pts: list
-    frontier_phi: Fraction
-    frontier_val: Fraction
-    slope: Fraction | None = None
-    is_source: bool = False
-
-    def value_at(self, phi: Fraction) -> Fraction:
-        if phi > self.frontier_phi:
-            raise SweepInvariantBroken(
-                f"particle {phi} sampled beyond the frontier {self.frontier_phi}")
-        return self._value(phi)
-
-    def commit_slope(self, new_slope: Fraction):
-        if self.slope is None:
-            self.slope = new_slope
-            return
-        if new_slope != self.slope:
-            if self.pts[-1][0] != self.frontier_phi:
-                self.pts.append((self.frontier_phi, self.frontier_val))
-            self.slope = new_slope
-
-    def advance(self, dphi: Fraction, dval: Fraction):
-        self.frontier_phi += dphi
-        self.frontier_val += dval
-
-    def finish(self) -> PwlFunction:
-        pts = list(self.pts)
-        if pts[-1][0] != self.frontier_phi:
-            pts.append((self.frontier_phi, self.frontier_val))
-        return PwlFunction([p[0] for p in pts], [p[1] for p in pts],
-                           self.tail_slope, self.slope if self.slope is not None
-                           else self.tail_slope)
-
-
-@dataclass
-class _Queue(_Grown):
-    """Waiting time of one arc as a function of entry time, grown forward."""
-
-    pts: list = field(default_factory=lambda: [(ZERO, ZERO)])
-    slope: Fraction = ZERO
-    value: Fraction = ZERO  # at the live edge
-    edge: Fraction = ZERO   # live-edge time
-    arc_id: str = ""
-    tail_slope = ZERO  # no queue before time 0; a class constant, not a field
-
-    def value_at(self, theta: Fraction) -> Fraction:
-        if theta > self.edge:
-            raise SweepInvariantBroken(
-                f"arc {self.arc_id}: waiting time at {theta} sampled beyond "
-                f"the live edge {self.edge}")
-        return self._value(theta)
-
-    def commit_slope(self, new_slope: Fraction):
-        if new_slope != self.slope:
-            if self.pts[-1][0] != self.edge:
-                self.pts.append((self.edge, self.value))
-            self.slope = new_slope
-
-    def advance(self, dt: Fraction):
-        self.edge += dt
-        self.value += self.slope * dt
-
-
 @dataclass
 class _Candidate:
     arc_id: str
@@ -370,18 +265,19 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     budget = breakpoint_budget()
     comms = list(instance.commodities)
     reach: dict[str, set] = {}
-    tracks: dict[tuple[str, str], _Track] = {}
+    # labels over particles; the edge of a label is its frontier particle
+    tracks: dict[tuple[str, str], GrowingPwl] = {}
     for c in comms:
         dist = transit_distances(instance, c.origin)
         reach[c.id] = {v for v in instance.nodes if dist[v] is not INF}
         for v in reach[c.id]:
             phi0 = -c.rate * (c.inflow_start + dist[v])
-            tracks[(c.id, v)] = _Track(
-                tail_slope=Fraction(1, 1) / c.rate,
-                pts=[(phi0, ZERO)], frontier_phi=phi0, frontier_val=ZERO,
-                slope=Fraction(1, 1) / c.rate if v == c.origin else None,
-                is_source=(v == c.origin))
-    queues = {a.id: _Queue(arc_id=a.id) for a in instance.arcs}
+            tracks[(c.id, v)] = GrowingPwl(
+                f"label of {c.id} at {v}", phi0, ZERO, 1 / c.rate,
+                1 / c.rate if v == c.origin else None)
+    # waiting times over entry times, with no queue before time 0
+    queues = {a.id: GrowingPwl(f"waiting time on arc {a.id}", ZERO, ZERO, ZERO, ZERO)
+              for a in instance.arcs}
     in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
     out_arcs = {v: instance.out_arcs(v) for v in instance.nodes}
     theta0 = ZERO
@@ -393,17 +289,17 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             if a.tail not in reach[j]:
                 continue
             track_u = tracks[(j, a.tail)]
-            if track_v.frontier_phi >= track_u.frontier_phi:
+            if track_v.edge >= track_u.edge:
                 # at or beyond the tail's frontier the entry time is the
                 # current moment or later, so the candidate trails the label
                 # by at least the transit time; recheck within one transit
                 result.append(_Candidate(a.id, a.tail, pending=True))
                 continue
-            entry = track_u.value_at(track_v.frontier_phi)
+            entry = track_u.value_at(track_v.edge)
             queue = queues[a.id]
             value = entry + a.transit + queue.value_at(entry)
-            entry_slope = track_u.slope_right_at(track_v.frontier_phi)
-            slope = entry_slope * (1 + queue.slope_right_at(entry))
+            entry_slope = track_u.slope_right(track_v.edge)
+            slope = entry_slope * (1 + queue.slope_right(entry))
             result.append(_Candidate(a.id, a.tail, False, value, slope,
                                      entry, entry_slope))
         return result
@@ -439,38 +335,38 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         while True:
             slope, cands = winner_slope(j, v)
             if slope != 0:
-                track_v.commit_slope(slope)
+                track_v.commit(slope)
                 return
             tied = [c for c in cands if not c.pending and c.value == theta0
                     and c.slope == 0]
             next_phi = None
             for c in tied:
                 track_u = tracks[(j, c.tail)]
-                nb = track_u.next_anchor_after(track_v.frontier_phi)
-                if nb is None or nb > track_u.frontier_phi:
-                    nb = track_u.frontier_phi
+                nb = track_u.next_anchor_after(track_v.edge)
+                if nb is None or nb > track_u.edge:
+                    nb = track_u.edge
                 stops = [nb]
                 qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
                 if qnext is not None and c.entry_slope > 0:
-                    stops.append(track_v.frontier_phi
+                    stops.append(track_v.edge
                                  + (qnext - c.entry_time) / c.entry_slope)
                 stop = min(stops)
-                if stop > track_v.frontier_phi and (next_phi is None or stop < next_phi):
+                if stop > track_v.edge and (next_phi is None or stop < next_phi):
                     next_phi = stop
-            if next_phi is None or next_phi <= track_v.frontier_phi:
+            if next_phi is None or next_phi <= track_v.edge:
                 raise SweepInvariantBroken(f"flat stretch at ({j}, {v}) cannot advance")
-            if mass_on(j, v, track_v.frontier_phi, next_phi):
+            if mass_on(j, v, track_v.edge, next_phi):
                 raise ValueError(
                     f"strategy sends positive mass of commodity {j} through a "
                     f"label flat at node {v}; the induced inflow is impulsive")
-            track_v.commit_slope(ZERO)
-            track_v.advance(next_phi - track_v.frontier_phi, ZERO)
+            track_v.commit(ZERO)
+            track_v.advance(next_phi - track_v.edge)
 
     iterations = 0
     while True:
         iterations += 1
-        total_pts = sum(len(t.pts) for t in tracks.values()) \
-            + sum(len(q.pts) for q in queues.values())
+        total_pts = sum(len(t.xs) for t in tracks.values()) \
+            + sum(len(q.xs) for q in queues.values())
         if total_pts > budget or iterations > budget:
             raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
 
@@ -484,10 +380,10 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 if slope == 0:
                     process_flat(c.id, v)
                     slope, cands = winner_slope(c.id, v)
-                tracks[(c.id, v)].commit_slope(slope)
+                tracks[(c.id, v)].commit(slope)
                 cand_map[(c.id, v)] = cands
 
-        if all(t.frontier_phi >= horizon for t in tracks.values()):
+        if all(t.edge >= horizon for t in tracks.values()):
             break
 
         # virtual inflow rates and queue slopes
@@ -500,12 +396,12 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 if f is None:
                     continue
                 track_u = tracks[(c.id, a.tail)]
-                x = f(track_u.frontier_phi)
+                x = f(track_u.edge)
                 if x != 0:
                     rate += x / track_u.slope
             q = queues[a.id]
             growth = rate / a.capacity - 1
-            q.commit_slope(growth if q.value > 0 else max(growth, ZERO))
+            q.commit(growth if q.value > 0 else max(growth, ZERO))
 
         # next event
         delta = None
@@ -527,16 +423,16 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                     if denom > 0:
                         note((c.value - theta0) / denom)
                 track_u = tracks[(j, c.tail)]
-                nb = track_u.next_anchor_after(track_v.frontier_phi)
+                nb = track_u.next_anchor_after(track_v.edge)
                 if nb is not None:
-                    note((nb - track_v.frontier_phi) * m_v)
+                    note((nb - track_v.edge) * m_v)
                 if c.entry_slope and c.entry_slope > 0:
                     qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
                     if qnext is not None:
                         note((qnext - c.entry_time) * m_v / c.entry_slope)
                 # frontier of v catching up with the data of u
                 if track_u.slope is not None and m_v < track_u.slope:
-                    gap = track_u.frontier_phi - track_v.frontier_phi
+                    gap = track_u.edge - track_v.edge
                     note(gap / (1 / m_v - 1 / track_u.slope))
         for c in comms:
             for v in reach[c.id]:
@@ -545,24 +441,24 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                     f = strategies.get((c.id, a.id))
                     if f is None:
                         continue
-                    k = bisect_right(f.breakpoints, track.frontier_phi)
+                    k = bisect_right(f.breakpoints, track.edge)
                     if k < len(f.breakpoints):
-                        note((f.breakpoints[k] - track.frontier_phi) * track.slope)
+                        note((f.breakpoints[k] - track.edge) * track.slope)
         for a in instance.arcs:
             q = queues[a.id]
             if q.value > 0 and q.slope < 0:
                 note(q.value / (-q.slope))
         if delta is None:
             # no structural events ahead: jump straight to the horizon
-            delta = max((horizon - t.frontier_phi) * t.slope
-                        for t in tracks.values() if t.frontier_phi < horizon)
+            delta = max((horizon - t.edge) * t.slope
+                        for t in tracks.values() if t.edge < horizon)
             if delta <= 0:
                 break
 
         # advance
         theta0 += delta
         for track in tracks.values():
-            track.advance(delta / track.slope, delta)
+            track.advance(delta / track.slope)
         for q in queues.values():
             q.advance(delta)
 
@@ -572,12 +468,4 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         out[c.id] = LabelSet(c.id, labels, horizon)
     if not return_queues:
         return out
-    waits = {}
-    for a in instance.arcs:
-        q = queues[a.id]
-        pts = list(q.pts)
-        if pts[-1][0] != q.edge:
-            pts.append((q.edge, q.value))
-        waits[a.id] = PwlFunction([p[0] for p in pts], [p[1] for p in pts],
-                                  ZERO, q.slope)
-    return out, waits
+    return out, {e: q.finish() for e, q in queues.items()}

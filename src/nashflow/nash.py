@@ -27,8 +27,8 @@ from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
-from .timefn import (ONE, ZERO, PwlFunction, StepFunction, compose,
-                     differentiate, integrate, sorted_union)
+from .timefn import (ONE, ZERO, GrowingPwl, PwlFunction, StepFunction,
+                     compose, differentiate, integrate, sorted_union)
 
 
 class PhaseBudgetExceeded(RuntimeError):
@@ -130,13 +130,14 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
     No phase crosses the particle ``cap`` (None for no cap), and the labels
     run left of particle 0 with ``tail_slope``.
     """
-    labels = dict(labels)
-    label_pts = {v: [(ZERO, labels[v])] for v in labels}
+    curves = {v: GrowingPwl(f"label at {v}", ZERO, y, tail_slope)
+              for v, y in labels.items()}
     phases: list[Phase] = []
     phi = ZERO
     while phi < horizon:
         if len(phases) >= max_phases:
             raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
+        labels = {v: g.value for v, g in curves.items()}
         active, resetting = _label_state(instance, labels)
         thin = solve(active, resetting, phi)
         slopes = thin.label_slopes
@@ -147,11 +148,11 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
         if alpha <= 0:
             raise StalledPhase(len(phases), phi)
         phases.append(Phase(phi, phi + alpha, thin, split(thin)))
-        for v in labels:
-            labels[v] += slopes[v] * alpha
-            label_pts[v].append((phi + alpha, labels[v]))
+        for v, g in curves.items():
+            g.commit(slopes[v])
+            g.advance(alpha)
         phi += alpha
-    return phases, _finish_labels(label_pts, tail_slope)
+    return phases, {v: g.finish() for v, g in curves.items()}
 
 
 def construct_nash_single(instance: Instance, horizon=None,
@@ -301,16 +302,6 @@ def _group_by_source(virtual: Instance, group: dict, thin: MultiSourceThinFlow):
         active.add(e)
     helper = ThinFlow(flow, {}, frozenset(active), thin.resetting, ONE, ONE)
     return decompose(virtual, helper, group)
-
-
-def _finish_labels(label_pts: dict, tail_slope: Fraction) -> dict:
-    out = {}
-    for v, pts in label_pts.items():
-        bps = [p[0] for p in pts]
-        vals = [p[1] for p in pts]
-        final = (vals[-1] - vals[-2]) / (bps[-1] - bps[-2]) if len(bps) > 1 else tail_slope
-        out[v] = PwlFunction(bps, vals, tail_slope, final)
-    return out
 
 
 def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict

@@ -167,6 +167,8 @@ def validate_instance(raw: Instance):
         if c.origin not in node_set or c.destination not in node_set:
             violations.append(Violation("UnknownEndpoint", c.id))
             continue
+        if c.origin == c.destination:
+            violations.append(Violation("OriginIsDestination", c.id))
         if c.rate <= 0:
             violations.append(Violation("NonPositiveRate", c.id))
         if c.inflow_start < 0:

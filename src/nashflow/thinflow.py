@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, ValueNotAttained,
-                     breakpoint_budget, differentiate, min_preimage,
-                     sorted_union, zero_crossings)
-from .labels import foreign_rate_at, waiting_from_labels
+from .timefn import (ONE, ZERO, StepFunction, breakpoint_budget,
+                     differentiate, min_preimage, reaches, sorted_union,
+                     zero_crossings)
+from .labels import foreign_rate_at, label_gap, waiting_from_labels
 
 SIZE_LIMIT = 25
-_NO_FLOW = StepFunction.zero()  # default strategy; frozen, so safe to share
 
 
 class NoSinkPath(ValueError):
@@ -534,7 +533,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                 q = waiting_from_labels(instance, labels_all, a.id, theta)
                 active = lv is not None and lv(m) == theta + a.transit + q
                 status[a.id] = (active, q > 0)
-                x = strategies.get((j, a.id), _NO_FLOW)(m)
+                x = strategies.get((j, a.id), StepFunction.zero())(m)
                 if require_tightness and x > 0 and not active:
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
             for v in instance.nodes:
@@ -545,7 +544,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                     st = status.get(a.id)
                     if not st or not st[0]:
                         continue
-                    x = strategies.get((j, a.id), _NO_FLOW)(m)
+                    x = strategies.get((j, a.id), StepFunction.zero())(m)
                     y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
                     rho = stress(a.capacity, lslope[a.tail](m), x, y, st[1])
                     rhos.append((a.id, x, rho))
@@ -561,9 +560,9 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                             violations.append(ThinFlowViolation("TF3Violated", j, e, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
             for v in instance.nodes:
-                net = sum((strategies.get((j, a.id), _NO_FLOW)(m)
+                net = sum((strategies.get((j, a.id), StepFunction.zero())(m)
                            for a in instance.out_arcs(v)), ZERO) \
-                    - sum((strategies.get((j, a.id), _NO_FLOW)(m)
+                    - sum((strategies.get((j, a.id), StepFunction.zero())(m)
                            for a in instance.in_arcs(v)), ZERO)
                 expected = ZERO
                 if v == c.origin:
@@ -600,7 +599,7 @@ def _partition(instance, labels_all, strategies, j, horizon):
             lv_i = ols.labels.get(a.head)
             if lv_i is not None:
                 marks |= set(lv_i.breakpoints)
-            marks |= set(strategies.get((i, a.id), _NO_FLOW).breakpoints)
+            marks |= set(strategies.get((i, a.id), StepFunction.zero()).breakpoints)
             for beta in marks:
                 phi = _preimage_or_none(lu_j, lu_i(beta))
                 if phi is not None and 0 < phi < horizon:
@@ -638,24 +637,20 @@ def _gap_curve(labels_all, i, arc, lu_j):
     """Commodity i's label gap on ``arc`` as a function of commodity j's
     particle (sampled through the shared tail arrival time)."""
     ols = labels_all[i]
-    lu_i = ols.labels.get(arc.tail)
-    lv_i = ols.labels.get(arc.head)
-    if lu_i is None or lv_i is None:
+    if arc.tail not in ols.labels or arc.head not in ols.labels:
         return None
+    lu_i = ols.labels[arc.tail]
 
     def curve(phi):
         theta = lu_j(phi)
-        try:
-            phi_i = min_preimage(lu_i, theta)
-        except ValueNotAttained:
+        if not reaches(lu_i, theta):
+            # commodity i's labels never reach theta: none of its particles
+            # is at the tail then, so it adds no gap
             return ZERO
-        return lv_i(phi_i) - theta - arc.transit
+        return label_gap(ols, arc, theta)
 
     return curve
 
 
 def _preimage_or_none(f, value):
-    try:
-        return min_preimage(f, value)
-    except ValueNotAttained:
-        return None
+    return min_preimage(f, value) if reaches(f, value) else None

@@ -11,9 +11,9 @@ All breakpoints and values are ``fractions.Fraction``; there is no floating
 point anywhere.
 
 Cost.  With n breakpoints, one evaluation is a bisection, O(log n).  A
-``PwlFunction`` computes its n - 1 segment slopes and whether it is
-non-decreasing once, on first use, and keeps them on the instance; equality,
-hashing and ``to_json`` read the four fields only.  ``at_sorted`` evaluates
+``PwlFunction`` keeps the n - 1 segment slopes that its construction computes
+anyway, and whether it is non-decreasing once asked; equality, hashing and
+``to_json`` read the four fields only.  ``at_sorted`` evaluates
 a function at m non-decreasing points in one merge pass, O(n + m), and every
 primitive that evaluates on a sorted mesh goes through it: ``+`` and
 ``integrate`` are linear in the breakpoints involved, ``sum_of`` of k
@@ -22,7 +22,9 @@ in the breakpoints of both functions (its level crossings come from one
 two-pointer pass), and ``min_compose`` of k functions on a mesh of N points
 costs O(k^2 N).  ``min_preimage`` is a bisection on the values,
 O(log n), and ``min_preimages`` answers m non-decreasing queries in
-O(n + m).
+O(n + m).  A ``GrowingPwl``, the curve that a forward sweep grows, appends an
+anchor only where its slope changes, and its reads bisect into the anchors,
+O(log n).
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ ONE = Fraction(1)
 
 class ValueNotAttained(ValueError):
     """A preimage query lies outside the range attained by the function."""
+
+
+class SweepInvariantBroken(RuntimeError):
+    """A forward sweep reached a state its invariants exclude."""
 
 
 def breakpoint_budget() -> int:
@@ -110,9 +116,10 @@ class StepFunction:
     def constant(cls, c) -> "StepFunction":
         return cls((), (), Fraction(c))
 
-    @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls.constant(ZERO)
+    @staticmethod
+    def zero() -> "StepFunction":
+        """The zero rate; one shared instance, since step functions are frozen."""
+        return _ZERO_STEP
 
     @classmethod
     def from_pieces(cls, pieces, initial=ZERO) -> "StepFunction":
@@ -210,6 +217,9 @@ class StepFunction:
             yield (format_rational(b), format_rational(v))
 
 
+_ZERO_STEP = StepFunction()
+
+
 @dataclass(frozen=True)
 class PwlFunction:
     """Continuous piecewise-linear function anchored at its breakpoints.
@@ -218,7 +228,8 @@ class PwlFunction:
     continues to the left of the first breakpoint with ``initial_slope`` and
     to the right of the last with ``final_slope``.  Collinear breakpoints are
     removed on construction (at least one anchor is always kept).  The
-    segment slopes and the monotonicity flag are cached on first use.
+    segment slopes are kept from construction, the monotonicity flag is
+    cached on first use.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -237,19 +248,23 @@ class PwlFunction:
             raise ValueError("breakpoints must be strictly increasing")
         s0 = Fraction(self.initial_slope)
         s1 = Fraction(self.final_slope)
-        # drop interior collinear anchors, then collinear outermost anchors
+        # drop interior collinear anchors, then collinear outermost anchors;
+        # slopes[k] stays the slope right of the k-th kept anchor
         slopes = [_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
                   for k in range(len(bps) - 1)]
         keep = [0 < k < len(slopes) and slopes[k - 1] == slopes[k]
                 for k in range(len(bps))]
         bps = [b for b, drop in zip(bps, keep) if not drop]
         vals = [v for v, drop in zip(vals, keep) if not drop]
-        while len(bps) > 1 and _seg_slope(bps[0], vals[0], bps[1], vals[1]) == s0:
+        slopes = [s for s, drop in zip(slopes, keep) if not drop]
+        while len(bps) > 1 and slopes[0] == s0:
             bps.pop(0)
             vals.pop(0)
-        while len(bps) > 1 and _seg_slope(bps[-2], vals[-2], bps[-1], vals[-1]) == s1:
+            slopes.pop(0)
+        while len(bps) > 1 and slopes[-1] == s1:
             bps.pop()
             vals.pop()
+            slopes.pop()
         if len(bps) == 1 and s0 == s1 and bps[0] != 0:
             # a globally linear function: normalize the anchor to x = 0
             vals = [vals[0] - s0 * bps[0]]
@@ -258,6 +273,7 @@ class PwlFunction:
         object.__setattr__(self, "values", tuple(vals))
         object.__setattr__(self, "initial_slope", s0)
         object.__setattr__(self, "final_slope", s1)
+        object.__setattr__(self, "_slopes", tuple(slopes))
 
     @classmethod
     def line(cls, slope, anchor_x=ZERO, anchor_y=ZERO) -> "PwlFunction":
@@ -267,12 +283,6 @@ class PwlFunction:
     @classmethod
     def constant(cls, c) -> "PwlFunction":
         return cls.line(ZERO, ZERO, c)
-
-    @cached_property
-    def _slopes(self) -> tuple[Fraction, ...]:
-        bps, vals = self.breakpoints, self.values
-        return tuple(_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
-                     for k in range(len(bps) - 1))
 
     @cached_property
     def _nondecreasing(self) -> bool:
@@ -394,6 +404,70 @@ def _seg_slope(x0, y0, x1, y1) -> Fraction:
     return (y1 - y0) / (x1 - x0)
 
 
+class GrowingPwl:
+    """A piecewise-linear function grown forward in x, read while it grows.
+
+    ``xs``/``ys`` are its committed anchors; from the last one it runs with
+    ``slope`` (None until first committed) to the live edge, where it has
+    ``value``.  Left of the first anchor it runs with ``tail_slope``.  Reads
+    bisect into the anchors and raise SweepInvariantBroken past the edge.
+    """
+
+    def __init__(self, name: str, x0: Fraction, y0: Fraction,
+                 tail_slope: Fraction, slope: Fraction | None = None):
+        self.name = name
+        self.xs, self.ys = [x0], [y0]
+        self._right = []  # slope right of every anchor but the last
+        self.edge, self.value = x0, y0
+        self.tail_slope, self.slope = tail_slope, slope
+
+    def _segment(self, x: Fraction) -> int:
+        if x > self.edge:
+            raise SweepInvariantBroken(
+                f"{self.name}: {x} read beyond the edge {self.edge}")
+        return bisect_right(self.xs, x) - 1
+
+    def _slope_on(self, i: int) -> Fraction | None:
+        if i < 0:
+            return self.tail_slope
+        return self._right[i] if i < len(self._right) else self.slope
+
+    def value_at(self, x: Fraction) -> Fraction:
+        i = self._segment(x)
+        if i < 0:
+            return self.ys[0] + self.tail_slope * (x - self.xs[0])
+        d = x - self.xs[i]
+        return self.ys[i] + self._slope_on(i) * d if d else self.ys[i]
+
+    def slope_right(self, x: Fraction) -> Fraction | None:
+        return self._slope_on(self._segment(x))
+
+    def next_anchor_after(self, x: Fraction) -> Fraction | None:
+        k = bisect_right(self.xs, x)
+        return self.xs[k] if k < len(self.xs) else None
+
+    def commit(self, slope: Fraction):
+        """Run on with ``slope`` from the edge, anchoring the edge if the
+        slope changes there."""
+        if slope != self.slope:
+            if self.edge != self.xs[-1]:
+                self._right.append(self.slope)
+                self.xs.append(self.edge)
+                self.ys.append(self.value)
+            self.slope = slope
+
+    def advance(self, dx: Fraction):
+        self.edge += dx
+        self.value += self.slope * dx
+
+    def finish(self) -> PwlFunction:
+        xs, ys = self.xs, self.ys
+        if self.edge != xs[-1]:
+            xs, ys = xs + [self.edge], ys + [self.value]
+        return PwlFunction(xs, ys, self.tail_slope,
+                           self.tail_slope if self.slope is None else self.slope)
+
+
 def integrate(f: StepFunction, start) -> PwlFunction:
     """Exact antiderivative F(x) = integral of f from ``start`` to x."""
     start = Fraction(start)
@@ -477,6 +551,13 @@ def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
             return lo
     # from here on any preimage lies strictly above lo (F is non-decreasing)
     return _leftmost_preimage(F, value, bisect_left(F.values, value))
+
+
+def reaches(F: PwlFunction, value) -> bool:
+    """True iff the non-decreasing F attains ``value`` at a smallest x, that
+    is, iff ``min_preimage(F, value)`` returns rather than raising."""
+    return ((F.initial_slope > 0 or value > F.values[0])
+            and (F.final_slope > 0 or value <= F.values[-1]))
 
 
 def min_preimages(F: PwlFunction, values) -> list[Fraction]:

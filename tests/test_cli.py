@@ -59,6 +59,17 @@ def test_invalid_instance_is_exit_2(command, extra, tmp_path, capsys):
     assert "NonPositiveCapacity(e)" in err and "NegativeTransit(e)" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "nash"])
+def test_origin_is_destination_is_exit_2(command, tmp_path, capsys):
+    doc = instance_to_json(single_arc_canonical())
+    doc["commodities"][0]["destination"] = "s"
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path), "--out", str(tmp_path / "out.json"), "--quiet"])
+    assert code == 2
+    assert "OriginIsDestination(1)" in capsys.readouterr().err
+
+
 def test_nash_single_arc_csv(single_arc_file, tmp_path):
     out = tmp_path / "nash.json"
     code = main(["nash", str(single_arc_file), "--horizon", "2",

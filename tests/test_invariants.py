@@ -7,12 +7,12 @@ import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import UnboundedBreakpoints, derive_profile, load_network
-from nashflow import labels as labels_mod
 from nashflow.labels import (BreakpointBudgetExceeded, SweepInvariantBroken,
                              earliest_arrival, extend_labels)
 from nashflow.nash import FlowReconstructionError, Phase, _reconstruct_flow
 from nashflow.thinflow import verify_multicommodity_thinflow
-from nashflow.timefn import PwlFunction, StepFunction, compose, differentiate
+from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, compose,
+                             differentiate)
 
 from corpus import corpus
 from test_loading import random_inflows, random_instance
@@ -145,13 +145,15 @@ class TestTypedInvariantErrors:
     """Invariant checks raise typed errors that name what broke."""
 
     def test_track_sampled_beyond_its_frontier(self):
-        track = labels_mod._Track(F(1), [(F(0), F(0))], F(1), F(1), F(1))
-        with pytest.raises(SweepInvariantBroken, match="particle 2 "):
+        track = GrowingPwl("label of 1 at t", F(0), F(0), F(1), F(1))
+        track.advance(F(1))
+        with pytest.raises(SweepInvariantBroken, match="label of 1 at t: 2 "):
             track.value_at(F(2))
 
     def test_queue_sampled_beyond_its_edge(self):
+        queue = GrowingPwl("waiting time on arc e", F(0), F(0), F(0), F(0))
         with pytest.raises(SweepInvariantBroken, match="arc e:"):
-            labels_mod._Queue(arc_id="e").value_at(F(1))
+            queue.value_at(F(1))
 
     def test_flow_on_an_arc_without_labels(self):
         instance = validate_instance(Instance(

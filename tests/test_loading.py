@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.loading import (BeyondHorizon, NegativeInflow, check_feasibility,
-                              exit_time, flow_from_json, flow_to_json,
-                              load_network, queue_size, waiting_time)
+from nashflow.loading import (BeyondHorizon, FlowOverTime, NegativeInflow,
+                              check_feasibility, exit_time, flow_from_json,
+                              flow_to_json, load_network, queue_size,
+                              waiting_time)
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -206,6 +209,19 @@ class TestQueueDynamicsRandomized:
             arc_violations = [v for v in report.violations
                               if v.code != "ConservationViolated"]
             assert not arc_violations, (trial, list(map(str, arc_violations)))
+
+
+class TestLoaderTotals:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_totals_equal_the_commodity_sums(self, seed):
+        # load_network sets both totals itself; callers need no fill_totals
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        flow, _ = load_network(instance, random_inflows(rng, instance))
+        summed = FlowOverTime(dict(flow.inflow), dict(flow.outflow)).fill_totals(instance)
+        assert flow.total_inflow == summed.total_inflow
+        assert flow.total_outflow == summed.total_outflow
 
 
 class TestFlowJson:

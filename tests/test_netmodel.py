@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from nashflow.netmodel import (Arc, Commodity, Instance, NotCommonOrigin,
-                               extend_with_super_sink, instance_from_json,
-                               instance_to_json, transit_distances,
-                               validate_instance)
+                               Violation, extend_with_super_sink,
+                               instance_from_json, instance_to_json,
+                               transit_distances, validate_instance)
 
 F = Fraction
 
@@ -39,6 +39,14 @@ class TestValidate:
         )
         result = validate_instance(inst)
         assert any(v.code == "MissingPath" and v.subject == "1" for v in result)
+
+    def test_origin_is_destination_rejected(self):
+        inst = Instance(
+            nodes=("s", "t"),
+            arcs=(Arc("e", "s", "t", F(1), F(1)),),
+            commodities=(Commodity("1", "s", "s", F(1), F(0), F(1)),),
+        )
+        assert Violation("OriginIsDestination", "1") in validate_instance(inst)
 
     def test_self_loop_rejected(self):
         inst = Instance(

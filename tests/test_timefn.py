@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
-                             compose, differentiate, integrate, min_compose,
-                             min_preimage)
+from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction,
+                             SweepInvariantBroken, ValueNotAttained, compose,
+                             differentiate, integrate, min_compose,
+                             min_preimage, reaches)
 
 F = Fraction
 
@@ -44,6 +45,19 @@ def monotone_pwl(draw, max_pieces=6):
     return PwlFunction(bps, vals, s0, s1)
 
 
+@st.composite
+def collinear_pwl(draw, max_pieces=8):
+    """Anchors on few slopes, so that many of them are collinear with their
+    neighbours or with an outer ray."""
+    n = draw(st.integers(1, max_pieces))
+    bps = sorted(draw(st.sets(rationals(), min_size=n, max_size=n)))
+    pick = st.sampled_from([F(-1), F(0), F(1)])
+    vals = [draw(rationals())]
+    for a, b in zip(bps, bps[1:]):
+        vals.append(vals[-1] + draw(pick) * (b - a))
+    return PwlFunction(bps, vals, draw(pick), draw(pick))
+
+
 class TestStepFunction:
     def test_eval_and_canonical_merge(self):
         f = StepFunction([0, 1, 2], [2, 2, 5], 0)
@@ -65,6 +79,10 @@ class TestStepFunction:
         f = StepFunction([0], [1], 0)
         g = f.shift(2)  # g(x) = f(x - 2)
         assert g(1) == 0 and g(2) == 1
+
+    def test_zero_is_one_shared_instance(self):
+        assert StepFunction.zero() is StepFunction.zero()
+        assert StepFunction.zero() == StepFunction()
 
     def test_vanishes_beyond(self):
         f = StepFunction([0, 1], [2, 0], 0)
@@ -239,3 +257,55 @@ class TestMinCompose:
             assert members, "argmin set never empty"
             for k in members:
                 assert funcs[k](m) == out(m)
+
+
+class TestKeptSlopes:
+    @given(st.one_of(pwl_functions(), collinear_pwl()))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_slopes_match_the_anchors(self, f):
+        bps, vals = f.breakpoints, f.values
+        assert f._slopes == tuple((vals[k + 1] - vals[k]) / (bps[k + 1] - bps[k])
+                                  for k in range(len(bps) - 1))
+
+
+class TestReaches:
+    @given(monotone_pwl(), rationals(-10, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_iff_min_preimage_returns(self, f, y):
+        try:
+            min_preimage(f, y)
+            found = True
+        except ValueNotAttained:
+            found = False
+        assert reaches(f, y) == found
+
+
+class TestGrowingPwl:
+    @given(rationals(), rationals(), rationals(-3, 3),
+           st.lists(st.tuples(rationals(-3, 3), rationals(0, 3)), min_size=1, max_size=8),
+           st.lists(rationals(-30, 50), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_match_the_finished_function(self, x0, y0, tail, steps, probes):
+        g = GrowingPwl("g", x0, y0, tail)
+        for slope, dx in steps:
+            g.commit(slope)
+            g.advance(dx)
+        f = g.finish()
+        for x in probes + g.xs + [g.edge]:
+            if x > g.edge:
+                with pytest.raises(SweepInvariantBroken, match="g: "):
+                    g.value_at(x)
+                with pytest.raises(SweepInvariantBroken, match="g: "):
+                    g.slope_right(x)
+                continue
+            assert g.value_at(x) == f(x)
+            assert g.slope_right(x) == f.slope_right(x)
+            assert g.next_anchor_after(x) == next((b for b in g.xs if b > x), None)
+
+    def test_anchors_only_where_the_slope_changes(self):
+        g = GrowingPwl("g", F(0), F(0), F(1))
+        for slope in (F(1), F(1), F(2), F(2)):
+            g.commit(slope)
+            g.advance(F(1))
+        assert g.xs == [F(0), F(2)] and g.edge == 4 and g.value == 6
+        assert g.finish() == PwlFunction([0, 2], [0, 2], 1, 2)
