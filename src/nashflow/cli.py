@@ -56,7 +56,7 @@ def _valid_instance(path):
     return instance
 
 
-def _export_pwl_csv(path, name, fn):
+def _export_pwl_csv(path, fn):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in fn.csv_rows():
@@ -92,9 +92,9 @@ def cmd_load(args):
                       {"feasibility": report.to_json()}, args.quiet)
         stem = Path(args.out or "load_report.json").with_suffix("")
         for e in profile.volume:
-            _export_pwl_csv(f"{stem}_queue_{e}.csv", e, profile.volume[e])
-            _export_pwl_csv(f"{stem}_waiting_{e}.csv", e, profile.waiting[e])
-            _export_pwl_csv(f"{stem}_exit_{e}.csv", e, profile.exit_time[e])
+            _export_pwl_csv(f"{stem}_queue_{e}.csv", profile.volume[e])
+            _export_pwl_csv(f"{stem}_waiting_{e}.csv", profile.waiting[e])
+            _export_pwl_csv(f"{stem}_exit_{e}.csv", profile.exit_time[e])
     if not report.ok:
         for v in report.violations:
             print(str(v), file=sys.stderr)
@@ -155,7 +155,7 @@ def cmd_nash(args):
     if args.format == "csv":
         stem = Path(args.out or "nash.json").with_suffix("")
         for v, fn in sorted(result.node_labels.items()):
-            _export_pwl_csv(f"{stem}_label_{v}.csv", v, fn)
+            _export_pwl_csv(f"{stem}_label_{v}.csv", fn)
     if not report.ok:
         for v in report.violations:
             print(str(v), file=sys.stderr)
@@ -192,7 +192,7 @@ def cmd_labels(args):
     if args.format == "csv":
         stem = Path(args.out or f"labels_{args.commodity}.json").with_suffix("")
         for v, fn in sorted(ls.labels.items()):
-            _export_pwl_csv(f"{stem}_{v}.csv", v, fn)
+            _export_pwl_csv(f"{stem}_{v}.csv", fn)
     if not args.quiet:
         print(f"labels computed for commodity {args.commodity}")
     return 0

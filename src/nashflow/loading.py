@@ -10,13 +10,12 @@ feasibility checker that certifies the flow dynamics piece by piece.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance
 from .timefn import (ONE, ZERO, PwlFunction, StepFunction, breakpoint_budget,
-                     compose, differentiate, integrate, min_preimages,
+                     compose, first_difference, integrate, min_preimages,
                      sorted_union, zero_crossings)
 
 
@@ -293,13 +292,34 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
                       profile: QueueProfile | None = None) -> FeasibilityReport:
     """Certify the flow dynamics exactly on every piece.
 
-    Checks node conservation per commodity, the total-outflow law, FIFO
-    proportionality of per-commodity outflows, the queue-dynamics properties
-    (non-negative queues, monotone exit times, the waiting-time derivative
-    case formula, frozen exit times on no-inflow stretches) and the
-    cumulative identity F_in(theta) = F_out(T(theta)) both in total and per
-    commodity.  Arc conservation is implied by the per-commodity identity
-    and reported, not independently required.
+    Checks node conservation per commodity and, per arc, the profile
+    identities z = F_in(. - tau) - F_out, q = z(. + tau) / nu and
+    T = theta + tau + q, non-negative queues, the total-outflow law
+    (f_out = nu while z > 0, otherwise min(g, nu) with g = f_in(. - tau)),
+    monotone exit times, FIFO proportionality of per-commodity outflows and
+    the cumulative identity F_in(theta) = F_out(T(theta)) in total and per
+    commodity.  The law is checked on every cell and ray of a mesh on which z
+    keeps its sign and g and f_out are constant; by right-continuity it then
+    holds at every point.  Every check is exact over the whole line.  Arc
+    conservation is implied by the per-commodity identity and reported, not
+    independently required.
+
+    Once these checks pass, the remaining queue-dynamics properties follow,
+    so none of them is checked again:
+
+    (a) Waiting derivative.  The right derivative of q is
+        q'(theta) = (f_in(theta) - f_out(theta + tau)) / nu.  The law gives
+        f_out(theta + tau) = nu when q(theta) > 0 and min(f_in(theta), nu)
+        otherwise, so q' = f_in / nu - 1 where q > 0 and
+        max(f_in / nu - 1, 0) elsewhere, at every point.
+    (b) Frozen exit times.  T' = q' + 1, which by (a) is 0 wherever
+        f_in = 0 and q > 0.
+    (c) A positive wait meets a standing queue.  z(theta + tau) =
+        nu q(theta) > 0.  While z > 0 on [theta + tau, t) the law gives
+        f_out = nu, and by (a) T' = f_in / nu there, so T' >= 0 forces
+        f_in >= 0.  Hence z' = g - nu >= -nu there, and
+        z(t) >= nu q(theta) - nu (t - theta - tau) > 0 for every
+        t < theta + tau + q(theta).
     """
     if profile is None:
         profile = derive_profile(instance, flow)
@@ -313,18 +333,6 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
         "arc_conservation": "implied by per-commodity cumulative identity",
     }
     return FeasibilityReport(ok=not violations, violations=violations, checks=checks)
-
-
-def _refine_with_zeros(points: list[Fraction], fn: PwlFunction) -> list[Fraction]:
-    """Add the zero crossings of ``fn`` falling strictly inside the sorted
-    mesh ``points``."""
-    return sorted_union(points, zero_crossings(points, fn.at_sorted(points)))
-
-
-def _probes(mesh: list[Fraction]) -> list[Fraction]:
-    """One point inside every cell of the mesh, the two outer rays included."""
-    return [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
-        [mesh[-1] + 1]
 
 
 def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, arc):
@@ -353,26 +361,28 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
         theta = next((b for b, v in zip(z.breakpoints, z.values) if v < 0), z.breakpoints[0])
         violations.append(FlowViolation("QueueNegative", e, str(theta)))
 
-    # total outflow law on every piece
+    # total outflow law on every cell (z of one sign, g and f_out constant)
     g = f_in.shift(arc.transit)
     mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
-    if mesh:
-        mesh = _refine_with_zeros(mesh, z)
-        probes = _probes(mesh)
-        cells = [None] + list(zip(mesh, mesh[1:])) + [None]
-        for cell, m, zm, gm, out in zip(cells, probes, z.at_sorted(probes),
-                                        g.at_sorted(probes), f_out.at_sorted(probes)):
-            expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
-            if out != expected:
-                violations.append(FlowViolation("OutflowLawViolated", e,
-                                                str(cell) if cell else str(m)))
-                break
-    elif f_out.initial != 0 or f_out.values:
-        violations.append(FlowViolation("OutflowLawViolated", e, "no inflow"))
+    mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh)))
+    probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
+        [mesh[-1] + 1]
+    ends = [None] + mesh + [None]
+    for lo, hi, zm, gm, out in zip(ends, ends[1:], z.at_sorted(probes),
+                                   g.at_sorted(probes), f_out.at_sorted(probes)):
+        expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
+        if out != expected:
+            left = "(-inf" if lo is None else f"[{lo}"
+            right = "inf" if hi is None else str(hi)
+            violations.append(FlowViolation("OutflowLawViolated", e, f"{left}, {right})"))
+            break
 
-    # exit times monotone
+    # exit times monotone; a T that stops rising leaves the late outflow
+    # without entry times, and has z' = -capacity on the right ray, which
+    # QueueNegative or a mismatch above already reports
     if not T.is_nondecreasing():
         violations.append(FlowViolation("ExitTimeDecreasing", e))
+    if not T.is_nondecreasing() or T.final_slope == 0:
         return violations
 
     # cumulative identity in total and per commodity (exact, via composition)
@@ -389,60 +399,7 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
         expected = _split_outflow(fj_in, f_in, f_out, T)
         if expected != fj_out:
             violations.append(FlowViolation("FifoViolated", f"{c.id},{e}"))
-
-    # waiting-time derivative case formula, checked per piece
-    dq = differentiate(q)
-    mesh = _refine_with_zeros(sorted_union(q.breakpoints, f_in.breakpoints), q)
-    probes = _probes(mesh)
-    for m, rate, wait, dm in zip(probes, f_in.at_sorted(probes), q.at_sorted(probes),
-                                 dq.at_sorted(probes)):
-        ratio = rate / arc.capacity - 1
-        expected = ratio if wait > 0 else max(ratio, ZERO)
-        if dm != expected:
-            violations.append(FlowViolation("WaitingDerivativeViolated", e, str(m)))
-            break
-
-    # positive waiting keeps the queue positive throughout the waiting window
-    for theta in _queue_positivity_failures(q, z, arc.transit):
-        violations.append(FlowViolation("QueuePositivityViolated", e, str(theta)))
-
-    # frozen exit times across zero-inflow stretches with a standing queue
-    dT = differentiate(T)
-    mesh = sorted_union(T.breakpoints, f_in.breakpoints, z.breakpoints)
-    if mesh:
-        mesh = _refine_with_zeros(mesh, z)
-        mids = [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])]
-        idle = [m for m, rate in zip(mids, f_in.at_sorted(mids)) if rate == 0]
-        for m, zm, dm in zip(idle, z.at_sorted([m + arc.transit for m in idle]),
-                             dT.at_sorted(idle)):
-            if zm > 0 and dm != 0:
-                violations.append(FlowViolation("ExitTimeNotFrozen", e, str(m)))
-                break
     return violations
-
-
-def _queue_positivity_failures(q: PwlFunction, z: PwlFunction, transit) -> list:
-    """Particles theta, probed at every anchor b of q and at b + 1/2 (the
-    first failing one per anchor), whose positive wait meets a non-positive
-    queue volume in the window [theta + transit, theta + transit + q(theta)).
-
-    z is linear between its anchors, so the window fails exactly when
-    z(theta + transit) <= 0 or some anchor inside it has z <= 0: one
-    bisection into the sorted anchors where z <= 0.
-    """
-    dry = [x for x, v in zip(z.breakpoints, z.values) if v <= 0]
-    failures = []
-    for b in q.breakpoints:
-        for theta in (b, b + Fraction(1, 2)):
-            w = q(theta)
-            if w <= 0:
-                continue
-            lo = theta + transit
-            k = bisect_right(dry, lo)
-            if z(lo) <= 0 or (k < len(dry) and dry[k] < lo + w):
-                failures.append(theta)
-                break
-    return failures
 
 
 def _check_conservation(instance: Instance, flow: FlowOverTime):
@@ -465,18 +422,10 @@ def _check_conservation(instance: Instance, flow: FlowOverTime):
             else:
                 expected = StepFunction.zero()
             if net != expected:
-                where = _first_difference(net, expected)
+                x, _, _ = first_difference(net, expected)
                 violations.append(FlowViolation("ConservationViolated",
-                                                f"{v},{c.id}", where))
+                                                f"{v},{c.id}", str(x)))
     return violations
-
-
-def _first_difference(a: StepFunction, b: StepFunction) -> str:
-    mesh = sorted_union(a.breakpoints, b.breakpoints)
-    for x, u, v in zip(mesh, a.at_sorted(mesh), b.at_sorted(mesh)):
-        if u != v:
-            return str(x)
-    return "initial"
 
 
 def flow_to_json(instance: Instance, flow: FlowOverTime) -> dict:

@@ -28,7 +28,7 @@ from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
 from .timefn import (ONE, ZERO, GrowingPwl, PwlFunction, StepFunction,
-                     compose, differentiate, integrate, sorted_union)
+                     compose, differentiate, first_difference, integrate)
 
 
 class PhaseBudgetExceeded(RuntimeError):
@@ -454,21 +454,11 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
                 continue
             rhs = compose(F_out, lv)
             if lhs != rhs:
-                phi, gap = _first_pwl_difference(lhs, rhs)
-                violations.append(NashViolation("NashViolated", c.id, a.id, phi, gap))
+                phi, u, v = first_difference(lhs, rhs)
+                violations.append(NashViolation("NashViolated", c.id, a.id, phi, u - v))
         violations += _check_underlying_static_flow(instance, c, ls, flow)
     ok = feas.ok and not violations
     return NashReport(ok, feas, violations, labels_all)
-
-
-def _first_pwl_difference(a: PwlFunction, b: PwlFunction):
-    mesh = sorted_union(a.breakpoints, b.breakpoints)
-    probes = sorted([mesh[0] - 1] + mesh + [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]
-                    + [mesh[-1] + 1])
-    for x, u, v in zip(probes, a.at_sorted(probes), b.at_sorted(probes)):
-        if u != v:
-            return x, u - v
-    return None, None
 
 
 def _check_underlying_static_flow(instance, commodity, labelset, flow):

@@ -641,6 +641,25 @@ def _argmins(column, least) -> frozenset:
     return frozenset(i for i, v in enumerate(column) if v == least)
 
 
+def first_difference(a, b):
+    """The first probe x at which the functions a and b (two step or two
+    piecewise-linear functions) differ, as (x, a(x), b(x)); None if they agree.
+
+    The probes, in increasing order: a point of the left ray, every
+    breakpoint of either function and every cell midpoint, and a point of the
+    right ray; 0 alone when neither function has a breakpoint.
+    """
+    mesh = sorted_union(a.breakpoints, b.breakpoints)
+    probes = [ZERO]
+    if mesh:
+        mids = [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]
+        probes = sorted([mesh[0] - 1] + mesh + mids + [mesh[-1] + 1])
+    for x, u, v in zip(probes, a.at_sorted(probes), b.at_sorted(probes)):
+        if u != v:
+            return x, u, v
+    return None
+
+
 def zero_crossings(mesh, values, left_slope=ZERO, right_slope=ZERO) -> list:
     """Zeros strictly inside the cells of ``mesh`` of a function that is
     linear on each cell, given its ``values`` on the mesh and its slopes on

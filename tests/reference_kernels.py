@@ -5,7 +5,9 @@ Each function here answers the same question as a production kernel, but by
 the plain method: evaluate the functions point by point (one bisection per
 call) and scan every segment or breakpoint in turn.  They are slow on
 purpose, share no helper with the kernels beyond single-point evaluation,
-and serve the equivalence tests only.
+and serve the equivalence tests only.  The last three are the queue-dynamics
+checks that ``check_feasibility`` proves implied rather than runs; the
+implication test in ``test_loading`` keeps them as references.
 """
 
 from fractions import Fraction
@@ -186,3 +188,42 @@ def queue_positivity_failures(q: PwlFunction, z: PwlFunction, transit) -> list:
                 failures.append(theta)
                 break
     return failures
+
+
+def _with_interior_zeros(mesh: list, fn: PwlFunction) -> list:
+    """The sorted ``mesh`` plus the zeros of ``fn`` strictly inside its cells."""
+    points = set(mesh)
+    for lo, hi in zip(mesh, mesh[1:]):
+        a, b = fn(lo), fn(hi)
+        if a and b and (a > 0) != (b > 0):
+            points.add(lo - a * (hi - lo) / (b - a))
+    return sorted(points)
+
+
+def waiting_derivative_failures(q: PwlFunction, f_in: StepFunction, capacity) -> list:
+    """Probes m, one inside every cell of the breakpoints of q and f_in
+    refined by the zeros of q (the two outer rays included), where the right
+    slope of q is not f_in(m)/capacity - 1 while q(m) > 0, or not
+    max(f_in(m)/capacity - 1, 0) otherwise."""
+    mesh = _with_interior_zeros(sorted(set(q.breakpoints) | set(f_in.breakpoints)), q)
+    probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
+        [mesh[-1] + 1]
+    failures = []
+    for m in probes:
+        ratio = f_in(m) / capacity - 1
+        expected = ratio if q(m) > 0 else max(ratio, ZERO)
+        if q.slope_right(m) != expected:
+            failures.append(m)
+    return failures
+
+
+def unfrozen_exit_times(T: PwlFunction, f_in: StepFunction, z: PwlFunction,
+                        transit) -> list:
+    """Cell midpoints m of the breakpoints of T, f_in and z refined by the
+    zeros of z, with no inflow at m and a standing queue z(m + transit) > 0,
+    where the exit time still moves (its slope at m is not 0)."""
+    mesh = _with_interior_zeros(
+        sorted(set(T.breakpoints) | set(f_in.breakpoints) | set(z.breakpoints)), z)
+    mids = [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])]
+    return [m for m in mids
+            if f_in(m) == 0 and z(m + transit) > 0 and T.slope_right(m) != 0]

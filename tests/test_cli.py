@@ -106,18 +106,21 @@ def test_verify_certifies_constructed_flow(single_arc_file, tmp_path):
 
 def test_verify_corrupted_flow(single_arc_file, tmp_path, capsys):
     instance = single_arc_canonical()
-    flow, _ = load_network(instance,
-                           {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
-    doc = flow_to_json(instance, flow)
-    # corrupt: halve the outflow rate
-    doc["outflows"][0]["rate"]["values"] = ["1/2", 0]
-    flow_file = tmp_path / "bad_flow.json"
-    flow_file.write_text(json.dumps(doc))
-    out = tmp_path / "report.json"
-    code = main(["verify", str(single_arc_file), str(flow_file),
-                 "--out", str(out), "--quiet"])
-    assert code == 1
-    assert json.loads(out.read_text())["ok"] is False
+    halved, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+    halved = flow_to_json(instance, halved)
+    halved["outflows"][0]["rate"]["values"] = ["1/2", 0]
+    # an outflow that never stops: the exit time stops rising
+    endless, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [1, 0], 0)})
+    endless = flow_to_json(instance, endless)
+    endless["outflows"][0]["rate"] = StepFunction([1], [1], 0).to_json()
+    for name, doc in (("halved", halved), ("endless", endless)):
+        flow_file = tmp_path / f"{name}_flow.json"
+        flow_file.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}_report.json"
+        code = main(["verify", str(single_arc_file), str(flow_file),
+                     "--out", str(out), "--quiet"])
+        assert code == 1, name
+        assert json.loads(out.read_text())["ok"] is False, name
 
 
 def test_load_command(single_arc_file, tmp_path):

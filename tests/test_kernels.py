@@ -151,28 +151,14 @@ class TestSplitOutflow:
             assert loading._split_outflow(f, total_in, total_out, T) == expected
 
 
-@st.composite
-def nonnegative_pwl(draw, max_pieces=8):
-    """A queue-volume-like profile: non-negative anchors, zeros drawn often."""
-    n = draw(st.integers(1, max_pieces))
-    bps = _points(draw, n, 0, 20)
-    vals = [draw(st.one_of(st.just(F(0)), rationals(0, 4))) for _ in bps]
-    return PwlFunction(bps, vals, 0, draw(st.one_of(st.just(F(0)), rationals(0, 2))))
-
-
 class TestQueuePositivity:
-    @settings(max_examples=400, deadline=None)
-    @given(nonnegative_pwl(), nonnegative_pwl(), rationals(0, 3))
-    def test_matches_scan(self, q, z, transit):
-        assert loading._queue_positivity_failures(q, z, transit) == \
-            ref.queue_positivity_failures(q, z, transit)
-
     def test_queue_touching_zero_inside_the_window_is_reported(self):
         # arrivals at rate 2 on [1, 2) and [3, 4) through capacity 1: the
         # queue volume z drains to 0 at t = 3 and refills.  A waiting time
-        # half a unit longer than z / capacity (with matching exit times, so
-        # the check is reached) stretches the window of particle 1 to
-        # [2, 7/2), which contains the touch.
+        # half a unit longer than z / capacity (with matching exit times)
+        # stretches the window of particle 1 to [2, 7/2), which contains the
+        # touch.  Such a wait breaks q = z(. + transit) / capacity, the
+        # identity from which check_feasibility derives queue positivity.
         arc = Arc("e", "s", "t", F(1), F(1))
         instance = Instance(("s", "t"), (arc,), (Commodity("1", "s", "t", F(2), F(0), F(3)),))
         inflow = StepFunction([0, 1, 2, 3], [2, 0, 2, 0], 0)
@@ -184,8 +170,8 @@ class TestQueuePositivity:
         assert z(3) == 0 and z(2) > 0 and z(4) > 0 and q(1) == F(3, 2)
         assert F(1) in ref.queue_positivity_failures(q, z, arc.transit)
         report = loading.check_feasibility(instance, flow, profile)
-        assert any(v.code == "QueuePositivityViolated" and v.where == "1"
-                   for v in report.violations)
+        assert not report.ok
+        assert "WaitingMismatch" in {v.code for v in report.violations}
 
 
 class TestCache:

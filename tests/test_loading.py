@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernels as ref
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import (BeyondHorizon, FlowOverTime, NegativeInflow,
-                              check_feasibility, exit_time, flow_from_json,
-                              flow_to_json, load_network, queue_size,
-                              waiting_time)
+                              check_feasibility, derive_profile, exit_time,
+                              flow_from_json, flow_to_json, load_network,
+                              queue_size, waiting_time)
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -126,6 +127,20 @@ class TestViolations:
         assert any(v.code in ("OutflowLawViolated", "QueueMismatch",
                               "CumulativeIdentityViolated", "QueueNegative")
                    for v in report.violations)
+        # the witness is the failing cell, written in rationals
+        law = [v.record() for v in report.violations if v.code == "OutflowLawViolated"]
+        assert law == [{"code": "OutflowLawViolated", "subject": "e", "where": "[1, 2)"}]
+
+    def test_outflow_law_witness_on_a_ray(self):
+        # arrivals at rate 2 from time 1 on keep a queue standing for ever,
+        # yet the outflow drops to 1/2 below capacity 1
+        instance = single_arc()
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0], [2], 0)})
+        flow.outflow[("1", "e")] = StepFunction([1], [F(1, 2)], 0)
+        flow.fill_totals(instance)
+        report = check_feasibility(instance, flow)
+        law = [v.where for v in report.violations if v.code == "OutflowLawViolated"]
+        assert law == ["[1, inf)"]
 
     def test_leak_at_intermediate_node(self):
         instance = validate_instance(Instance(
@@ -209,6 +224,94 @@ class TestQueueDynamicsRandomized:
             arc_violations = [v for v in report.violations
                               if v.code != "ConservationViolated"]
             assert not arc_violations, (trial, list(map(str, arc_violations)))
+
+
+def _random_rate(rng):
+    return F(rng.randint(0, 4), rng.choice([1, 2]))
+
+
+def corrupt(rng, instance, flow):
+    """A copy of the loaded ``flow`` with one random corruption, and the
+    profile to certify it with.  Either one inflow or outflow rate gets a
+    piece changed, moved or added (the profile is then derived from the
+    corrupted flow), or the waits of one arc are shifted by a constant, with
+    or without its exit times."""
+    bad = FlowOverTime(dict(flow.inflow), dict(flow.outflow))
+    arc = rng.choice(instance.arcs)
+    key = (rng.choice(instance.commodities).id, arc.id)
+    kind = rng.choice(["change", "move", "add", "wait", "wait and exit"])
+    if kind.startswith("wait"):
+        profile = derive_profile(instance, bad.fill_totals(instance))
+        shift = F(rng.choice([-1, 1]) * rng.randint(1, 4), rng.choice([2, 4]))
+        profile.waiting[arc.id] = profile.waiting[arc.id].add_constant(shift)
+        if kind == "wait and exit":
+            profile.exit_time[arc.id] = profile.exit_time[arc.id].add_constant(shift)
+        return bad, profile
+    rates = rng.choice([bad.inflow, bad.outflow])
+    bps, vals = list(rates[key].breakpoints), list(rates[key].values)
+    if kind == "change" and bps:
+        vals[rng.randrange(len(bps))] = _random_rate(rng)
+    elif kind == "move" and bps:
+        k = rng.randrange(len(bps))
+        lo = bps[k - 1] if k > 0 else bps[k] - 2
+        hi = bps[k + 1] if k + 1 < len(bps) else bps[k] + 2
+        bps[k] = lo + (hi - lo) * F(rng.randint(1, 3), 4)
+    else:
+        x = F(rng.randint(0, 40), 4)
+        if x not in bps:
+            k = sum(b < x for b in bps)
+            bps.insert(k, x)
+            vals.insert(k, _random_rate(rng))
+    rates[key] = StepFunction(bps, vals, 0)
+    bad.fill_totals(instance)
+    return bad, derive_profile(instance, bad)
+
+
+class TestImpliedDynamicsChecks:
+    """The waiting-derivative case formula, frozen exit times and queue
+    positivity over the waiting window follow from the checks that
+    ``check_feasibility`` runs (see its docstring).  Whenever one of them,
+    run as a reference predicate, fails on a corrupted flow, the report must
+    reject that flow."""
+
+    def test_each_implied_failure_is_rejected(self):
+        rng = random.Random(20261018)
+        trials, fired = 200, 0
+        for trial in range(trials):
+            instance = random_instance(rng)
+            flow, _ = load_network(instance, random_inflows(rng, instance))
+            bad, profile = corrupt(rng, instance, flow)
+            report = check_feasibility(instance, bad, profile)
+            failing = []
+            for a in instance.arcs:
+                z, q, T = (profile.volume[a.id], profile.waiting[a.id],
+                           profile.exit_time[a.id])
+                f_in = bad.total_inflow[a.id]
+                if ref.waiting_derivative_failures(q, f_in, a.capacity):
+                    failing.append(("waiting derivative", a.id))
+                if ref.unfrozen_exit_times(T, f_in, z, a.transit):
+                    failing.append(("frozen exit times", a.id))
+                if ref.queue_positivity_failures(q, z, a.transit):
+                    failing.append(("queue positivity", a.id))
+            if failing:
+                fired += 1
+                assert not report.ok, (trial, failing)
+        assert fired >= trials // 4, fired
+
+
+class TestExitTimeThatStopsRising:
+    def test_outflow_that_never_stops_is_reported(self):
+        # inflow 1 on [0, 1) through transit 1, capacity 1, with an outflow
+        # of 1 from time 1 on: the queue drains without end, so the exit time
+        # stops rising and the late outflow has no FIFO entry time
+        instance = single_arc(rate=1)
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [1, 0], 0)})
+        flow.outflow[("1", "e")] = StepFunction([1], [1], 0)
+        flow.fill_totals(instance)
+        assert derive_profile(instance, flow).exit_time["e"].final_slope == 0
+        report = check_feasibility(instance, flow)
+        assert not report.ok
+        assert "QueueNegative" in {v.code for v in report.violations}
 
 
 class TestLoaderTotals:

@@ -209,6 +209,9 @@ class TestVerifyNashNegative:
         assert not report.ok
         assert any(v.code == "NashViolated" and v.subject == "slow"
                    for v in report.violations)
+        # the first particle whose in- and outflow identity breaks, and by how much
+        slow = next(v for v in report.violations if v.subject == "slow")
+        assert (slow.particle, slow.gap) == (F(1, 2), F(1, 2))
 
 
 class TestCorpusConstructVerify:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction,
                              SweepInvariantBroken, ValueNotAttained, compose,
-                             differentiate, integrate, min_compose,
-                             min_preimage, reaches)
+                             differentiate, first_difference, integrate,
+                             min_compose, min_preimage, reaches)
 
 F = Fraction
 
@@ -278,6 +278,38 @@ class TestReaches:
         except ValueNotAttained:
             found = False
         assert reaches(f, y) == found
+
+
+def _difference_probes(a, b):
+    """The probes first_difference promises, in increasing order."""
+    mesh = sorted(set(a.breakpoints) | set(b.breakpoints))
+    if not mesh:
+        return [F(0)]
+    mids = [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]
+    return sorted([mesh[0] - 1, mesh[-1] + 1] + mesh + mids)
+
+
+class TestFirstDifference:
+    @given(st.one_of(st.tuples(step_functions(), step_functions()),
+                     st.tuples(pwl_functions(), pwl_functions()),
+                     step_functions().map(lambda f: (f, f)),
+                     pwl_functions().map(lambda f: (f, f.add_constant(0)))))
+    @settings(max_examples=300, deadline=None)
+    def test_first_differing_probe(self, pair):
+        a, b = pair
+        found = first_difference(a, b)
+        probes = _difference_probes(a, b)
+        differing = [(x, a(x), b(x)) for x in probes if a(x) != b(x)]
+        assert found == (differing[0] if differing else None)
+        assert (found is None) == (a == b)
+
+    def test_no_breakpoints_probes_zero(self):
+        assert first_difference(StepFunction.constant(1), StepFunction.zero()) == (0, 1, 0)
+
+    def test_left_ray_comes_first(self):
+        a = StepFunction([1, 2], [1, 0], 3)
+        b = StepFunction([1, 2], [1, 0], 0)
+        assert first_difference(a, b) == (0, 3, 0)
 
 
 class TestGrowingPwl:
