@@ -4,8 +4,9 @@ Per commodity, the label of a node maps a particle to the earliest time that
 particle can reach the node given the evolving queues.  This module computes
 labels from a loaded flow (Bellman iteration in function space), classifies
 arcs as active/resetting for a particle, reconstructs waiting times from the
-labels of an equilibrium, differentiates the foreign flow (the other
-commodities' traffic as one commodity samples it), and extends labels from
+labels of an equilibrium, turns a per-particle rate into a rate over time
+through a label, differentiates the foreign flow (the other commodities'
+traffic as one commodity samples it), and extends labels from
 scratch for given per-particle routing strategies by an exact time-frontier
 sweep, which grows the labels and the queues as ``timefn.GrowingPwl`` curves.
 """
@@ -20,7 +21,8 @@ from .netmodel import INF, Instance, transit_distances
 from .loading import QueueProfile
 from .timefn import (ZERO, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
-                     compose, integrate, min_compose, min_preimage)
+                     compose, differentiate, integrate, min_compose,
+                     min_preimage, sorted_union)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -110,33 +112,49 @@ def arc_status(instance: Instance, labelset: LabelSet, profile: QueueProfile,
     return active, resetting
 
 
-def label_gap(labelset: LabelSet, arc, theta: Fraction) -> Fraction | None:
-    """Label gap l_head - l_tail - transit on ``arc`` of the commodity's first
-    particle to reach the tail at ``theta``; None when the commodity has no
-    label at an end of the arc.  Raises ValueNotAttained when its tail label
-    never reaches ``theta``."""
-    lu = labelset.labels.get(arc.tail)
-    lv = labelset.labels.get(arc.head)
-    if lu is None or lv is None:
-        return None
-    return lv(min_preimage(lu, theta)) - theta - arc.transit
-
-
 def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
                         theta) -> Fraction:
-    """Waiting time reconstructed from equilibrium labels alone: the largest
-    of 0 and the label gaps of all commodities at tail arrival ``theta``."""
+    """Waiting time at tail arrival ``theta`` reconstructed from labels alone:
+    the largest of 0 and the label gaps l_head - l_tail - transit of all
+    commodities, each taken at its first particle to reach the tail at
+    ``theta``.  On an arc that some commodity's labels use this is the real
+    wait; a queue on an arc that every label bypasses widens no gap, so
+    there it can be understated."""
     theta = Fraction(theta)
     arc = instance.arc(arc_id)
     q = ZERO
     for j, ls in labels_all.items():
+        lu = ls.labels.get(arc.tail)
+        lv = ls.labels.get(arc.head)
+        if lu is None or lv is None:
+            continue
         try:
-            gap = label_gap(ls, arc, theta)
+            phi = min_preimage(lu, theta)
         except ValueNotAttained:
             raise ThetaOutsideRange(j, theta) from None
-        if gap is not None and gap > q:
-            q = gap
+        q = max(q, lv(phi) - theta - arc.transit)
     return q
+
+
+def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
+    """The rate over time of a per-particle rate ``x`` whose particle phi
+    passes at time label(phi): x(phi) / l'(phi) at time l(phi), on the
+    merged breakpoints of both functions.  ``label`` must be
+    non-decreasing; a flat stretch of it passes no time, so a nonzero rate
+    there raises ValueError."""
+    if x.initial and not label.initial_slope:
+        raise ValueError(f"rate {x.initial} on the flat left ray of the label")
+    initial = x.initial / label.initial_slope if x.initial else ZERO
+    mesh = sorted_union(x.breakpoints, label.breakpoints)
+    # time -> rate; a flat stretch's zero gives way to the cell after it
+    pieces = {}
+    for phi, t, rate, slope in zip(mesh, label.at_sorted(mesh), x.at_sorted(mesh),
+                                   differentiate(label).at_sorted(mesh)):
+        if rate and not slope:
+            raise ValueError(f"rate {rate} at particle {phi} on a flat stretch "
+                             f"of the label")
+        pieces[t] = rate / slope if slope else ZERO
+    return StepFunction(list(pieces), list(pieces.values()), initial)
 
 
 @dataclass
@@ -246,11 +264,13 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     with ``return_queues`` also the per-arc waiting functions the sweep
     maintained (mass balance of the sampled strategy rates).
 
-    For strategies that keep flow on active arcs these waits coincide with
-    the label-gap reconstruction; for arbitrary strategies flow entering
-    inactive arcs queues up here without widening any label gap, so the two
-    notions can differ (the labels then satisfy the slope conditions with
-    respect to the returned waits, not the reconstructed ones).
+    These waits are the real ones: loading the strategies' rates over time
+    through the tail labels (``rate_over_time``, then ``load_network``)
+    gives the same queues up to the last particle's arrival, and the labels
+    satisfy the slope conditions with respect to them, which
+    ``verify_multicommodity_thinflow`` checks.  Flow
+    entering an arc that the labels bypass queues up without widening any
+    label gap, so there ``waiting_from_labels`` can understate the wait.
     """
     horizon = Fraction(horizon)
     for a in instance.arcs:

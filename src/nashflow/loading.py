@@ -356,20 +356,23 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
     if T != q + PwlFunction.line(ONE, ZERO, arc.transit):
         violations.append(FlowViolation("ExitTimeMismatch", e))
 
-    # queue never negative
-    if any(v < 0 for v in z.values) or z.initial_slope > 0 or z.final_slope < 0:
-        theta = next((b for b, v in zip(z.breakpoints, z.values) if v < 0), z.breakpoints[0])
-        violations.append(FlowViolation("QueueNegative", e, str(theta)))
-
-    # total outflow law on every cell (z of one sign, g and f_out constant)
+    # a non-negative queue and the total outflow law, on every cell and ray
+    # of a mesh on which z keeps its sign and g and f_out are constant
     g = f_in.shift(arc.transit)
     mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
-    mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh)))
+    mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh),
+                                             z.initial_slope, z.final_slope))
     probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
         [mesh[-1] + 1]
     ends = [None] + mesh + [None]
-    for lo, hi, zm, gm, out in zip(ends, ends[1:], z.at_sorted(probes),
-                                   g.at_sorted(probes), f_out.at_sorted(probes)):
+    zs = z.at_sorted(probes)
+    negative = next((k for k, zm in enumerate(zs) if zm < 0), None)
+    if negative is not None:
+        lo = ends[negative]
+        violations.append(FlowViolation("QueueNegative", e,
+                                        "-inf" if lo is None else str(lo)))
+    for lo, hi, zm, gm, out in zip(ends, ends[1:], zs, g.at_sorted(probes),
+                                   f_out.at_sorted(probes)):
         expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
         if out != expected:
             left = "(-inf" if lo is None else f"[{lo}"

@@ -18,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .labels import LabelSet, earliest_arrival
+from .labels import LabelSet, earliest_arrival, rate_over_time
 from .loading import (FeasibilityReport, FlowOverTime, QueueProfile, _anchor,
-                      _dedupe, check_feasibility, derive_profile)
+                      check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
                        Instance, InvalidDerivedInstance, extend_with_super_sink,
                        transit_distances, validate_instance)
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
-                       decompose, solve_thinflow_multisource,
-                       solve_thinflow_single, verify_multicommodity_thinflow)
+                       _verify_with_profile, decompose,
+                       solve_thinflow_multisource, solve_thinflow_single)
 from .timefn import (ONE, ZERO, GrowingPwl, PwlFunction, StepFunction,
                      compose, differentiate, first_difference, integrate)
 
@@ -306,51 +306,30 @@ def _group_by_source(virtual: Instance, group: dict, thin: MultiSourceThinFlow):
 
 def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict
                       ) -> FlowOverTime:
-    """Rates from phase flows: on the image window of a phase at a node, the
-    rate is the flow part divided by the label slope there (no rates on
-    empty windows)."""
-    in_pieces: dict[tuple[str, str], list] = {}
-    out_pieces: dict[tuple[str, str], list] = {}
-    ends_in: dict[tuple[str, str], Fraction] = {}
-    ends_out: dict[tuple[str, str], Fraction] = {}
-    for p in phases:
-        for j, flows in p.flows.items():
-            for a in instance.arcs:
-                x = flows.get(a.id, ZERO)
-                if a.tail not in node_labels or a.head not in node_labels:
-                    # unreachable endpoints never carry flow
-                    if x != 0:
-                        raise FlowReconstructionError(
-                            f"commodity {j} sends {x} into arc {a.id}, which "
-                            f"has an unreachable endpoint")
-                    continue
-                for node, book, ends in ((a.tail, in_pieces, ends_in),
-                                         (a.head, out_pieces, ends_out)):
-                    lab = node_labels[node]
-                    t0 = lab(p.phi_start)
-                    t1 = lab(p.phi_end)
-                    if t1 == t0:
-                        if x != 0:
-                            raise FlowReconstructionError(
-                                f"flow {x} of {j} on arc {a.id} through a frozen "
-                                f"label at {node}")
-                        continue
-                    slope = (t1 - t0) / (p.phi_end - p.phi_start)
-                    key = (j, a.id)
-                    book.setdefault(key, []).append((t0, x / slope))
-                    ends[key] = max(ends.get(key, t0), t1)
+    """Rates from phase flows: each commodity's flow part on an arc, a step
+    function over particles, becomes a rate over time through the label of
+    the arc's tail (inflow) and of its head (outflow)."""
     flow = FlowOverTime(inflow={}, outflow={})
     for c in instance.commodities:
         for a in instance.arcs:
             key = (c.id, a.id)
-            for book, ends, target in ((in_pieces, ends_in, flow.inflow),
-                                       (out_pieces, ends_out, flow.outflow)):
-                pieces = book.get(key)
-                if not pieces:
-                    target[key] = StepFunction.zero()
-                    continue
-                pieces = _dedupe(pieces + [(ends[key], ZERO)])
-                target[key] = StepFunction.from_pieces(pieces, ZERO)
+            x = StepFunction.from_pieces(
+                [(p.phi_start, p.flows[c.id].get(a.id, ZERO)) for p in phases]
+                + [(p.phi_end, ZERO) for p in phases[-1:]])
+            if a.tail not in node_labels or a.head not in node_labels:
+                # unreachable endpoints never carry flow
+                if x != StepFunction.zero():
+                    raise FlowReconstructionError(
+                        f"commodity {c.id} sends flow into arc {a.id}, which "
+                        f"has an unreachable endpoint")
+                flow.inflow[key] = flow.outflow[key] = x
+                continue
+            try:
+                flow.inflow[key] = rate_over_time(x, node_labels[a.tail])
+                flow.outflow[key] = rate_over_time(x, node_labels[a.head])
+            except ValueError as err:
+                raise FlowReconstructionError(
+                    f"commodity {c.id} on arc {a.id}: {err}") from None
     return flow.fill_totals(instance)
 
 
@@ -498,17 +477,21 @@ def _check_underlying_static_flow(instance, commodity, labelset, flow):
 def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
                                profile: QueueProfile | None = None):
     """Re-derive per-particle strategies and label slopes from the flow and
-    verify the thin-flow conditions (the construction round trip)."""
+    verify the thin-flow conditions against the flow's own queues (the
+    construction round trip).  Every commodity needs a bounded inflow
+    interval: its particle volume bounds the particles checked."""
     if profile is None:
         profile = derive_profile(instance, flow)
     labels_all = {}
     strategies = {}
     horizon = ZERO
     for c in instance.commodities:
+        if c.particle_volume is None:
+            raise ValueError(f"commodity {c.id} has an unbounded inflow "
+                             f"interval; the round trip needs a bounded one")
         ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
         labels_all[c.id] = ls
-        if c.particle_volume is not None:
-            horizon = max(horizon, c.particle_volume)
+        horizon = max(horizon, c.particle_volume)
         for a in instance.arcs:
             lu = ls.labels.get(a.tail)
             if lu is None:
@@ -516,4 +499,4 @@ def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
             f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
             cumulative = compose(integrate(f_in, _anchor(f_in)), lu)
             strategies[(c.id, a.id)] = differentiate(cumulative)
-    return verify_multicommodity_thinflow(instance, strategies, labels_all, horizon)
+    return _verify_with_profile(instance, strategies, labels_all, horizon, profile)

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, breakpoint_budget,
-                     differentiate, min_preimage, reaches, sorted_union,
-                     zero_crossings)
-from .labels import foreign_rate_at, label_gap, waiting_from_labels
+from .timefn import (ONE, ZERO, StepFunction, differentiate, min_preimages,
+                     sorted_union, zero_crossings)
+from .loading import load_network
+from .labels import arc_status, foreign_rate_at, rate_over_time
 
 SIZE_LIMIT = 25
 
@@ -53,10 +53,6 @@ class NoThinFlow(RuntimeError):
 
 class UnreachableNode(ValueError):
     """Some referenced node is unreachable from every source."""
-
-
-class PartitionBudgetExceeded(RuntimeError):
-    """Refining the verifier's partition passed the breakpoint budget."""
 
 
 class DecompositionError(RuntimeError):
@@ -497,56 +493,66 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                                    require_tightness: bool = True) -> ThinFlowReport:
     """Check the per-particle slope conditions of all commodities on [0, H].
 
-    On every piece of a partition fine enough that activity and resetting
-    statuses are constant, the source slope must be 1/r, every other node's
-    slope the minimum stress over its active incoming arcs (with foreign
-    rates sampled from the other commodities), arcs carrying flow must attain
-    that minimum, and flow is confined to active arcs.  With
-    ``require_tightness=False`` only the first two conditions are checked.
-    Extended labels satisfy those for arbitrary strategies unless a queue
-    stands on an arc that the labels bypass: waiting times are read off the
-    label gaps, which understate such a queue, so the arc counts as active
-    and resetting and its lower stress can break the minimum (TF2Violated).
+    The strategies enter their arcs at the times the tail labels give
+    (``labels.rate_over_time``), and ``load_network`` loads them into the
+    real queues.  On every cell of a partition on which activity and
+    resetting statuses are constant, the source slope must be 1/r, every
+    other node's slope the minimum stress over its active incoming arcs
+    (with foreign rates sampled from the other commodities), arcs carrying
+    flow must attain that minimum, and flow is confined to active arcs.
+    With ``require_tightness=False`` only the first two conditions are
+    checked.  A strategy rate on an arc whose tail the commodity's labels
+    never reach raises ValueError.
     """
+    inflows = {}
+    for (j, e), x in strategies.items():
+        lu = labels_all[j].labels.get(instance.arc(e).tail)
+        if lu is not None:
+            inflows[(j, e)] = rate_over_time(x, lu)
+        elif x != StepFunction.zero():
+            raise ValueError(f"commodity {j} sends flow into arc {e}, whose "
+                             f"tail its labels never reach")
+    _, profile = load_network(instance, inflows)
+    return _verify_with_profile(instance, strategies, labels_all, horizon,
+                                profile, require_tightness)
+
+
+def _verify_with_profile(instance: Instance, strategies: dict, labels_all: dict,
+                         horizon, profile,
+                         require_tightness: bool = True) -> ThinFlowReport:
+    """The slope conditions of ``verify_multicommodity_thinflow``, with the
+    waits read from ``profile``."""
     horizon = Fraction(horizon)
     violations = []
     pieces_per_commodity = {}
     for c in instance.commodities:
         j = c.id
         ls = labels_all[j]
-        cells = _partition(instance, labels_all, strategies, j, horizon)
+        cells = _partition(instance, labels_all, strategies, j, horizon, profile)
         pieces_per_commodity[j] = cells
         lslope = {v: differentiate(f) for v, f in ls.labels.items()}
+        own = {a.id: strategies.get((j, a.id), StepFunction.zero())
+               for a in instance.arcs}
         for lo, hi in cells:
             m = (lo + hi) / 2
             piece = (lo, hi)
             in_k = c.particle_volume is None or m < c.particle_volume
             if lslope[c.origin](m) != 1 / c.rate:
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
-            status = {}
+            active, resetting = arc_status(instance, ls, profile, m)
             for a in instance.arcs:
-                lu = ls.labels.get(a.tail)
-                lv = ls.labels.get(a.head)
-                if lu is None:
-                    continue
-                theta = lu(m)
-                q = waiting_from_labels(instance, labels_all, a.id, theta)
-                active = lv is not None and lv(m) == theta + a.transit + q
-                status[a.id] = (active, q > 0)
-                x = strategies.get((j, a.id), StepFunction.zero())(m)
-                if require_tightness and x > 0 and not active:
+                if require_tightness and own[a.id](m) > 0 and a.id not in active:
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
             for v in instance.nodes:
                 if v == c.origin or v not in ls.labels:
                     continue
                 rhos = []
                 for a in instance.in_arcs(v):
-                    st = status.get(a.id)
-                    if not st or not st[0]:
+                    if a.id not in active:
                         continue
-                    x = strategies.get((j, a.id), StepFunction.zero())(m)
+                    x = own[a.id](m)
                     y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
-                    rho = stress(a.capacity, lslope[a.tail](m), x, y, st[1])
+                    rho = stress(a.capacity, lslope[a.tail](m), x, y, a.id in resetting)
                     rhos.append((a.id, x, rho))
                 if not rhos:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
@@ -560,10 +566,8 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                             violations.append(ThinFlowViolation("TF3Violated", j, e, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
             for v in instance.nodes:
-                net = sum((strategies.get((j, a.id), StepFunction.zero())(m)
-                           for a in instance.out_arcs(v)), ZERO) \
-                    - sum((strategies.get((j, a.id), StepFunction.zero())(m)
-                           for a in instance.in_arcs(v)), ZERO)
+                net = sum((own[a.id](m) for a in instance.out_arcs(v)), ZERO) \
+                    - sum((own[a.id](m) for a in instance.in_arcs(v)), ZERO)
                 expected = ZERO
                 if v == c.origin:
                     expected = ONE if in_k else ZERO
@@ -576,8 +580,18 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                           pieces=pieces_per_commodity)
 
 
-def _partition(instance, labels_all, strategies, j, horizon):
-    """Cells of [0, horizon] on which every checked quantity is linear."""
+def _partition(instance, labels_all, strategies, j, horizon, profile):
+    """Cells of [0, horizon] on which every quantity that commodity j's
+    conditions read is linear and every arc status constant, so that one
+    probe per cell is exact.
+
+    The cuts are j's label and strategy breakpoints and, per arc, j's first
+    particles to reach the tail at the times where a foreign rate or the
+    wait q_e changes: a breakpoint of another commodity's tail label or
+    strategy, a breakpoint or zero crossing of q_e.  On that mesh the gap
+    T_e(l_u) - l_v is linear per cell, and its zero crossings finish the
+    partition.
+    """
     ls = labels_all[j]
     cuts = {ZERO, horizon}
     for f in ls.labels.values():
@@ -589,68 +603,27 @@ def _partition(instance, labels_all, strategies, j, horizon):
         lu_j = ls.labels.get(a.tail)
         if lu_j is None:
             continue
+        q = profile.waiting[a.id]
+        times = list(q.breakpoints) + zero_crossings(
+            q.breakpoints, q.values, q.initial_slope, q.final_slope)
         for i, ols in labels_all.items():
-            if i == j:
-                continue
             lu_i = ols.labels.get(a.tail)
-            if lu_i is None:
-                continue
-            marks = set(lu_i.breakpoints)
-            lv_i = ols.labels.get(a.head)
-            if lv_i is not None:
-                marks |= set(lv_i.breakpoints)
-            marks |= set(strategies.get((i, a.id), StepFunction.zero()).breakpoints)
-            for beta in marks:
-                phi = _preimage_or_none(lu_j, lu_i(beta))
-                if phi is not None and 0 < phi < horizon:
-                    cuts.add(phi)
-    cells = sorted(cuts)
-    # refine by sign changes of the per-arc gap curves against each other,
-    # zero, and the commodity's own gap (activity / resetting switches),
-    # until no new cell appears
-    per_arc = []
+            if i != j and lu_i is not None:
+                marks = sorted_union(lu_i.breakpoints, strategies.get(
+                    (i, a.id), StepFunction.zero()).breakpoints)
+                times += lu_i.at_sorted(marks)
+        lo, hi = lu_j(ZERO), lu_j(horizon)
+        cuts.update(min_preimages(lu_j, sorted(t for t in times if lo < t < hi)))
+    mesh = sorted(cuts)
+    gap_zeros = []
     for a in instance.arcs:
-        lu_j = ls.labels.get(a.tail)
-        if lu_j is not None:
-            curves = [_gap_curve(labels_all, i, a, lu_j) for i in labels_all]
-            per_arc.append([c for c in curves if c is not None])
-    budget = breakpoint_budget()
-    while True:
-        extra = []
-        for curves in per_arc:
-            table = [[curve(x) for x in cells] for curve in curves]
-            table.append([ZERO] * len(cells))
-            for p in range(len(table)):
-                for r in range(p + 1, len(table)):
-                    diff = [u - v for u, v in zip(table[p], table[r])]
-                    extra += zero_crossings(cells, diff)
-        refined = sorted_union(cells, extra)
-        if len(refined) == len(cells):
-            return list(zip(cells, cells[1:]))
-        if len(refined) > budget:
-            raise PartitionBudgetExceeded(
-                f"partition of commodity {j} passed {budget} cells")
-        cells = refined
-
-
-def _gap_curve(labels_all, i, arc, lu_j):
-    """Commodity i's label gap on ``arc`` as a function of commodity j's
-    particle (sampled through the shared tail arrival time)."""
-    ols = labels_all[i]
-    if arc.tail not in ols.labels or arc.head not in ols.labels:
-        return None
-    lu_i = ols.labels[arc.tail]
-
-    def curve(phi):
-        theta = lu_j(phi)
-        if not reaches(lu_i, theta):
-            # commodity i's labels never reach theta: none of its particles
-            # is at the tail then, so it adds no gap
-            return ZERO
-        return label_gap(ols, arc, theta)
-
-    return curve
-
-
-def _preimage_or_none(f, value):
-    return min_preimage(f, value) if reaches(f, value) else None
+        lu, lv = ls.labels.get(a.tail), ls.labels.get(a.head)
+        if lu is None or lv is None:
+            continue
+        entry = lu.at_sorted(mesh)
+        waits = profile.waiting[a.id].at_sorted(entry)
+        gap = [t + a.transit + w - l
+               for t, w, l in zip(entry, waits, lv.at_sorted(mesh))]
+        gap_zeros += zero_crossings(mesh, gap)
+    mesh = sorted_union(mesh, gap_zeros)
+    return list(zip(mesh, mesh[1:]))

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.loading import _anchor, derive_profile
-from nashflow.labels import earliest_arrival, extend_labels
+from nashflow.loading import _anchor, derive_profile, load_network
+from nashflow.labels import earliest_arrival, extend_labels, rate_over_time
 from nashflow.thinflow import verify_multicommodity_thinflow
 from nashflow.timefn import StepFunction, compose, differentiate, integrate
 
@@ -110,7 +110,8 @@ def test_arbitrary_strategies_stay_bellman_consistent():
     """For arbitrary routing strategies the extension's labels solve the
     shortest-arrival recursion against the waits it maintained: the source
     label has slope 1/r and every other label is the pointwise minimum of
-    entry + transit + wait(entry) over the incoming arcs."""
+    entry + transit + wait(entry) over the incoming arcs.  The verifier,
+    which loads the strategies into the real queues, accepts them."""
     rng = random.Random(60606)
     built = 0
     while built < 20:
@@ -143,6 +144,22 @@ def test_arbitrary_strategies_stay_bellman_consistent():
             assert "flat" in str(exc)
             continue
         built += 1
+        report = verify_multicommodity_thinflow(inst, strategies, labels, horizon,
+                                                require_tightness=False)
+        assert report.ok, (built, [str(v) for v in report.violations])
+        # the sweep's waits are the queues of the strategies loaded through
+        # the tail labels, up to the last arrival at the tail
+        _, loaded = load_network(inst, {
+            (j, e): rate_over_time(x, labels[j].labels[inst.arc(e).tail])
+            for (j, e), x in strategies.items()})
+        for e, q in waits.items():
+            tail = inst.arc(e).tail
+            end = max((ls.labels[tail](horizon) for ls in labels.values()
+                       if tail in ls.labels), default=F(0))
+            mesh = sorted({b for b in q.breakpoints + loaded.waiting[e].breakpoints
+                           if 0 <= b <= end} | {F(0), end})
+            for theta in mesh + [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]:
+                assert q(theta) == loaded.waiting[e](theta), (built, e, theta)
         for c in inst.commodities:
             ls = labels[c.id]
             source = ls.labels[c.origin]

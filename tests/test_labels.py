@@ -6,7 +6,7 @@ from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import load_network
 from nashflow.labels import (ZeroTransitArc, arc_status, earliest_arrival,
                              extend_labels, foreign_flow, foreign_rate_at,
-                             waiting_from_labels)
+                             rate_over_time, waiting_from_labels)
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -127,6 +127,31 @@ class TestWaitingFromLabels:
         q = profile.waiting["e"]
         for theta in list(q.breakpoints) + [F(1, 3), F(1, 2), F(3, 2)]:
             assert waiting_from_labels(instance, {"1": ls}, "e", theta) == q(theta)
+
+
+class TestRateOverTime:
+    def test_rate_divides_by_the_label_slope(self):
+        # particles [0, 2) at rate 1 pass at slope 2, then [2, 3) at slope 1/2
+        label = PwlFunction([0, 2, 3], [1, 5, F(11, 2)], 2, 1)
+        x = StepFunction([0, 2, 3], [1, 3, 0], 0)
+        assert rate_over_time(x, label) == StepFunction(
+            [1, 5, F(11, 2)], [F(1, 2), 6, 0], 0)
+
+    def test_flat_stretch_passes_no_time(self):
+        # particles on [1, 2) wait at time 1; the rate resumes there
+        label = PwlFunction([0, 1, 2], [0, 1, 1], 1, 1)
+        x = StepFunction([0, 1, 2, 3], [1, 0, 2, 0], 0)
+        assert rate_over_time(x, label) == StepFunction([0, 1, 2], [1, 2, 0], 0)
+
+    def test_flat_right_ray_ends_the_rate(self):
+        label = PwlFunction([0, 1], [0, 1], 1, 0)
+        assert rate_over_time(StepFunction([0, 1], [1, 0], 0), label) == \
+            StepFunction([0, 1], [1, 0], 0)
+
+    def test_rate_on_a_flat_stretch_raises(self):
+        label = PwlFunction([0, 1, 2], [0, 1, 1], 1, 1)
+        with pytest.raises(ValueError, match="flat"):
+            rate_over_time(StepFunction([0, 2], [1, 0], 0), label)
 
 
 def shared_arc_instance():

@@ -142,6 +142,19 @@ class TestViolations:
         law = [v.where for v in report.violations if v.code == "OutflowLawViolated"]
         assert law == ["[1, inf)"]
 
+    def test_witnesses_where_z_crosses_zero_on_a_ray(self):
+        # rate 2 on [0, 1) through transit 1, capacity 1, with an outflow of 1
+        # from time 1 on: z = 3 - t from time 2, so the queue stands on
+        # [2, 3) and is negative from 3 on
+        instance = single_arc()
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        flow.outflow[("1", "e")] = StepFunction([1], [1], 0)
+        flow.fill_totals(instance)
+        report = check_feasibility(instance, flow)
+        where = {v.code: v.where for v in report.violations}
+        assert where["QueueNegative"] == "3"
+        assert where["OutflowLawViolated"] == "[3, inf)"
+
     def test_leak_at_intermediate_node(self):
         instance = validate_instance(Instance(
             nodes=("s", "v", "t"),

@@ -4,15 +4,17 @@ import pytest
 
 from nashflow.netmodel import (COMMON_ORIGIN, Arc, Commodity, Instance,
                                validate_instance)
-from nashflow.loading import check_feasibility, derive_profile, load_network
+from nashflow.loading import (FlowOverTime, check_feasibility, derive_profile,
+                              load_network)
 from nashflow.labels import earliest_arrival, waiting_from_labels
 from nashflow import nash
-from nashflow.nash import (PhaseBudgetExceeded, StalledPhase,
-                           check_derivatives_thinflow,
+from nashflow.nash import (FlowReconstructionError, Phase,
+                           PhaseBudgetExceeded, StalledPhase,
+                           _reconstruct_flow, check_derivatives_thinflow,
                            construct_common_destination,
                            construct_common_origin, construct_nash_single,
                            verify_nash)
-from nashflow.timefn import StepFunction
+from nashflow.timefn import PwlFunction, StepFunction
 
 from corpus import corpus, single_arc_canonical
 
@@ -181,6 +183,44 @@ class TestCommonOrigin:
             for c in inst.commodities:
                 e = result.sink_arc_map[c.id]
                 assert p.thin.flow.get(e, F(0)) == p.thin.value * c.rate / r
+
+
+class TestReconstructFlow:
+    def instance(self):
+        return validate_instance(Instance(
+            ("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
+            (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
+
+    def test_flow_through_a_flat_tail_label_raises(self):
+        phases = [Phase(F(0), F(1), None, {"1": {"e": F(1)}})]
+        labels = {"s": PwlFunction.constant(0), "t": PwlFunction.line(1, 0, 1)}
+        with pytest.raises(FlowReconstructionError, match="commodity 1 on arc e"):
+            _reconstruct_flow(self.instance(), phases, labels)
+
+    def test_no_phases_give_the_zero_flow(self):
+        labels = {"s": PwlFunction.line(1), "t": PwlFunction.line(1, 0, 1)}
+        flow = _reconstruct_flow(self.instance(), [], labels)
+        assert flow.inflow[("1", "e")] == StepFunction.zero()
+        assert flow.outflow[("1", "e")] == StepFunction.zero()
+
+
+class TestRoundTripNeedsBoundedInflow:
+    def test_unbounded_commodity_raises(self):
+        # with unbounded inflow intervals no particle would be checked, and a
+        # tripled inflow would pass; the truncated instance catches it
+        inst = validate_instance(Instance(
+            ("s", "v", "t"),
+            (Arc("a", "s", "t", F(1), F(1)), Arc("b", "v", "t", F(1), F(1))),
+            (Commodity("1", "s", "t", F(1), F(0), None),
+             Commodity("2", "v", "t", F(1), F(0), None)), "commonDestination"))
+        result = construct_common_destination(inst, 2)
+        flow = FlowOverTime(dict(result.flow.inflow), dict(result.flow.outflow))
+        flow.inflow[("1", "a")] = flow.inflow[("1", "a")].scale(3)
+        flow.fill_totals(inst)
+        with pytest.raises(ValueError, match="unbounded"):
+            check_derivatives_thinflow(inst, flow)
+        report = check_derivatives_thinflow(result.instance, flow)
+        assert "StaticFlowViolated" in {v.code for v in report.violations}
 
 
 class TestVerifyNashNegative:

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -6,8 +7,9 @@ import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.labels import LabelSet, extend_labels
+from nashflow.loading import QueueProfile
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
-                               PartitionBudgetExceeded, ThinFlow, _partition,
+                               ThinFlow, _partition,
                                check_multisource_thinflow, check_thinflow,
                                decompose,
                                solve_thinflow_multisource,
@@ -456,8 +458,70 @@ class TestVerifyMulticommodity:
         assert any(v.code == "SupportViolated" for v in report.violations)
 
 
+    def test_flow_into_an_unreached_tail_raises(self):
+        instance = validate_instance(Instance(
+            nodes=("s", "t", "u"),
+            arcs=(Arc("e", "s", "t", F(1), F(1)), Arc("f", "u", "t", F(1), F(1))),
+            commodities=(Commodity("1", "s", "t", F(1), F(0), F(1)),),
+        ))
+        one = StepFunction([0, 1], [1, 0], 0)
+        labels = extend_labels(instance, {("1", "e"): one}, 1)
+        with pytest.raises(ValueError, match="arc f"):
+            verify_multicommodity_thinflow(
+                instance, {("1", "e"): one, ("1", "f"): one}, labels, 1)
+
+
+class TestBypassedQueue:
+    """Extended labels are certified against the real queues, also where a
+    queue stands on an arc that the labels bypass (m1 -> m2 here)."""
+
+    ARCS = (("a1", "s1", "m1", 1, 2), ("a2", "s1", "m2", 2, 2),
+            ("b1", "s2", "m1", 1, 2), ("b2", "s2", "m2", 1, 2),
+            ("c", "m1", "m2", 1, 1), ("d1", "m1", "t", 2, 1),
+            ("d2", "m2", "t", 1, 1))
+    PATHS = {"1": (("a1", "d1"), ("a1", "c", "d2"), ("a2", "d2")),
+             "2": (("b1", "d1"), ("b1", "c", "d2"), ("b2", "d2"))}
+    HORIZON = F(4)
+
+    def instance(self):
+        return validate_instance(Instance(
+            ("s1", "s2", "m1", "m2", "t"),
+            tuple(Arc(e, u, v, F(tau), F(nu)) for e, u, v, tau, nu in self.ARCS),
+            (Commodity("1", "s1", "t", F(2), F(0), F(2)),
+             Commodity("2", "s2", "t", F(3, 2), F(1, 2), F(1, 2) + F(8, 3)))))
+
+    def strategies(self, seed):
+        """Each commodity splits over its three paths by weights 1..4 that
+        switch at six seeded particles."""
+        rng = random.Random(seed)
+        strategies = {}
+        for j, paths in self.PATHS.items():
+            cuts = [F(0)] + [self.HORIZON * F(k, 64)
+                             for k in sorted(rng.sample(range(1, 64), 6))]
+            shares = {e: [F(0)] * len(cuts) for path in paths for e in path}
+            for k in range(len(cuts)):
+                weights = [rng.randint(1, 4) for _ in paths]
+                for path, w in zip(paths, weights):
+                    for e in path:
+                        shares[e][k] += F(w, sum(weights))
+            for e, values in shares.items():
+                strategies[(j, e)] = StepFunction(cuts + [self.HORIZON],
+                                                  values + [F(0)])
+        return strategies
+
+    def test_extended_labels_pass(self):
+        instance = self.instance()
+        for seed in range(25):
+            strategies = self.strategies(seed)
+            labels = extend_labels(instance, strategies, self.HORIZON)
+            report = verify_multicommodity_thinflow(
+                instance, strategies, labels, self.HORIZON,
+                require_tightness=False)
+            assert report.ok, (seed, [str(v) for v in report.violations])
+
+
 class TestPartition:
-    """The verifier's partition refines until no new cell appears."""
+    """The verifier's partition cuts where an arc's activity switches."""
 
     @staticmethod
     def _crossing_gap():
@@ -472,10 +536,6 @@ class TestPartition:
 
     def test_refines_at_gap_crossings(self):
         instance, labels = self._crossing_gap()
-        assert _partition(instance, labels, {}, "1", F(2)) == [(0, 1), (1, 2)]
-
-    def test_budget_stops_refinement(self, monkeypatch):
-        instance, labels = self._crossing_gap()
-        monkeypatch.setenv("NASHFLOW_MAX_BREAKPOINTS", "2")
-        with pytest.raises(PartitionBudgetExceeded):
-            _partition(instance, labels, {}, "1", F(2))
+        no_queue = QueueProfile(volume={}, waiting={"e": PwlFunction.constant(0)},
+                                exit_time={})
+        assert _partition(instance, labels, {}, "1", F(2), no_queue) == [(0, 1), (1, 2)]

@@ -1,6 +1,9 @@
 """Checks on the source tree itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,16 @@ def test_no_raise_assertion_error(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 9
+
+
+def test_benchmark_tracer_names_exist():
+    """Every function the benchmark's tracer wraps exists in its layer, so
+    ``perfbench/run.py --trace 1`` cannot break on a renamed function."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"nashflow.{layer}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
