@@ -3,7 +3,8 @@
 Subcommands: validate, load, thinflow, nash, verify, labels.  Machine
 formats carry rationals as integers or "p/q" strings; reports are written
 even on failure so runs can be diffed.  Exit codes: 0 success or
-certificate, 1 violations (report written), 2 input errors.
+certificate, 1 violations (report written), 2 input errors, 3 internal
+errors (a broken invariant of the program itself).
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ from pathlib import Path
 
 from . import labels as labels_mod
 from . import nash as nash_mod
-from .loading import (check_feasibility, derive_profile, flow_from_json,
-                      flow_to_json, inflows_from_json, load_network)
-from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, instance_from_json,
-                       validate_instance)
+from .loading import (LoadingInvariantBroken, check_feasibility, derive_profile,
+                      flow_from_json, flow_to_json, inflows_from_json, load_network)
+from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, InvalidDerivedInstance,
+                       instance_from_json, validate_instance)
 from .rationals import parse_rational
-from .thinflow import solve_thinflow_multisource, solve_thinflow_single
+from .thinflow import (DecompositionError, solve_thinflow_multisource,
+                       solve_thinflow_single)
+from .timefn import SweepInvariantBroken
+
+# faults of the program rather than of its input: exit code 3
+PROGRAM_FAULTS = (SweepInvariantBroken, LoadingInvariantBroken, DecompositionError,
+                  nash_mod.FlowReconstructionError, InvalidDerivedInstance)
 
 
 def _read_json(path):
@@ -141,14 +148,13 @@ def cmd_nash(args):
     instance = _valid_instance(args.instance)
     try:
         result = _construct(instance, args)
+        # construct-then-verify gate: never exit 0 on an uncertified equilibrium
+        report = nash_mod.verify_nash(result.instance, result.flow)
     except (nash_mod.PhaseBudgetExceeded, nash_mod.StalledPhase,
-            nash_mod.NotFeasible) as exc:
+            *PROGRAM_FAULTS) as exc:
         _write_report(args.out or "nash.json", {"ok": False, "error": str(exc)},
                       args.quiet)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # construct-then-verify gate: never exit 0 on an uncertified equilibrium
-    report = nash_mod.verify_nash(result.instance, result.flow)
+        raise  # main reports it and picks the exit code
     doc = result.to_json()
     doc["verification"] = report.to_json()
     _write_report(args.out or "nash.json", doc, args.quiet)
@@ -255,6 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except PROGRAM_FAULTS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError, RuntimeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,18 +8,19 @@ labels of an equilibrium, turns a per-particle rate into a rate over time
 through a label, differentiates the foreign flow (the other commodities'
 traffic as one commodity samples it), and extends labels from
 scratch for given per-particle routing strategies by an exact time-frontier
-sweep, which grows the labels and the queues as ``timefn.GrowingPwl`` curves.
+sweep, which grows the labels and the queues as ``timefn.GrowingPwl`` curves
+and reads them, and the strategies, through forward ``timefn.Cursor``s.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .netmodel import INF, Instance, transit_distances
+from .netmodel import INF, Arc, Instance, transit_distances
 from .loading import QueueProfile
-from .timefn import (ZERO, GrowingPwl, PwlFunction, StepFunction,
+from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
                      compose, differentiate, integrate, min_compose,
                      min_preimage, sorted_union)
@@ -52,9 +53,6 @@ class LabelSet:
     commodity: str
     labels: dict[str, PwlFunction]
     phi_max: Fraction | None = None
-
-    def label(self, node: str) -> PwlFunction:
-        return self.labels[node]
 
 
 def earliest_arrival(instance: Instance, profile: QueueProfile, commodity_id: str,
@@ -243,12 +241,12 @@ def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
 
 @dataclass
 class _Candidate:
-    arc_id: str
-    tail: str
+    arc: Arc
+    tail: Cursor  # on the tail label, read at the head's frontier particle
+    queue: Cursor  # on the arc's queue, read at that particle's entry time
     pending: bool
     value: Fraction | None = None
     slope: Fraction | None = None
-    entry_time: Fraction | None = None
     entry_slope: Fraction | None = None  # slope of the tail label at the sample
 
 
@@ -298,6 +296,11 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     # waiting times over entry times, with no queue before time 0
     queues = {a.id: GrowingPwl(f"waiting time on arc {a.id}", ZERO, ZERO, ZERO, ZERO)
               for a in instance.arcs}
+    # every read moves forward; a strategy is read at its tail's frontier
+    cursors = {(c.id, a.id): (Cursor(tracks[(c.id, a.tail)]), Cursor(queues[a.id]))
+               for c in comms for a in instance.arcs if a.tail in reach[c.id]}
+    rates = {(j, e): Cursor(f, f"strategy of {j} on arc {e}")
+             for (j, e), f in strategies.items()}
     in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
     out_arcs = {v: instance.out_arcs(v) for v in instance.nodes}
     theta0 = ZERO
@@ -308,20 +311,17 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         for a in in_arcs[v]:
             if a.tail not in reach[j]:
                 continue
-            track_u = tracks[(j, a.tail)]
-            if track_v.edge >= track_u.edge:
+            tail, queue = cursors[(j, a.id)]
+            if track_v.edge >= tail.curve.edge:
                 # at or beyond the tail's frontier the entry time is the
                 # current moment or later, so the candidate trails the label
                 # by at least the transit time; recheck within one transit
-                result.append(_Candidate(a.id, a.tail, pending=True))
+                result.append(_Candidate(a, tail, queue, pending=True))
                 continue
-            entry = track_u.value_at(track_v.edge)
-            queue = queues[a.id]
-            value = entry + a.transit + queue.value_at(entry)
-            entry_slope = track_u.slope_right(track_v.edge)
-            slope = entry_slope * (1 + queue.slope_right(entry))
-            result.append(_Candidate(a.id, a.tail, False, value, slope,
-                                     entry, entry_slope))
+            entry, entry_slope = tail.curve_at(track_v.edge)
+            wait, wait_slope = queue.curve_at(entry)
+            result.append(_Candidate(a, tail, queue, False, entry + a.transit + wait,
+                                     entry_slope * (1 + wait_slope), entry_slope))
         return result
 
     def winner_slope(j: str, v: str):
@@ -335,18 +335,18 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         for c in live:
             if c.value < theta0:
                 raise SweepInvariantBroken(
-                    f"label invariant broken at ({j}, {v}): arc {c.arc_id} "
+                    f"label invariant broken at ({j}, {v}): arc {c.arc.id} "
                     f"reaches {c.value} before the frontier time {theta0}")
         return min(c.slope for c in tied), cands
 
     def mass_on(j: str, v: str, lo: Fraction, hi: Fraction) -> bool:
-        """Positive strategy rate of commodity j out of v anywhere on (lo, hi)."""
+        """Positive strategy rate of commodity j out of v anywhere on [lo, hi)."""
         for a in out_arcs[v]:
-            f = strategies.get((j, a.id))
-            if f is None:
-                continue
-            if f(lo) > 0 or any(f(b) > 0 for b in f.breakpoints if lo < b < hi):
-                return True
+            rate, b = rates.get((j, a.id)), lo
+            while rate is not None and b is not None and b < hi:
+                if rate.step_at(b) > 0:
+                    return True
+                b = rate.next_anchor()
         return False
 
     def process_flat(j: str, v: str):
@@ -361,15 +361,13 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                     and c.slope == 0]
             next_phi = None
             for c in tied:
-                track_u = tracks[(j, c.tail)]
-                nb = track_u.next_anchor_after(track_v.edge)
-                if nb is None or nb > track_u.edge:
-                    nb = track_u.edge
+                nb = c.tail.next_anchor()
+                if nb is None or nb > c.tail.curve.edge:
+                    nb = c.tail.curve.edge
                 stops = [nb]
-                qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
+                qnext = c.queue.next_anchor()
                 if qnext is not None and c.entry_slope > 0:
-                    stops.append(track_v.edge
-                                 + (qnext - c.entry_time) / c.entry_slope)
+                    stops.append(track_v.edge + (qnext - c.queue.x) / c.entry_slope)
                 stop = min(stops)
                 if stop > track_v.edge and (next_phi is None or stop < next_phi):
                     next_phi = stop
@@ -382,11 +380,8 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             track_v.commit(ZERO)
             track_v.advance(next_phi - track_v.edge)
 
-    iterations = 0
-    while True:
-        iterations += 1
-        total_pts = sum(len(t.xs) for t in tracks.values()) \
-            + sum(len(q.xs) for q in queues.values())
+    for iterations in count(1):
+        total_pts = sum(len(g.xs) for g in (*tracks.values(), *queues.values()))
         if total_pts > budget or iterations > budget:
             raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
 
@@ -406,24 +401,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         if all(t.edge >= horizon for t in tracks.values()):
             break
 
-        # virtual inflow rates and queue slopes
-        for a in instance.arcs:
-            rate = ZERO
-            for c in comms:
-                if a.tail not in reach[c.id]:
-                    continue
-                f = strategies.get((c.id, a.id))
-                if f is None:
-                    continue
-                track_u = tracks[(c.id, a.tail)]
-                x = f(track_u.edge)
-                if x != 0:
-                    rate += x / track_u.slope
-            q = queues[a.id]
-            growth = rate / a.capacity - 1
-            q.commit(growth if q.value > 0 else max(growth, ZERO))
-
-        # next event
+        # the next event, found along the way
         delta = None
 
         def note(d):
@@ -431,43 +409,54 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             if d is not None and d > 0 and (delta is None or d < delta):
                 delta = d
 
+        # virtual inflow rates and queue slopes; strategy breakpoints and
+        # queues running dry
+        for a in instance.arcs:
+            rate = ZERO
+            for c in comms:
+                if a.tail not in reach[c.id]:
+                    continue
+                f = rates.get((c.id, a.id))
+                if f is None:
+                    continue
+                track_u = tracks[(c.id, a.tail)]
+                x = f.step_at(track_u.edge)
+                if x != 0:
+                    rate += x / track_u.slope
+                nb = f.next_anchor()
+                if nb is not None:
+                    note((nb - track_u.edge) * track_u.slope)
+            q = queues[a.id]
+            growth = rate / a.capacity - 1
+            q.commit(growth if q.value > 0 else max(growth, ZERO))
+            if q.value > 0 and q.slope < 0:
+                note(q.value / (-q.slope))
+
+        # label events; these next-anchor reads come after the commits above,
+        # which can append an anchor beyond the point a cursor last read
         for (j, v), cands in cand_map.items():
             track_v = tracks[(j, v)]
             m_v = track_v.slope
             for c in cands:
                 if c.pending:
-                    note(instance.arc(c.arc_id).transit)
+                    note(c.arc.transit)
                     continue
                 if c.value > theta0:
                     denom = 1 - c.slope / m_v
                     if denom > 0:
                         note((c.value - theta0) / denom)
-                track_u = tracks[(j, c.tail)]
-                nb = track_u.next_anchor_after(track_v.edge)
+                track_u = c.tail.curve
+                nb = c.tail.next_anchor()
                 if nb is not None:
                     note((nb - track_v.edge) * m_v)
                 if c.entry_slope and c.entry_slope > 0:
-                    qnext = queues[c.arc_id].next_anchor_after(c.entry_time)
+                    qnext = c.queue.next_anchor()
                     if qnext is not None:
-                        note((qnext - c.entry_time) * m_v / c.entry_slope)
+                        note((qnext - c.queue.x) * m_v / c.entry_slope)
                 # frontier of v catching up with the data of u
                 if track_u.slope is not None and m_v < track_u.slope:
                     gap = track_u.edge - track_v.edge
                     note(gap / (1 / m_v - 1 / track_u.slope))
-        for c in comms:
-            for v in reach[c.id]:
-                track = tracks[(c.id, v)]
-                for a in out_arcs[v]:
-                    f = strategies.get((c.id, a.id))
-                    if f is None:
-                        continue
-                    k = bisect_right(f.breakpoints, track.edge)
-                    if k < len(f.breakpoints):
-                        note((f.breakpoints[k] - track.edge) * track.slope)
-        for a in instance.arcs:
-            q = queues[a.id]
-            if q.value > 0 and q.slope < 0:
-                note(q.value / (-q.slope))
         if delta is None:
             # no structural events ahead: jump straight to the horizon
             delta = max((horizon - t.edge) * t.slope

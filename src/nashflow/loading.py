@@ -9,7 +9,6 @@ feasibility checker that certifies the flow dynamics piece by piece.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -465,8 +464,3 @@ def flow_from_json(instance: Instance, doc: dict) -> FlowOverTime:
             flow.inflow.setdefault((c.id, a.id), StepFunction.zero())
             flow.outflow.setdefault((c.id, a.id), StepFunction.zero())
     return flow.fill_totals(instance)
-
-
-def load_flow_file(instance: Instance, path) -> FlowOverTime:
-    with open(path, "r", encoding="utf-8") as fh:
-        return flow_from_json(instance, json.load(fh))

@@ -45,10 +45,6 @@ class StalledPhase(RuntimeError):
         self.particle = particle
 
 
-class NotFeasible(RuntimeError):
-    """Equilibrium verification is gated on flow feasibility."""
-
-
 class FlowReconstructionError(RuntimeError):
     """Phase flows put mass where the labels leave no time for it."""
 

@@ -23,8 +23,10 @@ two-pointer pass), and ``min_compose`` of k functions on a mesh of N points
 costs O(k^2 N).  ``min_preimage`` is a bisection on the values,
 O(log n), and ``min_preimages`` answers m non-decreasing queries in
 O(n + m).  A ``GrowingPwl``, the curve that a forward sweep grows, appends an
-anchor only where its slope changes, and its reads bisect into the anchors,
-O(log n).
+anchor only where its slope changes.  A ``Cursor`` reads it, or a step
+function, at non-decreasing points: each read steps forward over the anchors
+it passes, O(1) amortized, so m reads of a curve with n anchors cost
+O(n + m) in all.
 """
 
 from __future__ import annotations
@@ -210,12 +212,6 @@ class StepFunction:
                    [parse_rational(v) for v in doc.get("values", [])],
                    parse_rational(doc.get("initial", 0)))
 
-    def csv_rows(self):
-        yield ("breakpoint", "value")
-        for b, v in zip(self.breakpoints, self.values):
-            from .rationals import format_rational
-            yield (format_rational(b), format_rational(v))
-
 
 _ZERO_STEP = StepFunction()
 
@@ -330,10 +326,6 @@ class PwlFunction:
             x = Fraction(x)
         return self._slope_on(bisect_left(self.breakpoints, x) - 1)
 
-    def segment_slopes(self) -> list[Fraction]:
-        """Slopes on [b_k, b_{k+1}] for consecutive anchors."""
-        return list(self._slopes)
-
     def __add__(self, other: "PwlFunction") -> "PwlFunction":
         bps = sorted_union(self.breakpoints, other.breakpoints)
         return PwlFunction(bps, [a + b for a, b in zip(self.at_sorted(bps),
@@ -409,8 +401,7 @@ class GrowingPwl:
 
     ``xs``/``ys`` are its committed anchors; from the last one it runs with
     ``slope`` (None until first committed) to the live edge, where it has
-    ``value``.  Left of the first anchor it runs with ``tail_slope``.  Reads
-    bisect into the anchors and raise SweepInvariantBroken past the edge.
+    ``value``.  Left of the first anchor it runs with ``tail_slope``.
     """
 
     def __init__(self, name: str, x0: Fraction, y0: Fraction,
@@ -420,31 +411,6 @@ class GrowingPwl:
         self._right = []  # slope right of every anchor but the last
         self.edge, self.value = x0, y0
         self.tail_slope, self.slope = tail_slope, slope
-
-    def _segment(self, x: Fraction) -> int:
-        if x > self.edge:
-            raise SweepInvariantBroken(
-                f"{self.name}: {x} read beyond the edge {self.edge}")
-        return bisect_right(self.xs, x) - 1
-
-    def _slope_on(self, i: int) -> Fraction | None:
-        if i < 0:
-            return self.tail_slope
-        return self._right[i] if i < len(self._right) else self.slope
-
-    def value_at(self, x: Fraction) -> Fraction:
-        i = self._segment(x)
-        if i < 0:
-            return self.ys[0] + self.tail_slope * (x - self.xs[0])
-        d = x - self.xs[i]
-        return self.ys[i] + self._slope_on(i) * d if d else self.ys[i]
-
-    def slope_right(self, x: Fraction) -> Fraction | None:
-        return self._slope_on(self._segment(x))
-
-    def next_anchor_after(self, x: Fraction) -> Fraction | None:
-        k = bisect_right(self.xs, x)
-        return self.xs[k] if k < len(self.xs) else None
 
     def commit(self, slope: Fraction):
         """Run on with ``slope`` from the edge, anchoring the edge if the
@@ -466,6 +432,58 @@ class GrowingPwl:
             xs, ys = xs + [self.edge], ys + [self.value]
         return PwlFunction(xs, ys, self.tail_slope,
                            self.tail_slope if self.slope is None else self.slope)
+
+
+class Cursor:
+    """Reads a ``GrowingPwl``, which may grow between reads, or a
+    ``StepFunction`` at non-decreasing points, in O(1) amortized each.
+
+    It keeps ``i``, the index of the last anchor at or before ``x``, the
+    point last read, and only moves it forward.  A read behind ``x``, or past
+    the edge of a growing curve, raises SweepInvariantBroken naming the curve.
+    """
+
+    __slots__ = ("name", "curve", "xs", "i", "x", "n")
+
+    def __init__(self, curve, name: str | None = None):
+        self.curve, self.name = curve, name or curve.name
+        self.xs = curve.xs if curve.__class__ is GrowingPwl else curve.breakpoints
+        self.i, self.x, self.n = -1, None, 0  # n: len(xs) at the last read
+
+    def _seek(self, x: Fraction) -> int:
+        if x is not self.x and self.x is not None and x < self.x:
+            raise SweepInvariantBroken(
+                f"{self.name}: {x} read behind the cursor at {self.x}")
+        xs, i = self.xs, self.i
+        last = len(xs) - 1
+        while i < last and xs[i + 1] <= x:
+            i += 1
+        self.i, self.x, self.n = i, x, last + 1
+        return i
+
+    def curve_at(self, x: Fraction) -> tuple[Fraction, Fraction | None]:
+        """Value and right slope of the growing curve at x."""
+        g = self.curve
+        if x > g.edge:
+            raise SweepInvariantBroken(f"{self.name}: {x} read beyond the edge {g.edge}")
+        i = self._seek(x)
+        if i < 0:
+            return g.ys[0] + g.tail_slope * (x - g.xs[0]), g.tail_slope
+        slope = g._right[i] if i < len(g._right) else g.slope
+        d = x - g.xs[i]
+        return (g.ys[i] + slope * d if d else g.ys[i]), slope
+
+    def step_at(self, x: Fraction) -> Fraction:
+        """Value of the step function at x."""
+        i = self._seek(x)
+        return self.curve.initial if i < 0 else self.curve.values[i]
+
+    def next_anchor(self) -> Fraction | None:
+        """The first anchor beyond ``x``, counting the anchors a growing
+        curve has appended since; None if there is none."""
+        xs = self.xs
+        i = (self.i if len(xs) == self.n else self._seek(self.x)) + 1
+        return xs[i] if i < len(xs) else None
 
 
 def integrate(f: StepFunction, start) -> PwlFunction:
@@ -495,7 +513,7 @@ def differentiate(F: PwlFunction) -> StepFunction:
     if len(bps) == 1:
         # single anchor: initial slope left of it, final slope from it on
         return StepFunction((bps[0],), (F.final_slope,), F.initial_slope)
-    vals = F.segment_slopes() + [F.final_slope]
+    vals = list(F._slopes) + [F.final_slope]
     return StepFunction(bps, vals, F.initial_slope)
 
 
@@ -551,13 +569,6 @@ def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
             return lo
     # from here on any preimage lies strictly above lo (F is non-decreasing)
     return _leftmost_preimage(F, value, bisect_left(F.values, value))
-
-
-def reaches(F: PwlFunction, value) -> bool:
-    """True iff the non-decreasing F attains ``value`` at a smallest x, that
-    is, iff ``min_preimage(F, value)`` returns rather than raising."""
-    return ((F.initial_slope > 0 or value > F.values[0])
-            and (F.final_slope > 0 or value <= F.values[-1]))
 
 
 def min_preimages(F: PwlFunction, values) -> list[Fraction]:

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from nashflow import nash as nash_mod
 from nashflow.cli import main
-from nashflow.netmodel import instance_to_json
-from nashflow.loading import flow_to_json, load_network
-from nashflow.timefn import StepFunction
+from nashflow.netmodel import InvalidDerivedInstance, instance_to_json
+from nashflow.loading import LoadingInvariantBroken, flow_to_json, load_network
+from nashflow.nash import FlowReconstructionError
+from nashflow.thinflow import DecompositionError
+from nashflow.timefn import StepFunction, SweepInvariantBroken
 
 from corpus import single_arc_canonical
 
@@ -173,6 +176,25 @@ def test_nash_constructor_failure_writes_report(single_arc_file, tmp_path, capsy
     assert err.startswith("error: ")
     assert json.loads(out.read_text()) == {"ok": False,
                                            "error": err[len("error: "):].strip()}
+
+
+@pytest.mark.parametrize("fault", [SweepInvariantBroken, LoadingInvariantBroken,
+                                   FlowReconstructionError, DecompositionError,
+                                   InvalidDerivedInstance],
+                         ids=lambda cls: cls.__name__)
+def test_program_fault_is_exit_3_with_report(fault, single_arc_file, tmp_path,
+                                             monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise fault("invariant broken here")
+
+    monkeypatch.setattr(nash_mod, "construct_nash_single", broken)
+    out = tmp_path / "n.json"
+    code = main(["nash", str(single_arc_file), "--horizon", "2",
+                 "--out", str(out), "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: invariant broken here\n"
+    assert json.loads(out.read_text()) == {"ok": False,
+                                           "error": "invariant broken here"}
 
 
 def test_labels_command(single_arc_file, tmp_path):

@@ -11,8 +11,8 @@ from nashflow.labels import (BreakpointBudgetExceeded, SweepInvariantBroken,
                              earliest_arrival, extend_labels)
 from nashflow.nash import FlowReconstructionError, Phase, _reconstruct_flow
 from nashflow.thinflow import verify_multicommodity_thinflow
-from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, compose,
-                             differentiate)
+from nashflow.timefn import (Cursor, GrowingPwl, PwlFunction, StepFunction,
+                             compose, differentiate)
 
 from corpus import corpus
 from test_loading import random_inflows, random_instance
@@ -140,6 +140,27 @@ class TestImpulseRejection:
         with pytest.raises(ValueError, match="flat"):
             extend_labels(instance, strategies, 2)
 
+    @pytest.mark.parametrize("inside,rejected", [(1, True), (0, False)])
+    def test_mass_inside_a_label_flat(self, inside, rejected):
+        # v's label is flat on particles [1, 2]; the strategy out of v is
+        # zero where the flat starts and sends ``inside`` on [3/2, 2)
+        instance = validate_instance(Instance(
+            ("s", "v", "t"),
+            (Arc("a", "s", "v", F(1), F(1)), Arc("b", "v", "t", F(1), F(1))),
+            (Commodity("1", "s", "t", F(2), F(0), F(1)),),
+        ))
+        strategies = {
+            ("1", "a"): StepFunction([0, 1], [1, 0], 0),
+            ("1", "b"): StepFunction([0, 1, F(3, 2), 2], [1, 0, inside, 0], 0),
+        }
+        if rejected:
+            with pytest.raises(ValueError, match="flat at node v"):
+                extend_labels(instance, strategies, 2)
+        else:
+            labels = extend_labels(instance, strategies, 2)
+            assert labels["1"].labels["v"] == PwlFunction([0, 1, 2], [1, 2, 2],
+                                                          F(1, 2), F(1, 2))
+
 
 class TestTypedInvariantErrors:
     """Invariant checks raise typed errors that name what broke."""
@@ -148,12 +169,12 @@ class TestTypedInvariantErrors:
         track = GrowingPwl("label of 1 at t", F(0), F(0), F(1), F(1))
         track.advance(F(1))
         with pytest.raises(SweepInvariantBroken, match="label of 1 at t: 2 "):
-            track.value_at(F(2))
+            Cursor(track).curve_at(F(2))
 
     def test_queue_sampled_beyond_its_edge(self):
         queue = GrowingPwl("waiting time on arc e", F(0), F(0), F(0), F(0))
         with pytest.raises(SweepInvariantBroken, match="arc e:"):
-            queue.value_at(F(1))
+            Cursor(queue).curve_at(F(1))
 
     def test_flow_on_an_arc_without_labels(self):
         instance = validate_instance(Instance(

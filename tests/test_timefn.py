@@ -1,13 +1,14 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction,
+from nashflow.timefn import (Cursor, GrowingPwl, PwlFunction, StepFunction,
                              SweepInvariantBroken, ValueNotAttained, compose,
                              differentiate, first_difference, integrate,
-                             min_compose, min_preimage, reaches)
+                             min_compose, min_preimage)
 
 F = Fraction
 
@@ -268,18 +269,6 @@ class TestKeptSlopes:
                                   for k in range(len(bps) - 1))
 
 
-class TestReaches:
-    @given(monotone_pwl(), rationals(-10, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_iff_min_preimage_returns(self, f, y):
-        try:
-            min_preimage(f, y)
-            found = True
-        except ValueNotAttained:
-            found = False
-        assert reaches(f, y) == found
-
-
 def _difference_probes(a, b):
     """The probes first_difference promises, in increasing order."""
     mesh = sorted(set(a.breakpoints) | set(b.breakpoints))
@@ -312,6 +301,11 @@ class TestFirstDifference:
         assert first_difference(a, b) == (0, 3, 0)
 
 
+def _next_anchor(xs, x):
+    """The first anchor beyond x, by a scan over all of them."""
+    return next((b for b in xs if b > x), None)
+
+
 class TestGrowingPwl:
     @given(rationals(), rationals(), rationals(-3, 3),
            st.lists(st.tuples(rationals(-3, 3), rationals(0, 3)), min_size=1, max_size=8),
@@ -323,16 +317,14 @@ class TestGrowingPwl:
             g.commit(slope)
             g.advance(dx)
         f = g.finish()
-        for x in probes + g.xs + [g.edge]:
+        cursor = Cursor(g)
+        for x in sorted(probes + g.xs + [g.edge]):
             if x > g.edge:
                 with pytest.raises(SweepInvariantBroken, match="g: "):
-                    g.value_at(x)
-                with pytest.raises(SweepInvariantBroken, match="g: "):
-                    g.slope_right(x)
+                    cursor.curve_at(x)
                 continue
-            assert g.value_at(x) == f(x)
-            assert g.slope_right(x) == f.slope_right(x)
-            assert g.next_anchor_after(x) == next((b for b in g.xs if b > x), None)
+            assert cursor.curve_at(x) == (f(x), f.slope_right(x))
+            assert cursor.next_anchor() == _next_anchor(g.xs, x)
 
     def test_anchors_only_where_the_slope_changes(self):
         g = GrowingPwl("g", F(0), F(0), F(1))
@@ -341,3 +333,73 @@ class TestGrowingPwl:
             g.advance(F(1))
         assert g.xs == [F(0), F(2)] and g.edge == 4 and g.value == 6
         assert g.finish() == PwlFunction([0, 2], [0, 2], 1, 2)
+
+
+# one step of an interleaved run: grow the curve by (slope, dx), read it at
+# the fraction t of the way from the last read to the edge, or ask for the
+# next anchor
+_growths = st.tuples(st.just("grow"), rationals(-3, 3), rationals(0, 3))
+_reads = st.tuples(st.just("read"), st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]))
+_next = st.tuples(st.just("next"))
+
+
+class TestCursor:
+    @given(rationals(), rationals(), rationals(-3, 3), rationals(0, 5),
+           st.lists(st.one_of(_growths, _reads, _next), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_reads_while_the_curve_grows(self, x0, y0, tail, behind, ops):
+        g = GrowingPwl("g", x0, y0, tail, F(1))
+        cursor = Cursor(g)
+        last = x0 - behind  # the first read may lie left of the first anchor
+        reads = []
+        for op in ops:
+            if op[0] == "grow":
+                g.commit(op[1])
+                g.advance(op[2])
+            elif op[0] == "read":
+                x = last + op[1] * (g.edge - last)
+                value, slope = cursor.curve_at(x)
+                reads.append((x, value, slope, g.edge, g.slope))
+                last = x
+            elif reads:
+                assert cursor.next_anchor() == _next_anchor(g.xs, last)
+        f = g.finish()
+        for x, value, slope, edge, live_slope in reads:
+            assert value == f(x)
+            # at the edge the slope is the live one; a later commit may
+            # anchor a new slope right there
+            assert slope == (live_slope if x == edge else f.slope_right(x))
+
+    @given(step_functions(), st.lists(rationals(-30, 30), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_step_function_reads(self, f, probes):
+        cursor = Cursor(f, "f")
+        for x in sorted(probes + list(f.breakpoints)):
+            assert cursor.step_at(x) == f(x)
+            k = bisect_right(f.breakpoints, x)
+            assert cursor.next_anchor() == (f.breakpoints[k] if k < len(f.breakpoints)
+                                            else None)
+
+    def test_next_anchor_sees_an_anchor_appended_at_the_read_point(self):
+        g = GrowingPwl("g", F(0), F(0), F(1), F(1))
+        g.advance(F(2))
+        cursor = Cursor(g)
+        assert cursor.curve_at(F(2)) == (2, 1) and cursor.next_anchor() is None
+        g.commit(F(3))  # anchors the edge, where the cursor read
+        g.advance(F(1))
+        g.commit(F(0))
+        assert cursor.next_anchor() == 3
+
+    @pytest.mark.parametrize("kind", ["growing", "step"])
+    def test_backward_read_raises(self, kind):
+        if kind == "growing":
+            g = GrowingPwl("g", F(0), F(0), F(1), F(1))
+            g.advance(F(3))
+            read = Cursor(g, "curve c").curve_at
+        else:
+            read = Cursor(StepFunction([1, 2], [1, 0]), "curve c").step_at
+        read(F(3, 2))
+        read(F(3, 2))  # the same point again is fine
+        with pytest.raises(SweepInvariantBroken,
+                           match="curve c: 5/4 read behind the cursor at 3/2"):
+            read(F(5, 4))
