@@ -10,6 +10,7 @@ errors (a broken invariant of the program itself).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -29,6 +30,8 @@ from .timefn import SweepInvariantBroken
 # faults of the program rather than of its input: exit code 3
 PROGRAM_FAULTS = (SweepInvariantBroken, LoadingInvariantBroken, DecompositionError,
                   nash_mod.FlowReconstructionError, InvalidDerivedInstance)
+DEFAULT_REPORTS = {"load": "load_report.json", "thinflow": "thinflow.json",
+                   "nash": "nash.json", "verify": "verify_report.json"}
 
 
 def _read_json(path):
@@ -93,11 +96,10 @@ def cmd_load(args):
     if args.format == "json":
         doc["queues"] = {e: profile.volume[e].to_json() for e in profile.volume}
         doc["exit_times"] = {e: profile.exit_time[e].to_json() for e in profile.exit_time}
-        _write_report(args.out or "load_report.json", doc, args.quiet)
+        _write_report(args.out, doc, args.quiet)
     else:
-        _write_report(args.out or "load_report.json",
-                      {"feasibility": report.to_json()}, args.quiet)
-        stem = Path(args.out or "load_report.json").with_suffix("")
+        _write_report(args.out, {"feasibility": report.to_json()}, args.quiet)
+        stem = Path(args.out).with_suffix("")
         for e in profile.volume:
             _export_pwl_csv(f"{stem}_queue_{e}.csv", profile.volume[e])
             _export_pwl_csv(f"{stem}_waiting_{e}.csv", profile.waiting[e])
@@ -126,7 +128,7 @@ def cmd_thinflow(args):
             instance, active, resetting, str(config["source"]),
             str(config["sink"]), parse_rational(config["rate"]),
             parse_rational(config.get("value", 1)))
-    _write_report(args.out or "thinflow.json", thin.to_json(), args.quiet)
+    _write_report(args.out, thin.to_json(), args.quiet)
     if not args.quiet:
         print("thin flow solved")
     return 0
@@ -146,20 +148,14 @@ def _construct(instance, args):
 
 def cmd_nash(args):
     instance = _valid_instance(args.instance)
-    try:
-        result = _construct(instance, args)
-        # construct-then-verify gate: never exit 0 on an uncertified equilibrium
-        report = nash_mod.verify_nash(result.instance, result.flow)
-    except (nash_mod.PhaseBudgetExceeded, nash_mod.StalledPhase,
-            *PROGRAM_FAULTS) as exc:
-        _write_report(args.out or "nash.json", {"ok": False, "error": str(exc)},
-                      args.quiet)
-        raise  # main reports it and picks the exit code
+    result = _construct(instance, args)
+    # construct-then-verify gate: never exit 0 on an uncertified equilibrium
+    report = nash_mod.verify_nash(result.instance, result.flow)
     doc = result.to_json()
     doc["verification"] = report.to_json()
-    _write_report(args.out or "nash.json", doc, args.quiet)
+    _write_report(args.out, doc, args.quiet)
     if args.format == "csv":
-        stem = Path(args.out or "nash.json").with_suffix("")
+        stem = Path(args.out).with_suffix("")
         for v, fn in sorted(result.node_labels.items()):
             _export_pwl_csv(f"{stem}_label_{v}.csv", fn)
     if not report.ok:
@@ -175,7 +171,7 @@ def cmd_verify(args):
     instance = _valid_instance(args.instance)
     flow = flow_from_json(instance, _read_json(args.flow))
     report = nash_mod.verify_nash(instance, flow)
-    _write_report(args.out or "verify_report.json", report.to_json(), args.quiet)
+    _write_report(args.out, report.to_json(), args.quiet)
     if not report.ok:
         for v in report.feasibility.violations:
             print(str(v), file=sys.stderr)
@@ -194,9 +190,9 @@ def cmd_labels(args):
     ls = labels_mod.earliest_arrival(instance, profile, args.commodity)
     doc = {"commodity": args.commodity,
            "labels": {v: f.to_json() for v, f in sorted(ls.labels.items())}}
-    _write_report(args.out or f"labels_{args.commodity}.json", doc, args.quiet)
+    _write_report(args.out, doc, args.quiet)
     if args.format == "csv":
-        stem = Path(args.out or f"labels_{args.commodity}.json").with_suffix("")
+        stem = Path(args.out).with_suffix("")
         for v, fn in sorted(ls.labels.items()):
             _export_pwl_csv(f"{stem}_{v}.csv", fn)
     if not args.quiet:
@@ -256,18 +252,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_path(args):
+    """``--out``, or the command's default report path; ``validate`` writes
+    a report only where ``--out`` names one."""
+    if args.out or args.command == "validate":
+        return args.out
+    if args.command == "labels":
+        return f"labels_{args.commodity}.json"
+    return DEFAULT_REPORTS[args.command]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.out = _report_path(args)
     try:
         return args.func(args)
     except PROGRAM_FAULTS as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        failure, kind, code = exc, "internal error", 3
     except (ValueError, KeyError, OSError, RuntimeError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        failure, kind, code = exc, "error", 2
+    print(f"{kind}: {failure}", file=sys.stderr)
+    # a report on every failure; one that cannot be written changes no exit code
+    with contextlib.suppress(OSError):
+        _write_report(args.out, {"ok": False, "error": str(failure)}, args.quiet)
+    return code
 
 
 if __name__ == "__main__":

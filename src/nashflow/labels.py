@@ -3,13 +3,18 @@
 Per commodity, the label of a node maps a particle to the earliest time that
 particle can reach the node given the evolving queues.  This module computes
 labels from a loaded flow (Bellman iteration in function space), classifies
-arcs as active/resetting for a particle, reconstructs waiting times from the
-labels of an equilibrium, turns a per-particle rate into a rate over time
-through a label, differentiates the foreign flow (the other commodities'
-traffic as one commodity samples it), and extends labels from
-scratch for given per-particle routing strategies by an exact time-frontier
-sweep, which grows the labels and the queues as ``timefn.GrowingPwl`` curves
-and reads them, and the strategies, through forward ``timefn.Cursor``s.
+arcs as active/resetting, reconstructs waiting times from the labels of an
+equilibrium, turns a per-particle rate into a rate over time through a
+label, differentiates the foreign flow (the other commodities' traffic as
+one commodity samples it), and extends labels from scratch for given
+per-particle routing strategies by an exact time-frontier sweep, which grows
+the labels and the queues as ``timefn.GrowingPwl`` curves and reads them,
+and the strategies, through forward ``timefn.Cursor``s.
+
+The statuses (``arc_statuses``) and the foreign rates (``foreign_rates``)
+are read at a sorted column of particles, each function in one merge pass,
+as the thin-flow verifier reads them at its cell midpoints; ``arc_status``
+and ``foreign_rate_at`` are their one-point case.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .loading import QueueProfile
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
                      compose, differentiate, integrate, min_compose,
-                     min_preimage, sorted_union)
+                     min_preimage, min_preimages, sorted_union)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -91,23 +96,41 @@ def earliest_arrival(instance: Instance, profile: QueueProfile, commodity_id: st
                     None if phi_max is None else Fraction(phi_max))
 
 
+def _check_rising(times, node):
+    """Label values at non-decreasing points, about to be read by one merge
+    pass, must not decrease."""
+    if any(t < s for s, t in zip(times, times[1:])):
+        raise ValueError(f"the label at {node} decreases between the points read")
+
+
+def arc_statuses(instance: Instance, labelset: LabelSet, profile: QueueProfile,
+                 points) -> list[tuple[set, set]]:
+    """Active and resetting arc ids of one commodity at every particle of
+    the non-decreasing ``points``.  Each label, and each arc's wait at the
+    entry times the tail label gives, is read in one merge pass; a tail
+    label that decreases between the points raises ValueError."""
+    values = {v: f.at_sorted(points) for v, f in labelset.labels.items()}
+    statuses = [(set(), set()) for _ in points]
+    for a in instance.arcs:
+        entries = values.get(a.tail)
+        if entries is None:
+            continue
+        _check_rising(entries, a.tail)
+        waits = profile.waiting[a.id].at_sorted(entries)
+        heads = values.get(a.head)
+        for k, (entry, wait) in enumerate(zip(entries, waits)):
+            active, resetting = statuses[k]
+            if wait > 0:
+                resetting.add(a.id)
+            if heads is not None and heads[k] == entry + a.transit + wait:
+                active.add(a.id)
+    return statuses
+
+
 def arc_status(instance: Instance, labelset: LabelSet, profile: QueueProfile,
                phi) -> tuple[set, set]:
     """Active and resetting arc ids for one particle of one commodity."""
-    phi = Fraction(phi)
-    active, resetting = set(), set()
-    for a in instance.arcs:
-        lu = labelset.labels.get(a.tail)
-        lv = labelset.labels.get(a.head)
-        if lu is None:
-            continue
-        entry = lu(phi)
-        wait = profile.waiting[a.id](entry)
-        if wait > 0:
-            resetting.add(a.id)
-        if lv is not None and lv(phi) == entry + a.transit + wait:
-            active.add(a.id)
-    return active, resetting
+    return arc_statuses(instance, labelset, profile, [Fraction(phi)])[0]
 
 
 def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
@@ -163,36 +186,47 @@ class ForeignFlowEntry:
     rate: StepFunction
 
 
+def foreign_rates(instance: Instance, labels_all: dict, strategies: dict,
+                  j: str, arc_id: str, points) -> list[Fraction]:
+    """Derivative of the foreign flow of commodity j on one arc at every
+    particle of the non-decreasing ``points``: other commodities' strategy
+    rates sampled at the particles that reach the tail at the same moment,
+    rescaled by the label slopes.  Where j's tail label is flat the rate is
+    0 and nothing else is read; elsewhere each function is read in one
+    merge pass, so j's tail label must not decrease between the points."""
+    arc = instance.arc(arc_id)
+    lu_j = labels_all[j].labels[arc.tail]
+    own_slopes = differentiate(lu_j).at_sorted(points)
+    rising = [k for k, slope in enumerate(own_slopes) if slope]
+    others = [(i, ls.labels[arc.tail]) for i, ls in labels_all.items()
+              if i != j and arc.tail in ls.labels]
+    totals = [ZERO] * len(points)
+    if not rising or not others:
+        return totals
+    thetas = lu_j.at_sorted([points[k] for k in rising])
+    _check_rising(thetas, arc.tail)
+    for i, lu_i in others:
+        particles = min_preimages(lu_i, thetas)  # ValueNotAttained propagates
+        x_i = strategies.get((i, arc_id), StepFunction.zero())
+        slopes_i = differentiate(lu_i).at_sorted(particles)
+        for k, phi_i, x, slope_i in zip(rising, particles, x_i.at_sorted(particles),
+                                        slopes_i):
+            if x == 0:
+                continue
+            if slope_i == 0:
+                raise ValueError(
+                    f"commodity {i} sends flow into {arc_id} on a label flat "
+                    f"(particle {phi_i}); rates are undefined there")
+            totals[k] += x * own_slopes[k] / slope_i
+    return totals
+
+
 def foreign_rate_at(instance: Instance, labels_all: dict, strategies: dict,
                     j: str, arc_id: str, phi) -> Fraction:
     """Derivative of the foreign flow of commodity j on one arc at particle
-    ``phi``: other commodities' strategy rates sampled at the particles that
-    reach the tail at the same moment, rescaled by the label slopes."""
-    phi = Fraction(phi)
-    arc = instance.arc(arc_id)
-    lu_j = labels_all[j].labels[arc.tail]
-    own_slope = lu_j.slope_right(phi)
-    if own_slope == 0:
-        return ZERO
-    theta = lu_j(phi)
-    total = ZERO
-    for i, ls in labels_all.items():
-        if i == j:
-            continue
-        lu_i = ls.labels.get(arc.tail)
-        if lu_i is None:
-            continue
-        phi_i = min_preimage(lu_i, theta)  # ValueNotAttained propagates
-        x_i = strategies.get((i, arc_id), StepFunction.zero())(phi_i)
-        if x_i == 0:
-            continue
-        slope_i = lu_i.slope_right(phi_i)
-        if slope_i == 0:
-            raise ValueError(
-                f"commodity {i} sends flow into {arc_id} on a label flat "
-                f"(particle {phi_i}); rates are undefined there")
-        total += x_i * own_slope / slope_i
-    return total
+    ``phi``; the one-point case of ``foreign_rates``."""
+    return foreign_rates(instance, labels_all, strategies, j, arc_id,
+                         [Fraction(phi)])[0]
 
 
 def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
@@ -217,8 +251,7 @@ def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
                 continue  # beyond this commodity's particle domain
     mesh = sorted(cuts)
     probes = [mesh[0] - 1] + [(a + b) / 2 for a, b in zip(mesh, mesh[1:])] + [mesh[-1] + 1]
-    values = [foreign_rate_at(instance, labels_all, strategies, j, arc_id, m)
-              for m in probes]
+    values = foreign_rates(instance, labels_all, strategies, j, arc_id, probes)
     rate = StepFunction(mesh, values[1:], values[0])
     anchor = ZERO
     for i, ls in labels_all.items():

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, differentiate, min_preimages,
-                     sorted_union, zero_crossings)
+from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
+                     min_preimages, sorted_union, zero_crossings)
 from .loading import load_network
-from .labels import arc_status, foreign_rate_at, rate_over_time
+from .labels import arc_statuses, foreign_rates, rate_over_time
 
 SIZE_LIMIT = 25
 
@@ -70,10 +70,12 @@ class NewArcInactive(RuntimeError):
 def stress(capacity, label_slope, flow, foreign=ZERO, resetting=False) -> Fraction:
     """Per-arc stress: (x'+y')/capacity, floored by the tail slope unless the
     arc is resetting."""
-    load = (Fraction(flow) + Fraction(foreign)) / Fraction(capacity)
+    capacity, label_slope, flow, foreign = _as_fractions(
+        (capacity, label_slope, flow, foreign))
+    load = (flow + foreign) / capacity
     if resetting:
         return load
-    return max(Fraction(label_slope), load)
+    return max(label_slope, load)
 
 
 @dataclass
@@ -503,6 +505,12 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     With ``require_tightness=False`` only the first two conditions are
     checked.  A strategy rate on an arc whose tail the commodity's labels
     never reach raises ValueError.
+
+    The cells are sorted, so their midpoints are too: every label, label
+    slope, strategy, wait and foreign rate is read as one column over them,
+    in one merge pass per function (``labels.arc_statuses`` and
+    ``labels.foreign_rates``, whose one-point cases are ``arc_status`` and
+    ``foreign_rate_at``).
     """
     inflows = {}
     for (j, e), x in strategies.items():
@@ -530,18 +538,27 @@ def _verify_with_profile(instance: Instance, strategies: dict, labels_all: dict,
         ls = labels_all[j]
         cells = _partition(instance, labels_all, strategies, j, horizon, profile)
         pieces_per_commodity[j] = cells
-        lslope = {v: differentiate(f) for v, f in ls.labels.items()}
-        own = {a.id: strategies.get((j, a.id), StepFunction.zero())
+        # every quantity read, as one column over the sorted cell midpoints
+        mids = [(lo + hi) / 2 for lo, hi in cells]
+        lslope = {v: differentiate(f).at_sorted(mids) for v, f in ls.labels.items()}
+        own = {a.id: strategies.get((j, a.id), StepFunction.zero()).at_sorted(mids)
                for a in instance.arcs}
-        for lo, hi in cells:
-            m = (lo + hi) / 2
-            piece = (lo, hi)
-            in_k = c.particle_volume is None or m < c.particle_volume
-            if lslope[c.origin](m) != 1 / c.rate:
+        statuses = arc_statuses(instance, ls, profile, mids)
+        # foreign rates only where the conditions read them: into an active arc
+        foreign = {}
+        for a in instance.arcs:
+            ks = [k for k, (active, _) in enumerate(statuses) if a.id in active]
+            if ks and a.head != c.origin:
+                foreign[a.id] = dict(zip(ks, foreign_rates(
+                    instance, labels_all, strategies, j, a.id, [mids[k] for k in ks])))
+        source_slope, volume = 1 / c.rate, c.particle_volume
+        for k, piece in enumerate(cells):
+            in_k = volume is None or mids[k] < volume
+            if lslope[c.origin][k] != source_slope:
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
-            active, resetting = arc_status(instance, ls, profile, m)
+            active, resetting = statuses[k]
             for a in instance.arcs:
-                if require_tightness and own[a.id](m) > 0 and a.id not in active:
+                if require_tightness and own[a.id][k] > 0 and a.id not in active:
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
             for v in instance.nodes:
                 if v == c.origin or v not in ls.labels:
@@ -550,24 +567,24 @@ def _verify_with_profile(instance: Instance, strategies: dict, labels_all: dict,
                 for a in instance.in_arcs(v):
                     if a.id not in active:
                         continue
-                    x = own[a.id](m)
-                    y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
-                    rho = stress(a.capacity, lslope[a.tail](m), x, y, a.id in resetting)
+                    x = own[a.id][k]
+                    rho = stress(a.capacity, lslope[a.tail][k], x, foreign[a.id][k],
+                                 a.id in resetting)
                     rhos.append((a.id, x, rho))
                 if not rhos:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
                     continue
                 best = min(r for _, _, r in rhos)
-                if lslope[v](m) != best:
+                if lslope[v][k] != best:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
                 if require_tightness:
                     for e, x, rho in rhos:
-                        if x > 0 and rho != lslope[v](m):
+                        if x > 0 and rho != lslope[v][k]:
                             violations.append(ThinFlowViolation("TF3Violated", j, e, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
             for v in instance.nodes:
-                net = sum((own[a.id](m) for a in instance.out_arcs(v)), ZERO) \
-                    - sum((own[a.id](m) for a in instance.in_arcs(v)), ZERO)
+                net = sum((own[a.id][k] for a in instance.out_arcs(v)), ZERO) \
+                    - sum((own[a.id][k] for a in instance.in_arcs(v)), ZERO)
                 expected = ZERO
                 if v == c.origin:
                     expected = ONE if in_k else ZERO

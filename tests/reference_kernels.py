@@ -5,14 +5,23 @@ Each function here answers the same question as a production kernel, but by
 the plain method: evaluate the functions point by point (one bisection per
 call) and scan every segment or breakpoint in turn.  They are slow on
 purpose, share no helper with the kernels beyond single-point evaluation,
-and serve the equivalence tests only.  The last three are the queue-dynamics
-checks that ``check_feasibility`` proves implied rather than runs; the
-implication test in ``test_loading`` keeps them as references.
+and serve the equivalence tests only.  ``waiting_derivative_failures`` and
+the two checks before it are the queue-dynamics checks that
+``check_feasibility`` proves implied rather than runs; the implication test
+in ``test_loading`` keeps them as references.  The thin-flow verifier at the
+end reads every condition cell by cell, through the one-point
+``arc_status`` and ``foreign_rate_at`` here; it shares the loading and the
+partition with the library, since the equivalence test is about the reads.
 """
 
 from fractions import Fraction
 
-from nashflow.timefn import PwlFunction, StepFunction, ValueNotAttained
+from nashflow.labels import rate_over_time
+from nashflow.loading import load_network
+from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
+                               stress)
+from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
+                             differentiate)
 
 ZERO = Fraction(0)
 
@@ -227,3 +236,131 @@ def unfrozen_exit_times(T: PwlFunction, f_in: StepFunction, z: PwlFunction,
     mids = [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])]
     return [m for m in mids
             if f_in(m) == 0 and z(m + transit) > 0 and T.slope_right(m) != 0]
+
+
+def arc_status(instance, labelset, profile, phi):
+    """Active and resetting arc ids for one particle, read arc by arc."""
+    phi = Fraction(phi)
+    active, resetting = set(), set()
+    for a in instance.arcs:
+        lu = labelset.labels.get(a.tail)
+        lv = labelset.labels.get(a.head)
+        if lu is None:
+            continue
+        entry = lu(phi)
+        wait = profile.waiting[a.id](entry)
+        if wait > 0:
+            resetting.add(a.id)
+        if lv is not None and lv(phi) == entry + a.transit + wait:
+            active.add(a.id)
+    return active, resetting
+
+
+def foreign_rate_at(instance, labels_all, strategies, j, arc_id, phi):
+    """Foreign rate of commodity j on one arc at one particle: the other
+    commodities' rates at their particles that reach the tail at the same
+    moment, rescaled by the label slopes."""
+    phi = Fraction(phi)
+    arc = instance.arc(arc_id)
+    lu_j = labels_all[j].labels[arc.tail]
+    own_slope = lu_j.slope_right(phi)
+    if own_slope == 0:
+        return ZERO
+    theta = lu_j(phi)
+    total = ZERO
+    for i, ls in labels_all.items():
+        lu_i = ls.labels.get(arc.tail)
+        if i == j or lu_i is None:
+            continue
+        phi_i = min_preimage(lu_i, theta)
+        x_i = strategies.get((i, arc_id), StepFunction.zero())(phi_i)
+        if x_i == 0:
+            continue
+        slope_i = lu_i.slope_right(phi_i)
+        if slope_i == 0:
+            raise ValueError(f"commodity {i} sends flow into {arc_id} on a "
+                             f"label flat (particle {phi_i})")
+        total += x_i * own_slope / slope_i
+    return total
+
+
+def strategy_profile(instance, strategies, labels_all):
+    """The queues of the strategies loaded through their tail labels."""
+    inflows = {}
+    for (j, e), x in strategies.items():
+        lu = labels_all[j].labels.get(instance.arc(e).tail)
+        if lu is not None:
+            inflows[(j, e)] = rate_over_time(x, lu)
+        elif x != StepFunction.zero():
+            raise ValueError(f"commodity {j} sends flow into arc {e}, whose "
+                             f"tail its labels never reach")
+    return load_network(instance, inflows)[1]
+
+
+def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
+                                   require_tightness=True):
+    """The library's thin-flow verifier, read cell by cell at the midpoints."""
+    profile = strategy_profile(instance, strategies, labels_all)
+    return verify_with_profile(instance, strategies, labels_all, horizon, profile,
+                               require_tightness)
+
+
+def verify_with_profile(instance, strategies, labels_all, horizon, profile,
+                        require_tightness=True):
+    """The conditions of ``verify_multicommodity_thinflow`` against ``profile``."""
+    horizon = Fraction(horizon)
+    violations = []
+    pieces = {}
+    for c in instance.commodities:
+        j = c.id
+        ls = labels_all[j]
+        cells = _partition(instance, labels_all, strategies, j, horizon, profile)
+        pieces[j] = cells
+        lslope = {v: differentiate(f) for v, f in ls.labels.items()}
+        own = {a.id: strategies.get((j, a.id), StepFunction.zero())
+               for a in instance.arcs}
+        for lo, hi in cells:
+            m = (lo + hi) / 2
+            piece = (lo, hi)
+            in_k = c.particle_volume is None or m < c.particle_volume
+            if lslope[c.origin](m) != 1 / c.rate:
+                violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
+            active, resetting = arc_status(instance, ls, profile, m)
+            for a in instance.arcs:
+                if require_tightness and own[a.id](m) > 0 and a.id not in active:
+                    violations.append(ThinFlowViolation("SupportViolated", j, a.id,
+                                                        piece))
+            for v in instance.nodes:
+                if v == c.origin or v not in ls.labels:
+                    continue
+                rhos = []
+                for a in instance.in_arcs(v):
+                    if a.id not in active:
+                        continue
+                    x = own[a.id](m)
+                    y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
+                    rhos.append((a.id, x, stress(a.capacity, lslope[a.tail](m), x, y,
+                                                 a.id in resetting)))
+                if not rhos:
+                    violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
+                    continue
+                if lslope[v](m) != min(r for _, _, r in rhos):
+                    violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
+                if require_tightness:
+                    for e, x, rho in rhos:
+                        if x > 0 and rho != lslope[v](m):
+                            violations.append(ThinFlowViolation("TF3Violated", j, e,
+                                                                piece))
+            for v in instance.nodes:
+                net = sum((own[a.id](m) for a in instance.out_arcs(v)), ZERO) \
+                    - sum((own[a.id](m) for a in instance.in_arcs(v)), ZERO)
+                expected = ZERO
+                if v == c.origin:
+                    expected = Fraction(1) if in_k else ZERO
+                elif v == c.destination:
+                    expected = Fraction(-1) if in_k else ZERO
+                if net != expected:
+                    violations.append(ThinFlowViolation("StaticFlowViolated", j, v,
+                                                        piece))
+                    break
+    return ThinFlowReport(ok=not violations, violations=violations, pieces=pieces)

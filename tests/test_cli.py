@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from nashflow import cli as cli_mod
+from nashflow import labels as labels_mod
 from nashflow import nash as nash_mod
 from nashflow.cli import main
 from nashflow.netmodel import InvalidDerivedInstance, instance_to_json
@@ -55,11 +57,29 @@ def test_invalid_instance_is_exit_2(command, extra, tmp_path, capsys):
     doc["arcs"][0]["transit"] = -1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
     code = main([command, str(path)] + [str(tmp_path / x) for x in extra]
-                + ["--out", str(tmp_path / "out.json"), "--quiet"])
+                + ["--out", str(out), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
     assert "NonPositiveCapacity(e)" in err and "NegativeTransit(e)" in err
+    assert json.loads(out.read_text()) == {"ok": False,
+                                           "error": err[len("error: "):].strip()}
+
+
+@pytest.mark.parametrize("command,extra,default", [
+    ("load", ["rates.json"], "load_report.json"),
+    ("thinflow", ["config.json"], "thinflow.json"),
+    ("nash", [], "nash.json"),
+    ("verify", ["flow.json"], "verify_report.json"),
+    ("labels", ["flow.json", "1"], "labels_1.json")])
+def test_failure_report_at_default_path(command, extra, default, bad_instance_file,
+                                        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(bad_instance_file)] + extra + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert json.loads((tmp_path / default).read_text()) == {
+        "ok": False, "error": err[len("error: "):].strip()}
 
 
 @pytest.mark.parametrize("command", ["validate", "nash"])
@@ -178,23 +198,54 @@ def test_nash_constructor_failure_writes_report(single_arc_file, tmp_path, capsy
                                            "error": err[len("error: "):].strip()}
 
 
+@pytest.fixture
+def command_inputs(tmp_path):
+    """Valid inputs of the five commands that take an instance and more:
+    command -> the arguments after the instance file."""
+    instance = single_arc_canonical()
+    one = StepFunction([0, 1], [2, 0], 0)
+    flow, _ = load_network(instance, {("1", "e"): one})
+    files = {"rates.json": {"inflows": [{"commodity": "1", "arc": "e",
+                                         "rate": one.to_json()}]},
+             "config.json": {"active": ["e"], "resetting": [], "source": "s",
+                             "sink": "t", "rate": 2},
+             "flow.json": flow_to_json(instance, flow)}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return {"load": [str(tmp_path / "rates.json")],
+            "thinflow": [str(tmp_path / "config.json")],
+            "nash": ["--horizon", "2"],
+            "verify": [str(tmp_path / "flow.json")],
+            "labels": [str(tmp_path / "flow.json"), "1"]}
+
+
+# command -> (module, name) of one function the command calls
+FAULT_SITES = {"load": (cli_mod, "load_network"),
+               "thinflow": (cli_mod, "solve_thinflow_single"),
+               "nash": (nash_mod, "construct_nash_single"),
+               "verify": (nash_mod, "verify_nash"),
+               "labels": (labels_mod, "earliest_arrival")}
+
+
 @pytest.mark.parametrize("fault", [SweepInvariantBroken, LoadingInvariantBroken,
                                    FlowReconstructionError, DecompositionError,
                                    InvalidDerivedInstance],
                          ids=lambda cls: cls.__name__)
-def test_program_fault_is_exit_3_with_report(fault, single_arc_file, tmp_path,
-                                             monkeypatch, capsys):
+def test_program_fault_is_exit_3_with_report(fault, single_arc_file, command_inputs,
+                                             tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise fault("invariant broken here")
 
-    monkeypatch.setattr(nash_mod, "construct_nash_single", broken)
-    out = tmp_path / "n.json"
-    code = main(["nash", str(single_arc_file), "--horizon", "2",
-                 "--out", str(out), "--quiet"])
-    assert code == 3
-    assert capsys.readouterr().err == "internal error: invariant broken here\n"
-    assert json.loads(out.read_text()) == {"ok": False,
-                                           "error": "invariant broken here"}
+    for command, (module, name) in FAULT_SITES.items():
+        out = tmp_path / f"{command}_report.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            code = main([command, str(single_arc_file)] + command_inputs[command]
+                        + ["--out", str(out), "--quiet"])
+        assert code == 3, command
+        assert capsys.readouterr().err == "internal error: invariant broken here\n"
+        assert json.loads(out.read_text()) == {"ok": False,
+                                               "error": "invariant broken here"}
 
 
 def test_labels_command(single_arc_file, tmp_path):

@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.labels import LabelSet, extend_labels
+from nashflow.labels import LabelSet, arc_statuses, extend_labels, foreign_rates
 from nashflow.loading import QueueProfile
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
-                               ThinFlow, _partition,
+                               ThinFlow, _partition, _verify_with_profile,
                                check_multisource_thinflow, check_thinflow,
                                decompose,
                                solve_thinflow_multisource,
@@ -17,6 +17,7 @@ from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
                                verify_multicommodity_thinflow)
 from nashflow.timefn import PwlFunction, StepFunction
 
+import reference_kernels as reference
 from oracle import oracle_multisource, oracle_single
 
 F = Fraction
@@ -31,6 +32,11 @@ class TestStress:
 
     def test_idle_arc_passes_label(self):
         assert stress(2, F(1, 2), 0) == F(1, 2)
+
+    def test_integer_arguments_give_a_fraction(self):
+        for resetting in (False, True):
+            result = stress(1, 2, 3, resetting=resetting)
+            assert result == 3 and isinstance(result, Fraction)
 
 
 def make_instance(arcs, commodities=None, mode="general"):
@@ -518,6 +524,139 @@ class TestBypassedQueue:
                 instance, strategies, labels, self.HORIZON,
                 require_tightness=False)
             assert report.ok, (seed, [str(v) for v in report.violations])
+
+
+def _on(f, lo, hi):
+    """The step function f on [lo, hi), 0 elsewhere."""
+    bps = sorted(set(f.breakpoints) | {lo, hi})
+    return StepFunction(bps, [f(b) if lo <= b < hi else 0 for b in bps])
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result, or ValueError when the call raises one: where several
+    reads fail, the two sides may meet a different one first."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
+class TestPointwiseReference:
+    """The columnar verifier and column readers against the cell-by-cell
+    reference: equal reports, violations in order, and equal pieces."""
+
+    SEEDS = range(4)
+    CODES = {"TF1Violated", "TF2Violated", "TF3Violated", "SupportViolated",
+             "StaticFlowViolated"}
+
+    def cases(self):
+        """(name, instance, strategies, labels, horizon, profile): seeded
+        strategy sets on the bypassed-queue network and the shared arc, clean
+        and corrupted, with the queues of the clean set."""
+        bypass = TestBypassedQueue()
+        instance, horizon = bypass.instance(), bypass.HORIZON
+        sets = [(f"bypass-{seed}", seed, instance, bypass.strategies(seed), horizon)
+                for seed in self.SEEDS]
+        instance, strategies = shared_arc_setup()
+        sets += [(f"shared-{seed}", seed, instance, strategies, F(1))
+                 for seed in self.SEEDS]
+        for name, seed, instance, strategies, horizon in sets:
+            labels = extend_labels(instance, strategies, horizon)
+            profile = reference.strategy_profile(instance, strategies, labels)
+            yield name, instance, strategies, labels, horizon, profile
+            for change, s, ls in self._corrupted(seed, instance, strategies, labels,
+                                                 horizon):
+                yield f"{name}-{change}", instance, s, ls, horizon, profile
+
+    @staticmethod
+    def _corrupted(seed, instance, strategies, labels, horizon):
+        """A label slope raised on a window, a commodity's mass on the window
+        moved to another arc out of the same tail, which the labels need not
+        make active, and a strategy doubled on the window."""
+        rng = random.Random(seed)
+        j = rng.choice(sorted(labels))
+        lo, hi = (horizon * F(k, 16) for k in sorted(rng.sample(range(16), 2)))
+        nodes = sorted(labels[j].labels)
+        v = nodes[seed % len(nodes)]
+        bump = PwlFunction([lo, hi], [0, (hi - lo) * F(rng.randint(1, 3), 2)])
+        bent = dict(labels)
+        bent[j] = LabelSet(j, {**labels[j].labels, v: labels[j].labels[v] + bump},
+                           labels[j].phi_max)
+        yield f"slope-{j}-{v}", strategies, bent
+        arcs = sorted(e for i, e in strategies if i == j)
+        pairs = [(e, f) for e in arcs for f in arcs
+                 if e != f and instance.arc(e).tail == instance.arc(f).tail]
+        if pairs:
+            e, f = rng.choice(pairs)
+            moved = _on(strategies[(j, e)], lo, hi)
+            yield (f"move-{j}-{e}-{f}",
+                   {**strategies, (j, e): strategies[(j, e)] - moved,
+                    (j, f): strategies[(j, f)] + moved}, labels)
+        e = rng.choice(arcs)
+        yield (f"double-{j}-{e}",
+               {**strategies, (j, e): strategies[(j, e)] + _on(strategies[(j, e)], lo, hi)},
+               labels)
+
+    def test_reports_match(self):
+        """Against the queues the strategies load, and, as the flow round trip
+        passes them in, against the queues of the clean set."""
+        fired, reports = set(), 0
+        for name, instance, strategies, labels, horizon, profile in self.cases():
+            for tight in (True, False):
+                got = _outcome(verify_multicommodity_thinflow, instance, strategies,
+                               labels, horizon, require_tightness=tight)
+                want = _outcome(reference.verify_multicommodity_thinflow, instance,
+                                strategies, labels, horizon, require_tightness=tight)
+                assert got == want, (name, tight)
+                given = _outcome(_verify_with_profile, instance, strategies, labels,
+                                 horizon, profile, tight)
+                assert given == _outcome(reference.verify_with_profile, instance,
+                                         strategies, labels, horizon, profile,
+                                         tight), (name, tight)
+                for report in (got, given):
+                    if report is not ValueError:
+                        reports += 1
+                        fired |= {v.code for v in report.violations}
+        assert fired >= self.CODES, fired
+        assert reports >= 80
+
+    def test_column_readers_match_one_point_reads(self):
+        for name, instance, strategies, labels, horizon, profile in self.cases():
+            for j, ls in labels.items():
+                try:
+                    cells = _partition(instance, labels, strategies, j, horizon,
+                                       profile)
+                except ValueError:
+                    continue
+                ends = sorted({x for cell in cells for x in cell})
+                points = [ends[0] - 1] + sorted(
+                    ends + [(lo + hi) / 2 for lo, hi in cells]) + [ends[-1] + 1]
+                assert arc_statuses(instance, ls, profile, points) == [
+                    reference.arc_status(instance, ls, profile, p) for p in points], name
+                for a in instance.arcs:
+                    if a.tail not in ls.labels:
+                        continue
+                    got = _outcome(foreign_rates, instance, labels, strategies, j,
+                                   a.id, points)
+                    want = _outcome(lambda: [reference.foreign_rate_at(
+                        instance, labels, strategies, j, a.id, p) for p in points])
+                    assert got == want, (name, j, a.id)
+
+    def test_strategy_into_a_label_flat_raises_on_both_sides(self):
+        instance, strategies = shared_arc_setup()
+        labels = extend_labels(instance, strategies, 1)
+        flat = PwlFunction([0, F(1, 2), F(3, 4)], [0, F(1, 2), F(1, 2)], 1, 1)
+        bent = {**labels, "1": LabelSet("1", {**labels["1"].labels, "s": flat})}
+        for verify in (verify_multicommodity_thinflow,
+                       reference.verify_multicommodity_thinflow):
+            with pytest.raises(ValueError, match="flat"):
+                verify(instance, strategies, bent, 1)
+        # commodity 2 reaches s at time 1/2 with its particle 1/2, where
+        # commodity 1 enters the arc from the start of its label flat
+        with pytest.raises(ValueError, match="label flat"):
+            foreign_rates(instance, bent, strategies, "2", "e", [F(1, 4), F(1, 2)])
+        with pytest.raises(ValueError, match="label flat"):
+            reference.foreign_rate_at(instance, bent, strategies, "2", "e", F(1, 2))
 
 
 class TestPartition:

@@ -50,3 +50,50 @@ def test_benchmark_tracer_names_exist():
         module = importlib.import_module(f"nashflow.{layer}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def _float_sites(tree, name) -> list:
+    """Lines of float literals, calls of ``float``, divisions of two integer
+    literals and uses of ``math``, except for the ``INF`` sentinel that
+    ``netmodel`` assigns from ``math.inf``."""
+    sentinel = set()
+    if name == "netmodel.py":
+        sentinel = {id(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["INF"]}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+              and all(isinstance(side, ast.Constant) and type(side.value) is int
+                      for side in (node.left, node.right))):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and id(node) not in sentinel):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_arithmetic(path):
+    """The core computes over ``Fraction`` only: no speedup may come from
+    floats, and ``math`` supplies nothing but the unreachable-node sentinel."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _float_sites(tree, path.name)
+    assert not lines, f"{path.name}: float arithmetic at lines {lines}"
+
+
+def test_float_sites_are_found():
+    """The scan sees each kind of float site, and the sentinel only where
+    ``netmodel`` assigns it."""
+    source = ("import math\nfrom math import sqrt\nINF = math.inf\n"
+              "a = 0.5\nb = float(x)\nc = 1 / 2\nd = math.floor(y)\n")
+    tree = ast.parse(source)
+    assert _float_sites(tree, "netmodel.py") == [2, 4, 5, 6, 7]
+    assert _float_sites(tree, "timefn.py") == [2, 3, 4, 5, 6, 7]
