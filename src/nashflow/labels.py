@@ -11,10 +11,11 @@ per-particle routing strategies by an exact time-frontier sweep, which grows
 the labels and the queues as ``timefn.GrowingPwl`` curves and reads them,
 and the strategies, through forward ``timefn.Cursor``s.
 
-The statuses (``arc_statuses``) and the foreign rates (``foreign_rates``)
-are read at a sorted column of particles, each function in one merge pass,
-as the thin-flow verifier reads them at its cell midpoints; ``arc_status``
-and ``foreign_rate_at`` are their one-point case.
+Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) and the foreign
+rates (``foreign_rates``) are read at a sorted column of particles, each
+function in one merge pass: the thin-flow verifier reads the gaps on its
+partition mesh and at its cell midpoints.  ``arc_status`` and
+``foreign_rate_at`` are their one-point case.
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ def _check_rising(times, node):
         raise ValueError(f"the label at {node} decreases between the points read")
 
 
-def arc_statuses(instance: Instance, labelset: LabelSet, profile: QueueProfile,
-                 points) -> list[tuple[set, set]]:
-    """Active and resetting arc ids of one commodity at every particle of
-    the non-decreasing ``points``.  Each label, and each arc's wait at the
-    entry times the tail label gives, is read in one merge pass; a tail
-    label that decreases between the points raises ValueError."""
+def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
+             points) -> dict[str, tuple[list, list | None]]:
+    """Per arc whose tail a commodity's labels reach: its wait q_e(l_u) and
+    gap T_e(l_u) - l_v (None if the head is unlabelled) at every particle of
+    the non-decreasing ``points``.  Each label and wait is read in one merge
+    pass; a tail label that decreases between the points raises ValueError."""
     values = {v: f.at_sorted(points) for v, f in labelset.labels.items()}
-    statuses = [(set(), set()) for _ in points]
+    columns = {}
     for a in instance.arcs:
         entries = values.get(a.tail)
         if entries is None:
@@ -118,19 +119,19 @@ def arc_statuses(instance: Instance, labelset: LabelSet, profile: QueueProfile,
         _check_rising(entries, a.tail)
         waits = profile.waiting[a.id].at_sorted(entries)
         heads = values.get(a.head)
-        for k, (entry, wait) in enumerate(zip(entries, waits)):
-            active, resetting = statuses[k]
-            if wait > 0:
-                resetting.add(a.id)
-            if heads is not None and heads[k] == entry + a.transit + wait:
-                active.add(a.id)
-    return statuses
+        gaps = None if heads is None else [
+            entry + a.transit + wait - head
+            for entry, wait, head in zip(entries, waits, heads)]
+        columns[a.id] = (waits, gaps)
+    return columns
 
 
 def arc_status(instance: Instance, labelset: LabelSet, profile: QueueProfile,
                phi) -> tuple[set, set]:
-    """Active and resetting arc ids for one particle of one commodity."""
-    return arc_statuses(instance, labelset, profile, [Fraction(phi)])[0]
+    """Active (gap 0) and resetting (wait > 0) arc ids at one particle."""
+    columns = arc_gaps(instance, labelset, profile, [Fraction(phi)])
+    return ({e for e, (_, gaps) in columns.items() if gaps is not None and gaps[0] == 0},
+            {e for e, (waits, _) in columns.items() if waits[0] > 0})
 
 
 def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
@@ -296,9 +297,9 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     maintained (mass balance of the sampled strategy rates).
 
     These waits are the real ones: loading the strategies' rates over time
-    through the tail labels (``rate_over_time``, then ``load_network``)
+    through the tail labels (``rate_over_time``, then ``load_queues``)
     gives the same queues up to the last particle's arrival, and the labels
-    satisfy the slope conditions with respect to them, which
+    are the earliest arrivals against them, which
     ``verify_multicommodity_thinflow`` checks.  Flow
     entering an arc that the labels bypass queues up without widening any
     label gap, so there ``waiting_from_labels`` can understate the wait.

@@ -103,8 +103,29 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     pairs mean zero inflow.  Rates must be non-negative with finite support
     (zero before their first breakpoint and, when ``horizon`` is given, zero
     from the horizon on).  Returns (FlowOverTime, QueueProfile); all outputs
-    are exact piecewise functions.
+    are exact piecewise functions: the queues of ``load_queues``, and per
+    commodity and arc the FIFO share of the arc's outflow.
     """
+    flow = FlowOverTime(inflow={}, outflow={})
+    profile = _load_totals(instance, inflows, horizon, flow)
+    for c in instance.commodities:
+        for a in instance.arcs:
+            f_j = inflows.get((c.id, a.id), StepFunction.zero())
+            flow.inflow[(c.id, a.id)] = f_j
+            flow.outflow[(c.id, a.id)] = _split_outflow(
+                f_j, flow.total_inflow[a.id], flow.total_outflow[a.id],
+                profile.exit_time[a.id])
+    return flow, profile
+
+
+def load_queues(instance: Instance, inflows: dict, horizon=None) -> QueueProfile:
+    """The queue profile of ``load_network`` alone."""
+    return _load_totals(instance, inflows, horizon, FlowOverTime({}, {}))
+
+
+def _load_totals(instance: Instance, inflows: dict, horizon, flow: FlowOverTime):
+    """Check the inflows, load each arc's total inflow and record the totals
+    in ``flow``; returns the queue profile."""
     budget = breakpoint_budget()
     total_bps = 0
     for (j, e), f in inflows.items():
@@ -121,32 +142,24 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
         if total_bps > budget:
             raise UnboundedBreakpoints(f"more than {budget} inflow breakpoints")
 
-    flow = FlowOverTime(inflow={}, outflow={})
-    for c in instance.commodities:
-        for a in instance.arcs:
-            flow.inflow[(c.id, a.id)] = inflows.get((c.id, a.id),
-                                                    StepFunction.zero())
     profile = QueueProfile(volume={}, waiting={}, exit_time={})
     for arc in instance.arcs:
-        per_commodity = {c.id: flow.inflow[(c.id, arc.id)]
-                         for c in instance.commodities}
-        total_in = StepFunction.sum_of(per_commodity.values())
+        total_in = StepFunction.sum_of(
+            inflows.get((c.id, arc.id), StepFunction.zero())
+            for c in instance.commodities)
         total_out, z = _load_arc(total_in, arc)
         q = z.shift(-arc.transit).scale(1 / arc.capacity)
-        T = q + PwlFunction.line(ONE, ZERO, arc.transit)
-        for j, f_j in per_commodity.items():
-            flow.outflow[(j, arc.id)] = _split_outflow(f_j, total_in, total_out, T)
         flow.total_inflow[arc.id] = total_in
         flow.total_outflow[arc.id] = total_out
         profile.volume[arc.id] = z
         profile.waiting[arc.id] = q
-        profile.exit_time[arc.id] = T
+        profile.exit_time[arc.id] = q + PwlFunction.line(ONE, ZERO, arc.transit)
     if horizon is not None:
         drain = sum((a.transit for a in instance.arcs), ZERO)
         volume = sum((_total_volume(flow.total_inflow[a.id]) for a in instance.arcs), ZERO)
         nu_min = min((a.capacity for a in instance.arcs), default=ONE)
         profile.horizon = Fraction(horizon) + drain + volume / nu_min
-    return flow, profile
+    return profile
 
 
 def _total_volume(f: StepFunction) -> Fraction:

@@ -24,9 +24,10 @@ from .loading import (FeasibilityReport, FlowOverTime, QueueProfile, _anchor,
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
                        Instance, InvalidDerivedInstance, extend_with_super_sink,
                        transit_distances, validate_instance)
+from .rationals import format_optional_rational, format_rational
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
-                       _verify_with_profile, decompose,
-                       solve_thinflow_multisource, solve_thinflow_single)
+                       decompose, solve_thinflow_multisource,
+                       solve_thinflow_single, verify_multicommodity_thinflow)
 from .timefn import (ONE, ZERO, GrowingPwl, PwlFunction, StepFunction,
                      compose, differentiate, first_difference, integrate)
 
@@ -57,7 +58,6 @@ class Phase:
     flows: dict = field(default_factory=dict)  # commodity -> {arc: flow part}
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
         return {
             "interval": [format_rational(self.phi_start), format_rational(self.phi_end)],
             "thinflow": self.thin.to_json(),
@@ -371,7 +371,6 @@ class NashViolation:
         return f"{self.code}({self.commodity},{self.subject}){tail}"
 
     def record(self) -> dict:
-        from .rationals import format_optional_rational
         return {"code": self.code, "commodity": self.commodity,
                 "subject": self.subject,
                 "particle": format_optional_rational(self.particle),
@@ -472,10 +471,11 @@ def _check_underlying_static_flow(instance, commodity, labelset, flow):
 
 def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
                                profile: QueueProfile | None = None):
-    """Re-derive per-particle strategies and label slopes from the flow and
-    verify the thin-flow conditions against the flow's own queues (the
-    construction round trip).  Every commodity needs a bounded inflow
-    interval: its particle volume bounds the particles checked."""
+    """The construction round trip: read labels from the flow's queues and
+    per-particle strategies from its inflows, then certify them with
+    ``verify_multicommodity_thinflow``, which loads the read-back strategies
+    into their own queues.  Every commodity needs a bounded inflow interval:
+    its particle volume bounds the particles checked."""
     if profile is None:
         profile = derive_profile(instance, flow)
     labels_all = {}
@@ -495,4 +495,4 @@ def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
             f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
             cumulative = compose(integrate(f_in, _anchor(f_in)), lu)
             strategies[(c.id, a.id)] = differentiate(cumulative)
-    return _verify_with_profile(instance, strategies, labels_all, horizon, profile)
+    return verify_multicommodity_thinflow(instance, strategies, labels_all, horizon)

@@ -18,7 +18,7 @@ the condition evaluator is returned.  The same evaluator, which knows
 nothing of the linear algebra, backs ``check_thinflow`` and
 ``check_multisource_thinflow``.  The worst case stays exponential in the
 number of active arcs: building the equilibrium of a 3x3 grid, whose phases
-reach 12 active arcs, takes about 16 s on a 2-vCPU machine with Python 3.11.
+reach 12 active arcs, takes 9 to 10 s on a 2-vCPU machine with Python 3.11.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
+from .rationals import format_rational
 from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
                      min_preimages, sorted_union, zero_crossings)
-from .loading import load_network
-from .labels import arc_statuses, foreign_rates, rate_over_time
+from .loading import load_queues
+from .labels import arc_gaps, rate_over_time
 
 SIZE_LIMIT = 25
 
@@ -88,7 +89,6 @@ class ThinFlow:
     value: Fraction = ONE
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
         return {
             "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
             "label_slopes": {v: format_rational(l)
@@ -109,7 +109,6 @@ class MultiSourceThinFlow:
     resetting: frozenset
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
         return {
             "supplies": {j: format_rational(x) for j, x in sorted(self.supplies.items())},
             "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
@@ -483,7 +482,6 @@ class ThinFlowViolation:
         return f"{self.code}({self.commodity},{self.subject}) on [{lo},{hi})"
 
     def record(self) -> dict:
-        from .rationals import format_rational
         return {"code": self.code, "commodity": self.commodity,
                 "subject": self.subject,
                 "piece": [format_rational(self.piece[0]),
@@ -493,24 +491,48 @@ class ThinFlowViolation:
 def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                                    labels_all: dict, horizon,
                                    require_tightness: bool = True) -> ThinFlowReport:
-    """Check the per-particle slope conditions of all commodities on [0, H].
+    """Certify, particle by particle on [0, H], that every commodity's
+    labels are the earliest arrivals through the queues its strategies load.
 
     The strategies enter their arcs at the times the tail labels give
-    (``labels.rate_over_time``), and ``load_network`` loads them into the
-    real queues.  On every cell of a partition on which activity and
-    resetting statuses are constant, the source slope must be 1/r, every
-    other node's slope the minimum stress over its active incoming arcs
-    (with foreign rates sampled from the other commodities), arcs carrying
-    flow must attain that minimum, and flow is confined to active arcs.
-    With ``require_tightness=False`` only the first two conditions are
-    checked.  A strategy rate on an arc whose tail the commodity's labels
-    never reach raises ValueError.
+    (``labels.rate_over_time``), and ``load_queues`` loads them.  On every
+    cell of ``_partition`` each quantity read is linear and no gap
+    g_e = T_e(l_u) - l_v changes sign, so one read at the cell's midpoint is
+    exact.  Per commodity j and cell:
 
-    The cells are sorted, so their midpoints are too: every label, label
-    slope, strategy, wait and foreign rate is read as one column over them,
-    in one merge pass per function (``labels.arc_statuses`` and
-    ``labels.foreign_rates``, whose one-point cases are ``arc_status`` and
-    ``foreign_rate_at``).
+    - ``TF1Violated``: the origin's label is not inflow_start + phi/r, in
+      value or in slope.
+    - ``LabelUndercut``: g_e < 0 on an arc whose two ends j labels.
+    - ``TF2Violated``: no arc into a labelled node other than the origin
+      has g_e = 0.
+    - ``SupportViolated``: j sends flow into an arc with g_e != 0, or with
+      an unlabelled head.
+    - ``StaticFlowViolated``: j's strategy is not a static flow of value 1
+      from origin to destination (0 beyond its particle volume).
+
+    Without undercut and TF2 violations every label is the minimum of
+    T_e(l_u) over its incoming arcs, which defines earliest arrivals.
+    ``require_tightness=True`` runs all five checks, ``False`` all but
+    ``SupportViolated``.  A strategy rate on an arc whose tail j's labels
+    never reach, or on a flat stretch of its tail label, raises ValueError.
+
+    The slope conditions of a thin flow with resetting follow, so they are
+    not checked again.  On an active arc e = uv, g_e = 0 on the cell, so
+    l_v' = d/dphi T_e(l_u) = l_u' (1 + q_e'(l_u)).  At time l_u the arc's
+    inflow is f = x_j / l_u' + sum over i != j of x_i / l_i', each commodity
+    read at its first particle at the tail then, and q_e is its loading, so
+    q_e' = f / nu_e - 1 where q_e > 0 and max(f / nu_e - 1, 0) where
+    q_e = 0 (``check_feasibility``, (a)).  With the foreign rate
+    y_j = sum over i != j of x_i l_u' / l_i', this makes l_v' equal to
+    (x_j + y_j) / nu_e where q_e(l_u) > 0 and to max(l_u', (x_j + y_j) / nu_e)
+    where q_e(l_u) = 0, which is the stress of e (``stress``).  On a flat
+    tail label x_j = 0 and both sides are 0.  So every active arc into v
+    attains l_v': it is the minimum stress over them, of which TF2 leaves at
+    least one (TF2's slope condition), and every active arc carrying flow
+    attains it (TF3).
+
+    The origin's label, every strategy and every gap (``labels.arc_gaps``)
+    is read as one column over the sorted cell midpoints.
     """
     inflows = {}
     for (j, e), x in strategies.items():
@@ -520,16 +542,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
         elif x != StepFunction.zero():
             raise ValueError(f"commodity {j} sends flow into arc {e}, whose "
                              f"tail its labels never reach")
-    _, profile = load_network(instance, inflows)
-    return _verify_with_profile(instance, strategies, labels_all, horizon,
-                                profile, require_tightness)
-
-
-def _verify_with_profile(instance: Instance, strategies: dict, labels_all: dict,
-                         horizon, profile,
-                         require_tightness: bool = True) -> ThinFlowReport:
-    """The slope conditions of ``verify_multicommodity_thinflow``, with the
-    waits read from ``profile``."""
+    profile = load_queues(instance, inflows)
     horizon = Fraction(horizon)
     violations = []
     pieces_per_commodity = {}
@@ -538,49 +551,30 @@ def _verify_with_profile(instance: Instance, strategies: dict, labels_all: dict,
         ls = labels_all[j]
         cells = _partition(instance, labels_all, strategies, j, horizon, profile)
         pieces_per_commodity[j] = cells
-        # every quantity read, as one column over the sorted cell midpoints
         mids = [(lo + hi) / 2 for lo, hi in cells]
-        lslope = {v: differentiate(f).at_sorted(mids) for v, f in ls.labels.items()}
+        source = ls.labels[c.origin]
+        source_values = source.at_sorted(mids)
+        source_slopes = differentiate(source).at_sorted(mids)
         own = {a.id: strategies.get((j, a.id), StepFunction.zero()).at_sorted(mids)
                for a in instance.arcs}
-        statuses = arc_statuses(instance, ls, profile, mids)
-        # foreign rates only where the conditions read them: into an active arc
-        foreign = {}
-        for a in instance.arcs:
-            ks = [k for k, (active, _) in enumerate(statuses) if a.id in active]
-            if ks and a.head != c.origin:
-                foreign[a.id] = dict(zip(ks, foreign_rates(
-                    instance, labels_all, strategies, j, a.id, [mids[k] for k in ks])))
-        source_slope, volume = 1 / c.rate, c.particle_volume
+        gaps = {e: g for e, (_, g) in arc_gaps(instance, ls, profile, mids).items()
+                if g is not None}
         for k, piece in enumerate(cells):
-            in_k = volume is None or mids[k] < volume
-            if lslope[c.origin][k] != source_slope:
+            in_k = c.particle_volume is None or mids[k] < c.particle_volume
+            if (source_slopes[k] != 1 / c.rate
+                    or source_values[k] != c.inflow_start + mids[k] / c.rate):
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
-            active, resetting = statuses[k]
             for a in instance.arcs:
-                if require_tightness and own[a.id][k] > 0 and a.id not in active:
+                if (require_tightness and own[a.id][k] > 0
+                        and (a.id not in gaps or gaps[a.id][k])):
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
+            for e, gap in gaps.items():
+                if gap[k] < 0:
+                    violations.append(ThinFlowViolation("LabelUndercut", j, e, piece))
+            reached = {instance.arc(e).head for e, gap in gaps.items() if gap[k] == 0}
             for v in instance.nodes:
-                if v == c.origin or v not in ls.labels:
-                    continue
-                rhos = []
-                for a in instance.in_arcs(v):
-                    if a.id not in active:
-                        continue
-                    x = own[a.id][k]
-                    rho = stress(a.capacity, lslope[a.tail][k], x, foreign[a.id][k],
-                                 a.id in resetting)
-                    rhos.append((a.id, x, rho))
-                if not rhos:
+                if v in ls.labels and v != c.origin and v not in reached:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
-                    continue
-                best = min(r for _, _, r in rhos)
-                if lslope[v][k] != best:
-                    violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
-                if require_tightness:
-                    for e, x, rho in rhos:
-                        if x > 0 and rho != lslope[v][k]:
-                            violations.append(ThinFlowViolation("TF3Violated", j, e, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
             for v in instance.nodes:
                 net = sum((own[a.id][k] for a in instance.out_arcs(v)), ZERO) \
@@ -633,14 +627,8 @@ def _partition(instance, labels_all, strategies, j, horizon, profile):
         cuts.update(min_preimages(lu_j, sorted(t for t in times if lo < t < hi)))
     mesh = sorted(cuts)
     gap_zeros = []
-    for a in instance.arcs:
-        lu, lv = ls.labels.get(a.tail), ls.labels.get(a.head)
-        if lu is None or lv is None:
-            continue
-        entry = lu.at_sorted(mesh)
-        waits = profile.waiting[a.id].at_sorted(entry)
-        gap = [t + a.transit + w - l
-               for t, w, l in zip(entry, waits, lv.at_sorted(mesh))]
-        gap_zeros += zero_crossings(mesh, gap)
+    for _, gaps in arc_gaps(instance, ls, profile, mesh).values():
+        if gaps is not None:
+            gap_zeros += zero_crossings(mesh, gaps)
     mesh = sorted_union(mesh, gap_zeros)
     return list(zip(mesh, mesh[1:]))

@@ -9,19 +9,22 @@ and serve the equivalence tests only.  ``waiting_derivative_failures`` and
 the two checks before it are the queue-dynamics checks that
 ``check_feasibility`` proves implied rather than runs; the implication test
 in ``test_loading`` keeps them as references.  The thin-flow verifier at the
-end reads every condition cell by cell, through the one-point
-``arc_status`` and ``foreign_rate_at`` here; it shares the loading and the
-partition with the library, since the equivalence test is about the reads.
+end reads every check cell by cell, one gap at a time; it shares the loading
+and the partition with the library, since the equivalence test is about the
+reads.  ``stress_conditions`` keeps the slope conditions that the verifier
+proves implied rather than runs, read through the one-point ``arc_status``
+and ``foreign_rate_at`` here.
 """
 
 from fractions import Fraction
 
-from nashflow.labels import rate_over_time
-from nashflow.loading import load_network
+from nashflow import timefn
+from nashflow.labels import earliest_arrival, rate_over_time
+from nashflow.loading import _anchor, load_network
 from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
                                stress)
 from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
-                             differentiate)
+                             differentiate, integrate)
 
 ZERO = Fraction(0)
 
@@ -299,15 +302,9 @@ def strategy_profile(instance, strategies, labels_all):
 
 def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
                                    require_tightness=True):
-    """The library's thin-flow verifier, read cell by cell at the midpoints."""
+    """The library's thin-flow verifier, read cell by cell at the midpoints
+    against the queues the strategies load."""
     profile = strategy_profile(instance, strategies, labels_all)
-    return verify_with_profile(instance, strategies, labels_all, horizon, profile,
-                               require_tightness)
-
-
-def verify_with_profile(instance, strategies, labels_all, horizon, profile,
-                        require_tightness=True):
-    """The conditions of ``verify_multicommodity_thinflow`` against ``profile``."""
     horizon = Fraction(horizon)
     violations = []
     pieces = {}
@@ -316,44 +313,38 @@ def verify_with_profile(instance, strategies, labels_all, horizon, profile,
         ls = labels_all[j]
         cells = _partition(instance, labels_all, strategies, j, horizon, profile)
         pieces[j] = cells
-        lslope = {v: differentiate(f) for v, f in ls.labels.items()}
-        own = {a.id: strategies.get((j, a.id), StepFunction.zero())
-               for a in instance.arcs}
+        source = ls.labels[c.origin]
         for lo, hi in cells:
             m = (lo + hi) / 2
             piece = (lo, hi)
             in_k = c.particle_volume is None or m < c.particle_volume
-            if lslope[c.origin](m) != 1 / c.rate:
+            if source.slope_right(m) != 1 / c.rate or \
+                    source(m) != c.inflow_start + m / c.rate:
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
-            active, resetting = arc_status(instance, ls, profile, m)
+            gaps = {}
             for a in instance.arcs:
-                if require_tightness and own[a.id](m) > 0 and a.id not in active:
+                lu, lv = ls.labels.get(a.tail), ls.labels.get(a.head)
+                if lu is not None and lv is not None:
+                    entry = lu(m)
+                    gaps[a.id] = entry + a.transit + profile.waiting[a.id](entry) - lv(m)
+            own = {a.id: strategies.get((j, a.id), StepFunction.zero())(m)
+                   for a in instance.arcs}
+            for a in instance.arcs:
+                if require_tightness and own[a.id] > 0 and gaps.get(a.id) != 0:
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id,
+                                                        piece))
+            for a in instance.arcs:
+                if a.id in gaps and gaps[a.id] < 0:
+                    violations.append(ThinFlowViolation("LabelUndercut", j, a.id,
                                                         piece))
             for v in instance.nodes:
                 if v == c.origin or v not in ls.labels:
                     continue
-                rhos = []
-                for a in instance.in_arcs(v):
-                    if a.id not in active:
-                        continue
-                    x = own[a.id](m)
-                    y = foreign_rate_at(instance, labels_all, strategies, j, a.id, m)
-                    rhos.append((a.id, x, stress(a.capacity, lslope[a.tail](m), x, y,
-                                                 a.id in resetting)))
-                if not rhos:
+                if all(gaps.get(a.id) != 0 for a in instance.in_arcs(v)):
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
-                    continue
-                if lslope[v](m) != min(r for _, _, r in rhos):
-                    violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
-                if require_tightness:
-                    for e, x, rho in rhos:
-                        if x > 0 and rho != lslope[v](m):
-                            violations.append(ThinFlowViolation("TF3Violated", j, e,
-                                                                piece))
             for v in instance.nodes:
-                net = sum((own[a.id](m) for a in instance.out_arcs(v)), ZERO) \
-                    - sum((own[a.id](m) for a in instance.in_arcs(v)), ZERO)
+                net = sum((own[a.id] for a in instance.out_arcs(v)), ZERO) \
+                    - sum((own[a.id] for a in instance.in_arcs(v)), ZERO)
                 expected = ZERO
                 if v == c.origin:
                     expected = Fraction(1) if in_k else ZERO
@@ -364,3 +355,59 @@ def verify_with_profile(instance, strategies, labels_all, horizon, profile,
                                                         piece))
                     break
     return ThinFlowReport(ok=not violations, violations=violations, pieces=pieces)
+
+
+def stress_conditions(instance, strategies, labels_all, horizon, profile,
+                      require_tightness=True):
+    """The slope conditions that ``verify_multicommodity_thinflow`` proves
+    implied rather than runs, read cell by cell against ``profile``.  On
+    every cell of the partition, a labelled node other than the origin whose
+    label slope is not the minimum stress over its active incoming arcs
+    (foreign rates included) gives ``TF2Violated``, and with
+    ``require_tightness`` an active arc carrying flow whose stress is not
+    that slope gives ``TF3Violated``.  A node with no active incoming arc is
+    left to the verifier's own TF2."""
+    violations = []
+    for c in instance.commodities:
+        j = c.id
+        ls = labels_all[j]
+        lslope = {v: differentiate(f) for v, f in ls.labels.items()}
+        for lo, hi in _partition(instance, labels_all, strategies, j,
+                                 Fraction(horizon), profile):
+            m = (lo + hi) / 2
+            active, resetting = arc_status(instance, ls, profile, m)
+            for v in instance.nodes:
+                if v == c.origin or v not in ls.labels:
+                    continue
+                rhos = []
+                for a in instance.in_arcs(v):
+                    if a.id in active:
+                        x = strategies.get((j, a.id), StepFunction.zero())(m)
+                        y = foreign_rate_at(instance, labels_all, strategies, j,
+                                            a.id, m)
+                        rhos.append((a.id, x, stress(a.capacity, lslope[a.tail](m),
+                                                     x, y, a.id in resetting)))
+                if rhos and lslope[v](m) != min(r for _, _, r in rhos):
+                    violations.append(ThinFlowViolation("TF2Violated", j, v, (lo, hi)))
+                for e, x, rho in rhos:
+                    if require_tightness and x > 0 and rho != lslope[v](m):
+                        violations.append(ThinFlowViolation("TF3Violated", j, e,
+                                                            (lo, hi)))
+    return violations
+
+
+def read_back(instance, flow, profile):
+    """The labels, per-particle strategies and horizon that
+    ``check_derivatives_thinflow`` reads from a flow and its queues."""
+    labels_all, strategies, horizon = {}, {}, ZERO
+    for c in instance.commodities:
+        ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
+        labels_all[c.id] = ls
+        horizon = max(horizon, c.particle_volume)
+        for a in instance.arcs:
+            lu = ls.labels.get(a.tail)
+            if lu is not None:
+                f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
+                strategies[(c.id, a.id)] = differentiate(
+                    timefn.compose(integrate(f_in, _anchor(f_in)), lu))
+    return labels_all, strategies, horizon

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from nashflow.nash import (FlowReconstructionError, Phase,
                            verify_nash)
 from nashflow.timefn import PwlFunction, StepFunction
 
+import reference_kernels as reference
 from corpus import corpus, single_arc_canonical
 
 F = Fraction
@@ -221,6 +223,55 @@ class TestRoundTripNeedsBoundedInflow:
             check_derivatives_thinflow(inst, flow)
         report = check_derivatives_thinflow(result.instance, flow)
         assert "StaticFlowViolated" in {v.code for v in report.violations}
+
+
+def _scaled(f, lo, hi, factor):
+    """The step function f, multiplied by factor on [lo, hi)."""
+    bps = sorted(set(f.breakpoints) | {lo, hi})
+    return StepFunction(bps, [f(b) * factor if lo <= b < hi else f(b) for b in bps],
+                        f.initial)
+
+
+class TestRoundTripImplication:
+    """The round trip rejects every corrupted corpus flow on which the slope
+    conditions that ``verify_multicommodity_thinflow`` proves implied (TF2's
+    minimum, TF3) fail against the flow's derived queues."""
+
+    TRIALS = 6
+
+    def test_corrupted_corpus_flows(self):
+        rng = random.Random(20261018)
+        fired = 0
+        for name, instance, horizon in corpus():
+            result = _construct_by_mode(instance, horizon)
+            inst = result.instance
+            keys = sorted(k for k, f in result.flow.inflow.items() if f.breakpoints)
+            for _ in range(self.TRIALS):
+                key = rng.choice(keys)
+                which = rng.choice(["inflow", "outflow", "both"])
+                f_in, f_out = result.flow.inflow[key], result.flow.outflow[key]
+                start, end = f_in.breakpoints[0], f_out.breakpoints[-1]
+                lo, hi = (start + (end - start) * F(k, 8)
+                          for k in sorted(rng.sample(range(9), 2)))
+                factor = rng.choice([F(1, 2), F(3, 2), F(2)])
+                flow = FlowOverTime(dict(result.flow.inflow), dict(result.flow.outflow))
+                if which != "outflow":
+                    flow.inflow[key] = _scaled(f_in, lo, hi, factor)
+                if which != "inflow":
+                    flow.outflow[key] = _scaled(f_out, lo, hi, factor)
+                flow.fill_totals(inst)
+                profile = derive_profile(inst, flow)
+                labels, strategies, checked = reference.read_back(inst, flow, profile)
+                try:
+                    dropped = reference.stress_conditions(inst, strategies, labels,
+                                                          checked, profile)
+                except ValueError:
+                    continue
+                if dropped:
+                    fired += 1
+                    report = check_derivatives_thinflow(inst, flow)
+                    assert not report.ok, (name, key, which, lo, hi, factor)
+        assert fired >= 40
 
 
 class TestVerifyNashNegative:

@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.labels import LabelSet, arc_statuses, extend_labels, foreign_rates
+from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rates
 from nashflow.loading import QueueProfile
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
-                               ThinFlow, _partition, _verify_with_profile,
+                               ThinFlow, _partition,
                                check_multisource_thinflow, check_thinflow,
                                decompose,
                                solve_thinflow_multisource,
@@ -463,6 +463,31 @@ class TestVerifyMulticommodity:
         report = verify_multicommodity_thinflow(instance, strategies, labels, 1)
         assert any(v.code == "SupportViolated" for v in report.violations)
 
+    def test_label_later_than_an_arrival_is_undercut(self):
+        # l_t = 1 + phi fits the queue on e1, but from particle 2 on e2
+        # reaches t at phi/2 + 2, earlier than l_t
+        instance = validate_instance(Instance(
+            nodes=("s", "t"),
+            arcs=(Arc("e1", "s", "t", F(1), F(1)), Arc("e2", "s", "t", F(2), F(100))),
+            commodities=(Commodity("1", "s", "t", F(2), F(0), F(4)),),
+        ))
+        strategies = {("1", "e1"): StepFunction([0, 8], [1, 0], 0)}
+        labels = {"1": LabelSet("1", {"s": PwlFunction.line(F(1, 2)),
+                                      "t": PwlFunction.line(1, 0, 1)})}
+        report = verify_multicommodity_thinflow(instance, strategies, labels, 8)
+        assert [str(v) for v in report.violations] == ["LabelUndercut(1,e2) on [2,8)"]
+
+    def test_shifted_labels_fail_tf1(self):
+        # shifting every label by 5 shifts the loaded queues with them, so
+        # only the source label's value can tell
+        instance, strategies = shared_arc_setup()
+        labels = extend_labels(instance, strategies, 1)
+        shifted = {j: LabelSet(j, {v: f + PwlFunction.constant(5)
+                                   for v, f in ls.labels.items()}, ls.phi_max)
+                   for j, ls in labels.items()}
+        report = verify_multicommodity_thinflow(instance, strategies, shifted, 1)
+        assert [str(v) for v in report.violations] == [
+            "TF1Violated(1,s) on [0,1)", "TF1Violated(2,s) on [0,1)"]
 
     def test_flow_into_an_unreached_tail_raises(self):
         instance = validate_instance(Instance(
@@ -546,7 +571,7 @@ class TestPointwiseReference:
     reference: equal reports, violations in order, and equal pieces."""
 
     SEEDS = range(4)
-    CODES = {"TF1Violated", "TF2Violated", "TF3Violated", "SupportViolated",
+    CODES = {"TF1Violated", "TF2Violated", "LabelUndercut", "SupportViolated",
              "StaticFlowViolated"}
 
     def cases(self):
@@ -598,27 +623,38 @@ class TestPointwiseReference:
                labels)
 
     def test_reports_match(self):
-        """Against the queues the strategies load, and, as the flow round trip
-        passes them in, against the queues of the clean set."""
-        fired, reports = set(), 0
-        for name, instance, strategies, labels, horizon, profile in self.cases():
+        """Against the queues the strategies load.  The slope conditions
+        that the verifier proves implied (TF2's minimum, TF3) fail on no
+        piece against those queues; against the clean set's queues, which
+        the flow round trip once passed in, every piece on which they fail
+        meets a piece of that commodity that the verifier rejects."""
+        fired, reports, dropped_fired = set(), 0, 0
+        for name, instance, strategies, labels, horizon, clean in self.cases():
+            loaded = _outcome(reference.strategy_profile, instance, strategies, labels)
             for tight in (True, False):
                 got = _outcome(verify_multicommodity_thinflow, instance, strategies,
                                labels, horizon, require_tightness=tight)
                 want = _outcome(reference.verify_multicommodity_thinflow, instance,
                                 strategies, labels, horizon, require_tightness=tight)
                 assert got == want, (name, tight)
-                given = _outcome(_verify_with_profile, instance, strategies, labels,
-                                 horizon, profile, tight)
-                assert given == _outcome(reference.verify_with_profile, instance,
-                                         strategies, labels, horizon, profile,
-                                         tight), (name, tight)
-                for report in (got, given):
-                    if report is not ValueError:
-                        reports += 1
-                        fired |= {v.code for v in report.violations}
+                if got is ValueError:
+                    continue
+                reports += 1
+                fired |= {v.code for v in got.violations}
+                assert reference.stress_conditions(instance, strategies, labels,
+                                                   horizon, loaded, tight) == [], name
+                dropped = _outcome(reference.stress_conditions, instance, strategies,
+                                   labels, horizon, clean, tight)
+                if dropped is ValueError:
+                    continue
+                for v in dropped:
+                    dropped_fired += 1
+                    assert any(w.commodity == v.commodity and w.piece[0] < v.piece[1]
+                               and v.piece[0] < w.piece[1]
+                               for w in got.violations), (name, tight, str(v))
         assert fired >= self.CODES, fired
-        assert reports >= 80
+        assert reports >= 50
+        assert dropped_fired > 0
 
     def test_column_readers_match_one_point_reads(self):
         for name, instance, strategies, labels, horizon, profile in self.cases():
@@ -631,7 +667,12 @@ class TestPointwiseReference:
                 ends = sorted({x for cell in cells for x in cell})
                 points = [ends[0] - 1] + sorted(
                     ends + [(lo + hi) / 2 for lo, hi in cells]) + [ends[-1] + 1]
-                assert arc_statuses(instance, ls, profile, points) == [
+                columns = arc_gaps(instance, ls, profile, points)
+                statuses = [({e for e, (_, gaps) in columns.items()
+                              if gaps is not None and gaps[k] == 0},
+                             {e for e, (waits, _) in columns.items() if waits[k] > 0})
+                            for k in range(len(points))]
+                assert statuses == [
                     reference.arc_status(instance, ls, profile, p) for p in points], name
                 for a in instance.arcs:
                     if a.tail not in ls.labels:

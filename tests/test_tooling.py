@@ -4,11 +4,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nashflow").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "nashflow").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -42,7 +44,7 @@ def test_sources_found():
 def test_benchmark_tracer_names_exist():
     """Every function the benchmark's tracer wraps exists in its layer, so
     ``perfbench/run.py --trace 1`` cannot break on a renamed function."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -97,3 +99,25 @@ def test_float_sites_are_found():
     tree = ast.parse(source)
     assert _float_sites(tree, "netmodel.py") == [2, 4, 5, 6, 7]
     assert _float_sites(tree, "timefn.py") == [2, 3, 4, 5, 6, 7]
+
+
+def _module_table(text) -> dict:
+    """Module name -> the back-ticked names in its row of the README's
+    module table."""
+    rows = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`nashflow\.\w+`", cells[0]):
+            rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    return rows
+
+
+def test_readme_module_names_exist():
+    """Every name the README's module table lists exists in its module, so
+    the table cannot keep a name that the code dropped."""
+    rows = _module_table((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(rows) >= 6, rows
+    for module_name, names in rows.items():
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not hasattr(module, name)]
+        assert names and not missing, (module_name, missing)
