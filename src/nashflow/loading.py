@@ -103,29 +103,29 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     pairs mean zero inflow.  Rates must be non-negative with finite support
     (zero before their first breakpoint and, when ``horizon`` is given, zero
     from the horizon on).  Returns (FlowOverTime, QueueProfile); all outputs
-    are exact piecewise functions: the queues of ``load_queues``, and per
-    commodity and arc the FIFO share of the arc's outflow.
+    are exact piecewise functions.
     """
-    flow = FlowOverTime(inflow={}, outflow={})
-    profile = _load_totals(instance, inflows, horizon, flow)
-    for c in instance.commodities:
-        for a in instance.arcs:
+    profile, total_in, total_out = _load_totals(instance, inflows, horizon)
+    flow = FlowOverTime({}, {}, total_in, total_out)
+    for a in instance.arcs:
+        T = profile.waiting[a.id] + PwlFunction.line(ONE, ZERO, a.transit)
+        profile.exit_time[a.id] = T
+        for c in instance.commodities:
             f_j = inflows.get((c.id, a.id), StepFunction.zero())
             flow.inflow[(c.id, a.id)] = f_j
-            flow.outflow[(c.id, a.id)] = _split_outflow(
-                f_j, flow.total_inflow[a.id], flow.total_outflow[a.id],
-                profile.exit_time[a.id])
+            flow.outflow[(c.id, a.id)] = _split_outflow(f_j, total_in[a.id],
+                                                        total_out[a.id], T)
     return flow, profile
 
 
 def load_queues(instance: Instance, inflows: dict, horizon=None) -> QueueProfile:
-    """The queue profile of ``load_network`` alone."""
-    return _load_totals(instance, inflows, horizon, FlowOverTime({}, {}))
+    """The queue volumes and waits of ``load_network``; no exit times."""
+    return _load_totals(instance, inflows, horizon)[0]
 
 
-def _load_totals(instance: Instance, inflows: dict, horizon, flow: FlowOverTime):
-    """Check the inflows, load each arc's total inflow and record the totals
-    in ``flow``; returns the queue profile."""
+def _load_totals(instance: Instance, inflows: dict, horizon):
+    """Check the inflows and load each arc's total inflow: the queue profile
+    without exit times, and the total in- and outflow per arc."""
     budget = breakpoint_budget()
     total_bps = 0
     for (j, e), f in inflows.items():
@@ -143,23 +143,20 @@ def _load_totals(instance: Instance, inflows: dict, horizon, flow: FlowOverTime)
             raise UnboundedBreakpoints(f"more than {budget} inflow breakpoints")
 
     profile = QueueProfile(volume={}, waiting={}, exit_time={})
+    total_in, total_out = {}, {}
     for arc in instance.arcs:
-        total_in = StepFunction.sum_of(
+        total_in[arc.id] = StepFunction.sum_of(
             inflows.get((c.id, arc.id), StepFunction.zero())
             for c in instance.commodities)
-        total_out, z = _load_arc(total_in, arc)
-        q = z.shift(-arc.transit).scale(1 / arc.capacity)
-        flow.total_inflow[arc.id] = total_in
-        flow.total_outflow[arc.id] = total_out
+        total_out[arc.id], z = _load_arc(total_in[arc.id], arc)
         profile.volume[arc.id] = z
-        profile.waiting[arc.id] = q
-        profile.exit_time[arc.id] = q + PwlFunction.line(ONE, ZERO, arc.transit)
+        profile.waiting[arc.id] = z.shift(-arc.transit).scale(1 / arc.capacity)
     if horizon is not None:
         drain = sum((a.transit for a in instance.arcs), ZERO)
-        volume = sum((_total_volume(flow.total_inflow[a.id]) for a in instance.arcs), ZERO)
+        volume = sum((_total_volume(f) for f in total_in.values()), ZERO)
         nu_min = min((a.capacity for a in instance.arcs), default=ONE)
         profile.horizon = Fraction(horizon) + drain + volume / nu_min
-    return profile
+    return profile, total_in, total_out
 
 
 def _total_volume(f: StepFunction) -> Fraction:
@@ -180,12 +177,11 @@ def _load_arc(total_in: StepFunction, arc):
     capacity = arc.capacity
     g = total_in.shift(arc.transit)  # arrival rate at the queue
     if not g.breakpoints:
-        zero = PwlFunction.constant(ZERO)
-        return StepFunction.zero(), zero
+        return StepFunction.zero(), PwlFunction.constant(ZERO)
     start = g.breakpoints[0]
     z_bps = [start]
     z_vals = [ZERO]
-    out_pieces = []  # (time, outflow value)
+    outflows = {}  # time -> outflow; the last value set at a time wins
     t = start
     z = ZERO
     pieces = [(lo, hi, v) for lo, hi, v in g.pieces() if lo is not None]
@@ -200,7 +196,7 @@ def _load_arc(total_in: StepFunction, arc):
             else:
                 slope = max(rate - capacity, ZERO)
                 out = min(rate, capacity)
-            out_pieces.append((t, out))
+            outflows[t] = out
             if z > 0 and slope < 0:
                 deplete = t + z / (-slope)
                 if hi is None or deplete < hi:
@@ -219,22 +215,11 @@ def _load_arc(total_in: StepFunction, arc):
             t = hi
             break
     volume = PwlFunction(z_bps, z_vals, ZERO, final_slope)
-    outflow = StepFunction.from_pieces(_dedupe(out_pieces), ZERO)
+    outflow = StepFunction(list(outflows), list(outflows.values()), ZERO)
     if outflow.final != final_out:
         raise LoadingInvariantBroken(
             f"arc {arc.id}: outflow settles at {outflow.final}, the sweep at {final_out}")
     return outflow, volume
-
-
-def _dedupe(pieces):
-    """Keep the last value recorded at any repeated time."""
-    out = []
-    for t, v in pieces:
-        if out and out[-1][0] == t:
-            out[-1] = (t, v)
-        else:
-            out.append((t, v))
-    return out
 
 
 def _split_outflow(inflow_j: StepFunction, total_in: StepFunction,

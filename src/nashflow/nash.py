@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .labels import LabelSet, earliest_arrival, rate_over_time
-from .loading import (FeasibilityReport, FlowOverTime, QueueProfile, _anchor,
-                      check_feasibility, derive_profile)
+from .loading import (FeasibilityReport, FlowOverTime, FlowViolation,
+                      QueueProfile, _anchor, check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
                        Instance, InvalidDerivedInstance, extend_with_super_sink,
                        transit_distances, validate_instance)
-from .rationals import format_optional_rational, format_rational
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
@@ -58,6 +57,7 @@ class Phase:
     flows: dict = field(default_factory=dict)  # commodity -> {arc: flow part}
 
     def to_json(self) -> dict:
+        from .rationals import format_rational
         return {
             "interval": [format_rational(self.phi_start), format_rational(self.phi_end)],
             "thinflow": self.thin.to_json(),
@@ -371,6 +371,7 @@ class NashViolation:
         return f"{self.code}({self.commodity},{self.subject}){tail}"
 
     def record(self) -> dict:
+        from .rationals import format_optional_rational
         return {"code": self.code, "commodity": self.commodity,
                 "subject": self.subject,
                 "particle": format_optional_rational(self.particle),
@@ -471,23 +472,35 @@ def _check_underlying_static_flow(instance, commodity, labelset, flow):
 
 def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
                                profile: QueueProfile | None = None):
-    """The construction round trip: read labels from the flow's queues and
-    per-particle strategies from its inflows, then certify them with
-    ``verify_multicommodity_thinflow``, which loads the read-back strategies
-    into their own queues.  Every commodity needs a bounded inflow interval:
-    its particle volume bounds the particles checked."""
+    """The construction round trip: ``_read_back`` reads labels from the
+    flow's queues and strategies from its inflows, and
+    ``verify_multicommodity_thinflow`` certifies them against the queues the
+    strategies load; an arc whose loaded wait differs from the flow's gives
+    ``LoadedWaitMismatch`` at the first probe time found.  Every commodity
+    needs a bounded inflow interval: its volume bounds the particles checked."""
     if profile is None:
         profile = derive_profile(instance, flow)
+    report = verify_multicommodity_thinflow(instance, *_read_back(instance, flow, profile))
+    for a in instance.arcs:
+        loaded, derived = report.queues.waiting[a.id], profile.waiting[a.id]
+        if loaded != derived:
+            report.violations.append(FlowViolation(
+                "LoadedWaitMismatch", a.id, str(first_difference(loaded, derived)[0])))
+    report.ok = not report.violations
+    return report
+
+
+def _read_back(instance: Instance, flow: FlowOverTime, profile: QueueProfile):
+    """The strategies of the flow's inflows through the earliest arrivals of
+    ``profile``, those labels, and the largest particle volume."""
     labels_all = {}
     strategies = {}
-    horizon = ZERO
     for c in instance.commodities:
         if c.particle_volume is None:
             raise ValueError(f"commodity {c.id} has an unbounded inflow "
                              f"interval; the round trip needs a bounded one")
         ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
         labels_all[c.id] = ls
-        horizon = max(horizon, c.particle_volume)
         for a in instance.arcs:
             lu = ls.labels.get(a.tail)
             if lu is None:
@@ -495,4 +508,5 @@ def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
             f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
             cumulative = compose(integrate(f_in, _anchor(f_in)), lu)
             strategies[(c.id, a.id)] = differentiate(cumulative)
-    return verify_multicommodity_thinflow(instance, strategies, labels_all, horizon)
+    horizon = max((c.particle_volume for c in instance.commodities), default=ZERO)
+    return strategies, labels_all, horizon

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .rationals import format_rational
 from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
                      min_preimages, sorted_union, zero_crossings)
-from .loading import load_queues
+from .loading import QueueProfile, load_queues
 from .labels import arc_gaps, rate_over_time
 
 SIZE_LIMIT = 25
@@ -89,6 +88,7 @@ class ThinFlow:
     value: Fraction = ONE
 
     def to_json(self) -> dict:
+        from .rationals import format_rational
         return {
             "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
             "label_slopes": {v: format_rational(l)
@@ -109,6 +109,7 @@ class MultiSourceThinFlow:
     resetting: frozenset
 
     def to_json(self) -> dict:
+        from .rationals import format_rational
         return {
             "supplies": {j: format_rational(x) for j, x in sorted(self.supplies.items())},
             "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
@@ -463,6 +464,7 @@ class ThinFlowReport:
     ok: bool
     violations: list
     pieces: dict = field(default_factory=dict)
+    queues: QueueProfile | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"ok": self.ok,
@@ -482,6 +484,7 @@ class ThinFlowViolation:
         return f"{self.code}({self.commodity},{self.subject}) on [{lo},{hi})"
 
     def record(self) -> dict:
+        from .rationals import format_rational
         return {"code": self.code, "commodity": self.commodity,
                 "subject": self.subject,
                 "piece": [format_rational(self.piece[0]),
@@ -495,10 +498,10 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     labels are the earliest arrivals through the queues its strategies load.
 
     The strategies enter their arcs at the times the tail labels give
-    (``labels.rate_over_time``), and ``load_queues`` loads them.  On every
-    cell of ``_partition`` each quantity read is linear and no gap
-    g_e = T_e(l_u) - l_v changes sign, so one read at the cell's midpoint is
-    exact.  Per commodity j and cell:
+    (``labels.rate_over_time``), and ``load_queues`` loads them into the
+    report's ``queues``.  On every cell of ``_partition`` each quantity read
+    is linear and no gap g_e = T_e(l_u) - l_v changes sign, so one read at
+    the cell's midpoint is exact.  Per commodity j and cell:
 
     - ``TF1Violated``: the origin's label is not inflow_start + phi/r, in
       value or in slope.
@@ -576,32 +579,27 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                 if v in ls.labels and v != c.origin and v not in reached:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
             # the strategy must be a static flow of value 1 on K_j, 0 outside
+            supply = {c.origin: ONE, c.destination: -ONE} if in_k else {}
             for v in instance.nodes:
                 net = sum((own[a.id][k] for a in instance.out_arcs(v)), ZERO) \
                     - sum((own[a.id][k] for a in instance.in_arcs(v)), ZERO)
-                expected = ZERO
-                if v == c.origin:
-                    expected = ONE if in_k else ZERO
-                elif v == c.destination:
-                    expected = -ONE if in_k else ZERO
-                if net != expected:
+                if net != supply.get(v, ZERO):
                     violations.append(ThinFlowViolation("StaticFlowViolated", j, v, piece))
                     break
     return ThinFlowReport(ok=not violations, violations=violations,
-                          pieces=pieces_per_commodity)
+                          pieces=pieces_per_commodity, queues=profile)
 
 
 def _partition(instance, labels_all, strategies, j, horizon, profile):
     """Cells of [0, horizon] on which every quantity that commodity j's
-    conditions read is linear and every arc status constant, so that one
-    probe per cell is exact.
+    checks read is linear and every gap keeps its sign, so that one probe
+    per cell is exact.
 
     The cuts are j's label and strategy breakpoints and, per arc, j's first
-    particles to reach the tail at the times where a foreign rate or the
-    wait q_e changes: a breakpoint of another commodity's tail label or
-    strategy, a breakpoint or zero crossing of q_e.  On that mesh the gap
-    T_e(l_u) - l_v is linear per cell, and its zero crossings finish the
-    partition.
+    particles to reach the tail where q_e bends or crosses zero.  On that
+    mesh each gap T_e(l_u) - l_v is linear per cell; its zeros finish the
+    partition.  Cuts where another commodity's tail label or strategy bends,
+    once needed by the foreign rates, are kept so the pieces stay the same.
     """
     ls = labels_all[j]
     cuts = {ZERO, horizon}

@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .rationals import format_rational, parse_rational
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -200,6 +198,7 @@ class StepFunction:
         return StepFunction(bps, [sum(col, ZERO) for col in zip(*columns)], init)
 
     def to_json(self) -> dict:
+        from .rationals import format_rational
         return {
             "breakpoints": [format_rational(b) for b in self.breakpoints],
             "values": [format_rational(v) for v in self.values],
@@ -208,6 +207,7 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, doc: dict) -> "StepFunction":
+        from .rationals import parse_rational
         return cls([parse_rational(b) for b in doc.get("breakpoints", [])],
                    [parse_rational(v) for v in doc.get("values", [])],
                    parse_rational(doc.get("initial", 0)))
@@ -369,6 +369,7 @@ class PwlFunction:
         return all(v == 0 for v in inside)
 
     def to_json(self) -> dict:
+        from .rationals import format_rational
         return {
             "breakpoints": [format_rational(b) for b in self.breakpoints],
             "values": [format_rational(v) for v in self.values],
@@ -378,12 +379,14 @@ class PwlFunction:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PwlFunction":
+        from .rationals import parse_rational
         return cls([parse_rational(b) for b in doc["breakpoints"]],
                    [parse_rational(v) for v in doc["values"]],
                    parse_rational(doc.get("initial_slope", 0)),
                    parse_rational(doc.get("final_slope", 0)))
 
     def csv_rows(self):
+        from .rationals import format_rational
         yield ("breakpoint", "value")
         for b, v in zip(self.breakpoints, self.values):
             yield (format_rational(b), format_rational(v))

@@ -18,13 +18,12 @@ and ``foreign_rate_at`` here.
 
 from fractions import Fraction
 
-from nashflow import timefn
-from nashflow.labels import earliest_arrival, rate_over_time
-from nashflow.loading import _anchor, load_network
+from nashflow.labels import rate_over_time
+from nashflow.loading import load_network
 from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
                                stress)
 from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
-                             differentiate, integrate)
+                             differentiate)
 
 ZERO = Fraction(0)
 
@@ -394,20 +393,3 @@ def stress_conditions(instance, strategies, labels_all, horizon, profile,
                         violations.append(ThinFlowViolation("TF3Violated", j, e,
                                                             (lo, hi)))
     return violations
-
-
-def read_back(instance, flow, profile):
-    """The labels, per-particle strategies and horizon that
-    ``check_derivatives_thinflow`` reads from a flow and its queues."""
-    labels_all, strategies, horizon = {}, {}, ZERO
-    for c in instance.commodities:
-        ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
-        labels_all[c.id] = ls
-        horizon = max(horizon, c.particle_volume)
-        for a in instance.arcs:
-            lu = ls.labels.get(a.tail)
-            if lu is not None:
-                f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
-                strategies[(c.id, a.id)] = differentiate(
-                    timefn.compose(integrate(f_in, _anchor(f_in)), lu))
-    return labels_all, strategies, horizon

@@ -235,7 +235,8 @@ def _scaled(f, lo, hi, factor):
 class TestRoundTripImplication:
     """The round trip rejects every corrupted corpus flow on which the slope
     conditions that ``verify_multicommodity_thinflow`` proves implied (TF2's
-    minimum, TF3) fail against the flow's derived queues."""
+    minimum, TF3) fail against the flow's derived queues, and a flow whose
+    queues are not the loading of its inflows."""
 
     TRIALS = 6
 
@@ -261,7 +262,7 @@ class TestRoundTripImplication:
                     flow.outflow[key] = _scaled(f_out, lo, hi, factor)
                 flow.fill_totals(inst)
                 profile = derive_profile(inst, flow)
-                labels, strategies, checked = reference.read_back(inst, flow, profile)
+                strategies, labels, checked = nash._read_back(inst, flow, profile)
                 try:
                     dropped = reference.stress_conditions(inst, strategies, labels,
                                                           checked, profile)
@@ -272,6 +273,22 @@ class TestRoundTripImplication:
                     report = check_derivatives_thinflow(inst, flow)
                     assert not report.ok, (name, key, which, lo, hi, factor)
         assert fired >= 40
+
+    def test_outflow_corruption_is_rejected(self):
+        # halving an outflow leaves the inflows, and so the queues that the
+        # read-back strategies load, as they were; the labels read from the
+        # flow's own queues are then certified against other queues, which
+        # the round trip must report rather than pass
+        instance, horizon = next((inst, h) for name, inst, h in corpus()
+                                 if name == "parallel_equal_tau")
+        result = _construct_by_mode(instance, horizon)
+        flow = FlowOverTime(dict(result.flow.inflow), dict(result.flow.outflow))
+        flow.outflow[("1", "e2")] = _scaled(flow.outflow[("1", "e2")], F(7, 12),
+                                            F(7, 4), F(1, 2))
+        flow.fill_totals(result.instance)
+        report = check_derivatives_thinflow(result.instance, flow)
+        assert [str(v) for v in report.violations] == ["LoadedWaitMismatch(e2) at 3/8"]
+        assert not report.ok
 
 
 class TestVerifyNashNegative:
