@@ -11,7 +11,7 @@ from .loading import (FlowOverTime, QueueProfile, check_feasibility,
                       derive_profile, exit_time, load_network, queue_size,
                       waiting_time)
 from .labels import (LabelSet, arc_status, earliest_arrival, extend_labels,
-                     foreign_flow, waiting_from_labels)
+                     waiting_from_labels)
 from .thinflow import (MultiSourceThinFlow, ThinFlow, decompose,
                        solve_thinflow_multisource, solve_thinflow_single,
                        stress, verify_multicommodity_thinflow)

@@ -5,17 +5,16 @@ particle can reach the node given the evolving queues.  This module computes
 labels from a loaded flow (Bellman iteration in function space), classifies
 arcs as active/resetting, reconstructs waiting times from the labels of an
 equilibrium, turns a per-particle rate into a rate over time through a
-label, differentiates the foreign flow (the other commodities' traffic as
-one commodity samples it), and extends labels from scratch for given
-per-particle routing strategies by an exact time-frontier sweep, which grows
-the labels and the queues as ``timefn.GrowingPwl`` curves and reads them,
-and the strategies, through forward ``timefn.Cursor``s.
+label, reads the foreign rate (the other commodities' traffic as one
+commodity samples it) at one particle, and extends labels from scratch for
+given per-particle routing strategies by an exact time-frontier sweep, which
+grows the labels and the queues as ``timefn.GrowingPwl`` curves and reads
+them, and the strategies, through forward ``timefn.Cursor``s.
 
-Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) and the foreign
-rates (``foreign_rates``) are read at a sorted column of particles, each
-function in one merge pass: the thin-flow verifier reads the gaps on its
-partition mesh and at its cell midpoints.  ``arc_status`` and
-``foreign_rate_at`` are their one-point case.
+Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) are read at a sorted
+column of particles, each function in one merge pass: the thin-flow verifier
+reads the gaps on its partition mesh and at its cell midpoints.
+``arc_status`` is their one-point case.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .netmodel import INF, Arc, Instance, transit_distances
 from .loading import QueueProfile
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
-                     compose, differentiate, integrate, min_compose,
-                     min_preimage, min_preimages, sorted_union)
+                     compose, differentiate, min_compose, min_preimage,
+                     sorted_union)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -97,13 +96,6 @@ def earliest_arrival(instance: Instance, profile: QueueProfile, commodity_id: st
                     None if phi_max is None else Fraction(phi_max))
 
 
-def _check_rising(times, node):
-    """Label values at non-decreasing points, about to be read by one merge
-    pass, must not decrease."""
-    if any(t < s for s, t in zip(times, times[1:])):
-        raise ValueError(f"the label at {node} decreases between the points read")
-
-
 def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
              points) -> dict[str, tuple[list, list | None]]:
     """Per arc whose tail a commodity's labels reach: its wait q_e(l_u) and
@@ -116,7 +108,9 @@ def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
         entries = values.get(a.tail)
         if entries is None:
             continue
-        _check_rising(entries, a.tail)
+        if any(t < s for s, t in zip(entries, entries[1:])):
+            raise ValueError(f"the label at {a.tail} decreases between the "
+                             f"points read")
         waits = profile.waiting[a.id].at_sorted(entries)
         heads = values.get(a.head)
         gaps = None if heads is None else [
@@ -179,93 +173,35 @@ def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
     return StepFunction(list(pieces), list(pieces.values()), initial)
 
 
-@dataclass
-class ForeignFlowEntry:
-    """Cumulative foreign flow y and its derivative for one (commodity, arc)."""
-
-    cumulative: PwlFunction
-    rate: StepFunction
-
-
-def foreign_rates(instance: Instance, labels_all: dict, strategies: dict,
-                  j: str, arc_id: str, points) -> list[Fraction]:
-    """Derivative of the foreign flow of commodity j on one arc at every
-    particle of the non-decreasing ``points``: other commodities' strategy
-    rates sampled at the particles that reach the tail at the same moment,
-    rescaled by the label slopes.  Where j's tail label is flat the rate is
-    0 and nothing else is read; elsewhere each function is read in one
-    merge pass, so j's tail label must not decrease between the points."""
-    arc = instance.arc(arc_id)
-    lu_j = labels_all[j].labels[arc.tail]
-    own_slopes = differentiate(lu_j).at_sorted(points)
-    rising = [k for k, slope in enumerate(own_slopes) if slope]
-    others = [(i, ls.labels[arc.tail]) for i, ls in labels_all.items()
-              if i != j and arc.tail in ls.labels]
-    totals = [ZERO] * len(points)
-    if not rising or not others:
-        return totals
-    thetas = lu_j.at_sorted([points[k] for k in rising])
-    _check_rising(thetas, arc.tail)
-    for i, lu_i in others:
-        particles = min_preimages(lu_i, thetas)  # ValueNotAttained propagates
-        x_i = strategies.get((i, arc_id), StepFunction.zero())
-        slopes_i = differentiate(lu_i).at_sorted(particles)
-        for k, phi_i, x, slope_i in zip(rising, particles, x_i.at_sorted(particles),
-                                        slopes_i):
-            if x == 0:
-                continue
-            if slope_i == 0:
-                raise ValueError(
-                    f"commodity {i} sends flow into {arc_id} on a label flat "
-                    f"(particle {phi_i}); rates are undefined there")
-            totals[k] += x * own_slopes[k] / slope_i
-    return totals
-
-
 def foreign_rate_at(instance: Instance, labels_all: dict, strategies: dict,
                     j: str, arc_id: str, phi) -> Fraction:
     """Derivative of the foreign flow of commodity j on one arc at particle
-    ``phi``; the one-point case of ``foreign_rates``."""
-    return foreign_rates(instance, labels_all, strategies, j, arc_id,
-                         [Fraction(phi)])[0]
-
-
-def foreign_flow(instance: Instance, labels_all: dict, strategies: dict,
-                 j: str, arc_id: str) -> ForeignFlowEntry:
-    """Foreign flow of commodity j on an arc as exact functions of its
-    particles."""
+    ``phi``: the other commodities' strategy rates at their first particles
+    to reach the tail when j's particle does, rescaled by the label slopes.
+    Where j's tail label is flat the rate is 0 and nothing else is read."""
+    phi = Fraction(phi)
     arc = instance.arc(arc_id)
     lu_j = labels_all[j].labels[arc.tail]
-    cuts = set(lu_j.breakpoints)
+    own_slope = lu_j.slope_right(phi)
+    if own_slope == 0:
+        return ZERO
+    theta = lu_j(phi)
+    total = ZERO
     for i, ls in labels_all.items():
-        if i == j:
-            continue
         lu_i = ls.labels.get(arc.tail)
-        if lu_i is None:
+        if i == j or lu_i is None:
             continue
-        marks = set(lu_i.breakpoints)
-        marks |= set(strategies.get((i, arc_id), StepFunction.zero()).breakpoints)
-        for beta in marks:
-            try:
-                cuts.add(min_preimage(lu_j, lu_i(beta)))
-            except ValueNotAttained:
-                continue  # beyond this commodity's particle domain
-    mesh = sorted(cuts)
-    probes = [mesh[0] - 1] + [(a + b) / 2 for a, b in zip(mesh, mesh[1:])] + [mesh[-1] + 1]
-    values = foreign_rates(instance, labels_all, strategies, j, arc_id, probes)
-    rate = StepFunction(mesh, values[1:], values[0])
-    anchor = ZERO
-    for i, ls in labels_all.items():
-        if i == j:
+        phi_i = min_preimage(lu_i, theta)  # ValueNotAttained propagates
+        x = strategies.get((i, arc_id), StepFunction.zero())(phi_i)
+        if x == 0:
             continue
-        lu_i = ls.labels.get(arc.tail)
-        if lu_i is None:
-            continue
-        x_i = strategies.get((i, arc_id), StepFunction.zero())
-        phi_i0 = min_preimage(lu_i, lu_j(ZERO))
-        anchor += integrate(x_i, ZERO)(phi_i0)
-    cumulative = integrate(rate, ZERO).add_constant(anchor)
-    return ForeignFlowEntry(cumulative, rate)
+        slope_i = lu_i.slope_right(phi_i)
+        if slope_i == 0:
+            raise ValueError(
+                f"commodity {i} sends flow into {arc_id} on a label flat "
+                f"(particle {phi_i}); rates are undefined there")
+        total += x * own_slope / slope_i
+    return total
 
 
 # --------------------------------------------------------------------------

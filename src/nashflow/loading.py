@@ -118,9 +118,9 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     return flow, profile
 
 
-def load_queues(instance: Instance, inflows: dict, horizon=None) -> QueueProfile:
+def load_queues(instance: Instance, inflows: dict) -> QueueProfile:
     """The queue volumes and waits of ``load_network``; no exit times."""
-    return _load_totals(instance, inflows, horizon)[0]
+    return _load_totals(instance, inflows, None)[0]
 
 
 def _load_totals(instance: Instance, inflows: dict, horizon):

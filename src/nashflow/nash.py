@@ -392,8 +392,7 @@ class NashReport:
 
 
 def verify_nash(instance: Instance, flow: FlowOverTime,
-                profile: QueueProfile | None = None,
-                require_feasible: bool = True) -> NashReport:
+                profile: QueueProfile | None = None) -> NashReport:
     """Certify the equilibrium conditions of a feasible flow.
 
     Recomputes earliest-arrival labels per commodity and checks, exactly and
@@ -403,7 +402,7 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
     particle domain.
     """
     feas = check_feasibility(instance, flow, profile)
-    if not feas.ok and require_feasible:
+    if not feas.ok:
         return NashReport(False, feas, [NashViolation("NotFeasible", "*", "*")])
     if profile is None:
         profile = derive_profile(instance, flow)
@@ -432,8 +431,7 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
                 phi, u, v = first_difference(lhs, rhs)
                 violations.append(NashViolation("NashViolated", c.id, a.id, phi, u - v))
         violations += _check_underlying_static_flow(instance, c, ls, flow)
-    ok = feas.ok and not violations
-    return NashReport(ok, feas, violations, labels_all)
+    return NashReport(not violations, feas, violations, labels_all)
 
 
 def _check_underlying_static_flow(instance, commodity, labelset, flow):

@@ -202,13 +202,12 @@ def validate_instance(raw: Instance):
     return Instance(raw.nodes, raw.arcs, raw.commodities, raw.mode, validated=True)
 
 
-def transit_distances(instance: Instance, source: str, arcs=None) -> dict:
+def transit_distances(instance: Instance, source: str) -> dict:
     """Shortest transit-time distance from ``source`` (no queues); INF when
     unreachable."""
     import heapq
-    use = instance.arcs if arcs is None else [instance.arc(e) for e in arcs]
     adj: dict[str, list[Arc]] = {}
-    for a in use:
+    for a in instance.arcs:
         adj.setdefault(a.tail, []).append(a)
     dist = {v: INF for v in instance.nodes}
     dist[source] = Fraction(0)

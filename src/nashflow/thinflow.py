@@ -2,8 +2,8 @@
 
 A thin flow assigns a static flow x' on the active arcs and a label slope l'
 to every node so that slopes propagate by the per-arc stress rule: a
-resetting arc imposes (x'+y')/capacity, any other active arc the maximum of
-that and the tail's slope; node slopes are the minimum over incoming active
+resetting arc imposes x'/capacity, any other active arc the maximum of that
+and the tail's slope; node slopes are the minimum over incoming active
 arcs and arcs carrying flow must attain it.
 
 A single commodity is the one-source case of the multi-source thin flow,
@@ -67,12 +67,11 @@ class NewArcInactive(RuntimeError):
         self.commodity = commodity
 
 
-def stress(capacity, label_slope, flow, foreign=ZERO, resetting=False) -> Fraction:
-    """Per-arc stress: (x'+y')/capacity, floored by the tail slope unless the
-    arc is resetting."""
-    capacity, label_slope, flow, foreign = _as_fractions(
-        (capacity, label_slope, flow, foreign))
-    load = (flow + foreign) / capacity
+def stress(capacity, label_slope, flow, resetting=False) -> Fraction:
+    """Per-arc stress: x'/capacity, floored by the tail slope unless the arc
+    is resetting.  On an arc that commodities share, x' is x_j + y_j."""
+    capacity, label_slope, flow = _as_fractions((capacity, label_slope, flow))
+    load = flow / capacity
     if resetting:
         return load
     return max(label_slope, load)
@@ -272,8 +271,7 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
             if a.id not in active or a.tail not in nodes:
                 continue
             rhos.append((a.id, stress(a.capacity, slopes[a.tail],
-                                      flow.get(a.id, ZERO), ZERO,
-                                      a.id in resetting)))
+                                      flow.get(a.id, ZERO), a.id in resetting)))
         if v in sources:
             if rhos and slopes[v] > min(r for _, r in rhos):
                 violations.append(("SourceMinViolated", v))
@@ -528,11 +526,11 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     q_e = 0 (``check_feasibility``, (a)).  With the foreign rate
     y_j = sum over i != j of x_i l_u' / l_i', this makes l_v' equal to
     (x_j + y_j) / nu_e where q_e(l_u) > 0 and to max(l_u', (x_j + y_j) / nu_e)
-    where q_e(l_u) = 0, which is the stress of e (``stress``).  On a flat
-    tail label x_j = 0 and both sides are 0.  So every active arc into v
-    attains l_v': it is the minimum stress over them, of which TF2 leaves at
-    least one (TF2's slope condition), and every active arc carrying flow
-    attains it (TF3).
+    where q_e(l_u) = 0, which is the stress of e (``stress``, passed
+    x_j + y_j as one flow).  On a flat tail label x_j = 0 and both sides are
+    0.  So every active arc into v attains l_v': it is the minimum stress
+    over them, of which TF2 leaves at least one (TF2's slope condition), and
+    every active arc carrying flow attains it (TF3).
 
     The origin's label, every strategy and every gap (``labels.arc_gaps``)
     is read as one column over the sorted cell midpoints.
@@ -598,8 +596,8 @@ def _partition(instance, labels_all, strategies, j, horizon, profile):
     The cuts are j's label and strategy breakpoints and, per arc, j's first
     particles to reach the tail where q_e bends or crosses zero.  On that
     mesh each gap T_e(l_u) - l_v is linear per cell; its zeros finish the
-    partition.  Cuts where another commodity's tail label or strategy bends,
-    once needed by the foreign rates, are kept so the pieces stay the same.
+    partition.  No other commodity's labels or strategies are read: they
+    act on j's checks only through the loaded queues.
     """
     ls = labels_all[j]
     cuts = {ZERO, horizon}
@@ -615,12 +613,6 @@ def _partition(instance, labels_all, strategies, j, horizon, profile):
         q = profile.waiting[a.id]
         times = list(q.breakpoints) + zero_crossings(
             q.breakpoints, q.values, q.initial_slope, q.final_slope)
-        for i, ols in labels_all.items():
-            lu_i = ols.labels.get(a.tail)
-            if i != j and lu_i is not None:
-                marks = sorted_union(lu_i.breakpoints, strategies.get(
-                    (i, a.id), StepFunction.zero()).breakpoints)
-                times += lu_i.at_sorted(marks)
         lo, hi = lu_j(ZERO), lu_j(horizon)
         cuts.update(min_preimages(lu_j, sorted(t for t in times if lo < t < hi)))
     mesh = sorted(cuts)

@@ -13,7 +13,8 @@ end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
 reads.  ``stress_conditions`` keeps the slope conditions that the verifier
 proves implied rather than runs, read through the one-point ``arc_status``
-and ``foreign_rate_at`` here.
+and ``foreign_rate_at`` here; it passes ``stress`` a commodity's own rate
+plus its foreign rate as the one flow on the arc.
 """
 
 from fractions import Fraction
@@ -385,7 +386,7 @@ def stress_conditions(instance, strategies, labels_all, horizon, profile,
                         y = foreign_rate_at(instance, labels_all, strategies, j,
                                             a.id, m)
                         rhos.append((a.id, x, stress(a.capacity, lslope[a.tail](m),
-                                                     x, y, a.id in resetting)))
+                                                     x + y, a.id in resetting)))
                 if rhos and lslope[v](m) != min(r for _, _, r in rhos):
                     violations.append(ThinFlowViolation("TF2Violated", j, v, (lo, hi)))
                 for e, x, rho in rhos:

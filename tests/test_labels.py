@@ -5,8 +5,8 @@ import pytest
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import load_network
 from nashflow.labels import (ZeroTransitArc, arc_status, earliest_arrival,
-                             extend_labels, foreign_flow, foreign_rate_at,
-                             rate_over_time, waiting_from_labels)
+                             extend_labels, foreign_rate_at, rate_over_time,
+                             waiting_from_labels)
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -222,15 +222,6 @@ class TestExtendLabels:
 
 
 class TestForeignFlow:
-    def test_single_commodity_no_foreign_flow(self):
-        instance, flow, profile = loaded_single_arc()
-        ls = earliest_arrival(instance, profile, "1")
-        entry = foreign_flow(instance, {"1": ls},
-                             {("1", "e"): StepFunction([0, 2], [1, 0], 0)},
-                             "1", "e")
-        assert entry.rate == StepFunction.zero()
-        assert entry.cumulative(5) == 0
-
     def test_identical_commodities_rate_one(self):
         instance = shared_arc_instance()
         labels = extend_labels(instance, shared_arc_strategies(), 1)
@@ -238,26 +229,6 @@ class TestForeignFlow:
             for phi in (F(0), F(1, 3), F(2, 3)):
                 assert foreign_rate_at(instance, labels, shared_arc_strategies(),
                                        j, "e", phi) == 1
-        entry = foreign_flow(instance, labels, shared_arc_strategies(), "1", "e")
-        assert entry.rate(F(1, 2)) == 1
-        assert entry.cumulative(F(1, 2)) == F(1, 2)
-
-    def test_cumulative_matches_sampled_foreign_inflow(self):
-        # y equals the other commodities' cumulative arc inflow sampled at
-        # this commodity's tail arrival times, at every breakpoint
-        instance = shared_arc_instance()
-        one = StepFunction([0, 1], [1, 0], 0)
-        flow, profile = load_network(instance, {("1", "e"): one, ("2", "e"): one})
-        labels = {c.id: earliest_arrival(instance, profile, c.id)
-                  for c in instance.commodities}
-        strategies = shared_arc_strategies()
-        for j, other in (("1", "2"), ("2", "1")):
-            entry = foreign_flow(instance, labels, strategies, j, "e")
-            F_other = flow.cumulative_inflow(other, "e")
-            lu = labels[j].labels["s"]
-            probes = set(entry.cumulative.breakpoints) | {F(0), F(1, 2), F(1)}
-            for phi in probes:
-                assert entry.cumulative(phi) == F_other(lu(phi)), (j, phi)
 
     def test_zero_slope_segment_gives_zero(self):
         # when the sampling commodity's own tail label is flat, its foreign

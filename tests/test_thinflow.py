@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rates
+from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rate_at
 from nashflow.loading import QueueProfile
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
                                ThinFlow, _partition,
@@ -550,6 +550,20 @@ class TestBypassedQueue:
                 require_tightness=False)
             assert report.ok, (seed, [str(v) for v in report.violations])
 
+    def test_cells_depend_on_their_own_commodity_alone(self):
+        """Commodity 1's cells come from its own labels and strategies and the
+        loaded queues; commodity 2's breakpoints add no cut."""
+        instance = self.instance()
+        strategies = self.strategies(2)
+        labels = extend_labels(instance, strategies, self.HORIZON)
+        profile = verify_multicommodity_thinflow(
+            instance, strategies, labels, self.HORIZON,
+            require_tightness=False).queues
+        own = {key: f for key, f in strategies.items() if key[0] == "1"}
+        assert (_partition(instance, labels, strategies, "1", self.HORIZON, profile)
+                == _partition(instance, {"1": labels["1"]}, own, "1", self.HORIZON,
+                              profile))
+
 
 def _on(f, lo, hi):
     """The step function f on [lo, hi), 0 elsewhere."""
@@ -677,8 +691,8 @@ class TestPointwiseReference:
                 for a in instance.arcs:
                     if a.tail not in ls.labels:
                         continue
-                    got = _outcome(foreign_rates, instance, labels, strategies, j,
-                                   a.id, points)
+                    got = _outcome(lambda: [foreign_rate_at(
+                        instance, labels, strategies, j, a.id, p) for p in points])
                     want = _outcome(lambda: [reference.foreign_rate_at(
                         instance, labels, strategies, j, a.id, p) for p in points])
                     assert got == want, (name, j, a.id)
@@ -695,7 +709,7 @@ class TestPointwiseReference:
         # commodity 2 reaches s at time 1/2 with its particle 1/2, where
         # commodity 1 enters the arc from the start of its label flat
         with pytest.raises(ValueError, match="label flat"):
-            foreign_rates(instance, bent, strategies, "2", "e", [F(1, 4), F(1, 2)])
+            foreign_rate_at(instance, bent, strategies, "2", "e", F(1, 2))
         with pytest.raises(ValueError, match="label flat"):
             reference.foreign_rate_at(instance, bent, strategies, "2", "e", F(1, 2))
 

@@ -101,6 +101,33 @@ def test_float_sites_are_found():
     assert _float_sites(tree, "timefn.py") == [2, 3, 4, 5, 6, 7]
 
 
+def _unused_imports(tree) -> list:
+    """Names bound by an import that no ``ast.Name`` in the module reads."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """A deletion leaves no import behind; ``__init__.py`` re-exports, so it
+    is not scanned."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport a.b\nimport c\n"
+              "from d import e, f as g\nc.h(e)\n")
+    assert _unused_imports(ast.parse(source)) == ["a", "g"]
+
+
 def _module_table(text) -> dict:
     """Module name -> the back-ticked names in its row of the README's
     module table."""
