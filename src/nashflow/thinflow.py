@@ -550,13 +550,14 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     for c in instance.commodities:
         j = c.id
         ls = labels_all[j]
-        cells = _partition(instance, labels_all, strategies, j, horizon, profile)
+        rates = {e: x for (i, e), x in strategies.items() if i == j}
+        cells = _partition(instance, ls, rates, horizon, profile)
         pieces_per_commodity[j] = cells
         mids = [(lo + hi) / 2 for lo, hi in cells]
         source = ls.labels[c.origin]
         source_values = source.at_sorted(mids)
         source_slopes = differentiate(source).at_sorted(mids)
-        own = {a.id: strategies.get((j, a.id), StepFunction.zero()).at_sorted(mids)
+        own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mids)
                for a in instance.arcs}
         gaps = {e: g for e, (_, g) in arc_gaps(instance, ls, profile, mids).items()
                 if g is not None}
@@ -588,33 +589,30 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                           pieces=pieces_per_commodity, queues=profile)
 
 
-def _partition(instance, labels_all, strategies, j, horizon, profile):
-    """Cells of [0, horizon] on which every quantity that commodity j's
+def _partition(instance, ls, rates, horizon, profile):
+    """Cells of [0, horizon] on which every quantity that one commodity's
     checks read is linear and every gap keeps its sign, so that one probe
-    per cell is exact.
+    per cell is exact; ``ls`` is its label set and ``rates`` its strategy
+    per arc id.
 
-    The cuts are j's label and strategy breakpoints and, per arc, j's first
+    The cuts are the label and strategy breakpoints and, per arc, the first
     particles to reach the tail where q_e bends or crosses zero.  On that
     mesh each gap T_e(l_u) - l_v is linear per cell; its zeros finish the
-    partition.  No other commodity's labels or strategies are read: they
-    act on j's checks only through the loaded queues.
+    partition.  Other commodities act on these checks only through the
+    loaded queues.
     """
-    ls = labels_all[j]
     cuts = {ZERO, horizon}
-    for f in ls.labels.values():
+    for f in (*ls.labels.values(), *rates.values()):
         cuts |= {b for b in f.breakpoints if 0 < b < horizon}
-    for (jj, e), f in strategies.items():
-        if jj == j:
-            cuts |= {b for b in f.breakpoints if 0 < b < horizon}
     for a in instance.arcs:
-        lu_j = ls.labels.get(a.tail)
-        if lu_j is None:
+        lu = ls.labels.get(a.tail)
+        if lu is None:
             continue
         q = profile.waiting[a.id]
         times = list(q.breakpoints) + zero_crossings(
             q.breakpoints, q.values, q.initial_slope, q.final_slope)
-        lo, hi = lu_j(ZERO), lu_j(horizon)
-        cuts.update(min_preimages(lu_j, sorted(t for t in times if lo < t < hi)))
+        lo, hi = lu(ZERO), lu(horizon)
+        cuts.update(min_preimages(lu, sorted(t for t in times if lo < t < hi)))
     mesh = sorted(cuts)
     gap_zeros = []
     for _, gaps in arc_gaps(instance, ls, profile, mesh).values():

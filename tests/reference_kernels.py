@@ -13,13 +13,14 @@ end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
 reads.  ``stress_conditions`` keeps the slope conditions that the verifier
 proves implied rather than runs, read through the one-point ``arc_status``
-and ``foreign_rate_at`` here; it passes ``stress`` a commodity's own rate
-plus its foreign rate as the one flow on the arc.
+here and the library's one-point ``foreign_rate_at``; it passes ``stress``
+a commodity's own rate plus its foreign rate as the one flow on the arc, and
+reads them on the partition refined where the foreign rate changes.
 """
 
 from fractions import Fraction
 
-from nashflow.labels import rate_over_time
+from nashflow.labels import foreign_rate_at, rate_over_time
 from nashflow.loading import load_network
 from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
                                stress)
@@ -259,34 +260,6 @@ def arc_status(instance, labelset, profile, phi):
     return active, resetting
 
 
-def foreign_rate_at(instance, labels_all, strategies, j, arc_id, phi):
-    """Foreign rate of commodity j on one arc at one particle: the other
-    commodities' rates at their particles that reach the tail at the same
-    moment, rescaled by the label slopes."""
-    phi = Fraction(phi)
-    arc = instance.arc(arc_id)
-    lu_j = labels_all[j].labels[arc.tail]
-    own_slope = lu_j.slope_right(phi)
-    if own_slope == 0:
-        return ZERO
-    theta = lu_j(phi)
-    total = ZERO
-    for i, ls in labels_all.items():
-        lu_i = ls.labels.get(arc.tail)
-        if i == j or lu_i is None:
-            continue
-        phi_i = min_preimage(lu_i, theta)
-        x_i = strategies.get((i, arc_id), StepFunction.zero())(phi_i)
-        if x_i == 0:
-            continue
-        slope_i = lu_i.slope_right(phi_i)
-        if slope_i == 0:
-            raise ValueError(f"commodity {i} sends flow into {arc_id} on a "
-                             f"label flat (particle {phi_i})")
-        total += x_i * own_slope / slope_i
-    return total
-
-
 def strategy_profile(instance, strategies, labels_all):
     """The queues of the strategies loaded through their tail labels."""
     inflows = {}
@@ -311,7 +284,8 @@ def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
     for c in instance.commodities:
         j = c.id
         ls = labels_all[j]
-        cells = _partition(instance, labels_all, strategies, j, horizon, profile)
+        rates = {e: x for (i, e), x in strategies.items() if i == j}
+        cells = _partition(instance, ls, rates, horizon, profile)
         pieces[j] = cells
         source = ls.labels[c.origin]
         for lo, hi in cells:
@@ -357,23 +331,48 @@ def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
     return ThinFlowReport(ok=not violations, violations=violations, pieces=pieces)
 
 
+def foreign_cells(instance, labels_all, strategies, j, cells):
+    """The cells refined at j's first particles to reach an arc's tail
+    when another commodity's tail label or strategy on that arc bends, so
+    that j's foreign rate on every arc is constant on each cell."""
+    ls = labels_all[j]
+    cuts = {x for cell in cells for x in cell}
+    for a in instance.arcs:
+        lu = ls.labels.get(a.tail)
+        if lu is None:
+            continue
+        lo, hi = lu(cells[0][0]), lu(cells[-1][1])
+        for i, other in labels_all.items():
+            lu_i = other.labels.get(a.tail)
+            if i == j or lu_i is None:
+                continue
+            x_i = strategies.get((i, a.id), StepFunction.zero())
+            for beta in set(lu_i.breakpoints) | set(x_i.breakpoints):
+                t = lu_i(beta)
+                if lo < t < hi:
+                    cuts.add(min_preimage(lu, t))
+    mesh = sorted(cuts)
+    return list(zip(mesh, mesh[1:]))
+
+
 def stress_conditions(instance, strategies, labels_all, horizon, profile,
                       require_tightness=True):
     """The slope conditions that ``verify_multicommodity_thinflow`` proves
     implied rather than runs, read cell by cell against ``profile``.  On
-    every cell of the partition, a labelled node other than the origin whose
-    label slope is not the minimum stress over its active incoming arcs
-    (foreign rates included) gives ``TF2Violated``, and with
-    ``require_tightness`` an active arc carrying flow whose stress is not
-    that slope gives ``TF3Violated``.  A node with no active incoming arc is
-    left to the verifier's own TF2."""
+    every cell of the partition refined by ``foreign_cells``, a labelled
+    node other than the origin whose label slope is not the minimum stress
+    over its active incoming arcs (foreign rates included) gives
+    ``TF2Violated``, and with ``require_tightness`` an active arc carrying
+    flow whose stress is not that slope gives ``TF3Violated``.  A node with
+    no active incoming arc is left to the verifier's own TF2."""
     violations = []
     for c in instance.commodities:
         j = c.id
         ls = labels_all[j]
         lslope = {v: differentiate(f) for v, f in ls.labels.items()}
-        for lo, hi in _partition(instance, labels_all, strategies, j,
-                                 Fraction(horizon), profile):
+        rates = {e: x for (i, e), x in strategies.items() if i == j}
+        cells = _partition(instance, ls, rates, Fraction(horizon), profile)
+        for lo, hi in foreign_cells(instance, labels_all, strategies, j, cells):
             m = (lo + hi) / 2
             active, resetting = arc_status(instance, ls, profile, m)
             for v in instance.nodes:

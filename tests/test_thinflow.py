@@ -552,17 +552,23 @@ class TestBypassedQueue:
 
     def test_cells_depend_on_their_own_commodity_alone(self):
         """Commodity 1's cells come from its own labels and strategies and the
-        loaded queues; commodity 2's breakpoints add no cut."""
+        loaded queues.  Commodity 2's label and strategy bends, which reach
+        the shared tails with commodity 1's particles 1 and 7/6, cut only
+        the cells on which the reference reads the foreign rates."""
         instance = self.instance()
         strategies = self.strategies(2)
         labels = extend_labels(instance, strategies, self.HORIZON)
         profile = verify_multicommodity_thinflow(
             instance, strategies, labels, self.HORIZON,
             require_tightness=False).queues
-        own = {key: f for key, f in strategies.items() if key[0] == "1"}
-        assert (_partition(instance, labels, strategies, "1", self.HORIZON, profile)
-                == _partition(instance, {"1": labels["1"]}, own, "1", self.HORIZON,
-                              profile))
+        rates = {e: f for (i, e), f in strategies.items() if i == "1"}
+        cells = _partition(instance, labels["1"], rates, self.HORIZON, profile)
+        mesh = [F(0), F(1, 4), F(1, 3), F(3, 8), F(2), F(9, 4), F(7, 3),
+                F(55, 16), F(7, 2), F(61, 16), F(31, 8), F(4)]
+        assert cells == list(zip(mesh, mesh[1:]))
+        mesh = sorted(mesh + [F(1), F(7, 6)])
+        assert (reference.foreign_cells(instance, labels, strategies, "1", cells)
+                == list(zip(mesh, mesh[1:])))
 
 
 def _on(f, lo, hi):
@@ -673,9 +679,9 @@ class TestPointwiseReference:
     def test_column_readers_match_one_point_reads(self):
         for name, instance, strategies, labels, horizon, profile in self.cases():
             for j, ls in labels.items():
+                rates = {e: x for (i, e), x in strategies.items() if i == j}
                 try:
-                    cells = _partition(instance, labels, strategies, j, horizon,
-                                       profile)
+                    cells = _partition(instance, ls, rates, horizon, profile)
                 except ValueError:
                     continue
                 ends = sorted({x for cell in cells for x in cell})
@@ -688,14 +694,6 @@ class TestPointwiseReference:
                             for k in range(len(points))]
                 assert statuses == [
                     reference.arc_status(instance, ls, profile, p) for p in points], name
-                for a in instance.arcs:
-                    if a.tail not in ls.labels:
-                        continue
-                    got = _outcome(lambda: [foreign_rate_at(
-                        instance, labels, strategies, j, a.id, p) for p in points])
-                    want = _outcome(lambda: [reference.foreign_rate_at(
-                        instance, labels, strategies, j, a.id, p) for p in points])
-                    assert got == want, (name, j, a.id)
 
     def test_strategy_into_a_label_flat_raises_on_both_sides(self):
         instance, strategies = shared_arc_setup()
@@ -710,8 +708,6 @@ class TestPointwiseReference:
         # commodity 1 enters the arc from the start of its label flat
         with pytest.raises(ValueError, match="label flat"):
             foreign_rate_at(instance, bent, strategies, "2", "e", F(1, 2))
-        with pytest.raises(ValueError, match="label flat"):
-            reference.foreign_rate_at(instance, bent, strategies, "2", "e", F(1, 2))
 
 
 class TestPartition:
@@ -732,4 +728,4 @@ class TestPartition:
         instance, labels = self._crossing_gap()
         no_queue = QueueProfile(volume={}, waiting={"e": PwlFunction.constant(0)},
                                 exit_time={})
-        assert _partition(instance, labels, {}, "1", F(2), no_queue) == [(0, 1), (1, 2)]
+        assert _partition(instance, labels["1"], {}, F(2), no_queue) == [(0, 1), (1, 2)]
