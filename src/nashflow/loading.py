@@ -19,7 +19,11 @@ from .timefn import (ONE, ZERO, PwlFunction, StepFunction, breakpoint_budget,
 
 
 class NegativeInflow(ValueError):
-    """Inflow rates must be non-negative."""
+    """Inflow rates are non-negative and zero before their first breakpoint."""
+
+
+class UnknownEntry(ValueError):
+    """A flow names a commodity or arc that the instance lacks."""
 
 
 class UnboundedBreakpoints(RuntimeError):
@@ -65,7 +69,9 @@ def exit_time(profile: QueueProfile, arc_id: str, theta) -> Fraction:
 
 @dataclass
 class FlowOverTime:
-    """Per-commodity arc in-/outflow rates plus their totals."""
+    """Per-commodity arc in-/outflow rates plus their totals, which are
+    outputs (``load_network``, ``fill_totals``): certificates sum the
+    commodity rates themselves (``arc_total``)."""
 
     inflow: dict[tuple[str, str], StepFunction]       # (commodity, arc) -> rate
     outflow: dict[tuple[str, str], StepFunction]
@@ -74,19 +80,40 @@ class FlowOverTime:
 
     def fill_totals(self, instance: Instance):
         for a in instance.arcs:
-            self.total_inflow[a.id] = StepFunction.sum_of(
-                self.inflow.get((c.id, a.id), StepFunction.zero())
-                for c in instance.commodities)
-            self.total_outflow[a.id] = StepFunction.sum_of(
-                self.outflow.get((c.id, a.id), StepFunction.zero())
-                for c in instance.commodities)
+            self.total_inflow[a.id] = arc_total(instance, self.inflow, a.id)
+            self.total_outflow[a.id] = arc_total(instance, self.outflow, a.id)
         return self
 
     def cumulative_inflow(self, commodity_id, arc_id) -> PwlFunction:
-        return integrate(self.inflow[(commodity_id, arc_id)], _anchor(self.inflow[(commodity_id, arc_id)]))
+        f = self.inflow.get((commodity_id, arc_id), StepFunction.zero())
+        return integrate(f, _anchor(f))
 
     def cumulative_outflow(self, commodity_id, arc_id) -> PwlFunction:
-        return integrate(self.outflow[(commodity_id, arc_id)], _anchor(self.outflow[(commodity_id, arc_id)]))
+        f = self.outflow.get((commodity_id, arc_id), StepFunction.zero())
+        return integrate(f, _anchor(f))
+
+
+def arc_total(instance: Instance, rates: dict, arc_id: str) -> StepFunction:
+    """The sum of the arc's commodity rates in ``rates`` (missing is zero)."""
+    return StepFunction.sum_of(rates.get((c.id, arc_id), StepFunction.zero())
+                               for c in instance.commodities)
+
+
+def inflow_fault(f: StepFunction) -> str | None:
+    """Where ``f`` first breaks the inflow rule, or None: "-inf" if it is
+    nonzero before its first breakpoint, else its first negative breakpoint."""
+    if f.initial != 0:
+        return "-inf"
+    return next((str(b) for b, v in zip(f.breakpoints, f.values) if v < 0), None)
+
+
+def _require_known(instance: Instance, keys):
+    """Raise UnknownEntry on a (commodity, arc) key the instance lacks."""
+    known = {(c.id, a.id) for c in instance.commodities for a in instance.arcs}
+    for j, e in keys:
+        if (j, e) not in known:
+            raise UnknownEntry(f"flow entry ({j}, {e}) names a commodity or arc "
+                               f"that the instance lacks")
 
 
 def _anchor(f: StepFunction) -> Fraction:
@@ -126,15 +153,14 @@ def load_queues(instance: Instance, inflows: dict) -> QueueProfile:
 def _load_totals(instance: Instance, inflows: dict, horizon):
     """Check the inflows and load each arc's total inflow: the queue profile
     without exit times, and the total in- and outflow per arc."""
+    _require_known(instance, inflows)
     budget = breakpoint_budget()
     total_bps = 0
     for (j, e), f in inflows.items():
-        if not f.is_nonnegative():
-            raise NegativeInflow(f"inflow of commodity {j} into arc {e}")
-        if f.initial != 0:
-            raise NegativeInflow(
-                f"inflow of commodity {j} into arc {e} must vanish before its "
-                f"first breakpoint")
+        where = inflow_fault(f)
+        if where is not None:
+            raise NegativeInflow(f"inflow of commodity {j} into arc {e} is negative "
+                                 f"or nonzero before its first breakpoint, at {where}")
         if horizon is not None and not f.vanishes_beyond(horizon):
             raise ValueError(f"inflow of commodity {j} into {e} is nonzero beyond "
                              f"the horizon {horizon}")
@@ -145,9 +171,7 @@ def _load_totals(instance: Instance, inflows: dict, horizon):
     profile = QueueProfile(volume={}, waiting={}, exit_time={})
     total_in, total_out = {}, {}
     for arc in instance.arcs:
-        total_in[arc.id] = StepFunction.sum_of(
-            inflows.get((c.id, arc.id), StepFunction.zero())
-            for c in instance.commodities)
+        total_in[arc.id] = arc_total(instance, inflows, arc.id)
         total_out[arc.id], z = _load_arc(total_in[arc.id], arc)
         profile.volume[arc.id] = z
         profile.waiting[arc.id] = z.shift(-arc.transit).scale(1 / arc.capacity)
@@ -269,11 +293,12 @@ class FlowViolation:
 
 
 def derive_profile(instance: Instance, flow: FlowOverTime) -> QueueProfile:
-    """Queue profile implied by a flow's totals (definitional, no dynamics)."""
+    """Queue profile implied by a flow's summed commodity rates
+    (definitional, no dynamics)."""
     profile = QueueProfile(volume={}, waiting={}, exit_time={})
     for a in instance.arcs:
-        f_in = flow.total_inflow[a.id]
-        f_out = flow.total_outflow[a.id]
+        f_in = arc_total(instance, flow.inflow, a.id)
+        f_out = arc_total(instance, flow.outflow, a.id)
         anchor = min(_anchor(f_in), _anchor(f_out))
         F_in = integrate(f_in, anchor)
         F_out = integrate(f_out, anchor)
@@ -289,17 +314,16 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
                       profile: QueueProfile | None = None) -> FeasibilityReport:
     """Certify the flow dynamics exactly on every piece.
 
-    Checks node conservation per commodity and, per arc, the profile
-    identities z = F_in(. - tau) - F_out, q = z(. + tau) / nu and
-    T = theta + tau + q, non-negative queues, the total-outflow law
-    (f_out = nu while z > 0, otherwise min(g, nu) with g = f_in(. - tau)),
-    monotone exit times, FIFO proportionality of per-commodity outflows and
-    the cumulative identity F_in(theta) = F_out(T(theta)) in total and per
-    commodity.  The law is checked on every cell and ray of a mesh on which z
-    keeps its sign and g and f_out are constant; by right-continuity it then
-    holds at every point.  Every check is exact over the whole line.  Arc
-    conservation is implied by the per-commodity identity and reported, not
-    independently required.
+    Reads the commodity rates alone: an arc's totals f_in and f_out are
+    their sums (``arc_total``).  Checks every commodity inflow against the
+    loader's rule (``inflow_fault``), node conservation per commodity and,
+    per arc, the profile identities z = F_in(. - tau) - F_out,
+    q = z(. + tau) / nu and T = theta + tau + q, non-negative queues, the
+    total-outflow law (f_out = nu while z > 0, otherwise min(g, nu) with
+    g = f_in(. - tau)) on every cell and ray of a mesh on which z keeps its
+    sign and g and f_out are constant, hence at every point, a total outflow
+    zero before its first breakpoint, monotone exit times and the identity
+    F_in,j(theta) = F_out,j(T(theta)) of every commodity j, all exactly.
 
     Once these checks pass, the remaining queue-dynamics properties follow,
     so none of them is checked again:
@@ -313,10 +337,22 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
         f_in = 0 and q > 0.
     (c) A positive wait meets a standing queue.  z(theta + tau) =
         nu q(theta) > 0.  While z > 0 on [theta + tau, t) the law gives
-        f_out = nu, and by (a) T' = f_in / nu there, so T' >= 0 forces
-        f_in >= 0.  Hence z' = g - nu >= -nu there, and
-        z(t) >= nu q(theta) - nu (t - theta - tau) > 0 for every
+        f_out = nu, so z' = g - nu >= -nu there, inflows being non-negative,
+        and z(t) >= nu q(theta) - nu (t - theta - tau) > 0 for every
         t < theta + tau + q(theta).
+    (d) Arc conservation, F_in(theta) = F_out(T(theta)): the totals are
+        sums, and integrating and composing with T are linear, so it is the
+        sum of the per-commodity identities.
+    (e) FIFO: f_out,j(t) = f_out(t) f_in,j(theta) / f_in(theta), or 0 if
+        f_in(theta) = 0, at the first entry time theta of t.  Both totals
+        are 0 before the anchor, so T = theta + tau on a left ray; with its
+        right ray rising, T is onto.  By the right derivatives of (d) and of
+        j's identity, f_in(theta) and f_in,j(theta) are f_out(t) T'(theta)
+        and f_out,j(t) T'(theta); where T'(theta) > 0 that is the formula
+        (f_in(theta) = 0 forces f_in,j(theta) = 0, inflows being
+        non-negative).  The other t, values of T on flat pieces, are finitely
+        many, and right-continuous step functions that agree elsewhere are
+        equal.
     """
     if profile is None:
         profile = derive_profile(instance, flow)
@@ -335,8 +371,12 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
 def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, arc):
     violations = []
     e = arc.id
-    f_in = flow.total_inflow[e]
-    f_out = flow.total_outflow[e]
+    for c in instance.commodities:
+        where = inflow_fault(flow.inflow.get((c.id, e), StepFunction.zero()))
+        if where is not None:
+            violations.append(FlowViolation("NegativeInflow", f"{c.id},{e}", where))
+    f_in = arc_total(instance, flow.inflow, e)
+    f_out = arc_total(instance, flow.outflow, e)
     z = profile.volume[e]
     q = profile.waiting[e]
     T = profile.exit_time[e]
@@ -377,6 +417,10 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
             violations.append(FlowViolation("OutflowLawViolated", e, f"{left}, {right})"))
             break
 
+    # an outflow since -inf has no entry times: T is flat on its left ray
+    if f_out.initial != 0:
+        violations.append(FlowViolation("EarlyOutflow", e, "-inf"))
+
     # exit times monotone; a T that stops rising leaves the late outflow
     # without entry times, and has z' = -capacity on the right ray, which
     # QueueNegative or a mismatch above already reports
@@ -385,20 +429,13 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
     if not T.is_nondecreasing() or T.final_slope == 0:
         return violations
 
-    # cumulative identity in total and per commodity (exact, via composition)
-    if compose(F_out, T) != F_in:
-        violations.append(FlowViolation("CumulativeIdentityViolated", e))
+    # the cumulative identity per commodity (exact, via composition)
     for c in instance.commodities:
-        fj_in = flow.inflow.get((c.id, e), StepFunction.zero())
-        fj_out = flow.outflow.get((c.id, e), StepFunction.zero())
-        Fj_in = integrate(fj_in, anchor)
-        Fj_out = integrate(fj_out, anchor)
+        Fj_in = integrate(flow.inflow.get((c.id, e), StepFunction.zero()), anchor)
+        Fj_out = integrate(flow.outflow.get((c.id, e), StepFunction.zero()), anchor)
         if compose(Fj_out, T) != Fj_in:
             violations.append(FlowViolation("CommodityCumulativeViolated",
                                             f"{c.id},{e}"))
-        expected = _split_outflow(fj_in, f_in, f_out, T)
-        if expected != fj_out:
-            violations.append(FlowViolation("FifoViolated", f"{c.id},{e}"))
     return violations
 
 
@@ -449,7 +486,8 @@ def inflows_from_json(doc: dict) -> dict:
 
 
 def flow_from_json(instance: Instance, doc: dict) -> FlowOverTime:
-    """Read a full flow file (inflows plus outflows) and fill totals."""
+    """Read a full flow file (inflows plus outflows) and fill totals; an
+    entry the instance lacks raises UnknownEntry."""
     flow = FlowOverTime(inflow={}, outflow={})
     for item in doc.get("inflows", []):
         flow.inflow[(str(item["commodity"]), str(item["arc"]))] = \
@@ -457,6 +495,7 @@ def flow_from_json(instance: Instance, doc: dict) -> FlowOverTime:
     for item in doc.get("outflows", []):
         flow.outflow[(str(item["commodity"]), str(item["arc"]))] = \
             StepFunction.from_json(item["rate"])
+    _require_known(instance, list(flow.inflow) + list(flow.outflow))
     for c in instance.commodities:
         for a in instance.arcs:
             flow.inflow.setdefault((c.id, a.id), StepFunction.zero())

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .labels import LabelSet, earliest_arrival, rate_over_time
 from .loading import (FeasibilityReport, FlowOverTime, FlowViolation,
-                      QueueProfile, _anchor, check_feasibility, derive_profile)
+                      QueueProfile, check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
                        Instance, InvalidDerivedInstance, extend_with_super_sink,
                        transit_distances, validate_instance)
@@ -28,7 +28,7 @@ from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
 from .timefn import (ONE, ZERO, GrowingPwl, PwlFunction, StepFunction,
-                     compose, differentiate, first_difference, integrate)
+                     compose, differentiate, first_difference)
 
 
 class PhaseBudgetExceeded(RuntimeError):
@@ -395,17 +395,26 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
                 profile: QueueProfile | None = None) -> NashReport:
     """Certify the equilibrium conditions of a feasible flow.
 
-    Recomputes earliest-arrival labels per commodity and checks, exactly and
-    for every particle, that the cumulative inflow at the tail arrival time
-    equals the cumulative outflow at the head arrival time; also checks that
-    the underlying static flow of each commodity has value phi on its
-    particle domain.
+    Derives the queue profile once (unless given) for feasibility and the
+    earliest-arrival labels, and checks, exactly and for every particle,
+    that the cumulative inflow at the tail arrival time equals the
+    cumulative outflow at the head arrival time, per commodity and arc.
+
+    The static flow x_e = F_in,j(l_u) on the arcs e = uv with a labelled
+    tail then has value phi on [0, V_j].  At a labelled node v other than
+    j's destination, conservation composed with l_v gives sum_out x_e -
+    sum_in F_out,j(l_v) = phi at the origin (l = a + phi / r), else 0, and
+    the Nash identity makes F_out,j(l_v) = x_e on in-arcs with a labelled
+    tail.  The others leave the nodes the origin does not reach, which no
+    labelled node enters; there conservation sums to 0 the inflows of the
+    leaving arcs and F_in,j - F_out,j >= 0 (theta <= T(theta)) of the inner
+    ones, so the leaving arcs, with non-negative inflows, carry nothing.
     """
+    if profile is None:
+        profile = derive_profile(instance, flow)
     feas = check_feasibility(instance, flow, profile)
     if not feas.ok:
         return NashReport(False, feas, [NashViolation("NotFeasible", "*", "*")])
-    if profile is None:
-        profile = derive_profile(instance, flow)
     violations: list[NashViolation] = []
     labels_all: dict[str, LabelSet] = {}
     for c in instance.commodities:
@@ -413,59 +422,15 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
         labels_all[c.id] = ls
         for a in instance.arcs:
             lu = ls.labels.get(a.tail)
-            lv = ls.labels.get(a.head)
             if lu is None:
                 continue
-            f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
-            f_out = flow.outflow.get((c.id, a.id), StepFunction.zero())
-            anchor = min(_anchor(f_in), _anchor(f_out))
-            F_in = integrate(f_in, anchor)
-            F_out = integrate(f_out, anchor)
-            lhs = compose(F_in, lu)
-            if lv is None:
-                if any(v != 0 for v in lhs.values) or lhs.final_slope != 0:
-                    violations.append(NashViolation("NashViolated", c.id, a.id))
-                continue
-            rhs = compose(F_out, lv)
+            # feasible rates start at their first breakpoints; every head is labelled
+            lhs = compose(flow.cumulative_inflow(c.id, a.id), lu)
+            rhs = compose(flow.cumulative_outflow(c.id, a.id), ls.labels[a.head])
             if lhs != rhs:
                 phi, u, v = first_difference(lhs, rhs)
                 violations.append(NashViolation("NashViolated", c.id, a.id, phi, u - v))
-        violations += _check_underlying_static_flow(instance, c, ls, flow)
     return NashReport(not violations, feas, violations, labels_all)
-
-
-def _check_underlying_static_flow(instance, commodity, labelset, flow):
-    """The arc vector F_in(label at tail) must be a value-phi flow on K_j."""
-    violations = []
-    volume = commodity.particle_volume
-    if volume is None:
-        return violations
-    per_arc = {}
-    for a in instance.arcs:
-        lu = labelset.labels.get(a.tail)
-        if lu is None:
-            continue
-        f_in = flow.inflow.get((commodity.id, a.id), StepFunction.zero())
-        per_arc[a.id] = compose(integrate(f_in, _anchor(f_in)), lu)
-    for v in instance.nodes:
-        if v == commodity.destination or v not in labelset.labels:
-            continue
-        terms = [per_arc[a.id] for a in instance.out_arcs(v) if a.id in per_arc]
-        neg = [per_arc[a.id] for a in instance.in_arcs(v) if a.id in per_arc]
-        if not terms and not neg:
-            continue
-        net = PwlFunction.constant(ZERO)
-        for t in terms:
-            net = net + t
-        for t in neg:
-            net = net - t
-        expected = PwlFunction.line(ONE) if v == commodity.origin \
-            else PwlFunction.constant(ZERO)
-        diff = net - expected
-        if not diff.is_zero_on(ZERO, volume):
-            violations.append(NashViolation("UnderlyingFlowViolated",
-                                            commodity.id, v))
-    return violations
 
 
 def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
@@ -503,8 +468,7 @@ def _read_back(instance: Instance, flow: FlowOverTime, profile: QueueProfile):
             lu = ls.labels.get(a.tail)
             if lu is None:
                 continue
-            f_in = flow.inflow.get((c.id, a.id), StepFunction.zero())
-            cumulative = compose(integrate(f_in, _anchor(f_in)), lu)
+            cumulative = compose(flow.cumulative_inflow(c.id, a.id), lu)
             strategies[(c.id, a.id)] = differentiate(cumulative)
     horizon = max((c.particle_volume for c in instance.commodities), default=ZERO)
     return strategies, labels_all, horizon

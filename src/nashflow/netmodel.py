@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import (format_optional_rational, format_rational,
                         parse_optional_rational, parse_rational)
@@ -88,34 +89,23 @@ class Instance:
     def commodity(self, commodity_id: str) -> Commodity:
         return self._commodity_index[commodity_id]
 
-    @property
+    # cached in the instance's __dict__, outside the compared fields
+    @cached_property
     def _arc_index(self) -> dict:
-        idx = self.__dict__.get("_arc_index_cache")
-        if idx is None:
-            idx = {a.id: a for a in self.arcs}
-            self.__dict__["_arc_index_cache"] = idx
-        return idx
+        return {a.id: a for a in self.arcs}
 
-    @property
+    @cached_property
     def _commodity_index(self) -> dict:
-        idx = self.__dict__.get("_commodity_index_cache")
-        if idx is None:
-            idx = {c.id: c for c in self.commodities}
-            self.__dict__["_commodity_index_cache"] = idx
-        return idx
+        return {c.id: c for c in self.commodities}
 
-    @property
+    @cached_property
     def _adjacency(self) -> tuple[dict, dict]:
-        adj = self.__dict__.get("_adjacency_cache")
-        if adj is None:
-            out: dict[str, list[Arc]] = {}
-            inc: dict[str, list[Arc]] = {}
-            for a in self.arcs:
-                out.setdefault(a.tail, []).append(a)
-                inc.setdefault(a.head, []).append(a)
-            adj = (out, inc)
-            self.__dict__["_adjacency_cache"] = adj
-        return adj
+        out: dict[str, list[Arc]] = {}
+        inc: dict[str, list[Arc]] = {}
+        for a in self.arcs:
+            out.setdefault(a.tail, []).append(a)
+            inc.setdefault(a.head, []).append(a)
+        return out, inc
 
     def out_arcs(self, node: str) -> list[Arc]:
         return list(self._adjacency[0].get(node, ()))

@@ -240,8 +240,8 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
     ``sources`` maps each source node to its (expected label slope, supply),
     and the sink absorbs ``demand``.  Supplies must be non-negative and sum
     to the demand.  A source's slope never exceeds its incoming stress; every
-    other node takes the minimum incoming stress, attained wherever flow
-    runs.
+    other node of ``nodes``, which the sources reach through active arcs,
+    takes the minimum incoming stress, attained wherever flow runs.
     """
     violations = []
     total = sum((supply for _, supply in sources.values()), ZERO)
@@ -275,12 +275,8 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
         if v in sources:
             if rhos and slopes[v] > min(r for _, r in rhos):
                 violations.append(("SourceMinViolated", v))
-        else:
-            if not rhos:
-                violations.append(("NoActiveIncoming", v))
-                continue
-            if slopes[v] != min(r for _, r in rhos):
-                violations.append(("MinViolated", v))
+        elif slopes[v] != min(r for _, r in rhos):
+            violations.append(("MinViolated", v))
         for e, r in rhos:
             if flow.get(e, ZERO) > 0 and r != slopes[v]:
                 violations.append(("TightnessViolated", e))

@@ -359,15 +359,6 @@ class PwlFunction:
     def is_nondecreasing(self) -> bool:
         return self._nondecreasing
 
-    def is_zero_on(self, lo, hi) -> bool:
-        """True iff the function vanishes identically on [lo, hi]."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if self(lo) != 0 or self(hi) != 0:
-            return False
-        bps = self.breakpoints
-        inside = self.values[bisect_right(bps, lo):bisect_left(bps, hi)]
-        return all(v == 0 for v in inside)
-
     def to_json(self) -> dict:
         from .rationals import format_rational
         return {

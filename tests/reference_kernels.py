@@ -8,7 +8,12 @@ purpose, share no helper with the kernels beyond single-point evaluation,
 and serve the equivalence tests only.  ``waiting_derivative_failures`` and
 the two checks before it are the queue-dynamics checks that
 ``check_feasibility`` proves implied rather than runs; the implication test
-in ``test_loading`` keeps them as references.  The thin-flow verifier at the
+in ``test_loading`` keeps them as references, and with them the FIFO split
+and the total cumulative identity (``fifo_split_failures``,
+``total_identity_fails``).  ``static_flow_failures`` is the underlying
+static-flow check that ``verify_nash`` proves implied; ``test_nash`` keeps it
+as a reference.  These three take their cumulative flows from the library's
+``integrate``.  The thin-flow verifier at the
 end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
 reads.  ``stress_conditions`` keeps the slope conditions that the verifier
@@ -25,7 +30,7 @@ from nashflow.loading import load_network
 from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
                                stress)
 from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
-                             differentiate)
+                             differentiate, integrate)
 
 ZERO = Fraction(0)
 
@@ -181,6 +186,85 @@ def split_outflow(inflow_j: StepFunction, total_in: StepFunction,
         den = total_in(entry)
         vals.append(ZERO if den == 0 else out_total * inflow_j(entry) / den)
     return StepFunction(cuts, vals, ZERO)
+
+
+def _summed(instance, rates, arc_id) -> StepFunction:
+    return sum((rates.get((c.id, arc_id), StepFunction.zero())
+                for c in instance.commodities), StepFunction.zero())
+
+
+def _rises(T: PwlFunction) -> bool:
+    """Whether T is non-decreasing with a rising right ray: the exit times
+    the FIFO split and the total identity are read through."""
+    return is_nondecreasing(T) and T.final_slope > 0
+
+
+def fifo_split_failures(instance, flow, T: PwlFunction, arc_id) -> list:
+    """Commodities whose outflow on the arc is not their FIFO share
+    (``split_outflow``) of the summed outflow, read through the exit times
+    ``T``; an outflow that finds no entry time fails.  Nothing fails
+    through a T that does not rise."""
+    if not _rises(T):
+        return []
+    f_in = _summed(instance, flow.inflow, arc_id)
+    f_out = _summed(instance, flow.outflow, arc_id)
+    failures = []
+    for c in instance.commodities:
+        fj_in = flow.inflow.get((c.id, arc_id), StepFunction.zero())
+        fj_out = flow.outflow.get((c.id, arc_id), StepFunction.zero())
+        try:
+            split = split_outflow(fj_in, f_in, f_out, T)
+        except ValueNotAttained:
+            split = None
+        if split != fj_out:
+            failures.append(c.id)
+    return failures
+
+
+def total_identity_fails(instance, flow, T: PwlFunction, arc_id) -> bool:
+    """Whether the summed cumulative flows break F_in(theta) =
+    F_out(T(theta)), both integrated from 0 or the first breakpoint of
+    either total, whichever is earlier.  Nothing fails through a T that
+    does not rise."""
+    if not _rises(T):
+        return False
+    f_in = _summed(instance, flow.inflow, arc_id)
+    f_out = _summed(instance, flow.outflow, arc_id)
+    anchor = min([ZERO] + [f.breakpoints[0] for f in (f_in, f_out) if f.breakpoints])
+    return compose(integrate(f_out, anchor), T) != integrate(f_in, anchor)
+
+
+def static_flow_failures(instance, commodity, labelset, flow) -> list:
+    """Labelled nodes, the destination aside, where the arc vector
+    F_in,j(l_u) over the arcs with a labelled tail u is not a static flow of
+    value phi from the origin, read at 0, at the particle volume and at
+    every breakpoint between.  No node fails for an unbounded commodity."""
+    volume = commodity.particle_volume
+    if volume is None:
+        return []
+    per_arc = {}
+    for a in instance.arcs:
+        lu = labelset.labels.get(a.tail)
+        if lu is not None:
+            f_in = flow.inflow.get((commodity.id, a.id), StepFunction.zero())
+            start = min([ZERO] + list(f_in.breakpoints[:1]))
+            per_arc[a.id] = compose(integrate(f_in, start), lu)
+    failures = []
+    for v in instance.nodes:
+        if v == commodity.destination or v not in labelset.labels:
+            continue
+        out = [per_arc[a.id] for a in instance.out_arcs(v) if a.id in per_arc]
+        into = [per_arc[a.id] for a in instance.in_arcs(v) if a.id in per_arc]
+        if not out and not into:
+            continue
+        points = {ZERO, volume} | {b for x in out + into for b in x.breakpoints
+                                   if 0 < b < volume}
+        for phi in sorted(points):
+            net = sum(x(phi) for x in out) - sum(x(phi) for x in into)
+            if net != (phi if v == commodity.origin else ZERO):
+                failures.append(v)
+                break
+    return failures
 
 
 def queue_positivity_failures(q: PwlFunction, z: PwlFunction, transit) -> list:

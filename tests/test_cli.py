@@ -7,7 +7,8 @@ from nashflow import cli as cli_mod
 from nashflow import labels as labels_mod
 from nashflow import nash as nash_mod
 from nashflow.cli import main
-from nashflow.netmodel import InvalidDerivedInstance, instance_to_json
+from nashflow.netmodel import (Arc, Commodity, Instance, InvalidDerivedInstance,
+                               instance_to_json)
 from nashflow.loading import LoadingInvariantBroken, flow_to_json, load_network
 from nashflow.nash import FlowReconstructionError
 from nashflow.thinflow import DecompositionError
@@ -144,6 +145,46 @@ def test_verify_corrupted_flow(single_arc_file, tmp_path, capsys):
                      "--out", str(out), "--quiet"])
         assert code == 1, name
         assert json.loads(out.read_text())["ok"] is False, name
+
+
+def test_verify_negative_inflow(tmp_path, capsys):
+    # rates 2 into e1 and -1 into e2 conserve the source's rate 1 and load
+    # without queues, yet a negative inflow is no flow over time
+    instance = Instance(("s", "t"), (Arc("e1", "s", "t", F(1), F(2)),
+                                     Arc("e2", "s", "t", F(1), F(1))),
+                        (Commodity("1", "s", "t", F(1), F(0), F(1)),))
+    path = tmp_path / "two_arcs.json"
+    path.write_text(json.dumps(instance_to_json(instance)))
+    rates = {"e1": StepFunction([0, 1], [2, 0], 0), "e2": StepFunction([0, 1], [-1, 0], 0)}
+    doc = {"inflows": [{"commodity": "1", "arc": e, "rate": f.to_json()}
+                       for e, f in rates.items()],
+           "outflows": [{"commodity": "1", "arc": e, "rate": f.shift(1).to_json()}
+                        for e, f in rates.items()]}
+    flow_file = tmp_path / "flow.json"
+    flow_file.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), str(flow_file), "--out", str(out), "--quiet"]) == 1
+    assert "NegativeInflow(1,e2) at 0" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["feasibility"]["violations"] == [
+        {"code": "NegativeInflow", "subject": "1,e2", "where": "0"}]
+
+
+@pytest.mark.parametrize("command,key", [("verify", "inflows"), ("verify", "outflows"),
+                                         ("load", "inflows")])
+def test_unknown_flow_entry_is_exit_2(command, key, single_arc_file, tmp_path, capsys):
+    instance = single_arc_canonical()
+    flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+    doc = flow_to_json(instance, flow)
+    doc[key].append({"commodity": "9", "arc": "zz",
+                     "rate": StepFunction([0, 1], [5, 0], 0).to_json()})
+    flow_file = tmp_path / "flow.json"
+    flow_file.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main([command, str(single_arc_file), str(flow_file), "--out", str(out),
+                 "--quiet"]) == 2
+    assert "(9, zz)" in capsys.readouterr().err
+    assert json.loads(out.read_text())["ok"] is False
 
 
 def test_load_command(single_arc_file, tmp_path):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import (BeyondHorizon, FlowOverTime, NegativeInflow,
-                              check_feasibility, derive_profile, exit_time,
-                              flow_from_json, flow_to_json, load_network,
-                              queue_size, waiting_time)
+                              UnknownEntry, check_feasibility, derive_profile,
+                              exit_time, flow_from_json, flow_to_json,
+                              load_network, queue_size, waiting_time)
+from nashflow.nash import verify_nash
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -124,8 +125,7 @@ class TestViolations:
         flow.fill_totals(instance)
         report = check_feasibility(instance, flow)
         assert not report.ok
-        assert any(v.code in ("OutflowLawViolated", "QueueMismatch",
-                              "CumulativeIdentityViolated", "QueueNegative")
+        assert any(v.code in ("OutflowLawViolated", "QueueMismatch", "QueueNegative")
                    for v in report.violations)
         # the witness is the failing cell, written in rationals
         law = [v.record() for v in report.violations if v.code == "OutflowLawViolated"]
@@ -186,8 +186,76 @@ class TestViolations:
         flow.outflow[("2", "e")] = StepFunction([1, 2, 4], [1, F(2, 3), 0], 0)
         flow.fill_totals(instance)
         report = check_feasibility(instance, flow, profile)
-        assert any(v.code in ("FifoViolated", "CommodityCumulativeViolated")
-                   for v in report.violations)
+        assert "CommodityCumulativeViolated" in {v.code for v in report.violations}
+
+    def test_profile_exit_times_are_checked(self):
+        # exit times one later than theta + tau + q
+        instance = single_arc()
+        flow, profile = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        profile.exit_time["e"] = profile.exit_time["e"].add_constant(1)
+        report = check_feasibility(instance, flow, profile)
+        assert "ExitTimeMismatch" in {v.code for v in report.violations}
+
+    def test_decreasing_exit_times_are_reported(self):
+        # a queue of 2 drains at rate 4 through capacity 1, so the exit time
+        # of the particles entering on [1, 2) falls at slope -3
+        instance = single_arc()
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        flow.outflow[("1", "e")] = StepFunction([2, 3], [4, 0], 0)
+        report = check_feasibility(instance, flow)
+        assert "ExitTimeDecreasing" in {v.code for v in report.violations}
+
+
+class TestPremises:
+    """The flow facts that ``check_feasibility`` takes from the commodity
+    rates alone: the rule for inflow rates, which the loader shares, the
+    summed totals and an outflow that starts somewhere."""
+
+    @pytest.mark.parametrize("rate,where", [
+        (StepFunction([0, 1], [-1, 0], 0), "0"),
+        (StepFunction([0, 1, 2], [1, -2, 0], 0), "1"),
+        (StepFunction([1], [0], 2), "-inf"),
+        (StepFunction((), (), 1), "-inf"),
+    ])
+    def test_inflow_rule(self, rate, where):
+        instance = single_arc(capacity=5)
+        with pytest.raises(NegativeInflow):
+            load_network(instance, {("1", "e"): rate})
+        flow = FlowOverTime({("1", "e"): rate}, {("1", "e"): rate.shift(1)})
+        report = check_feasibility(instance, flow)
+        assert [v.where for v in report.violations if v.code == "NegativeInflow"] == [where]
+        assert report.violations[0].subject == "1,e"
+
+    def test_stored_totals_are_not_read(self):
+        # rate 3 in on [0, 1) and out on [1, 2), while the stored totals say 1
+        instance = single_arc(rate=3)
+        rate = StepFunction([0, 1], [3, 0], 0)
+        flow = FlowOverTime({("1", "e"): rate}, {("1", "e"): rate.shift(1)},
+                            {"e": rate.scale(F(1, 3))}, {"e": rate.shift(1).scale(F(1, 3))})
+        report = check_feasibility(instance, flow)
+        assert [str(v) for v in report.violations] == ["OutflowLawViolated(e) at [1, 2)"]
+        assert not verify_nash(instance, flow).ok
+
+    def test_outflow_since_minus_infinity(self):
+        # the loaded outflow plus rate 1 before time 0: a queue that stood
+        # since -inf drains at time 0, which the FIFO split once caught alone
+        instance = single_arc()
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        flow.outflow[("1", "e")] = StepFunction([0, 1, 3], [0, 1, 0], 1)
+        report = check_feasibility(instance, flow)
+        assert [str(v) for v in report.violations] == ["EarlyOutflow(e) at -inf"]
+
+    def test_unknown_entries_are_rejected(self):
+        instance = single_arc()
+        rate = StepFunction([0, 1], [5, 0], 0)
+        with pytest.raises(UnknownEntry, match=r"\(9, zz\)"):
+            load_network(instance, {("1", "e"): rate, ("9", "zz"): rate})
+        flow, _ = load_network(instance, {("1", "e"): rate})
+        for key in ("inflows", "outflows"):
+            doc = flow_to_json(instance, flow)
+            doc[key].append({"commodity": "9", "arc": "zz", "rate": rate.to_json()})
+            with pytest.raises(UnknownEntry, match=r"\(9, zz\)"):
+                flow_from_json(instance, doc)
 
 
 def random_instance(rng: random.Random):
@@ -281,15 +349,16 @@ def corrupt(rng, instance, flow):
 
 
 class TestImpliedDynamicsChecks:
-    """The waiting-derivative case formula, frozen exit times and queue
-    positivity over the waiting window follow from the checks that
-    ``check_feasibility`` runs (see its docstring).  Whenever one of them,
-    run as a reference predicate, fails on a corrupted flow, the report must
-    reject that flow."""
+    """The waiting-derivative case formula, frozen exit times, queue
+    positivity over the waiting window, the total cumulative identity and
+    the FIFO split follow from the checks that ``check_feasibility`` runs
+    (see its docstring).  Whenever one of them, run as a reference
+    predicate, fails on a corrupted flow, the report must reject that
+    flow."""
 
     def test_each_implied_failure_is_rejected(self):
         rng = random.Random(20261018)
-        trials, fired = 200, 0
+        trials, fired = 200, {"dynamics": 0, "total identity": 0, "FIFO split": 0}
         for trial in range(trials):
             instance = random_instance(rng)
             flow, _ = load_network(instance, random_inflows(rng, instance))
@@ -306,10 +375,16 @@ class TestImpliedDynamicsChecks:
                     failing.append(("frozen exit times", a.id))
                 if ref.queue_positivity_failures(q, z, a.transit):
                     failing.append(("queue positivity", a.id))
+                if ref.total_identity_fails(instance, bad, T, a.id):
+                    failing.append(("total identity", a.id))
+                if ref.fifo_split_failures(instance, bad, T, a.id):
+                    failing.append(("FIFO split", a.id))
+            for kind in {name if name in fired else "dynamics" for name, _ in failing}:
+                fired[kind] += 1
             if failing:
-                fired += 1
                 assert not report.ok, (trial, failing)
-        assert fired >= trials // 4, fired
+        assert fired["dynamics"] >= trials // 4, fired
+        assert fired["total identity"] >= 50 and fired["FIFO split"] >= 50, fired
 
 
 class TestExitTimeThatStopsRising:

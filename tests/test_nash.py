@@ -304,6 +304,7 @@ class TestVerifyNashNegative:
         report = verify_nash(inst, flow)
         assert not report.ok
         assert not report.feasibility.ok  # conservation breaks at the source
+        assert [str(v) for v in report.violations] == ["NotFeasible(*,*)"]
 
     def test_flow_forced_on_long_path(self):
         inst = validate_instance(Instance(
@@ -320,6 +321,66 @@ class TestVerifyNashNegative:
         # the first particle whose in- and outflow identity breaks, and by how much
         slow = next(v for v in report.violations if v.subject == "slow")
         assert (slow.particle, slow.gap) == (F(1, 2), F(1, 2))
+
+
+def _split_flow(rng, n_nodes=5):
+    """A random acyclic instance, and a flow that sends each commodity from
+    its origin to the last node in random static splits: at every node in
+    turn, what arrives (the commodity's inflow at its origin, the loaded
+    outflows of the arcs in) leaves on the arcs out in fixed random shares,
+    and those arcs are loaded together."""
+    nodes = tuple(f"n{k}" for k in range(n_nodes))
+    arcs = [Arc(f"e{k}", nodes[k], nodes[k + 1], F(rng.randint(1, 3)), F(rng.randint(1, 3)))
+            for k in range(n_nodes - 1)]
+    for k in range(rng.randint(1, 4)):
+        u, v = sorted(rng.sample(range(n_nodes), 2))
+        arcs.append(Arc(f"x{k}", nodes[u], nodes[v], F(rng.randint(0, 4)),
+                        F(rng.randint(1, 3), rng.choice([1, 2]))))
+    commodities = tuple(Commodity(str(j), nodes[j], nodes[-1], F(rng.randint(1, 3)),
+                                  F(0), F(rng.randint(1, 2)))
+                        for j in range(rng.randint(1, 2)))
+    inst = validate_instance(Instance(nodes, tuple(arcs), commodities))
+    flow = FlowOverTime({}, {})
+    for v in nodes[:-1]:
+        leaving = inst.out_arcs(v)
+        for c in commodities:
+            arriving = [flow.outflow[(c.id, a.id)] for a in inst.in_arcs(v)]
+            if v == c.origin:
+                arriving.append(StepFunction([c.inflow_start, c.inflow_end], [c.rate, 0]))
+            weights = [rng.randint(0, 2) for _ in leaving]
+            weights[rng.randrange(len(weights))] += 1
+            for a, w in zip(leaving, weights):
+                flow.inflow[(c.id, a.id)] = StepFunction.sum_of(arriving).scale(
+                    F(w, sum(weights)))
+        loaded, _ = load_network(inst, {(c.id, a.id): flow.inflow[(c.id, a.id)]
+                                        for c in commodities for a in leaving})
+        for c in commodities:
+            for a in leaving:
+                flow.outflow[(c.id, a.id)] = loaded.outflow[(c.id, a.id)]
+    return inst, flow
+
+
+class TestStaticFlowImplication:
+    """On a feasible flow, the underlying static flow of every commodity has
+    value phi on its particles once the Nash identity holds (``verify_nash``
+    proves it).  Whenever the static-flow check, run as a reference
+    predicate, fails for a commodity of a feasible flow in random static
+    splits, ``verify_nash`` must report a Nash violation of that
+    commodity."""
+
+    def test_static_flow_failures_are_nash_violations(self):
+        rng = random.Random(20261019)
+        fired = 0
+        for trial in range(60):
+            inst, flow = _split_flow(rng)
+            assert check_feasibility(inst, flow).ok, trial
+            report = verify_nash(inst, flow)
+            violated = {v.commodity for v in report.violations}
+            for c in inst.commodities:
+                if reference.static_flow_failures(inst, c, report.labels[c.id], flow):
+                    fired += 1
+                    assert c.id in violated, (trial, c.id)
+        assert fired >= 20, fired
 
 
 class TestCorpusConstructVerify:

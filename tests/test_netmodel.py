@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,25 @@ class TestValidate:
         )
         result = validate_instance(inst)
         assert any(v.code == "UnboundedInflow" for v in result)
+
+
+    EDITS = {
+        "DuplicateNode": lambda i: replace(i, nodes=i.nodes + ("s",)),
+        "DuplicateArc": lambda i: replace(i, arcs=i.arcs * 2),
+        "DuplicateCommodity": lambda i: replace(i, commodities=i.commodities * 2),
+        "UnknownEndpoint": lambda i: replace(i, arcs=(Arc("e", "s", "x", F(1), F(1)),)),
+        "NonPositiveRate": lambda i: replace(
+            i, commodities=(Commodity("1", "s", "t", F(0), F(0), F(1)),)),
+        "NegativeInflowStart": lambda i: replace(
+            i, commodities=(Commodity("1", "s", "t", F(1), F(-1), F(1)),)),
+        "EmptyInflowInterval": lambda i: replace(
+            i, commodities=(Commodity("1", "s", "t", F(1), F(1), F(1)),)),
+    }
+
+    @pytest.mark.parametrize("code", sorted(EDITS))
+    def test_structural_violation(self, code):
+        result = validate_instance(self.EDITS[code](single_arc_instance()))
+        assert code in {v.code for v in result}, result
 
 
 class TestTransitDistances:

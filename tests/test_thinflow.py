@@ -357,6 +357,11 @@ class TestConditionMutations:
         "tightness": (_corrupt_flow(a=F(2, 3), c=F(0)), "TightnessViolated"),
         "supply sum": (lambda thin: replace(thin, supplies={"1": F(2, 3), "2": F(2, 3)}),
                        "SupplySum"),
+        "negative supply": (lambda thin: replace(thin, supplies={"1": F(-1, 3), "2": F(4, 3)}),
+                            "NegativeSupply"),
+        "source minimum": (lambda thin: replace(
+            thin, active=thin.active | {"e"},
+            label_slopes={**thin.label_slopes, "s1": F(1)}), "SourceMinViolated"),
     }
 
     @pytest.mark.parametrize("name", sorted(SINGLE))
@@ -372,11 +377,11 @@ class TestConditionMutations:
 
     @pytest.mark.parametrize("name", sorted(MULTI))
     def test_multisource(self, name):
-        # s1 sends 2/3 over c, s2 sends 1/3 over b; a is tight but idle and
-        # d inactive
+        # s1 sends 2/3 over c, s2 sends 1/3 over b; a is tight but idle, and
+        # d and e, from s2 into s1, inactive
         inst = make_instance(
             [("a", "s1", "t", 1), ("c", "s1", "t", 2), ("b", "s2", "t", 1),
-             ("d", "s2", "t", 1)],
+             ("d", "s2", "t", 1), ("e", "s2", "s1", 1)],
             (Commodity("1", "s1", "t", F(2), F(0), None),
              Commodity("2", "s2", "t", F(1), F(0), None)),
             mode="commonDestination")

@@ -148,3 +148,52 @@ def test_readme_module_names_exist():
         module = importlib.import_module(module_name)
         missing = [name for name in names if not hasattr(module, name)]
         assert names and not missing, (module_name, missing)
+
+
+def _violation_codes(tree) -> set:
+    """The string first argument of every ``*Violation(...)`` call, and the
+    first element of every tuple that a function named ``_conditions``
+    appends."""
+    codes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            first = node.args[0]
+            if (name.endswith("Violation") and isinstance(first, ast.Constant)
+                    and isinstance(first.value, str)):
+                codes.add(first.value)
+        if isinstance(node, ast.FunctionDef) and node.name == "_conditions":
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "append"
+                        and call.args and isinstance(call.args[0], ast.Tuple)):
+                    first = call.args[0].elts[0]
+                    if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                        codes.add(first.value)
+    return codes
+
+
+def _untested(codes, texts) -> list:
+    """The codes that no text names as a whole word."""
+    return sorted(code for code in codes
+                  if not any(re.search(rf"\b{code}\b", text) for text in texts))
+
+
+def test_violation_codes_are_tested():
+    """Every violation code the program can report is named in a test, so
+    no check goes unexercised."""
+    codes = set()
+    for path in SOURCES:
+        codes |= _violation_codes(ast.parse(path.read_text(encoding="utf-8")))
+    texts = [p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py")]
+    assert len(codes) >= 30, sorted(codes)
+    assert not _untested(codes, texts)
+
+
+def test_untested_codes_are_found():
+    source = ('FlowViolation("Alpha", e)\nNashViolation("Beta", j, v)\n'
+              'Other("Gamma")\nViolation(code)\n'
+              'def _conditions():\n    violations.append(("Delta", v))\n'
+              'def other():\n    violations.append(("Epsilon", v))\n')
+    codes = _violation_codes(ast.parse(source))
+    assert codes == {"Alpha", "Beta", "Delta"}
+    assert _untested(codes, ["Alpha", "a Deltas b"]) == ["Beta", "Delta"]
