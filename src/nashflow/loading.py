@@ -107,20 +107,37 @@ def inflow_fault(f: StepFunction) -> str | None:
     return next((str(b) for b, v in zip(f.breakpoints, f.values) if v < 0), None)
 
 
-def _require_known(instance: Instance, keys):
+def _require_known(instance: Instance, *rates: dict):
     """Raise UnknownEntry on a (commodity, arc) key the instance lacks."""
     known = {(c.id, a.id) for c in instance.commodities for a in instance.arcs}
-    for j, e in keys:
+    for j, e in (key for r in rates for key in r):
         if (j, e) not in known:
             raise UnknownEntry(f"flow entry ({j}, {e}) names a commodity or arc "
                                f"that the instance lacks")
 
 
-def _anchor(f: StepFunction) -> Fraction:
-    """Anchor point for cumulative flows: at or before both 0 and any flow."""
-    if f.breakpoints:
-        return min(ZERO, f.breakpoints[0])
-    return ZERO
+def _anchor(*rates: StepFunction) -> Fraction:
+    """Where cumulative flows start: at or before 0 and every first breakpoint."""
+    return min([ZERO] + [f.breakpoints[0] for f in rates if f.breakpoints])
+
+
+def _waits(arc, z: PwlFunction) -> PwlFunction:
+    """The waits q = z(. + tau) / nu that the arc's queue volume z defines."""
+    return z.shift(-arc.transit).scale(1 / arc.capacity)
+
+
+def _exit_times(arc, q: PwlFunction) -> PwlFunction:
+    """The exit times T = theta + tau + q that the arc's waits q define."""
+    return q + PwlFunction.line(ONE, ZERO, arc.transit)
+
+
+def _derive_arc(profile: QueueProfile, arc, f_in: StepFunction, f_out: StepFunction):
+    """Store the arc's z = F_in(. - tau) - F_out, and its waits and exit times."""
+    anchor = _anchor(f_in, f_out)
+    z = integrate(f_in, anchor).shift(arc.transit) - integrate(f_out, anchor)
+    profile.volume[arc.id] = z
+    profile.waiting[arc.id] = _waits(arc, z)
+    profile.exit_time[arc.id] = _exit_times(arc, profile.waiting[arc.id])
 
 
 def load_network(instance: Instance, inflows: dict, horizon=None):
@@ -135,7 +152,7 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     profile, total_in, total_out = _load_totals(instance, inflows, horizon)
     flow = FlowOverTime({}, {}, total_in, total_out)
     for a in instance.arcs:
-        T = profile.waiting[a.id] + PwlFunction.line(ONE, ZERO, a.transit)
+        T = _exit_times(a, profile.waiting[a.id])
         profile.exit_time[a.id] = T
         for c in instance.commodities:
             f_j = inflows.get((c.id, a.id), StepFunction.zero())
@@ -174,7 +191,7 @@ def _load_totals(instance: Instance, inflows: dict, horizon):
         total_in[arc.id] = arc_total(instance, inflows, arc.id)
         total_out[arc.id], z = _load_arc(total_in[arc.id], arc)
         profile.volume[arc.id] = z
-        profile.waiting[arc.id] = z.shift(-arc.transit).scale(1 / arc.capacity)
+        profile.waiting[arc.id] = _waits(arc, z)
     if horizon is not None:
         drain = sum((a.transit for a in instance.arcs), ZERO)
         volume = sum((_total_volume(f) for f in total_in.values()), ZERO)
@@ -272,6 +289,7 @@ class FeasibilityReport:
     ok: bool
     violations: list
     checks: dict
+    profile: QueueProfile = field(compare=False, repr=False)  # the flow's derivation
 
     def to_json(self) -> dict:
         return {"ok": self.ok,
@@ -293,20 +311,13 @@ class FlowViolation:
 
 
 def derive_profile(instance: Instance, flow: FlowOverTime) -> QueueProfile:
-    """Queue profile implied by a flow's summed commodity rates
-    (definitional, no dynamics)."""
+    """Queue profile implied by a flow's summed commodity rates (definitional,
+    no dynamics); an entry the instance lacks raises UnknownEntry."""
+    _require_known(instance, flow.inflow, flow.outflow)
     profile = QueueProfile(volume={}, waiting={}, exit_time={})
     for a in instance.arcs:
-        f_in = arc_total(instance, flow.inflow, a.id)
-        f_out = arc_total(instance, flow.outflow, a.id)
-        anchor = min(_anchor(f_in), _anchor(f_out))
-        F_in = integrate(f_in, anchor)
-        F_out = integrate(f_out, anchor)
-        z = F_in.shift(a.transit) - F_out
-        q = z.shift(-a.transit).scale(1 / a.capacity)
-        profile.volume[a.id] = z
-        profile.waiting[a.id] = q
-        profile.exit_time[a.id] = q + PwlFunction.line(ONE, ZERO, a.transit)
+        _derive_arc(profile, a, arc_total(instance, flow.inflow, a.id),
+                    arc_total(instance, flow.outflow, a.id))
     return profile
 
 
@@ -314,15 +325,20 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
                       profile: QueueProfile | None = None) -> FeasibilityReport:
     """Certify the flow dynamics exactly on every piece.
 
-    Reads the commodity rates alone: an arc's totals f_in and f_out are
-    their sums (``arc_total``).  Checks every commodity inflow against the
-    loader's rule (``inflow_fault``), node conservation per commodity and,
-    per arc, the profile identities z = F_in(. - tau) - F_out,
-    q = z(. + tau) / nu and T = theta + tau + q, non-negative queues, the
+    Reads the commodity rates alone.  Each arc's totals f_in and f_out are
+    their sums (``arc_total``); its queue volume z = F_in(. - tau) - F_out,
+    waits q = z(. + tau) / nu and exit times T = theta + tau + q are derived
+    from them once, into the report's ``profile``.  A given ``profile`` is a
+    claim: each field is compared with the derivation (QueueMismatch,
+    WaitingMismatch, ExitTimeMismatch, at the first differing point), and
+    the other checks read the derivation.  Unknown entries raise UnknownEntry.
+
+    Checks every commodity inflow against the loader's rule
+    (``inflow_fault``), node conservation per commodity and, per arc, the
     total-outflow law (f_out = nu while z > 0, otherwise min(g, nu) with
     g = f_in(. - tau)) on every cell and ray of a mesh on which z keeps its
     sign and g and f_out are constant, hence at every point, a total outflow
-    zero before its first breakpoint, monotone exit times and the identity
+    zero before its first breakpoint and the identity
     F_in,j(theta) = F_out,j(T(theta)) of every commodity j, all exactly.
 
     Once these checks pass, the remaining queue-dynamics properties follow,
@@ -353,22 +369,38 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
         non-negative).  The other t, values of T on flat pieces, are finitely
         many, and right-continuous step functions that agree elsewhere are
         equal.
+    (f) Non-negative queues.  By the inflow rule and the early-outflow check
+        both totals are 0 before the anchor, so z = 0 on a left ray.  On
+        every cell where z <= 0 the law gives f_out = min(g, nu) <= g, so
+        z' = g - f_out >= 0 there.  A continuous z that cannot fall while it
+        is non-positive never goes below 0.
+    (g) Monotone exit times.  The law gives f_out <= nu, and g >= 0, so
+        z' >= -nu, q' >= -1 and T' = q' + 1 >= 0.  A right ray with T' = 0
+        has z' = -nu, so z goes negative, and by (f) a law, inflow or
+        early-outflow violation is already reported: the identity, which
+        needs T to rise on its right ray, is skipped only on a failing arc.
     """
-    if profile is None:
-        profile = derive_profile(instance, flow)
+    _require_known(instance, flow.inflow, flow.outflow)
+    derived = QueueProfile(volume={}, waiting={}, exit_time={})
     violations: list[FlowViolation] = []
     for a in instance.arcs:
-        violations += _check_arc(instance, flow, profile, a)
+        violations += _check_arc(instance, flow, profile, derived, a)
     violations += _check_conservation(instance, flow)
     checks = {
         "arcs": len(instance.arcs),
         "commodities": len(instance.commodities),
         "arc_conservation": "implied by per-commodity cumulative identity",
     }
-    return FeasibilityReport(ok=not violations, violations=violations, checks=checks)
+    return FeasibilityReport(not violations, violations, checks, derived)
 
 
-def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, arc):
+def _witness(a, b) -> str:
+    """The first point at which the functions a and b differ, written out."""
+    return str(first_difference(a, b)[0])
+
+
+def _check_arc(instance: Instance, flow: FlowOverTime, claim: QueueProfile | None,
+               derived: QueueProfile, arc):
     violations = []
     e = arc.id
     for c in instance.commodities:
@@ -377,24 +409,22 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
             violations.append(FlowViolation("NegativeInflow", f"{c.id},{e}", where))
     f_in = arc_total(instance, flow.inflow, e)
     f_out = arc_total(instance, flow.outflow, e)
-    z = profile.volume[e]
-    q = profile.waiting[e]
-    T = profile.exit_time[e]
-    anchor = min(_anchor(f_in), _anchor(f_out))
-    F_in = integrate(f_in, anchor)
-    F_out = integrate(f_out, anchor)
+    _derive_arc(derived, arc, f_in, f_out)
+    z, q, T = derived.volume[e], derived.waiting[e], derived.exit_time[e]
 
-    # profile consistency with the definitional queue quantities
-    if z != F_in.shift(arc.transit) - F_out:
-        violations.append(FlowViolation("QueueMismatch", e))
-        return violations
-    if q != z.shift(-arc.transit).scale(1 / arc.capacity):
-        violations.append(FlowViolation("WaitingMismatch", e))
-    if T != q + PwlFunction.line(ONE, ZERO, arc.transit):
-        violations.append(FlowViolation("ExitTimeMismatch", e))
+    if claim is not None:
+        if claim.volume[e] != z:
+            violations.append(FlowViolation("QueueMismatch", e,
+                                            _witness(claim.volume[e], z)))
+        if claim.waiting[e] != q:
+            violations.append(FlowViolation("WaitingMismatch", e,
+                                            _witness(claim.waiting[e], q)))
+        if claim.exit_time[e] != T:
+            violations.append(FlowViolation("ExitTimeMismatch", e,
+                                            _witness(claim.exit_time[e], T)))
 
-    # a non-negative queue and the total outflow law, on every cell and ray
-    # of a mesh on which z keeps its sign and g and f_out are constant
+    # the total outflow law, on every cell and ray of a mesh on which z
+    # keeps its sign and g and f_out are constant
     g = f_in.shift(arc.transit)
     mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
     mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh),
@@ -402,14 +432,8 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
     probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
         [mesh[-1] + 1]
     ends = [None] + mesh + [None]
-    zs = z.at_sorted(probes)
-    negative = next((k for k, zm in enumerate(zs) if zm < 0), None)
-    if negative is not None:
-        lo = ends[negative]
-        violations.append(FlowViolation("QueueNegative", e,
-                                        "-inf" if lo is None else str(lo)))
-    for lo, hi, zm, gm, out in zip(ends, ends[1:], zs, g.at_sorted(probes),
-                                   f_out.at_sorted(probes)):
+    for lo, hi, zm, gm, out in zip(ends, ends[1:], z.at_sorted(probes),
+                                   g.at_sorted(probes), f_out.at_sorted(probes)):
         expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
         if out != expected:
             left = "(-inf" if lo is None else f"[{lo}"
@@ -421,21 +445,19 @@ def _check_arc(instance: Instance, flow: FlowOverTime, profile: QueueProfile, ar
     if f_out.initial != 0:
         violations.append(FlowViolation("EarlyOutflow", e, "-inf"))
 
-    # exit times monotone; a T that stops rising leaves the late outflow
-    # without entry times, and has z' = -capacity on the right ray, which
-    # QueueNegative or a mismatch above already reports
-    if not T.is_nondecreasing():
-        violations.append(FlowViolation("ExitTimeDecreasing", e))
+    # by (g) an arc whose T cannot be composed with is already reported
     if not T.is_nondecreasing() or T.final_slope == 0:
         return violations
 
     # the cumulative identity per commodity (exact, via composition)
+    anchor = _anchor(f_in, f_out)
     for c in instance.commodities:
         Fj_in = integrate(flow.inflow.get((c.id, e), StepFunction.zero()), anchor)
         Fj_out = integrate(flow.outflow.get((c.id, e), StepFunction.zero()), anchor)
-        if compose(Fj_out, T) != Fj_in:
+        composed = compose(Fj_out, T)
+        if composed != Fj_in:
             violations.append(FlowViolation("CommodityCumulativeViolated",
-                                            f"{c.id},{e}"))
+                                            f"{c.id},{e}", _witness(composed, Fj_in)))
     return violations
 
 
@@ -459,9 +481,8 @@ def _check_conservation(instance: Instance, flow: FlowOverTime):
             else:
                 expected = StepFunction.zero()
             if net != expected:
-                x, _, _ = first_difference(net, expected)
                 violations.append(FlowViolation("ConservationViolated",
-                                                f"{v},{c.id}", str(x)))
+                                                f"{v},{c.id}", _witness(net, expected)))
     return violations
 
 
@@ -495,7 +516,7 @@ def flow_from_json(instance: Instance, doc: dict) -> FlowOverTime:
     for item in doc.get("outflows", []):
         flow.outflow[(str(item["commodity"]), str(item["arc"]))] = \
             StepFunction.from_json(item["rate"])
-    _require_known(instance, list(flow.inflow) + list(flow.outflow))
+    _require_known(instance, flow.inflow, flow.outflow)
     for c in instance.commodities:
         for a in instance.arcs:
             flow.inflow.setdefault((c.id, a.id), StepFunction.zero())

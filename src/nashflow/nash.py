@@ -174,9 +174,9 @@ def construct_nash_single(instance: Instance, horizon=None,
     phases, node_labels = _run_phases(
         instance, labels, horizon, max_phases, solve,
         lambda thin: {c.id: dict(thin.flow)}, volume, 1 / c.rate)
-    flow = _reconstruct_flow(instance, phases, node_labels)
     effective = _truncate_instance(instance, {c.id: min(horizon, volume)
                                               if volume is not None else horizon})
+    flow = _reconstruct_flow(effective, phases, node_labels)
     return NashFlowOverTime(effective, phases, node_labels, flow, horizon)
 
 
@@ -211,9 +211,9 @@ def construct_common_destination(instance: Instance, horizon,
         lambda active, resetting, phi: solve_thinflow_multisource(
             instance, active, resetting, sources, sink),
         lambda thin: _group_by_source(virtual, group, thin), None, 1 / total_rate)
-    flow = _reconstruct_flow(instance, phases, node_labels)
     ends = {c.id: node_labels[c.origin](horizon) for c in instance.commodities}
     effective = _truncate_instance(instance, None, time_ends=ends)
+    flow = _reconstruct_flow(effective, phases, node_labels)
     return NashFlowOverTime(effective, phases, node_labels, flow, horizon)
 
 
@@ -248,12 +248,12 @@ def construct_common_origin(instance: Instance, horizon=None,
         phases.append(Phase(p.phi_start, p.phi_end, p.thin, flows))
     node_labels = {v: f for v, f in single.node_labels.items()
                    if v in instance.nodes}
-    flow = _reconstruct_flow(instance, phases, node_labels)
     merged = extended.commodities[0]
     injected = min(single.horizon, merged.particle_volume) \
         if merged.particle_volume is not None else single.horizon
     volumes = {c.id: injected * shares[c.id] for c in instance.commodities}
     effective = _truncate_instance(instance, volumes)
+    flow = _reconstruct_flow(effective, phases, node_labels)
     nu_min = min(a.capacity for a in instance.arcs)
     sigma = min(nu_min, total_rate)
     return NashFlowOverTime(effective, phases, node_labels, flow, single.horizon,
@@ -306,12 +306,12 @@ def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict
     function over particles, becomes a rate over time through the label of
     the arc's tail (inflow) and of its head (outflow)."""
     flow = FlowOverTime(inflow={}, outflow={})
+    bounds = [p.phi_start for p in phases] + [p.phi_end for p in phases[-1:]]
     for c in instance.commodities:
         for a in instance.arcs:
             key = (c.id, a.id)
-            x = StepFunction.from_pieces(
-                [(p.phi_start, p.flows[c.id].get(a.id, ZERO)) for p in phases]
-                + [(p.phi_end, ZERO) for p in phases[-1:]])
+            parts = [p.flows[c.id].get(a.id, ZERO) for p in phases]
+            x = StepFunction(bounds, parts + [ZERO for _ in phases[-1:]])
             if a.tail not in node_labels or a.head not in node_labels:
                 # unreachable endpoints never carry flow
                 if x != StepFunction.zero():
@@ -395,10 +395,9 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
                 profile: QueueProfile | None = None) -> NashReport:
     """Certify the equilibrium conditions of a feasible flow.
 
-    Derives the queue profile once (unless given) for feasibility and the
-    earliest-arrival labels, and checks, exactly and for every particle,
-    that the cumulative inflow at the tail arrival time equals the
-    cumulative outflow at the head arrival time, per commodity and arc.
+    Checks, exactly and for every particle, that F_in,j at the tail arrival
+    time equals F_out,j at the head arrival time, per arc, on labels read from
+    the profile ``check_feasibility`` derives (a given one must match it).
 
     The static flow x_e = F_in,j(l_u) on the arcs e = uv with a labelled
     tail then has value phi on [0, V_j].  At a labelled node v other than
@@ -410,15 +409,13 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
     leaving arcs and F_in,j - F_out,j >= 0 (theta <= T(theta)) of the inner
     ones, so the leaving arcs, with non-negative inflows, carry nothing.
     """
-    if profile is None:
-        profile = derive_profile(instance, flow)
     feas = check_feasibility(instance, flow, profile)
     if not feas.ok:
         return NashReport(False, feas, [NashViolation("NotFeasible", "*", "*")])
     violations: list[NashViolation] = []
     labels_all: dict[str, LabelSet] = {}
     for c in instance.commodities:
-        ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
+        ls = earliest_arrival(instance, feas.profile, c.id, c.particle_volume)
         labels_all[c.id] = ls
         for a in instance.arcs:
             lu = ls.labels.get(a.tail)

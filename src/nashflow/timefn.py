@@ -123,13 +123,6 @@ class StepFunction:
         """The zero rate; one shared instance, since step functions are frozen."""
         return _ZERO_STEP
 
-    @classmethod
-    def from_pieces(cls, pieces, initial=ZERO) -> "StepFunction":
-        """Build from [(breakpoint, value), ...] sorted by breakpoint."""
-        bps = [p[0] for p in pieces]
-        vals = [p[1] for p in pieces]
-        return cls(bps, vals, initial)
-
     @property
     def final(self) -> Fraction:
         return self.values[-1] if self.values else self.initial
@@ -540,25 +533,13 @@ def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
     return PwlFunction(mesh, vals, s0, s1)
 
 
-def min_preimage(F: PwlFunction, value, lo=None) -> Fraction:
-    """Smallest x (with x >= lo if given) such that F(x) == value.
-
-    F must be non-decreasing.  On a flat stretch at ``value`` the left
-    endpoint (clipped to ``lo``) is returned.  Raises ValueNotAttained when
-    the value is below F(lo) or never reached.
-    """
+def min_preimage(F: PwlFunction, value) -> Fraction:
+    """Smallest x with F(x) == value for a non-decreasing F, so the left end
+    of a flat stretch at ``value``; ValueNotAttained if F never reaches it."""
     if value.__class__ is not Fraction:
         value = Fraction(value)
     if not F.is_nondecreasing():
         raise ValueError("min_preimage requires a non-decreasing function")
-    if lo is not None:
-        lo = Fraction(lo)
-        flo = F(lo)
-        if flo > value:
-            raise ValueNotAttained(f"value {value} below F({lo}) = {flo}")
-        if flo == value:
-            return lo
-    # from here on any preimage lies strictly above lo (F is non-decreasing)
     return _leftmost_preimage(F, value, bisect_left(F.values, value))
 
 

@@ -5,8 +5,9 @@ Each function here answers the same question as a production kernel, but by
 the plain method: evaluate the functions point by point (one bisection per
 call) and scan every segment or breakpoint in turn.  They are slow on
 purpose, share no helper with the kernels beyond single-point evaluation,
-and serve the equivalence tests only.  ``waiting_derivative_failures`` and
-the two checks before it are the queue-dynamics checks that
+and serve the equivalence tests only.  ``queue_positivity_failures``,
+``waiting_derivative_failures``, ``unfrozen_exit_times``, ``negative_queue``
+and ``exit_times_decrease`` are the queue-dynamics checks that
 ``check_feasibility`` proves implied rather than runs; the implication test
 in ``test_loading`` keeps them as references, and with them the FIFO split
 and the total cumulative identity (``fifo_split_failures``,
@@ -57,18 +58,11 @@ def strict_preimage(F: PwlFunction, y):
     return None
 
 
-def min_preimage(F: PwlFunction, value, lo=None):
-    """Smallest x (x >= lo if given) with F(x) == value, by a linear scan."""
+def min_preimage(F: PwlFunction, value):
+    """Smallest x with F(x) == value, by a linear scan."""
     value = Fraction(value)
     if not is_nondecreasing(F):
         raise ValueError("min_preimage requires a non-decreasing function")
-    if lo is not None:
-        lo = Fraction(lo)
-        flo = F(lo)
-        if flo > value:
-            raise ValueNotAttained(f"value {value} below F({lo}) = {flo}")
-        if flo == value:
-            return lo
     bps, vals = F.breakpoints, F.values
     if value < vals[0]:
         if F.initial_slope > 0:
@@ -324,6 +318,18 @@ def unfrozen_exit_times(T: PwlFunction, f_in: StepFunction, z: PwlFunction,
     mids = [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])]
     return [m for m in mids
             if f_in(m) == 0 and z(m + transit) > 0 and T.slope_right(m) != 0]
+
+
+def negative_queue(z: PwlFunction) -> bool:
+    """Whether the queue volume z falls below 0 somewhere: at an anchor, or
+    on an outer ray that runs down without bound."""
+    return (z.initial_slope > 0 or z.final_slope < 0
+            or any(z(b) < 0 for b in z.breakpoints))
+
+
+def exit_times_decrease(T: PwlFunction) -> bool:
+    """Whether the exit times T fall somewhere."""
+    return not is_nondecreasing(T)
 
 
 def arc_status(instance, labelset, profile, phi):

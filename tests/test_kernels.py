@@ -73,10 +73,7 @@ class TestMinPreimage:
     def test_matches_scan(self, data):
         f = data.draw(monotone_pwl())
         value = _query(data.draw, f)
-        lo = data.draw(st.one_of(st.none(), rationals(-25, 25),
-                                 st.sampled_from(f.breakpoints)))
-        assert _outcome(min_preimage, f, value, lo) == \
-            _outcome(ref.min_preimage, f, value, lo)
+        assert _outcome(min_preimage, f, value) == _outcome(ref.min_preimage, f, value)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -95,7 +92,6 @@ class TestMinPreimage:
         for value in (F(0), F(1), F(4)):
             assert _outcome(min_preimage, f, value) == _outcome(ref.min_preimage, f, value)
             assert _outcome(min_preimage, f, value)[0] is ValueNotAttained
-        assert min_preimage(f, 1, lo=F(1, 2)) == F(1, 2)
         assert min_preimage(f, 2) == F(3, 2)
 
     def test_rejects_decreasing(self):

@@ -125,8 +125,7 @@ class TestViolations:
         flow.fill_totals(instance)
         report = check_feasibility(instance, flow)
         assert not report.ok
-        assert any(v.code in ("OutflowLawViolated", "QueueMismatch", "QueueNegative")
-                   for v in report.violations)
+        assert any(v.code == "OutflowLawViolated" for v in report.violations)
         # the witness is the failing cell, written in rationals
         law = [v.record() for v in report.violations if v.code == "OutflowLawViolated"]
         assert law == [{"code": "OutflowLawViolated", "subject": "e", "where": "[1, 2)"}]
@@ -145,15 +144,14 @@ class TestViolations:
     def test_witnesses_where_z_crosses_zero_on_a_ray(self):
         # rate 2 on [0, 1) through transit 1, capacity 1, with an outflow of 1
         # from time 1 on: z = 3 - t from time 2, so the queue stands on
-        # [2, 3) and is negative from 3 on
+        # [2, 3) and is negative from 3 on, where the law wants outflow 0
         instance = single_arc()
         flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
         flow.outflow[("1", "e")] = StepFunction([1], [1], 0)
         flow.fill_totals(instance)
         report = check_feasibility(instance, flow)
-        where = {v.code: v.where for v in report.violations}
-        assert where["QueueNegative"] == "3"
-        assert where["OutflowLawViolated"] == "[3, inf)"
+        assert ref.negative_queue(report.profile.volume["e"])
+        assert [str(v) for v in report.violations] == ["OutflowLawViolated(e) at [3, inf)"]
 
     def test_leak_at_intermediate_node(self):
         instance = validate_instance(Instance(
@@ -189,21 +187,33 @@ class TestViolations:
         assert "CommodityCumulativeViolated" in {v.code for v in report.violations}
 
     def test_profile_exit_times_are_checked(self):
-        # exit times one later than theta + tau + q
+        # exit times one later than theta + tau + q, a claim the flow refutes
+        # everywhere: the witness is the first probe, left of every anchor
         instance = single_arc()
         flow, profile = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
         profile.exit_time["e"] = profile.exit_time["e"].add_constant(1)
         report = check_feasibility(instance, flow, profile)
-        assert "ExitTimeMismatch" in {v.code for v in report.violations}
+        assert [str(v) for v in report.violations] == ["ExitTimeMismatch(e) at -1"]
+
+    def test_wrong_queue_volume_is_the_one_violation(self):
+        # a given z that climbs above the flow's from time 2 on; the flow is
+        # feasible, so every check that reads the derivation passes
+        instance = single_arc()
+        flow, profile = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        profile.volume["e"] = profile.volume["e"] + PwlFunction([2, 3], [0, 1], 0, 0)
+        report = check_feasibility(instance, flow, profile)
+        assert [str(v) for v in report.violations] == ["QueueMismatch(e) at 5/2"]
 
     def test_decreasing_exit_times_are_reported(self):
         # a queue of 2 drains at rate 4 through capacity 1, so the exit time
-        # of the particles entering on [1, 2) falls at slope -3
+        # of the particles entering on [1, 2) falls at slope -3; the law
+        # already fails on [1, 2), where arrivals queue but nothing leaves
         instance = single_arc()
         flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
         flow.outflow[("1", "e")] = StepFunction([2, 3], [4, 0], 0)
         report = check_feasibility(instance, flow)
-        assert "ExitTimeDecreasing" in {v.code for v in report.violations}
+        assert ref.exit_times_decrease(report.profile.exit_time["e"])
+        assert [str(v) for v in report.violations] == ["OutflowLawViolated(e) at [1, 2)"]
 
 
 class TestPremises:
@@ -257,6 +267,16 @@ class TestPremises:
             with pytest.raises(UnknownEntry, match=r"\(9, zz\)"):
                 flow_from_json(instance, doc)
 
+    @pytest.mark.parametrize("rates", ["inflow", "outflow"])
+    def test_unknown_entries_of_a_flow_built_in_code(self, rates):
+        # a loaded flow plus an entry for a commodity and arc the instance lacks
+        instance = single_arc()
+        flow, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})
+        getattr(flow, rates)[("9", "zz")] = StepFunction([0, 1], [5, 0], 0)
+        for check in (check_feasibility, derive_profile, verify_nash):
+            with pytest.raises(UnknownEntry, match=r"\(9, zz\)"):
+                check(instance, flow)
+
 
 def random_instance(rng: random.Random):
     n_nodes = rng.randint(2, 8)
@@ -305,6 +325,7 @@ class TestQueueDynamicsRandomized:
             arc_violations = [v for v in report.violations
                               if v.code != "ConservationViolated"]
             assert not arc_violations, (trial, list(map(str, arc_violations)))
+            assert report.profile == derive_profile(instance, flow)
 
 
 def _random_rate(rng):
@@ -350,15 +371,18 @@ def corrupt(rng, instance, flow):
 
 class TestImpliedDynamicsChecks:
     """The waiting-derivative case formula, frozen exit times, queue
-    positivity over the waiting window, the total cumulative identity and
-    the FIFO split follow from the checks that ``check_feasibility`` runs
-    (see its docstring).  Whenever one of them, run as a reference
-    predicate, fails on a corrupted flow, the report must reject that
-    flow."""
+    positivity over the waiting window, the total cumulative identity, the
+    FIFO split, non-negative queues and monotone exit times follow from the
+    checks that ``check_feasibility`` runs (see its docstring).  Whenever
+    one of them, run as a reference predicate, fails on a corrupted flow,
+    the report must reject that flow.  The last two read the flow's own
+    derivation, the others the profile the report is given."""
 
     def test_each_implied_failure_is_rejected(self):
         rng = random.Random(20261018)
-        trials, fired = 200, {"dynamics": 0, "total identity": 0, "FIFO split": 0}
+        trials = 200
+        fired = {"dynamics": 0, "total identity": 0, "FIFO split": 0,
+                 "negative queue": 0, "decreasing exit times": 0}
         for trial in range(trials):
             instance = random_instance(rng)
             flow, _ = load_network(instance, random_inflows(rng, instance))
@@ -379,12 +403,18 @@ class TestImpliedDynamicsChecks:
                     failing.append(("total identity", a.id))
                 if ref.fifo_split_failures(instance, bad, T, a.id):
                     failing.append(("FIFO split", a.id))
+                if ref.negative_queue(report.profile.volume[a.id]):
+                    failing.append(("negative queue", a.id))
+                if ref.exit_times_decrease(report.profile.exit_time[a.id]):
+                    failing.append(("decreasing exit times", a.id))
             for kind in {name if name in fired else "dynamics" for name, _ in failing}:
                 fired[kind] += 1
             if failing:
                 assert not report.ok, (trial, failing)
         assert fired["dynamics"] >= trials // 4, fired
         assert fired["total identity"] >= 50 and fired["FIFO split"] >= 50, fired
+        assert fired["negative queue"] >= 30, fired
+        assert fired["decreasing exit times"] >= 10, fired
 
 
 class TestExitTimeThatStopsRising:
@@ -398,8 +428,7 @@ class TestExitTimeThatStopsRising:
         flow.fill_totals(instance)
         assert derive_profile(instance, flow).exit_time["e"].final_slope == 0
         report = check_feasibility(instance, flow)
-        assert not report.ok
-        assert "QueueNegative" in {v.code for v in report.violations}
+        assert [str(v) for v in report.violations] == ["OutflowLawViolated(e) at [2, inf)"]
 
 
 class TestLoaderTotals:

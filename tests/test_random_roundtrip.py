@@ -76,5 +76,9 @@ def test_random_common_destination():
             continue
         built += 1
         result = construct_common_destination(inst, horizon=F(rng.randint(2, 4)))
+        # the flow is built over the effective instance, which drops the
+        # commodities that inject nothing before the horizon
+        kept = {c.id for c in result.instance.commodities}
+        assert {j for j, _ in [*result.flow.inflow, *result.flow.outflow]} <= kept
         ok, problems = _roundtrip_ok(result)
         assert ok, (built, problems[:4])

@@ -186,12 +186,6 @@ class TestMinPreimage:
         Fn = PwlFunction([0, 1], [0, 2], 0, 0)
         with pytest.raises(ValueNotAttained):
             min_preimage(Fn, 3)
-        with pytest.raises(ValueNotAttained):
-            min_preimage(Fn, 1, lo=2)
-
-    def test_lo_on_flat(self):
-        Fn = PwlFunction([0, 2, 4], [0, 5, 5], 0, 1)
-        assert min_preimage(Fn, 5, lo=3) == 3
 
     @given(monotone_pwl(), rationals())
     @settings(max_examples=120)

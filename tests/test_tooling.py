@@ -197,3 +197,49 @@ def test_untested_codes_are_found():
     codes = _violation_codes(ast.parse(source))
     assert codes == {"Alpha", "Beta", "Delta"}
     assert _untested(codes, ["Alpha", "a Deltas b"]) == ["Beta", "Delta"]
+
+
+CAMEL_CASE = re.compile(r"(?:[A-Z][A-Z0-9]*[a-z0-9]+){2,}")
+
+
+def _compared_codes(tree) -> set:
+    """The CamelCase string constants of every comparison that reads
+    ``.code`` on its other side: ``v.code == "X"``, ``v.code in ("X", "Y")``
+    and ``"X" in {v.code for v in report.violations}``."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        reads = [any(isinstance(n, ast.Attribute) and n.attr == "code" for n in ast.walk(side))
+                 for side in sides]
+        if not any(reads):
+            continue
+        for side, read in zip(sides, reads):
+            if not read:
+                names |= {n.value for n in ast.walk(side)
+                          if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                          and CAMEL_CASE.fullmatch(n.value)}
+    return names
+
+
+def test_tests_name_no_retired_code():
+    """Every violation code a test compares with ``.code`` is one the
+    program still reports, so no test keeps asserting a retired check."""
+    codes = set()
+    for path in SOURCES:
+        codes |= _violation_codes(ast.parse(path.read_text(encoding="utf-8")))
+    names = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        names |= _compared_codes(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(names) >= 12, sorted(names)
+    assert not names - codes, sorted(names - codes)
+
+
+def test_compared_codes_are_found():
+    source = ('assert v.code == "AlphaCode"\n'
+              'assert "BetaCode" in {v.code for v in vs}\n'
+              'assert any(v.code in ("GammaCode", "lower", "Delta") for v in vs)\n'
+              'assert v.name == "EpsilonCode"\n'
+              'assert {"code": "ZetaCode"} == record\n')
+    assert _compared_codes(ast.parse(source)) == {"AlphaCode", "BetaCode", "GammaCode"}
