@@ -2,7 +2,7 @@
 
 Per commodity, the label of a node maps a particle to the earliest time that
 particle can reach the node given the evolving queues.  This module computes
-labels from a loaded flow (Bellman iteration in function space), classifies
+labels from a loaded flow (one sweep in topological order), classifies
 arcs as active/resetting, reconstructs waiting times from the labels of an
 equilibrium, turns a per-particle rate into a rate over time through a
 label, reads the foreign rate (the other commodities' traffic as one
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .netmodel import INF, Arc, Instance, transit_distances
+from .netmodel import INF, Arc, Instance, topological_order, transit_distances
 from .loading import QueueProfile
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
@@ -64,34 +64,55 @@ def earliest_arrival(instance: Instance, profile: QueueProfile, commodity_id: st
                      phi_max=None) -> LabelSet:
     """Labels from loaded exit times: the source label is phi/r + a, every
     other label the pointwise minimum of exit-time compositions over the
-    incoming arcs."""
+    incoming arcs.
+
+    The sweep visits the nodes in topological order of all arcs, or in
+    ``instance.nodes`` order when the arcs contain a cycle, and repeats
+    until a round changes no label.  A node is recomputed only when the
+    label of some in-arc tail changed after its last computation; it
+    composes those tails' labels and takes their minimum with its old label,
+    which the compositions through the other tails cannot undercut.  A
+    single candidate is taken as it is.  On an acyclic instance every node
+    is computed once, and the second round only reads the stamps.  Where
+    exit times never undercut their entry times, each round settles the
+    paths one arc longer, so ``len(instance.nodes) + 1`` rounds suffice;
+    labels that still change after that (a cycle with T_e(theta) < theta,
+    which only an infeasible flow has) raise CyclicZeroTransit.
+    """
     c = instance.commodity(commodity_id)
     source_label = PwlFunction.line(Fraction(1, 1) / c.rate, ZERO, c.inflow_start)
     labels: dict[str, PwlFunction] = {c.origin: source_label}
     in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
+    order = topological_order(instance, [a.id for a in instance.arcs]) or instance.nodes
+    # stamps of the last change of each label and the last computation of
+    # each node, in the visits of the sweep
+    changed = {c.origin: 0}
+    computed: dict[str, int] = {}
+    visit = 0
+    for rounds in count(1):
         if rounds > len(instance.nodes) + 1:
             raise CyclicZeroTransit("label iteration did not stabilize")
-        for v in instance.nodes:
+        stable = True
+        for v in order:
             if v == c.origin:
                 continue
-            candidates = []
-            for a in in_arcs[v]:
-                lu = labels.get(a.tail)
-                if lu is not None:
-                    candidates.append(compose(profile.exit_time[a.id], lu))
-            if labels.get(v) is not None:
-                candidates.append(labels[v])
+            last = computed.get(v, -1)
+            candidates = [compose(profile.exit_time[a.id], labels[a.tail])
+                          for a in in_arcs[v] if changed.get(a.tail, -1) > last]
             if not candidates:
                 continue
-            new, _ = min_compose(candidates)
-            if new != labels.get(v):
+            visit += 1
+            computed[v] = visit
+            old = labels.get(v)
+            if old is not None:
+                candidates.append(old)
+            new = candidates[0] if len(candidates) == 1 else min_compose(candidates)[0]
+            if new != old:
                 labels[v] = new
-                changed = True
+                changed[v] = visit
+                stable = False
+        if stable:
+            break
     return LabelSet(commodity_id, labels,
                     None if phi_max is None else Fraction(phi_max))
 

@@ -222,6 +222,7 @@ def _load_arc(total_in: StepFunction, arc):
     start = g.breakpoints[0]
     z_bps = [start]
     z_vals = [ZERO]
+    z_slopes = []  # right of every anchor but the last
     outflows = {}  # time -> outflow; the last value set at a time wins
     t = start
     z = ZERO
@@ -243,6 +244,7 @@ def _load_arc(total_in: StepFunction, arc):
                 if hi is None or deplete < hi:
                     z_bps.append(deplete)
                     z_vals.append(ZERO)
+                    z_slopes.append(slope)
                     t, z = deplete, ZERO
                     continue
             if hi is None:
@@ -250,12 +252,12 @@ def _load_arc(total_in: StepFunction, arc):
                 final_out = out
                 break
             z = z + slope * (hi - t)
-            if z_bps[-1] != hi:
-                z_bps.append(hi)
-                z_vals.append(z)
+            z_bps.append(hi)
+            z_vals.append(z)
+            z_slopes.append(slope)
             t = hi
             break
-    volume = PwlFunction(z_bps, z_vals, ZERO, final_slope)
+    volume = PwlFunction._carried(z_bps, z_vals, z_slopes, ZERO, final_slope)
     outflow = StepFunction(list(outflows), list(outflows.values()), ZERO)
     if outflow.final != final_out:
         raise LoadingInvariantBroken(

@@ -11,9 +11,13 @@ All breakpoints and values are ``fractions.Fraction``; there is no floating
 point anywhere.
 
 Cost.  With n breakpoints, one evaluation is a bisection, O(log n).  A
-``PwlFunction`` keeps the n - 1 segment slopes that its construction computes
-anyway, and whether it is non-decreasing once asked; equality, hashing and
-``to_json`` read the four fields only.  ``at_sorted`` evaluates
+``PwlFunction`` keeps its n - 1 segment slopes, and whether it is
+non-decreasing once asked; equality, hashing and ``to_json`` read the four
+fields only.  The public constructor divides the slopes out of the anchors;
+kernel results divide no slopes, since every kernel that builds one (``+``,
+``-``, ``scale``, ``shift``, ``add_constant``, ``integrate``, ``compose``,
+``min_compose``, ``GrowingPwl.finish``) hands over the slopes it already
+knows.  ``at_sorted`` evaluates
 a function at m non-decreasing points in one merge pass, O(n + m), and every
 primitive that evaluates on a sorted mesh goes through it: ``+`` and
 ``integrate`` are linear in the breakpoints involved, ``sum_of`` of k
@@ -227,20 +231,30 @@ class PwlFunction:
     final_slope: Fraction = ZERO
 
     def __post_init__(self):
-        bps = _as_fractions(self.breakpoints)
-        vals = _as_fractions(self.values)
-        if not bps:
-            raise ValueError("a piecewise-linear function needs at least one breakpoint")
-        if len(bps) != len(vals):
-            raise ValueError("breakpoints and values must have equal length")
-        if any(b >= c for b, c in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        s0 = Fraction(self.initial_slope)
-        s1 = Fraction(self.final_slope)
-        # drop interior collinear anchors, then collinear outermost anchors;
-        # slopes[k] stays the slope right of the k-th kept anchor
+        bps, vals = _anchors(self.breakpoints, self.values)
         slopes = [_seg_slope(bps[k], vals[k], bps[k + 1], vals[k + 1])
                   for k in range(len(bps) - 1)]
+        self._canonicalize(bps, vals, slopes, self.initial_slope, self.final_slope)
+
+    @classmethod
+    def _carried(cls, bps, vals, slopes, s0, s1) -> "PwlFunction":
+        """The function through the anchors whose segment slopes the caller
+        already knows: ``slopes[k]`` on [bps[k], bps[k+1]].  They must be
+        the slopes between the anchors; nothing divides them out again."""
+        self = object.__new__(cls)
+        bps, vals = _anchors(bps, vals)
+        slopes = _as_fractions(slopes)
+        if len(slopes) != len(bps) - 1:
+            raise ValueError("one slope per segment is needed")
+        self._canonicalize(bps, vals, slopes, s0, s1)
+        return self
+
+    def _canonicalize(self, bps, vals, slopes, s0, s1):
+        """Drop interior collinear anchors, then collinear outermost
+        anchors; ``slopes[k]`` stays the slope right of the k-th kept
+        anchor."""
+        s0 = Fraction(s0)
+        s1 = Fraction(s1)
         keep = [0 < k < len(slopes) and slopes[k - 1] == slopes[k]
                 for k in range(len(bps))]
         bps = [b for b, drop in zip(bps, keep) if not drop]
@@ -307,6 +321,12 @@ class PwlFunction:
         value = self._value
         return [value(i, x) for i, x in zip(_segment_indices(self.breakpoints, xs), xs)]
 
+    def _read(self, xs) -> tuple[list, list]:
+        """Values and right slopes at every point of the non-decreasing ``xs``."""
+        idx = _segment_indices(self.breakpoints, xs)
+        value, slope = self._value, self._slope_on
+        return [value(i, x) for i, x in zip(idx, xs)], [slope(i) for i in idx]
+
     def slope_right(self, x) -> Fraction:
         """Right derivative at x."""
         if x.__class__ is not Fraction:
@@ -321,33 +341,35 @@ class PwlFunction:
 
     def __add__(self, other: "PwlFunction") -> "PwlFunction":
         bps = sorted_union(self.breakpoints, other.breakpoints)
-        return PwlFunction(bps, [a + b for a, b in zip(self.at_sorted(bps),
-                                                       other.at_sorted(bps))],
-                           self.initial_slope + other.initial_slope,
-                           self.final_slope + other.final_slope)
+        va, sa = self._read(bps)
+        vb, sb = other._read(bps)
+        return PwlFunction._carried(bps, [a + b for a, b in zip(va, vb)],
+                                    [a + b for a, b in zip(sa[:-1], sb)],
+                                    self.initial_slope + other.initial_slope,
+                                    self.final_slope + other.final_slope)
 
     def __neg__(self) -> "PwlFunction":
-        return PwlFunction(self.breakpoints, [-v for v in self.values],
-                           -self.initial_slope, -self.final_slope)
+        return self.scale(-1)
 
     def __sub__(self, other: "PwlFunction") -> "PwlFunction":
         return self + (-other)
 
     def scale(self, c) -> "PwlFunction":
         c = Fraction(c)
-        return PwlFunction(self.breakpoints, [c * v for v in self.values],
-                           c * self.initial_slope, c * self.final_slope)
+        return PwlFunction._carried(self.breakpoints, [c * v for v in self.values],
+                                    [c * s for s in self._slopes],
+                                    c * self.initial_slope, c * self.final_slope)
 
     def shift(self, delta) -> "PwlFunction":
         """Return g with g(x) = f(x - delta)."""
         delta = Fraction(delta)
-        return PwlFunction([b + delta for b in self.breakpoints], self.values,
-                           self.initial_slope, self.final_slope)
+        return PwlFunction._carried([b + delta for b in self.breakpoints], self.values,
+                                    self._slopes, self.initial_slope, self.final_slope)
 
     def add_constant(self, c) -> "PwlFunction":
         c = Fraction(c)
-        return PwlFunction(self.breakpoints, [v + c for v in self.values],
-                           self.initial_slope, self.final_slope)
+        return PwlFunction._carried(self.breakpoints, [v + c for v in self.values],
+                                    self._slopes, self.initial_slope, self.final_slope)
 
     def is_nondecreasing(self) -> bool:
         return self._nondecreasing
@@ -378,6 +400,20 @@ class PwlFunction:
 
 def _seg_slope(x0, y0, x1, y1) -> Fraction:
     return (y1 - y0) / (x1 - x0)
+
+
+def _anchors(bps, vals) -> tuple[tuple, tuple]:
+    """The anchors as Fractions, checked: at least one, one value each, and
+    strictly increasing breakpoints."""
+    bps = _as_fractions(bps)
+    vals = _as_fractions(vals)
+    if not bps:
+        raise ValueError("a piecewise-linear function needs at least one breakpoint")
+    if len(bps) != len(vals):
+        raise ValueError("breakpoints and values must have equal length")
+    if any(b >= c for b, c in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return bps, vals
 
 
 class GrowingPwl:
@@ -411,11 +447,11 @@ class GrowingPwl:
         self.value += self.slope * dx
 
     def finish(self) -> PwlFunction:
-        xs, ys = self.xs, self.ys
+        xs, ys, slopes = self.xs, self.ys, self._right
         if self.edge != xs[-1]:
-            xs, ys = xs + [self.edge], ys + [self.value]
-        return PwlFunction(xs, ys, self.tail_slope,
-                           self.tail_slope if self.slope is None else self.slope)
+            xs, ys, slopes = xs + [self.edge], ys + [self.value], slopes + [self.slope]
+        return PwlFunction._carried(xs, ys, slopes, self.tail_slope,
+                                    self.tail_slope if self.slope is None else self.slope)
 
 
 class Cursor:
@@ -488,7 +524,7 @@ def integrate(f: StepFunction, start) -> PwlFunction:
         if rates[k]:
             acc -= rates[k] * (bps[k + 1] - bps[k])
         vals[k] = acc
-    return PwlFunction(bps, vals, f.initial, f.final)
+    return PwlFunction._carried(bps, vals, rates[:-1], f.initial, f.final)
 
 
 def differentiate(F: PwlFunction) -> StepFunction:
@@ -524,13 +560,15 @@ def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
             continue  # on or beyond a flat outer ray
     # the crossings avoid the inner breakpoints: two sorted, disjoint runs
     mesh = sorted(inner.breakpoints + tuple(crossings))
-    inner_vals = inner.at_sorted(mesh)
-    vals = outer.at_sorted(inner_vals)
+    inner_vals, inner_slopes = inner._read(mesh)
+    vals, outer_slopes = outer._read(inner_vals)
+    # each cell maps into one outer segment, or onto one point where flat
+    slopes = [so * si if si else ZERO for so, si in zip(outer_slopes, inner_slopes[:-1])]
     s0 = outer.slope_left(inner_vals[0]) * inner.initial_slope \
         if inner.initial_slope != 0 else ZERO
     s1 = outer.slope_right(inner_vals[-1]) * inner.final_slope \
         if inner.final_slope != 0 else ZERO
-    return PwlFunction(mesh, vals, s0, s1)
+    return PwlFunction._carried(mesh, vals, slopes, s0, s1)
 
 
 def min_preimage(F: PwlFunction, value) -> Fraction:
@@ -592,18 +630,19 @@ def min_compose(candidates) -> tuple[PwlFunction, list]:
     if not funcs:
         raise ValueError("min_compose needs at least one candidate")
     mesh = sorted_union(*(f.breakpoints for f in funcs))
-    table = [f.at_sorted(mesh) for f in funcs]
+    reads = [f._read(mesh) for f in funcs]
     # refine by pairwise crossings so that the order is constant per cell
     extra = []
     for a in range(len(funcs)):
         for b in range(a + 1, len(funcs)):
-            diff = [u - v for u, v in zip(table[a], table[b])]
+            diff = [u - v for u, v in zip(reads[a][0], reads[b][0])]
             extra += zero_crossings(mesh, diff,
                                     funcs[a].initial_slope - funcs[b].initial_slope,
                                     funcs[a].final_slope - funcs[b].final_slope)
     if extra:
         mesh = sorted_union(mesh, extra)
-        table = [f.at_sorted(mesh) for f in funcs]
+        reads = [f._read(mesh) for f in funcs]
+    table = [col for col, _ in reads]
     vals = [min(col) for col in zip(*table)]
     # one unit beyond the mesh every candidate runs with its outer slope
     left = [col[0] - f.initial_slope for f, col in zip(funcs, table)]
@@ -611,13 +650,15 @@ def min_compose(candidates) -> tuple[PwlFunction, list]:
     left_ties, right_ties = _argmins(left, min(left)), _argmins(right, min(right))
     s0 = min(funcs[i].initial_slope for i in left_ties)
     s1 = min(funcs[i].final_slope for i in right_ties)
-    result = PwlFunction(mesh, vals, s0, s1)
     ties = [left_ties] + [_argmins(col, v) for col, v in zip(zip(*table), vals)] \
         + [right_ties]
     bounds = [None] + mesh + [None]
     segments = [(bounds[k], bounds[k + 1], ties[k] & ties[k + 1])
                 for k in range(len(mesh) + 1)]
-    return result, segments
+    # on an inner cell the minimum runs with any candidate attaining it there
+    slopes = [reads[next(iter(members))][1][k]
+              for k, (_, _, members) in enumerate(segments[1:-1])]
+    return PwlFunction._carried(mesh, vals, slopes, s0, s1), segments
 
 
 def _argmins(column, least) -> frozenset:

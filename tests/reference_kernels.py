@@ -22,11 +22,17 @@ proves implied rather than runs, read through the one-point ``arc_status``
 here and the library's one-point ``foreign_rate_at``; it passes ``stress``
 a commodity's own rate plus its foreign rate as the one flow on the arc, and
 reads them on the partition refined where the foreign rate changes.
+``earliest_arrival`` is the round-based label iteration that the ordered
+sweep of ``labels.earliest_arrival`` replaces: every round recomputes every
+node from all its in-arcs and its old label, with the library's
+``compose`` and ``min_compose``, since its equivalence test is about the
+order of the work.
 """
 
 from fractions import Fraction
 
-from nashflow.labels import foreign_rate_at, rate_over_time
+from nashflow import timefn
+from nashflow.labels import CyclicZeroTransit, LabelSet, foreign_rate_at, rate_over_time
 from nashflow.loading import load_network
 from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
                                stress)
@@ -158,6 +164,33 @@ def min_compose(candidates):
                             if f(a) == mv_a and f(b) == mv_b)
         segments.append((lo, hi, members))
     return result, segments
+
+
+def earliest_arrival(instance, profile, commodity_id, phi_max=None):
+    """Labels by rounds over ``instance.nodes`` until a round changes none."""
+    c = instance.commodity(commodity_id)
+    labels = {c.origin: PwlFunction.line(1 / c.rate, ZERO, c.inflow_start)}
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        if rounds > len(instance.nodes) + 1:
+            raise CyclicZeroTransit("label iteration did not stabilize")
+        for v in instance.nodes:
+            if v == c.origin:
+                continue
+            candidates = [timefn.compose(profile.exit_time[a.id], labels[a.tail])
+                          for a in instance.in_arcs(v) if a.tail in labels]
+            if v in labels:
+                candidates.append(labels[v])
+            if not candidates:
+                continue
+            new, _ = timefn.min_compose(candidates)
+            if new != labels.get(v):
+                labels[v] = new
+                changed = True
+    return LabelSet(commodity_id, labels, None if phi_max is None else Fraction(phi_max))
 
 
 def split_outflow(inflow_j: StepFunction, total_in: StepFunction,

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from nashflow import loading
 from nashflow.netmodel import Arc, Commodity, Instance
-from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
-                             compose, min_compose, min_preimage, min_preimages)
+from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, ValueNotAttained,
+                             compose, integrate, min_compose, min_preimage,
+                             min_preimages)
 
 F = Fraction
 
@@ -116,6 +117,66 @@ class TestMinCompose:
         f = PwlFunction([0, 2], [0, 2], 1, 0)
         g = PwlFunction([1, 2], [1, 2], 1, 1)
         assert min_compose([f, g, f]) == ref.min_compose([f, g, f])
+
+
+def _as_if_divided(f: PwlFunction):
+    """``f`` must equal the public constructor's function through its own
+    anchors, and so must the segment slopes it carries."""
+    fresh = PwlFunction(f.breakpoints, f.values, f.initial_slope, f.final_slope)
+    assert f == fresh
+    assert f._slopes == fresh._slopes
+
+
+@st.composite
+def grown(draw):
+    """A curve grown forward by random commits and advances."""
+    x0, y0 = draw(rationals(-5, 5)), draw(rationals(-5, 5))
+    g = GrowingPwl("curve", x0, y0, draw(rationals(-3, 3)),
+                   draw(st.one_of(st.none(), rationals(-3, 3))))
+    for _ in range(draw(st.integers(0, 6))):
+        g.commit(draw(rationals(-3, 3)))
+        g.advance(draw(st.one_of(st.just(F(0)), rationals(0, 4))))
+    return g
+
+
+class TestCarriedSlopes:
+    """Kernel results carry the segment slopes that the kernel knows rather
+    than divide them out of the anchors; both must give the same function."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pwl_functions(), pwl_functions(), rationals(-4, 4))
+    def test_linear_kernels(self, f, g, c):
+        for result in (f + g, f - g, -f, f.scale(c), f.scale(0), f.shift(c),
+                       f.add_constant(c)):
+            _as_if_divided(result)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_functions(lo=-5), rationals(-10, 10))
+    def test_integrate(self, f, start):
+        _as_if_divided(integrate(f, start))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pwl_functions(), monotone_pwl())
+    def test_compose(self, outer, inner):
+        _as_if_divided(compose(outer, inner))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(pwl_functions(), min_size=1, max_size=4))
+    def test_min_compose(self, funcs):
+        _as_if_divided(min_compose(funcs)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(grown())
+    def test_finish(self, g):
+        _as_if_divided(g.finish())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(step_functions(), min_size=1, max_size=3),
+           rationals(0, 3), rationals(1, 3))
+    def test_loaded_queue_volume(self, inflows, transit, capacity):
+        arc = Arc("e", "s", "t", transit, capacity)
+        _, z = loading._load_arc(StepFunction.sum_of(inflows), arc)
+        _as_if_divided(z)
 
 
 class TestSplitOutflow:

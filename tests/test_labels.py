@@ -1,13 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from nashflow import labels as labels_mod
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.loading import load_network
-from nashflow.labels import (ZeroTransitArc, arc_status, earliest_arrival,
-                             extend_labels, foreign_rate_at, rate_over_time,
-                             waiting_from_labels)
+from nashflow.loading import FlowOverTime, derive_profile, load_network
+from nashflow.labels import (CyclicZeroTransit, ZeroTransitArc, arc_status,
+                             earliest_arrival, extend_labels, foreign_rate_at,
+                             rate_over_time, waiting_from_labels)
 from nashflow.timefn import PwlFunction, StepFunction
+
+import reference_kernels as ref
+from corpus import corpus
+from test_loading import random_inflows, random_instance
+from test_nash import _construct_by_mode
 
 F = Fraction
 
@@ -80,6 +87,116 @@ class TestEarliestArrival:
         flow, profile = load_network(instance, {})
         ls = earliest_arrival(instance, profile, "1")
         assert "w" not in ls.labels
+
+
+def _same_labels(instance, profile):
+    """The sweep and the round-based reference give equal labels, node by
+    node, for every commodity; returns how many labels were compared."""
+    compared = 0
+    for c in instance.commodities:
+        got = earliest_arrival(instance, profile, c.id).labels
+        want = ref.earliest_arrival(instance, profile, c.id).labels
+        assert sorted(got) == sorted(want), c.id
+        for v in want:
+            assert got[v] == want[v], (c.id, v)
+        compared += len(want)
+    return compared
+
+
+class TestSweepMatchesRounds:
+    """The ordered sweep against the round-based reference iteration."""
+
+    def test_corpus_profiles(self):
+        for name, instance, horizon in corpus():
+            result = _construct_by_mode(instance, horizon)
+            assert _same_labels(result.instance,
+                                derive_profile(result.instance, result.flow)), name
+
+    def test_random_loaded_flows(self):
+        rng = random.Random(20261019)
+        compared = 0
+        for _ in range(40):
+            instance = random_instance(rng)
+            _, profile = load_network(instance, random_inflows(rng, instance))
+            compared += _same_labels(instance, profile)
+        assert compared >= 100
+
+    def test_sink_listed_first(self):
+        # the nodes tuple is not a topological order: t before v before s
+        instance = validate_instance(Instance(
+            nodes=("t", "v", "s"),
+            arcs=(Arc("a", "s", "v", F(1), F(1)), Arc("b", "v", "t", F(1), F(1)),
+                  Arc("c", "s", "t", F(3), F(2))),
+            commodities=(Commodity("1", "s", "t", F(3), F(0), F(2)),),
+        ))
+        inflows = {("1", "a"): StepFunction([0, 2], [2, 0], 0),
+                   ("1", "c"): StepFunction([0, 2], [1, 0], 0)}
+        _, profile = load_network(instance, inflows)
+        assert _same_labels(instance, profile) == 3
+
+    def test_cyclic_instance_with_positive_transit(self):
+        instance = validate_instance(Instance(
+            nodes=("s", "a", "b", "t"),
+            arcs=(Arc("sa", "s", "a", F(1), F(1)), Arc("ab", "a", "b", F(1), F(1)),
+                  Arc("ba", "b", "a", F(1, 2), F(1)), Arc("sb", "s", "b", F(3), F(1)),
+                  Arc("bt", "b", "t", F(1), F(1))),
+            commodities=(Commodity("1", "s", "t", F(3), F(0), F(2)),),
+        ))
+        inflows = {("1", "sa"): StepFunction([0, 2], [2, 0], 0),
+                   ("1", "sb"): StepFunction([0, 2], [1, 0], 0),
+                   ("1", "ab"): StepFunction([1, 3], [2, 0], 0),
+                   ("1", "ba"): StepFunction([4, 5], [3, 0], 0)}
+        _, profile = load_network(instance, inflows)
+        assert _same_labels(instance, profile) == 4
+
+    def test_acyclic_nodes_are_computed_once(self, monkeypatch):
+        calls = {"compose": 0, "min_compose": 0}
+
+        def counted(name):
+            original = getattr(labels_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        instance = validate_instance(Instance(
+            nodes=("t", "v", "s"),
+            arcs=(Arc("a", "s", "v", F(1), F(1)), Arc("b", "v", "t", F(1), F(1)),
+                  Arc("c", "s", "t", F(3), F(2))),
+            commodities=(Commodity("1", "s", "t", F(3), F(0), F(2)),),
+        ))
+        _, profile = load_network(instance, {("1", "a"): StepFunction([0, 2], [3, 0], 0)})
+        for name in calls:
+            monkeypatch.setattr(labels_mod, name, counted(name))
+        earliest_arrival(instance, profile, "1")
+        # one composition per arc, one minimum at t, none at v
+        assert calls == {"compose": 3, "min_compose": 1}
+
+
+class TestCyclicZeroTransit:
+    def test_cycle_whose_exit_times_undercut_entry(self):
+        """An infeasible flow that drains the cycle a -> b -> a without
+        filling it: its derived waits go negative, T_e(theta) < theta on
+        both cycle arcs for late theta, and the labels never settle."""
+        instance = validate_instance(Instance(
+            nodes=("s", "a", "b"),
+            arcs=(Arc("sa", "s", "a", F(1), F(1)), Arc("ab", "a", "b", F(1), F(1)),
+                  Arc("ba", "b", "a", F(1), F(1))),
+            commodities=(Commodity("1", "s", "b", F(1), F(0), F(1)),),
+        ))
+        drain = StepFunction([0, 10], [F(1, 2), 0], 0)
+        flow = FlowOverTime(
+            inflow={("1", "sa"): StepFunction([0, 1], [1, 0], 0)},
+            outflow={("1", "sa"): StepFunction([1, 2], [1, 0], 0),
+                     ("1", "ab"): drain, ("1", "ba"): drain}).fill_totals(instance)
+        profile = derive_profile(instance, flow)
+        for e in ("ab", "ba"):
+            assert profile.exit_time[e](F(20)) < 20
+        with pytest.raises(CyclicZeroTransit):
+            earliest_arrival(instance, profile, "1")
+        with pytest.raises(CyclicZeroTransit):
+            ref.earliest_arrival(instance, profile, "1")
 
 
 class TestArcStatus:
