@@ -121,8 +121,9 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
     """The phase loop both constructors share, from the initial ``labels``
     of the reachable nodes: (phases, node labels over particles).
 
-    ``solve(active, resetting, phi)`` gives the thin flow of the phase
-    starting at particle phi and ``split(thin)`` its flows per commodity.
+    ``solve(active, resetting, phi, hint)`` gives the thin flow of the phase
+    starting at particle phi, with the previous phase's solver states as the
+    search hint, and ``split(thin)`` its flows per commodity.
     No phase crosses the particle ``cap`` (None for no cap), and the labels
     run left of particle 0 with ``tail_slope``.
     """
@@ -130,12 +131,14 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
               for v, y in labels.items()}
     phases: list[Phase] = []
     phi = ZERO
+    hint = None
     while phi < horizon:
         if len(phases) >= max_phases:
             raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
         labels = {v: g.value for v, g in curves.items()}
         active, resetting = _label_state(instance, labels)
-        thin = solve(active, resetting, phi)
+        thin = solve(active, resetting, phi, hint)
+        hint = thin.states
         slopes = thin.label_slopes
         remaining = horizon - phi
         if cap is not None and phi < cap:
@@ -166,10 +169,10 @@ def construct_nash_single(instance: Instance, horizon=None,
     labels = {v: c.inflow_start + dist[v] for v in instance.nodes
               if dist[v] is not INF}
 
-    def solve(active, resetting, phi):
+    def solve(active, resetting, phi, hint):
         value = ONE if (volume is None or phi < volume) else ZERO
         return solve_thinflow_single(instance, active, resetting, c.origin,
-                                     c.destination, c.rate, value)
+                                     c.destination, c.rate, value, hint)
 
     phases, node_labels = _run_phases(
         instance, labels, horizon, max_phases, solve,
@@ -208,8 +211,8 @@ def construct_common_destination(instance: Instance, horizon,
     total_rate = sum((c.rate for c in instance.commodities), ZERO)
     phases, node_labels = _run_phases(
         instance, labels, horizon, max_phases,
-        lambda active, resetting, phi: solve_thinflow_multisource(
-            instance, active, resetting, sources, sink),
+        lambda active, resetting, phi, hint: solve_thinflow_multisource(
+            instance, active, resetting, sources, sink, hint),
         lambda thin: _group_by_source(virtual, group, thin), None, 1 / total_rate)
     ends = {c.id: node_labels[c.origin](horizon) for c in instance.commodities}
     effective = _truncate_instance(instance, None, time_ends=ends)

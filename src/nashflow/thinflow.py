@@ -8,17 +8,20 @@ arcs and arcs carrying flow must attain it.
 
 A single commodity is the one-source case of the multi-source thin flow,
 so both solvers share one core: each source's supply is its rate times its
-label slope, and the caller's source rows pin those slopes.  The core runs
-one depth-first search over per-arc states (zero flow, tail slope attained,
-capacity ratio attained), each adding one row to an exact linear system
-kept in sparse row-echelon form.  Prefixes whose rows are inconsistent or
-can no longer reach full rank are pruned; every full-rank leaf is solved
-and the first, in the lexicographic order of the state tuples, that passes
-the condition evaluator is returned.  The same evaluator, which knows
-nothing of the linear algebra, backs ``check_thinflow`` and
-``check_multisource_thinflow``.  The worst case stays exponential in the
-number of active arcs: building the equilibrium of a 3x3 grid, whose phases
-reach 12 active arcs, takes 9 to 10 s on a 2-vCPU machine with Python 3.11.
+label slope, and the caller's source rows pin those slopes.  The core
+searches depth first over per-arc states (zero flow, tail slope attained,
+capacity ratio attained), each adding one row to an exact linear system in
+sparse row-echelon form, and prunes the prefixes whose rows are inconsistent
+or can no longer reach full rank.  It searches twice.  The first pass tries
+each arc's state in the previous phase's thin flow first, and its first leaf
+that passes the condition evaluator gives the label slopes, which are
+unique.  The second pass returns the first passing leaf in the lexicographic
+order of the state tuples, with those slopes pinned to prune.  The same
+evaluator, which knows nothing of the linear algebra, backs
+``check_thinflow`` and ``check_multisource_thinflow``.  The worst case stays
+exponential in the number of active arcs: on a 2-vCPU machine with Python
+3.11 the equilibrium of a 3x3 grid, whose phases reach 12 active arcs,
+builds in about 1 s.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ class ThinFlow:
     resetting: frozenset
     rate: Fraction
     value: Fraction = ONE
+    # usable arc id -> "Z", "L" or "C", the solver's hint for the next phase
+    states: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -106,6 +111,7 @@ class MultiSourceThinFlow:
     label_slopes: dict[str, Fraction]
     active: frozenset
     resetting: frozenset
+    states: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -119,43 +125,62 @@ class MultiSourceThinFlow:
         }
 
 
-def _state_solutions(instance, usable, resetting, base_rows, unknowns):
-    """Yield the unique solutions of the per-arc state systems, in order.
+def _push(echelon, coeffs, rhs):
+    """Reduce a row by ``echelon``, rows of (pivot, other coefficients, rhs)
+    none of which holds an earlier pivot, and append it.  True if it raised
+    the rank, False if it was redundant, None if it contradicts the rows."""
+    row = {v: c for v, c in coeffs.items() if c}
+    for pivot, others, r in echelon:
+        c = row.pop(pivot, None)
+        if c is None:
+            continue
+        for v, a in others.items():
+            left = row.get(v, ZERO) - c * a
+            if left:
+                row[v] = left
+            else:
+                del row[v]
+        rhs -= c * r
+    if not row:
+        return None if rhs else False
+    pivot, c = next(iter(row.items()))
+    del row[pivot]
+    echelon.append((pivot, {v: a / c for v, a in row.items()}, rhs / c))
+    return True
 
-    Every usable arc keeps its flow unknown ("x", e) and adds one row for its
+
+def _state_solutions(instance, usable, resetting, base_rows, unknowns,
+                     first=None, pins=None):
+    """Yield (states, solution) for each full-rank per-arc state system, in
+    search order; ``states`` maps every usable arc to its state.
+
+    Each usable arc keeps its flow unknown ("x", e) and adds one row for its
     state: "Z" sets x = 0, "L" asserts the tail's slope is attained (not on
-    resetting arcs), "C" asserts the capacity ratio is attained.  Arcs are
-    taken in the given order and states in that order, so systems come in the
-    lexicographic order of their state tuples.  A depth-first search keeps
-    the rows in sparse row-echelon form: the base rows are reduced once and
-    each level reduces only its new row.  A prefix whose rows contradict each
-    other, or that can no longer reach full rank in ``unknowns`` unknowns,
-    is pruned with its whole subtree, since adding rows can repair neither.
-    Full-rank leaves are solved by back substitution.
+    resetting arcs), "C" asserts the capacity ratio is attained.  Arcs come
+    in the given order, each trying Z, L, C (the lexicographic order), or
+    with ``first`` the state it names for the arc, then the rest in C, L, Z
+    order.  The search keeps the rows in sparse row-echelon form, reducing
+    each new row once, and prunes a prefix whose rows contradict each other
+    or can no longer reach rank ``unknowns``; neither test depends on the
+    order, so every order visits the same leaves.  ``pins`` maps nodes to
+    label slopes for a second echelon that only prunes: it holds the base
+    rows with those slopes fixed.  Leaves are solved by back substitution.
     """
-    echelon = []  # (pivot, other coefficients, rhs); no row holds an earlier pivot
-
-    def push(coeffs, rhs):
-        """Reduce a row and append it.  True if it raised the rank, False if
-        it was redundant, None if it contradicts the rows before it."""
-        row = {v: c for v, c in coeffs.items() if c}
-        for pivot, others, r in echelon:
-            c = row.pop(pivot, None)
-            if c is None:
-                continue
-            for v, a in others.items():
-                left = row.get(v, ZERO) - c * a
-                if left:
-                    row[v] = left
-                else:
-                    del row[v]
-            rhs -= c * r
-        if not row:
-            return None if rhs else False
-        pivot, c = next(iter(row.items()))
-        del row[pivot]
-        echelon.append((pivot, {v: a / c for v, a in row.items()}, rhs / c))
-        return True
+    echelon = []
+    pinned = None if pins is None else [(v, {}, slope) for v, slope in pins.items()]
+    choices = []
+    for e in usable:
+        arc = instance.arc(e)
+        rows = {"Z": {("x", e): ONE}, "L": {arc.head: ONE, arc.tail: -ONE},
+                "C": {("x", e): ONE, arc.head: -arc.capacity}}
+        order = "ZLC" if first is None else "CLZ"
+        if e in resetting:
+            order = order.replace("L", "")
+        hinted = first.get(e) if first else None
+        if hinted in list(order):
+            order = hinted + order.replace(hinted, "")
+        choices.append([(state, rows[state]) for state in order])
+    path = []
 
     def solution():
         values = {}
@@ -167,22 +192,25 @@ def _state_solutions(instance, usable, resetting, base_rows, unknowns):
         if len(echelon) + len(usable) - depth < unknowns:
             return
         if depth == len(usable):
-            yield solution()
+            yield dict(zip(usable, path)), solution()
             return
-        arc = instance.arc(usable[depth])
-        x = ("x", arc.id)
-        rows = {"Z": {x: ONE},
-                "L": {arc.head: ONE, arc.tail: -ONE},
-                "C": {x: ONE, arc.head: -arc.capacity}}
-        for state in ("Z", "C") if arc.id in resetting else ("Z", "L", "C"):
-            grown = push(rows[state], ZERO)
-            if grown is None:
+        for state, row in choices[depth]:
+            held = pinned is not None and _push(pinned, row, ZERO)
+            if held is None:
                 continue
-            yield from visit(depth + 1)
-            if grown:
-                echelon.pop()
+            grown = _push(echelon, row, ZERO)
+            if grown is not None:
+                path.append(state)
+                yield from visit(depth + 1)
+                path.pop()
+                if grown:
+                    echelon.pop()
+            if held:
+                pinned.pop()
 
-    if all(push(coeffs, rhs) is not None for coeffs, rhs in base_rows):
+    echelons = [echelon] if pinned is None else [echelon, pinned]
+    if all(_push(rows, coeffs, rhs) is not None
+           for rows in echelons for coeffs, rhs in base_rows):
         yield from visit(0)
 
 
@@ -199,13 +227,23 @@ def _support(instance: Instance, active, roots, sink):
 
 
 def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
-           source_rows):
-    """The first solution of the per-arc state systems, in search order, that
-    passes the condition evaluator, as (flow, label slopes).
+           source_rows, hint=None):
+    """The first solution of the per-arc state systems, in lexicographic
+    order, that passes the condition evaluator: (flow, label slopes, states).
+    ``rates`` maps each source node to its rate, ``source_rows`` pin the
+    source slopes (a source supplies its rate times its slope), and the sink
+    absorbs ``demand``.
 
-    ``rates`` maps each source node to its rate: the source's supply, its
-    rate times its label slope, leaves it.  ``source_rows`` pin the source
-    slopes, and the sink absorbs ``demand``.
+    The oracle pass tries the state ``hint`` names for an arc first, and its
+    first passing leaf gives the label slopes.  Its order permutes the
+    leaves of the lexicographic search, so it finds one exactly when that
+    search does.  The recovery pass searches in lexicographic order with
+    those slopes pinned.  Passing leaves share one slope vector (Cominetti,
+    Correa & Larre, Oper. Res. 2015, for one source; the tests check it for
+    several on their instances), so the lexicographic search's first
+    passing leaf satisfies every pinned row and is never pruned, and every
+    leaf the recovery yields before it is one that search yields and
+    rejects.  So ``hint`` changes the work, never the result.
     """
     if len(usable) > SIZE_LIMIT:
         raise SizeLimitExceeded(f"{len(usable)} active arcs exceed {SIZE_LIMIT}")
@@ -220,22 +258,28 @@ def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
             if a.id in kept:
                 coeffs[("x", a.id)] = -ONE
         rows.append((coeffs, -demand if v == sink else ZERO))
-    for values in _state_solutions(instance, usable, resetting, rows,
-                                   len(nodes) + len(usable)):
-        flow = {e: values[("x", e)] for e in usable}
-        slopes = {v: values[v] for v in sorted(nodes)}
-        # the source rows fix the source slopes; the evaluator checks the
-        # supplies they imply
-        supplied = {s: (slopes[s], r * slopes[s]) for s, r in rates.items()}
-        if not _conditions(instance, active, resetting, supplied, sink, demand,
-                           flow, slopes, nodes):
-            return flow, slopes
-    raise NoThinFlow("no thin flow found; the configuration is inconsistent")
+
+    def first_passing(**order):
+        for states, values in _state_solutions(instance, usable, resetting, rows,
+                                               len(nodes) + len(usable), **order):
+            flow = {e: values[("x", e)] for e in usable}
+            slopes = {v: values[v] for v in sorted(nodes)}
+            # the source rows fix the source slopes; the evaluator checks the
+            # supplies they imply
+            supplied = {s: (slopes[s], r * slopes[s]) for s, r in rates.items()}
+            if next(_conditions(instance, active, resetting, supplied, sink, demand,
+                                flow, slopes, nodes), None) is None:
+                return flow, slopes, states
+        raise NoThinFlow("no thin flow found; the configuration is inconsistent")
+
+    _, slopes, _ = first_passing(first=hint or {})
+    return first_passing(pins=slopes)
 
 
 def _conditions(instance, active, resetting, sources, sink, demand, flow,
                 slopes, nodes):
-    """Violations of the defining conditions; independent of solver algebra.
+    """Yield the violations of the defining conditions, independent of the
+    solver's algebra.
 
     ``sources`` maps each source node to its (expected label slope, supply),
     and the sink absorbs ``demand``.  Supplies must be non-negative and sum
@@ -243,20 +287,19 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
     other node of ``nodes``, which the sources reach through active arcs,
     takes the minimum incoming stress, attained wherever flow runs.
     """
-    violations = []
     total = sum((supply for _, supply in sources.values()), ZERO)
     if total != demand:
-        violations.append(("SupplySum", str(total)))
+        yield ("SupplySum", str(total))
     for s, (slope, supply) in sources.items():
         if supply < 0:
-            violations.append(("NegativeSupply", s))
+            yield ("NegativeSupply", s)
         if slopes.get(s) != slope:
-            violations.append(("SourceSlope", s))
+            yield ("SourceSlope", s)
     for e, x in flow.items():
         if x < 0:
-            violations.append(("NegativeFlow", e))
+            yield ("NegativeFlow", e)
         if x > 0 and e not in active:
-            violations.append(("SupportViolated", e))
+            yield ("SupportViolated", e)
     for v in nodes:
         net = sum((flow.get(a.id, ZERO) for a in instance.out_arcs(v)), ZERO) \
             - sum((flow.get(a.id, ZERO) for a in instance.in_arcs(v)), ZERO)
@@ -264,7 +307,7 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
         if v == sink:
             expected -= demand
         if net != expected:
-            violations.append(("ConservationViolated", v))
+            yield ("ConservationViolated", v)
     for v in nodes:
         rhos = []
         for a in instance.in_arcs(v):
@@ -274,22 +317,26 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
                                       flow.get(a.id, ZERO), a.id in resetting)))
         if v in sources:
             if rhos and slopes[v] > min(r for _, r in rhos):
-                violations.append(("SourceMinViolated", v))
+                yield ("SourceMinViolated", v)
         elif slopes[v] != min(r for _, r in rhos):
-            violations.append(("MinViolated", v))
+            yield ("MinViolated", v)
         for e, r in rhos:
             if flow.get(e, ZERO) > 0 and r != slopes[v]:
-                violations.append(("TightnessViolated", e))
-    return violations
+                yield ("TightnessViolated", e)
 
 
 def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
-                          rate, value=ONE) -> ThinFlow:
+                          rate, value=ONE, hint=None) -> ThinFlow:
     """Unique-label thin flow for one source and sink.
 
     The label slopes are unique; among flow parts the first consistent
     assignment in a fixed enumeration order is returned, so outputs are
     deterministic.  Active arcs the source cannot reach carry no flow.
+    ``hint`` maps arc ids to states to try first, such as the previous
+    phase's ``states``; it never changes the result.  A value of 0 needs no
+    special case: the flow is 0, each node takes the least slope its active
+    in-arcs pass on, and the system with L or C on one such arc per node and
+    Z elsewhere has full rank.
     """
     active = frozenset(active)
     resetting = frozenset(resetting)
@@ -300,38 +347,22 @@ def solve_thinflow_single(instance: Instance, active, resetting, source, sink,
     if not resetting <= active:
         raise ValueError("resetting arcs must be active")
     nodes, usable = _support(instance, active, [source], sink)
-    if value == 0:
-        slopes = _propagate_zero_flow(instance, usable, resetting, source, rate)
-        return ThinFlow({e: ZERO for e in usable}, slopes, active, resetting,
-                        rate, value)
     # slope 1 / rate and supply ``value``: a source of rate value * rate
-    flow, slopes = _solve(instance, active, resetting, nodes, usable,
-                          {source: value * rate}, sink, value,
-                          [({source: ONE}, 1 / rate)])
-    return ThinFlow(flow, slopes, active, resetting, rate, value)
-
-
-def _propagate_zero_flow(instance, usable, resetting, source, rate):
-    """Label slopes for the zero-value thin flow (direct propagation)."""
-    slopes = {source: 1 / Fraction(rate)}
-    for v in topological_order(instance, usable):
-        if v == source:
-            continue
-        rhos = [ZERO if a.id in resetting else slopes[a.tail]
-                for a in instance.in_arcs(v)
-                if a.id in usable and a.tail in slopes]
-        slopes[v] = min(rhos) if rhos else ZERO
-    return slopes
+    flow, slopes, states = _solve(instance, active, resetting, nodes, usable,
+                                  {source: value * rate}, sink, value,
+                                  [({source: ONE}, 1 / rate)], hint)
+    return ThinFlow(flow, slopes, active, resetting, rate, value, states)
 
 
 def solve_thinflow_multisource(instance: Instance, active, resetting,
-                               sources: dict, sink) -> MultiSourceThinFlow:
+                               sources: dict, sink, hint=None) -> MultiSourceThinFlow:
     """Thin flow with per-source supplies summing to one.
 
     ``sources`` maps commodity id to (source node, rate).  Source label
     slopes are supply/rate and never exceed the incoming stress; all other
     nodes take the minimum incoming stress, attained wherever flow runs.
-    Every active arc must be reachable from some source.
+    Every active arc must be reachable from some source.  ``hint`` is as
+    for ``solve_thinflow_single``.
     """
     active = frozenset(active)
     resetting = frozenset(resetting)
@@ -349,29 +380,29 @@ def solve_thinflow_multisource(instance: Instance, active, resetting,
     if stray:
         raise UnreachableNode(stray[0])
     # the supplies r_j * l'(s_j) sum to one
-    flow, slopes = _solve(instance, active, resetting, nodes, usable, rates,
-                          sink, ONE, [(rates, ONE)])
+    flow, slopes, states = _solve(instance, active, resetting, nodes, usable,
+                                  rates, sink, ONE, [(rates, ONE)], hint)
     supplies = {j: r_j * slopes[s_j] for j, (s_j, r_j) in sources.items()}
-    return MultiSourceThinFlow(supplies, flow, slopes, active, resetting)
+    return MultiSourceThinFlow(supplies, flow, slopes, active, resetting, states)
 
 
 def check_thinflow(instance, thin: ThinFlow, source, sink) -> list:
     """Public re-check of a single-commodity thin flow's conditions."""
-    return _conditions(instance, thin.active, thin.resetting,
-                       {source: (1 / thin.rate, thin.value)}, sink, thin.value,
-                       thin.flow, thin.label_slopes,
-                       reachable(instance, [source], thin.active))
+    return list(_conditions(instance, thin.active, thin.resetting,
+                            {source: (1 / thin.rate, thin.value)}, sink,
+                            thin.value, thin.flow, thin.label_slopes,
+                            reachable(instance, [source], thin.active)))
 
 
 def check_multisource_thinflow(instance, thin: MultiSourceThinFlow,
                                sources: dict, sink) -> list:
     """Public re-check of a multi-source thin flow's conditions."""
-    return _conditions(instance, thin.active, thin.resetting,
-                       {s_j: (thin.supplies[j] / r_j, thin.supplies[j])
-                        for j, (s_j, r_j) in sources.items()},
-                       sink, ONE, thin.flow, thin.label_slopes,
-                       reachable(instance, {s for s, _ in sources.values()},
-                                 thin.active))
+    return list(_conditions(instance, thin.active, thin.resetting,
+                            {s_j: (thin.supplies[j] / r_j, thin.supplies[j])
+                             for j, (s_j, r_j) in sources.items()},
+                            sink, ONE, thin.flow, thin.label_slopes,
+                            reachable(instance, {s for s, _ in sources.values()},
+                                      thin.active)))
 
 
 # --------------------------------------------------------------------------

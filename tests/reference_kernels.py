@@ -26,7 +26,13 @@ reads them on the partition refined where the foreign rate changes.
 sweep of ``labels.earliest_arrival`` replaces: every round recomputes every
 node from all its in-arcs and its old label, with the library's
 ``compose`` and ``min_compose``, since its equivalence test is about the
-order of the work.
+order of the work.  ``lexicographic_single`` and
+``lexicographic_multisource`` are the thin-flow search that the two-pass
+search of ``thinflow._solve`` replaces: one depth-first pass over the state
+tuples in lexicographic order, returning the first full-rank leaf that the
+library's ``_conditions`` passes, and for value 0 the direct propagation of
+the slopes (``propagate_zero_flow``).  They share the library's support and
+evaluator, since their equivalence test is about the search order.
 """
 
 from fractions import Fraction
@@ -34,12 +40,15 @@ from fractions import Fraction
 from nashflow import timefn
 from nashflow.labels import CyclicZeroTransit, LabelSet, foreign_rate_at, rate_over_time
 from nashflow.loading import load_network
-from nashflow.thinflow import (ThinFlowReport, ThinFlowViolation, _partition,
-                               stress)
+from nashflow.netmodel import topological_order
+from nashflow.thinflow import (NoThinFlow, ThinFlowReport, ThinFlowViolation,
+                               UnreachableNode, _conditions, _partition,
+                               _support, stress)
 from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
                              differentiate, integrate)
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def is_nondecreasing(F: PwlFunction) -> bool:
@@ -516,3 +525,125 @@ def stress_conditions(instance, strategies, labels_all, horizon, profile,
                         violations.append(ThinFlowViolation("TF3Violated", j, e,
                                                             (lo, hi)))
     return violations
+
+
+def _state_solutions(instance, usable, resetting, base_rows, unknowns):
+    """The solutions of the full-rank per-arc state systems, in the
+    lexicographic order of their state tuples under Z < L < C, pruning the
+    prefixes whose rows contradict each other or can no longer reach full
+    rank."""
+    echelon = []  # (pivot, other coefficients, rhs); no row holds an earlier pivot
+
+    def push(coeffs, rhs):
+        row = {v: c for v, c in coeffs.items() if c}
+        for pivot, others, r in echelon:
+            c = row.pop(pivot, None)
+            if c is None:
+                continue
+            for v, a in others.items():
+                left = row.get(v, ZERO) - c * a
+                if left:
+                    row[v] = left
+                else:
+                    del row[v]
+            rhs -= c * r
+        if not row:
+            return None if rhs else False
+        pivot, c = next(iter(row.items()))
+        del row[pivot]
+        echelon.append((pivot, {v: a / c for v, a in row.items()}, rhs / c))
+        return True
+
+    def solution():
+        values = {}
+        for pivot, others, rhs in reversed(echelon):
+            values[pivot] = rhs - sum((a * values[v] for v, a in others.items()), ZERO)
+        return values
+
+    def visit(depth):
+        if len(echelon) + len(usable) - depth < unknowns:
+            return
+        if depth == len(usable):
+            yield solution()
+            return
+        arc = instance.arc(usable[depth])
+        x = ("x", arc.id)
+        rows = {"Z": {x: ONE},
+                "L": {arc.head: ONE, arc.tail: -ONE},
+                "C": {x: ONE, arc.head: -arc.capacity}}
+        for state in ("Z", "C") if arc.id in resetting else ("Z", "L", "C"):
+            grown = push(rows[state], ZERO)
+            if grown is None:
+                continue
+            yield from visit(depth + 1)
+            if grown:
+                echelon.pop()
+
+    if all(push(coeffs, rhs) is not None for coeffs, rhs in base_rows):
+        yield from visit(0)
+
+
+def _lexicographic_solve(instance, active, resetting, nodes, usable, rates, sink,
+                         demand, source_rows):
+    """(flow, slopes) of the first passing leaf in lexicographic order."""
+    rows = list(source_rows)
+    for v in sorted(nodes):
+        coeffs = {v: -rates[v]} if v in rates else {}
+        for a in instance.out_arcs(v):
+            if a.id in usable:
+                coeffs[("x", a.id)] = ONE
+        for a in instance.in_arcs(v):
+            if a.id in usable:
+                coeffs[("x", a.id)] = -ONE
+        rows.append((coeffs, -demand if v == sink else ZERO))
+    for values in _state_solutions(instance, usable, resetting, rows,
+                                   len(nodes) + len(usable)):
+        flow = {e: values[("x", e)] for e in usable}
+        slopes = {v: values[v] for v in sorted(nodes)}
+        supplied = {s: (slopes[s], r * slopes[s]) for s, r in rates.items()}
+        if not list(_conditions(instance, active, resetting, supplied, sink,
+                                demand, flow, slopes, nodes)):
+            return flow, slopes
+    raise NoThinFlow("no thin flow found")
+
+
+def propagate_zero_flow(instance, usable, resetting, source, rate):
+    """Label slopes of the zero-value thin flow, propagated in topological
+    order: a node takes the least slope its in-arcs pass on."""
+    slopes = {source: 1 / Fraction(rate)}
+    for v in topological_order(instance, usable):
+        if v == source:
+            continue
+        rhos = [ZERO if a.id in resetting else slopes[a.tail]
+                for a in instance.in_arcs(v)
+                if a.id in usable and a.tail in slopes]
+        slopes[v] = min(rhos) if rhos else ZERO
+    return slopes
+
+
+def lexicographic_single(instance, active, resetting, source, sink, rate,
+                         value=ONE):
+    """(flow, slopes) of ``solve_thinflow_single`` by the plain search."""
+    active, resetting = frozenset(active), frozenset(resetting)
+    rate, value = Fraction(rate), Fraction(value)
+    nodes, usable = _support(instance, active, [source], sink)
+    if value == 0:
+        return ({e: ZERO for e in usable},
+                propagate_zero_flow(instance, usable, resetting, source, rate))
+    return _lexicographic_solve(instance, active, resetting, nodes, usable,
+                                {source: value * rate}, sink, value,
+                                [({source: ONE}, 1 / rate)])
+
+
+def lexicographic_multisource(instance, active, resetting, sources, sink):
+    """(supplies, flow, slopes) of ``solve_thinflow_multisource`` by the
+    plain search."""
+    active, resetting = frozenset(active), frozenset(resetting)
+    sources = {j: (s_j, Fraction(r_j)) for j, (s_j, r_j) in sources.items()}
+    rates = dict(sources.values())
+    nodes, usable = _support(instance, active, rates, sink)
+    if active - set(usable):
+        raise UnreachableNode(sorted(active - set(usable))[0])
+    flow, slopes = _lexicographic_solve(instance, active, resetting, nodes, usable,
+                                        rates, sink, ONE, [(rates, ONE)])
+    return {j: r_j * slopes[s_j] for j, (s_j, r_j) in sources.items()}, flow, slopes

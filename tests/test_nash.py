@@ -1,5 +1,10 @@
+import hashlib
+import importlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +13,7 @@ from nashflow.netmodel import (COMMON_ORIGIN, Arc, Commodity, Instance,
 from nashflow.loading import (FlowOverTime, check_feasibility, derive_profile,
                               load_network)
 from nashflow.labels import earliest_arrival, waiting_from_labels
-from nashflow import nash
+from nashflow import nash, netmodel
 from nashflow.nash import (FlowReconstructionError, Phase,
                            PhaseBudgetExceeded, StalledPhase,
                            _reconstruct_flow, check_derivatives_thinflow,
@@ -19,6 +24,7 @@ from nashflow.timefn import PwlFunction, StepFunction
 
 import reference_kernels as reference
 from corpus import corpus, single_arc_canonical
+from oracle import oracle_multisource
 
 F = Fraction
 
@@ -424,3 +430,78 @@ def _construct_by_mode(instance, horizon):
     if instance.mode == "commonDestination":
         return construct_common_destination(instance, horizon)
     return construct_nash_single(instance, horizon)
+
+
+def _grid(rows, cols):
+    """The rows x cols grid of the scale baselines: nodes n<i><j>, a right
+    and a down arc per node, numbered e0, e1, ... in row-major order, with
+    transit time and capacity drawn from 1..3 by ``random.Random(1)``,
+    transit first; one commodity from corner to corner at rate 6 on
+    [0, 2]."""
+    rng = random.Random(1)
+    arcs = []
+    for i in range(rows):
+        for j in range(cols):
+            for k, l in ((i, j + 1), (i + 1, j)):
+                if k < rows and l < cols:
+                    transit, capacity = F(rng.randint(1, 3)), F(rng.randint(1, 3))
+                    arcs.append(Arc(f"e{len(arcs)}", f"n{i}{j}", f"n{k}{l}",
+                                    transit, capacity))
+    nodes = tuple(f"n{i}{j}" for i in range(rows) for j in range(cols))
+    return validate_instance(Instance(nodes, tuple(arcs), (
+        Commodity("1", "n00", f"n{rows - 1}{cols - 1}", F(6), F(0), F(2)),)))
+
+
+class TestGridScale:
+    """Grids whose phases reach 12 and 16 active arcs build, fast, the very
+    documents that the plain lexicographic search built: the digests are of
+    its ``to_json`` output, which took about 6 s and 80 s to build."""
+
+    @pytest.mark.parametrize("rows,cols,widest,digest", [
+        (3, 3, 12, "54b767d1399911d0a6323dfb6487192203a30e6cf4dba7b1947035060e283040"),
+        (3, 4, 16, "6553a24c238e534d3be16c695a5a5a7e306f3a3d79efdfa5f507a3e764ccb95e"),
+    ])
+    def test_document_unchanged(self, rows, cols, widest, digest):
+        result = construct_nash_single(_grid(rows, cols))
+        assert max(len(p.thin.active) for p in result.phases) == widest
+        document = json.dumps(result.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(document).hexdigest() == digest
+
+
+def _benchmark_grids(monkeypatch, seed, mode):
+    """The ``equilibria`` benchmark's grid instances of one mode."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    program = SimpleNamespace(netmodel=netmodel)
+    items = workloads.Equilibria().generate(program, seed)
+    return [(item.name, item.instance, item.data["horizon"]) for item in items
+            if item.name.startswith("grid") and item.instance.mode == mode]
+
+
+class TestMultiSourceSlopesUnique:
+    """The recovery pass of the thin-flow search pins the slopes of the
+    first passing leaf it finds, which returns the lexicographic search's
+    leaf only if all passing leaves share their slopes.  For one source that
+    is a theorem; for several, every phase of the benchmark's common-
+    destination grids and of the evacuation corpus shows it: every solution
+    of the brute-force oracle has the solver's slopes."""
+
+    def test_every_phase(self, monkeypatch):
+        instances = [(name, inst, horizon) for name, inst, horizon in corpus()
+                     if name.startswith("evac_")]
+        for seed in (1, 2, 3):
+            instances += _benchmark_grids(monkeypatch, seed, "commonDestination")
+        phases = 0
+        for name, instance, horizon in instances:
+            arcs = {a.id: (a.tail, a.head, a.capacity) for a in instance.arcs}
+            sources = {c.id: (c.origin, c.rate) for c in instance.commodities}
+            sink = instance.commodities[0].destination
+            result = construct_common_destination(instance, horizon)
+            for k, phase in enumerate(result.phases):
+                thin = phase.thin
+                found = oracle_multisource(arcs, set(thin.active), set(thin.resetting),
+                                           sources, sink)
+                assert found, (name, k)
+                assert all(slopes == thin.label_slopes for _, _, slopes in found), (name, k)
+                phases += 1
+        assert len(instances) == 9 and phases >= 20, phases

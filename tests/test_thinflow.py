@@ -163,6 +163,26 @@ def parallel_arcs6():
     }
 
 
+def multisource_arcs():
+    return {
+        "a": ("s1", "t", F(1)),
+        "b": ("s2", "t", F(2)),
+        "c": ("s1", "s2", F(1)),
+        "d": ("s2", "v", F(1)),
+        "e": ("v", "t", F(1, 2)),
+    }
+
+
+def _multisource_instance(arcs):
+    nodes = sorted({u for u, _, _ in arcs.values()} | {v for _, v, _ in arcs.values()})
+    return validate_instance(Instance(
+        tuple(nodes),
+        tuple(Arc(e, u, v, F(1), cap) for e, (u, v, cap) in sorted(arcs.items())),
+        (Commodity("1", "s1", "t", F(1), F(0), None),
+         Commodity("2", "s2", "t", F(2), F(0), None)),
+        "commonDestination"))
+
+
 def _instance_from(arcs):
     nodes = sorted({u for u, _, _ in arcs.values()} | {v for _, v, _ in arcs.values()})
     return validate_instance(Instance(
@@ -224,21 +244,8 @@ class TestOracleEquivalence:
         assert checked > 50
 
     def test_all_configurations_multisource(self):
-        arcs = {
-            "a": ("s1", "t", F(1)),
-            "b": ("s2", "t", F(2)),
-            "c": ("s1", "s2", F(1)),
-            "d": ("s2", "v", F(1)),
-            "e": ("v", "t", F(1, 2)),
-        }
-        nodes = sorted({u for u, _, _ in arcs.values()}
-                       | {v for _, v, _ in arcs.values()})
-        instance = validate_instance(Instance(
-            tuple(nodes),
-            tuple(Arc(e, u, v, F(1), cap) for e, (u, v, cap) in sorted(arcs.items())),
-            (Commodity("1", "s1", "t", F(1), F(0), None),
-             Commodity("2", "s2", "t", F(2), F(0), None)),
-            "commonDestination"))
+        arcs = multisource_arcs()
+        instance = _multisource_instance(arcs)
         sources = {"1": ("s1", F(1)), "2": ("s2", F(2))}
         ids = sorted(arcs)
         checked = 0
@@ -292,6 +299,98 @@ def _reach_all(arcs, active, roots):
     return seen
 
 
+def _configurations(arcs, roots):
+    """Every (active, resetting) pair whose active arcs all leave nodes that
+    ``roots`` reach through them."""
+    ids = sorted(arcs)
+    for k in range(1, len(ids) + 1):
+        for active in combinations(ids, k):
+            reached = _reach_all(arcs, active, roots)
+            if any(arcs[e][0] not in reached for e in active):
+                continue
+            for m in range(0, len(active) + 1):
+                yield from ((set(active), set(resetting))
+                            for resetting in combinations(active, m))
+
+
+def _hints(rng, ids, resetting):
+    """Seeded hints that name arcs of the whole instance, active or not, with
+    any state: one with ``L`` on every resetting arc, one with a state no arc
+    takes, and one drawn freely."""
+    drawn = [{e: rng.choice("ZLC") for e in ids if rng.random() < 0.8}
+             for _ in range(3)]
+    drawn[0].update({e: "L" for e in resetting})
+    drawn[1][rng.choice(ids)] = "X"
+    return drawn
+
+
+def _outcome_of(solve):
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestHintIndependence:
+    """The two-pass search returns exactly what the plain lexicographic
+    search (``reference.lexicographic_*``) returns, or raises the same
+    error, under any hint; without one, ``TestOracleEquivalence`` checks it
+    against the oracle's first solution."""
+
+    @pytest.mark.parametrize("arcs,rate", [(diamond_arcs(), F(2)),
+                                           (parallel_arcs6(), F(3))])
+    def test_single(self, arcs, rate):
+        instance = _instance_from(arcs)
+        rng = random.Random(16)
+        compared = 0
+        for active, resetting in _configurations(arcs, ["s"]):
+            for value in (F(1), F(0)):
+                expected = _outcome_of(lambda: reference.lexicographic_single(
+                    instance, active, resetting, "s", "t", rate, value))
+                for hint in _hints(rng, sorted(arcs), resetting):
+                    got = _outcome_of(lambda: solve_thinflow_single(
+                        instance, active, resetting, "s", "t", rate, value, hint))
+                    if isinstance(got, ThinFlow):
+                        got = (got.flow, got.label_slopes)
+                    assert got == expected, (active, resetting, value, hint)
+                compared += isinstance(expected, tuple)
+        assert compared > 250
+
+    def test_multisource(self):
+        arcs = multisource_arcs()
+        instance = _multisource_instance(arcs)
+        sources = {"1": ("s1", F(1)), "2": ("s2", F(2))}
+        rng = random.Random(16)
+        compared = 0
+        for active, resetting in _configurations(arcs, ["s1", "s2"]):
+            expected = _outcome_of(lambda: reference.lexicographic_multisource(
+                instance, active, resetting, sources, "t"))
+            for hint in _hints(rng, sorted(arcs), resetting):
+                got = _outcome_of(lambda: solve_thinflow_multisource(
+                    instance, active, resetting, sources, "t", hint))
+                if not isinstance(got, type):
+                    got = (got.supplies, got.flow, got.label_slopes)
+                assert got == expected, (active, resetting, hint)
+            compared += isinstance(expected, tuple)
+        assert compared > 100
+
+    def test_states_describe_the_returned_leaf(self):
+        """``states`` is the hint for the next phase: one state per usable
+        arc, each row holding at the returned solution, and not part of the
+        thin flow's value or document."""
+        instance = _instance_from(diamond_arcs())
+        thin = solve_thinflow_single(instance, set(diamond_arcs()), {"e5"},
+                                     "s", "t", F(2))
+        assert set(thin.states) == set(diamond_arcs())
+        for e, state in thin.states.items():
+            arc = instance.arc(e)
+            x, head = thin.flow[e], thin.label_slopes[arc.head]
+            assert {"Z": x == 0, "L": head == thin.label_slopes[arc.tail],
+                    "C": x == arc.capacity * head}[state], (e, state)
+        assert thin == replace(thin, states={})
+        assert "states" not in thin.to_json()
+
+
 class TestOneSourceIsSingle:
     """A single commodity is the one-source case of the multi-source thin
     flow: on every configuration whose active arcs the source reaches, both
@@ -301,30 +400,20 @@ class TestOneSourceIsSingle:
                                            (parallel_arcs6(), F(3))])
     def test_all_configurations(self, arcs, rate):
         instance = _instance_from(arcs)
-        ids = sorted(arcs)
         compared = 0
-        for k in range(1, len(ids) + 1):
-            for active in combinations(ids, k):
-                reached = _reach_all(arcs, active, ["s"])
-                if any(arcs[e][0] not in reached for e in active):
-                    continue  # the multi-source solver rejects stray arcs
-                for m in range(0, len(active) + 1):
-                    for resetting in combinations(active, m):
-                        outcomes = []
-                        for solve in (
-                                lambda: solve_thinflow_single(
-                                    instance, active, resetting, "s", "t", rate),
-                                lambda: solve_thinflow_multisource(
-                                    instance, active, resetting,
-                                    {"1": ("s", rate)}, "t")):
-                            try:
-                                thin = solve()
-                            except (ValueError, RuntimeError) as exc:
-                                outcomes.append(type(exc))
-                            else:
-                                outcomes.append((thin.flow, thin.label_slopes))
-                        assert outcomes[0] == outcomes[1], (active, resetting)
-                        compared += isinstance(outcomes[0], tuple)
+        # the multi-source solver rejects stray arcs, which these lack
+        for active, resetting in _configurations(arcs, ["s"]):
+            outcomes = []
+            for solve in (
+                    lambda: solve_thinflow_single(
+                        instance, active, resetting, "s", "t", rate),
+                    lambda: solve_thinflow_multisource(
+                        instance, active, resetting, {"1": ("s", rate)}, "t")):
+                thin = _outcome_of(solve)
+                outcomes.append(thin if isinstance(thin, type)
+                                else (thin.flow, thin.label_slopes))
+            assert outcomes[0] == outcomes[1], (active, resetting)
+            compared += isinstance(outcomes[0], tuple)
         assert compared > 100
 
 

@@ -153,7 +153,7 @@ def test_readme_module_names_exist():
 def _violation_codes(tree) -> set:
     """The string first argument of every ``*Violation(...)`` call, and the
     first element of every tuple that a function named ``_conditions``
-    appends."""
+    appends or yields."""
     codes = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and node.args:
@@ -165,8 +165,14 @@ def _violation_codes(tree) -> set:
         if isinstance(node, ast.FunctionDef) and node.name == "_conditions":
             for call in ast.walk(node):
                 if (isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "append"
-                        and call.args and isinstance(call.args[0], ast.Tuple)):
-                    first = call.args[0].elts[0]
+                        and call.args):
+                    value = call.args[0]
+                elif isinstance(call, ast.Yield):
+                    value = call.value
+                else:
+                    continue
+                if isinstance(value, ast.Tuple) and value.elts:
+                    first = value.elts[0]
                     if isinstance(first, ast.Constant) and isinstance(first.value, str):
                         codes.add(first.value)
     return codes
@@ -193,10 +199,12 @@ def test_untested_codes_are_found():
     source = ('FlowViolation("Alpha", e)\nNashViolation("Beta", j, v)\n'
               'Other("Gamma")\nViolation(code)\n'
               'def _conditions():\n    violations.append(("Delta", v))\n'
-              'def other():\n    violations.append(("Epsilon", v))\n')
+              '    yield ("Zeta", v)\n    yield code, v\n    yield\n'
+              'def other():\n    violations.append(("Epsilon", v))\n'
+              '    yield ("Eta", v)\n')
     codes = _violation_codes(ast.parse(source))
-    assert codes == {"Alpha", "Beta", "Delta"}
-    assert _untested(codes, ["Alpha", "a Deltas b"]) == ["Beta", "Delta"]
+    assert codes == {"Alpha", "Beta", "Delta", "Zeta"}
+    assert _untested(codes, ["Alpha", "a Deltas b"]) == ["Beta", "Delta", "Zeta"]
 
 
 CAMEL_CASE = re.compile(r"(?:[A-Z][A-Z0-9]*[a-z0-9]+){2,}")
