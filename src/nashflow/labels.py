@@ -8,8 +8,9 @@ equilibrium, turns a per-particle rate into a rate over time through a
 label, reads the foreign rate (the other commodities' traffic as one
 commodity samples it) at one particle, and extends labels from scratch for
 given per-particle routing strategies by an exact time-frontier sweep, which
-grows the labels and the queues as ``timefn.GrowingPwl`` curves and reads
-them, and the strategies, through forward ``timefn.Cursor``s.
+grows the labels and the queues as ``timefn.GrowingPwl`` curves, reads
+them, and the strategies, through forward ``timefn.Cursor``s, and at each
+event recomputes only the reads and event times that the event changed.
 
 Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) are read at a sorted
 column of particles, each function in one merge pass: the thin-flow verifier
@@ -230,15 +231,88 @@ def foreign_rate_at(instance: Instance, labels_all: dict, strategies: dict,
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class _Candidate:
-    arc: Arc
-    tail: Cursor  # on the tail label, read at the head's frontier particle
-    queue: Cursor  # on the arc's queue, read at that particle's entry time
-    pending: bool
-    value: Fraction | None = None
-    slope: Fraction | None = None
-    entry_slope: Fraction | None = None  # slope of the tail label at the sample
+    """An in-arc (u, v) of a label, read at v's frontier particle at every
+    event: the arrival time there, entry + transit + wait(entry), and its
+    slope; and its next event time, kept while ``key`` holds."""
+
+    __slots__ = ("arc", "track_u", "tail", "queue", "pending", "value", "slope",
+                 "entry_slope", "wait_slope", "key", "next_time")
+
+    def __init__(self, arc: Arc, track_u: GrowingPwl, queue: GrowingPwl):
+        self.arc, self.track_u = arc, track_u
+        # the tail label is read at v's frontier particle, the queue at its entry
+        self.tail, self.queue = Cursor(track_u), Cursor(queue)
+        self.entry_slope = self.wait_slope = self.key = None
+
+    def read(self, phi: Fraction):
+        """Read at ``phi``; pending at or beyond u's frontier, where it
+        enters now or later and so trails the label by a transit time."""
+        self.pending = phi >= self.track_u.edge
+        if self.pending:
+            self.key = None
+            return
+        entry, entry_slope = self.tail.curve_at(phi)
+        wait, wait_slope = self.queue.curve_at(entry)
+        self.value = entry + self.arc.transit + wait if wait else entry + self.arc.transit
+        if entry_slope is not self.entry_slope or wait_slope is not self.wait_slope:
+            self.slope = entry_slope * (1 + wait_slope) if wait_slope else entry_slope
+            self.entry_slope, self.wait_slope = entry_slope, wait_slope
+
+    def next_event(self, track_v: GrowingPwl, theta0: Fraction) -> Fraction | None:
+        """The first time after theta0 of a tie, a read reaching an anchor,
+        or v's frontier catching up with u's; pending: one transit time."""
+        if self.pending:
+            return theta0 + self.arc.transit
+        tail, queue, track_u, m_v = self.tail, self.queue, self.track_u, track_v.slope
+        key = (track_v.version, track_u.version, queue.curve.version, tail.i, queue.i)
+        if key == self.key:
+            return self.next_time
+        self.key, times = key, []
+        if self.value > theta0 and self.slope < m_v:
+            times.append(theta0 + (self.value - theta0) / (1 - self.slope / m_v))
+        nb = tail.next_anchor()
+        if nb is not None:
+            times.append(theta0 + (nb - track_v.edge) * m_v)
+        qnext = queue.next_anchor() if self.entry_slope > 0 else None
+        if qnext is not None:
+            times.append(theta0 + (qnext - queue.x) * m_v / self.entry_slope)
+        if m_v < track_u.slope:
+            times.append(theta0 + (track_u.edge - track_v.edge)
+                         / (1 / m_v - 1 / track_u.slope))
+        self.next_time = min((t for t in times if t > theta0), default=None)
+        return self.next_time
+
+
+class _Queue:
+    """An arc's queue, with its slope and the times the strategies into it,
+    read at their tail labels' frontiers, reach their next breakpoints, kept
+    while those reads' keys hold, and the time it runs dry."""
+
+    __slots__ = ("arc", "curve", "feeds", "key", "growth", "floor", "events",
+                 "version", "dry")
+
+    def __init__(self, arc: Arc, curve: GrowingPwl, feeds: list):
+        # (Cursor on the strategy, tail label) per commodity
+        self.arc, self.curve, self.feeds = arc, curve, feeds
+        self.key = self.version = None
+
+    def commit(self, theta0: Fraction):
+        xs = [steps.step_at(tail.edge) for steps, tail in self.feeds]
+        key = [(tail.version, steps.i) for steps, tail in self.feeds]
+        if key != self.key:
+            self.key = key
+            rate = sum((x / tail.slope for x, (_, tail) in zip(xs, self.feeds) if x), ZERO)
+            ahead = [(steps.next_anchor(), tail) for steps, tail in self.feeds]
+            self.events = [theta0 + (nb - tail.edge) * tail.slope
+                           for nb, tail in ahead if nb is not None]
+            self.growth = rate / self.arc.capacity - 1
+            self.floor = max(self.growth, ZERO)
+        q = self.curve
+        q.commit(self.growth if q.value > 0 else self.floor)
+        if q.version != self.version:
+            self.version = q.version
+            self.dry = theta0 + q.value / -q.slope if q.value > 0 and q.slope < 0 else None
 
 
 def extend_labels(instance: Instance, strategies: dict, horizon,
@@ -260,6 +334,15 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     ``verify_multicommodity_thinflow`` checks.  Flow
     entering an arc that the labels bypass queues up without widening any
     label gap, so there ``waiting_from_labels`` can understate the wait.
+
+    The sweep moves a frontier time theta0 from event to event.  Each label
+    is theta0 at its edge and each queue's edge is theta0, so an advance by
+    delta moves a label's edge by delta over its slope, and only a queue
+    with a non-zero slope changes value.  An event time is kept, absolute,
+    while the versions and cursor indices it came from hold: all it came
+    from then runs on one line.  An event moves a read past an anchor,
+    changes a slope or makes a candidate pending, so no kept time falls
+    behind theta0.
     """
     horizon = Fraction(horizon)
     for a in instance.arcs:
@@ -288,51 +371,38 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     queues = {a.id: GrowingPwl(f"waiting time on arc {a.id}", ZERO, ZERO, ZERO, ZERO)
               for a in instance.arcs}
     # every read moves forward; a strategy is read at its tail's frontier
-    cursors = {(c.id, a.id): (Cursor(tracks[(c.id, a.tail)]), Cursor(queues[a.id]))
-               for c in comms for a in instance.arcs if a.tail in reach[c.id]}
     rates = {(j, e): Cursor(f, f"strategy of {j} on arc {e}")
              for (j, e), f in strategies.items()}
-    in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
-    out_arcs = {v: instance.out_arcs(v) for v in instance.nodes}
+    heads = [(c.id, v, tracks[(c.id, v)],
+              [_Candidate(a, tracks[(c.id, a.tail)], queues[a.id])
+               for a in instance.in_arcs(v) if a.tail in reach[c.id]])
+             for c in comms for v in reach[c.id] if v != c.origin]
+    fed = [_Queue(a, queues[a.id], [(rates[(c.id, a.id)], tracks[(c.id, a.tail)])
+                                    for c in comms if a.tail in reach[c.id]
+                                    and (c.id, a.id) in rates])
+           for a in instance.arcs]
+    curves = [*tracks.values(), *queues.values()]
     theta0 = ZERO
 
-    def candidates_for(j: str, v: str) -> list[_Candidate]:
-        track_v = tracks[(j, v)]
-        result = []
-        for a in in_arcs[v]:
-            if a.tail not in reach[j]:
-                continue
-            tail, queue = cursors[(j, a.id)]
-            if track_v.edge >= tail.curve.edge:
-                # at or beyond the tail's frontier the entry time is the
-                # current moment or later, so the candidate trails the label
-                # by at least the transit time; recheck within one transit
-                result.append(_Candidate(a, tail, queue, pending=True))
-                continue
-            entry, entry_slope = tail.curve_at(track_v.edge)
-            wait, wait_slope = queue.curve_at(entry)
-            result.append(_Candidate(a, tail, queue, False, entry + a.transit + wait,
-                                     entry_slope * (1 + wait_slope), entry_slope))
-        return result
-
-    def winner_slope(j: str, v: str):
-        cands = candidates_for(j, v)
-        live = [c for c in cands if not c.pending]
-        tied = [c for c in live if c.value == theta0]
+    def winner_slope(j: str, v: str, track_v: GrowingPwl, cands: list) -> Fraction:
+        tied, behind = [], []
+        for c in cands:
+            c.read(track_v.edge)
+            if not c.pending and c.value <= theta0:
+                (tied if c.value == theta0 else behind).append(c)
         if not tied:
             raise SweepInvariantBroken(
                 f"label invariant broken at ({j}, {v}): no candidate attains "
                 f"the frontier time {theta0}")
-        for c in live:
-            if c.value < theta0:
-                raise SweepInvariantBroken(
-                    f"label invariant broken at ({j}, {v}): arc {c.arc.id} "
-                    f"reaches {c.value} before the frontier time {theta0}")
-        return min(c.slope for c in tied), cands
+        if behind:
+            raise SweepInvariantBroken(
+                f"label invariant broken at ({j}, {v}): arc {behind[0].arc.id} "
+                f"reaches {behind[0].value} before the frontier time {theta0}")
+        return min(c.slope for c in tied)
 
     def mass_on(j: str, v: str, lo: Fraction, hi: Fraction) -> bool:
         """Positive strategy rate of commodity j out of v anywhere on [lo, hi)."""
-        for a in out_arcs[v]:
+        for a in instance.out_arcs(v):
             rate, b = rates.get((j, a.id)), lo
             while rate is not None and b is not None and b < hi:
                 if rate.step_at(b) > 0:
@@ -340,14 +410,13 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                 b = rate.next_anchor()
         return False
 
-    def process_flat(j: str, v: str):
-        """Advance a frontier across a flat stretch without moving time."""
-        track_v = tracks[(j, v)]
+    def frontier_slope(j: str, v: str, track_v: GrowingPwl, cands: list) -> Fraction:
+        """The label's slope at its frontier, once the frontier has crossed
+        any flat stretch there without moving time."""
         while True:
-            slope, cands = winner_slope(j, v)
+            slope = winner_slope(j, v, track_v, cands)
             if slope != 0:
-                track_v.commit(slope)
-                return
+                return slope
             tied = [c for c in cands if not c.pending and c.value == theta0
                     and c.slope == 0]
             next_phi = None
@@ -372,95 +441,44 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             track_v.advance(next_phi - track_v.edge)
 
     for iterations in count(1):
-        total_pts = sum(len(g.xs) for g in (*tracks.values(), *queues.values()))
-        if total_pts > budget or iterations > budget:
+        if sum(len(g.xs) for g in curves) > budget or iterations > budget:
             raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
 
         # label slopes at the frontier (sources are fixed lines)
-        cand_map: dict[tuple[str, str], list[_Candidate]] = {}
-        for c in comms:
-            for v in reach[c.id]:
-                if v == c.origin:
-                    continue
-                slope, cands = winner_slope(c.id, v)
-                if slope == 0:
-                    process_flat(c.id, v)
-                    slope, cands = winner_slope(c.id, v)
-                tracks[(c.id, v)].commit(slope)
-                cand_map[(c.id, v)] = cands
+        for j, v, track_v, cands in heads:
+            track_v.commit(frontier_slope(j, v, track_v, cands))
 
         if all(t.edge >= horizon for t in tracks.values()):
             break
 
-        # the next event, found along the way
-        delta = None
-
-        def note(d):
-            nonlocal delta
-            if d is not None and d > 0 and (delta is None or d < delta):
-                delta = d
-
-        # virtual inflow rates and queue slopes; strategy breakpoints and
-        # queues running dry
-        for a in instance.arcs:
-            rate = ZERO
-            for c in comms:
-                if a.tail not in reach[c.id]:
-                    continue
-                f = rates.get((c.id, a.id))
-                if f is None:
-                    continue
-                track_u = tracks[(c.id, a.tail)]
-                x = f.step_at(track_u.edge)
-                if x != 0:
-                    rate += x / track_u.slope
-                nb = f.next_anchor()
-                if nb is not None:
-                    note((nb - track_u.edge) * track_u.slope)
-            q = queues[a.id]
-            growth = rate / a.capacity - 1
-            q.commit(growth if q.value > 0 else max(growth, ZERO))
-            if q.value > 0 and q.slope < 0:
-                note(q.value / (-q.slope))
-
-        # label events; these next-anchor reads come after the commits above,
-        # which can append an anchor beyond the point a cursor last read
-        for (j, v), cands in cand_map.items():
-            track_v = tracks[(j, v)]
-            m_v = track_v.slope
-            for c in cands:
-                if c.pending:
-                    note(c.arc.transit)
-                    continue
-                if c.value > theta0:
-                    denom = 1 - c.slope / m_v
-                    if denom > 0:
-                        note((c.value - theta0) / denom)
-                track_u = c.tail.curve
-                nb = c.tail.next_anchor()
-                if nb is not None:
-                    note((nb - track_v.edge) * m_v)
-                if c.entry_slope and c.entry_slope > 0:
-                    qnext = c.queue.next_anchor()
-                    if qnext is not None:
-                        note((qnext - c.queue.x) * m_v / c.entry_slope)
-                # frontier of v catching up with the data of u
-                if track_u.slope is not None and m_v < track_u.slope:
-                    gap = track_u.edge - track_v.edge
-                    note(gap / (1 / m_v - 1 / track_u.slope))
-        if delta is None:
+        # queue slopes, then the next event: the queue commits can append an
+        # anchor beyond the point a cursor last read
+        for q in fed:
+            q.commit(theta0)
+        times = [t for q in fed for t in (q.dry, *q.events)] + [
+            c.next_event(track_v, theta0) for _, _, track_v, cands in heads for c in cands]
+        first = min((t for t in times if t is not None), default=None)
+        if first is None:
             # no structural events ahead: jump straight to the horizon
             delta = max((horizon - t.edge) * t.slope
                         for t in tracks.values() if t.edge < horizon)
             if delta <= 0:
                 break
+        elif first > theta0:
+            delta = first - theta0
+        else:
+            raise SweepInvariantBroken(f"an event time kept at {first} is not after "
+                                       f"the frontier time {theta0}")
 
-        # advance
+        # advance, keeping both frontier invariants
         theta0 += delta
         for track in tracks.values():
-            track.advance(delta / track.slope)
+            track.edge += delta / track.slope
+            track.value = theta0
         for q in queues.values():
-            q.advance(delta)
+            q.edge = theta0
+            if q.slope:
+                q.value += q.slope * delta
 
     out: dict[str, LabelSet] = {}
     for c in comms:

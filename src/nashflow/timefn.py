@@ -422,6 +422,9 @@ class GrowingPwl:
     ``xs``/``ys`` are its committed anchors; from the last one it runs with
     ``slope`` (None until first committed) to the live edge, where it has
     ``value``.  Left of the first anchor it runs with ``tail_slope``.
+    ``version`` counts the slope changes, even one that a later change
+    undoes; while it holds, the curve runs on as it did.  A sweep may set
+    ``edge`` and ``value`` itself, on the line that ``slope`` runs on.
     """
 
     def __init__(self, name: str, x0: Fraction, y0: Fraction,
@@ -431,16 +434,18 @@ class GrowingPwl:
         self._right = []  # slope right of every anchor but the last
         self.edge, self.value = x0, y0
         self.tail_slope, self.slope = tail_slope, slope
+        self.version = 0
 
     def commit(self, slope: Fraction):
         """Run on with ``slope`` from the edge, anchoring the edge if the
         slope changes there."""
-        if slope != self.slope:
+        if slope is not self.slope and slope != self.slope:
             if self.edge != self.xs[-1]:
                 self._right.append(self.slope)
                 self.xs.append(self.edge)
                 self.ys.append(self.value)
             self.slope = slope
+            self.version += 1
 
     def advance(self, dx: Fraction):
         self.edge += dx
@@ -461,6 +466,7 @@ class Cursor:
     It keeps ``i``, the index of the last anchor at or before ``x``, the
     point last read, and only moves it forward.  A read behind ``x``, or past
     the edge of a growing curve, raises SweepInvariantBroken naming the curve.
+    While ``i`` and the curve's ``version`` hold, reads lie on one segment.
     """
 
     __slots__ = ("name", "curve", "xs", "i", "x", "n")
@@ -490,7 +496,7 @@ class Cursor:
         if i < 0:
             return g.ys[0] + g.tail_slope * (x - g.xs[0]), g.tail_slope
         slope = g._right[i] if i < len(g._right) else g.slope
-        d = x - g.xs[i]
+        d = slope and x - g.xs[i]  # a flat segment needs no offset
         return (g.ys[i] + slope * d if d else g.ys[i]), slope
 
     def step_at(self, x: Fraction) -> Fraction:

@@ -33,18 +33,27 @@ tuples in lexicographic order, returning the first full-rank leaf that the
 library's ``_conditions`` passes, and for value 0 the direct propagation of
 the slopes (``propagate_zero_flow``).  They share the library's support and
 evaluator, since their equivalence test is about the search order.
+``extend_labels`` is the time-frontier sweep that the incremental sweep of
+``labels.extend_labels`` replaces, kept verbatim: at every event it rereads
+every candidate, recomputes every event time from the current state and
+advances every curve.  It shares the library's ``GrowingPwl`` and
+``Cursor``, since its equivalence test is about the work per event.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from nashflow import timefn
-from nashflow.labels import CyclicZeroTransit, LabelSet, foreign_rate_at, rate_over_time
+from nashflow.labels import (BreakpointBudgetExceeded, CyclicZeroTransit, LabelSet,
+                             ZeroTransitArc, foreign_rate_at, rate_over_time)
 from nashflow.loading import load_network
-from nashflow.netmodel import topological_order
+from nashflow.netmodel import INF, Arc, Instance, topological_order, transit_distances
 from nashflow.thinflow import (NoThinFlow, ThinFlowReport, ThinFlowViolation,
                                UnreachableNode, _conditions, _partition,
                                _support, stress)
-from nashflow.timefn import (PwlFunction, StepFunction, ValueNotAttained,
+from nashflow.timefn import (Cursor, GrowingPwl, PwlFunction, StepFunction,
+                             SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
                              differentiate, integrate)
 
 ZERO = Fraction(0)
@@ -647,3 +656,248 @@ def lexicographic_multisource(instance, active, resetting, sources, sink):
     flow, slopes = _lexicographic_solve(instance, active, resetting, nodes, usable,
                                         rates, sink, ONE, [(rates, ONE)])
     return {j: r_j * slopes[s_j] for j, (s_j, r_j) in sources.items()}, flow, slopes
+
+
+# The time-frontier sweep that ``labels.extend_labels`` replaces, kept as it
+# was: every event rereads every candidate and recomputes every event time.
+
+
+@dataclass
+class _Candidate:
+    arc: Arc
+    tail: Cursor  # on the tail label, read at the head's frontier particle
+    queue: Cursor  # on the arc's queue, read at that particle's entry time
+    pending: bool
+    value: Fraction | None = None
+    slope: Fraction | None = None
+    entry_slope: Fraction | None = None  # slope of the tail label at the sample
+
+
+def extend_labels(instance: Instance, strategies: dict, horizon,
+                  return_queues: bool = False):
+    """Construct labels for all commodities from per-particle routing rates.
+
+    ``strategies`` maps (commodity id, arc id) to a StepFunction over
+    particles (zero outside [0, horizon]).  All transit times must be
+    strictly positive; the sweep then always reaches data that is at least
+    one transit time old, so labels, virtual inflows and queues grow together
+    in one pass.  Returns {commodity id: LabelSet} covering [0, horizon];
+    with ``return_queues`` also the per-arc waiting functions the sweep
+    maintained (mass balance of the sampled strategy rates).
+
+    These waits are the real ones: loading the strategies' rates over time
+    through the tail labels (``rate_over_time``, then ``load_queues``)
+    gives the same queues up to the last particle's arrival, and the labels
+    are the earliest arrivals against them, which
+    ``verify_multicommodity_thinflow`` checks.  Flow
+    entering an arc that the labels bypass queues up without widening any
+    label gap, so there ``waiting_from_labels`` can understate the wait.
+    """
+    horizon = Fraction(horizon)
+    for a in instance.arcs:
+        if a.transit <= 0:
+            raise ZeroTransitArc(a.id)
+    for (j, e), f in strategies.items():
+        if not f.is_nonnegative():
+            raise ValueError(f"negative strategy rate for ({j}, {e})")
+        if f.initial != 0 or (f.breakpoints and f.breakpoints[0] < 0):
+            raise ValueError(f"strategy for ({j}, {e}) must vanish below 0")
+
+    budget = breakpoint_budget()
+    comms = list(instance.commodities)
+    reach: dict[str, set] = {}
+    # labels over particles; the edge of a label is its frontier particle
+    tracks: dict[tuple[str, str], GrowingPwl] = {}
+    for c in comms:
+        dist = transit_distances(instance, c.origin)
+        reach[c.id] = {v for v in instance.nodes if dist[v] is not INF}
+        for v in reach[c.id]:
+            phi0 = -c.rate * (c.inflow_start + dist[v])
+            tracks[(c.id, v)] = GrowingPwl(
+                f"label of {c.id} at {v}", phi0, ZERO, 1 / c.rate,
+                1 / c.rate if v == c.origin else None)
+    # waiting times over entry times, with no queue before time 0
+    queues = {a.id: GrowingPwl(f"waiting time on arc {a.id}", ZERO, ZERO, ZERO, ZERO)
+              for a in instance.arcs}
+    # every read moves forward; a strategy is read at its tail's frontier
+    cursors = {(c.id, a.id): (Cursor(tracks[(c.id, a.tail)]), Cursor(queues[a.id]))
+               for c in comms for a in instance.arcs if a.tail in reach[c.id]}
+    rates = {(j, e): Cursor(f, f"strategy of {j} on arc {e}")
+             for (j, e), f in strategies.items()}
+    in_arcs = {v: instance.in_arcs(v) for v in instance.nodes}
+    out_arcs = {v: instance.out_arcs(v) for v in instance.nodes}
+    theta0 = ZERO
+
+    def candidates_for(j: str, v: str) -> list[_Candidate]:
+        track_v = tracks[(j, v)]
+        result = []
+        for a in in_arcs[v]:
+            if a.tail not in reach[j]:
+                continue
+            tail, queue = cursors[(j, a.id)]
+            if track_v.edge >= tail.curve.edge:
+                # at or beyond the tail's frontier the entry time is the
+                # current moment or later, so the candidate trails the label
+                # by at least the transit time; recheck within one transit
+                result.append(_Candidate(a, tail, queue, pending=True))
+                continue
+            entry, entry_slope = tail.curve_at(track_v.edge)
+            wait, wait_slope = queue.curve_at(entry)
+            result.append(_Candidate(a, tail, queue, False, entry + a.transit + wait,
+                                     entry_slope * (1 + wait_slope), entry_slope))
+        return result
+
+    def winner_slope(j: str, v: str):
+        cands = candidates_for(j, v)
+        live = [c for c in cands if not c.pending]
+        tied = [c for c in live if c.value == theta0]
+        if not tied:
+            raise SweepInvariantBroken(
+                f"label invariant broken at ({j}, {v}): no candidate attains "
+                f"the frontier time {theta0}")
+        for c in live:
+            if c.value < theta0:
+                raise SweepInvariantBroken(
+                    f"label invariant broken at ({j}, {v}): arc {c.arc.id} "
+                    f"reaches {c.value} before the frontier time {theta0}")
+        return min(c.slope for c in tied), cands
+
+    def mass_on(j: str, v: str, lo: Fraction, hi: Fraction) -> bool:
+        """Positive strategy rate of commodity j out of v anywhere on [lo, hi)."""
+        for a in out_arcs[v]:
+            rate, b = rates.get((j, a.id)), lo
+            while rate is not None and b is not None and b < hi:
+                if rate.step_at(b) > 0:
+                    return True
+                b = rate.next_anchor()
+        return False
+
+    def process_flat(j: str, v: str):
+        """Advance a frontier across a flat stretch without moving time."""
+        track_v = tracks[(j, v)]
+        while True:
+            slope, cands = winner_slope(j, v)
+            if slope != 0:
+                track_v.commit(slope)
+                return
+            tied = [c for c in cands if not c.pending and c.value == theta0
+                    and c.slope == 0]
+            next_phi = None
+            for c in tied:
+                nb = c.tail.next_anchor()
+                if nb is None or nb > c.tail.curve.edge:
+                    nb = c.tail.curve.edge
+                stops = [nb]
+                qnext = c.queue.next_anchor()
+                if qnext is not None and c.entry_slope > 0:
+                    stops.append(track_v.edge + (qnext - c.queue.x) / c.entry_slope)
+                stop = min(stops)
+                if stop > track_v.edge and (next_phi is None or stop < next_phi):
+                    next_phi = stop
+            if next_phi is None or next_phi <= track_v.edge:
+                raise SweepInvariantBroken(f"flat stretch at ({j}, {v}) cannot advance")
+            if mass_on(j, v, track_v.edge, next_phi):
+                raise ValueError(
+                    f"strategy sends positive mass of commodity {j} through a "
+                    f"label flat at node {v}; the induced inflow is impulsive")
+            track_v.commit(ZERO)
+            track_v.advance(next_phi - track_v.edge)
+
+    for iterations in count(1):
+        total_pts = sum(len(g.xs) for g in (*tracks.values(), *queues.values()))
+        if total_pts > budget or iterations > budget:
+            raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
+
+        # label slopes at the frontier (sources are fixed lines)
+        cand_map: dict[tuple[str, str], list[_Candidate]] = {}
+        for c in comms:
+            for v in reach[c.id]:
+                if v == c.origin:
+                    continue
+                slope, cands = winner_slope(c.id, v)
+                if slope == 0:
+                    process_flat(c.id, v)
+                    slope, cands = winner_slope(c.id, v)
+                tracks[(c.id, v)].commit(slope)
+                cand_map[(c.id, v)] = cands
+
+        if all(t.edge >= horizon for t in tracks.values()):
+            break
+
+        # the next event, found along the way
+        delta = None
+
+        def note(d):
+            nonlocal delta
+            if d is not None and d > 0 and (delta is None or d < delta):
+                delta = d
+
+        # virtual inflow rates and queue slopes; strategy breakpoints and
+        # queues running dry
+        for a in instance.arcs:
+            rate = ZERO
+            for c in comms:
+                if a.tail not in reach[c.id]:
+                    continue
+                f = rates.get((c.id, a.id))
+                if f is None:
+                    continue
+                track_u = tracks[(c.id, a.tail)]
+                x = f.step_at(track_u.edge)
+                if x != 0:
+                    rate += x / track_u.slope
+                nb = f.next_anchor()
+                if nb is not None:
+                    note((nb - track_u.edge) * track_u.slope)
+            q = queues[a.id]
+            growth = rate / a.capacity - 1
+            q.commit(growth if q.value > 0 else max(growth, ZERO))
+            if q.value > 0 and q.slope < 0:
+                note(q.value / (-q.slope))
+
+        # label events; these next-anchor reads come after the commits above,
+        # which can append an anchor beyond the point a cursor last read
+        for (j, v), cands in cand_map.items():
+            track_v = tracks[(j, v)]
+            m_v = track_v.slope
+            for c in cands:
+                if c.pending:
+                    note(c.arc.transit)
+                    continue
+                if c.value > theta0:
+                    denom = 1 - c.slope / m_v
+                    if denom > 0:
+                        note((c.value - theta0) / denom)
+                track_u = c.tail.curve
+                nb = c.tail.next_anchor()
+                if nb is not None:
+                    note((nb - track_v.edge) * m_v)
+                if c.entry_slope and c.entry_slope > 0:
+                    qnext = c.queue.next_anchor()
+                    if qnext is not None:
+                        note((qnext - c.queue.x) * m_v / c.entry_slope)
+                # frontier of v catching up with the data of u
+                if track_u.slope is not None and m_v < track_u.slope:
+                    gap = track_u.edge - track_v.edge
+                    note(gap / (1 / m_v - 1 / track_u.slope))
+        if delta is None:
+            # no structural events ahead: jump straight to the horizon
+            delta = max((horizon - t.edge) * t.slope
+                        for t in tracks.values() if t.edge < horizon)
+            if delta <= 0:
+                break
+
+        # advance
+        theta0 += delta
+        for track in tracks.values():
+            track.advance(delta / track.slope)
+        for q in queues.values():
+            q.advance(delta)
+
+    out: dict[str, LabelSet] = {}
+    for c in comms:
+        labels = {v: tracks[(c.id, v)].finish() for v in reach[c.id]}
+        out[c.id] = LabelSet(c.id, labels, horizon)
+    if not return_queues:
+        return out
+    return out, {e: q.finish() for e, q in queues.items()}

@@ -6,15 +6,20 @@ arbitrary strategies the extension still satisfies the source-slope and
 minimum conditions.
 """
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
+from nashflow import netmodel, timefn
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import _anchor, derive_profile, load_network
 from nashflow.labels import earliest_arrival, extend_labels, rate_over_time
 from nashflow.thinflow import verify_multicommodity_thinflow
 from nashflow.timefn import StepFunction, compose, differentiate, integrate
 
+import reference_kernels as reference
 from corpus import corpus
 from test_nash import _construct_by_mode
 
@@ -184,3 +189,92 @@ def test_arbitrary_strategies_stay_bellman_consistent():
                 for phi in points:
                     assert lv(phi) == min(f(phi) for f in cands), \
                         (built, c.id, v, phi)
+
+
+def _sweep_outcome(extend, instance, strategies, horizon):
+    """Labels and waits of one sweep, or its error's type and message."""
+    try:
+        return extend(instance, strategies, horizon, return_queues=True)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _flow_strategies(rng, instance, cuts, horizon):
+    """Per commodity, up to four simple paths weighted anew at each cut
+    (some weights 0), summed per arc; the cuts are shared by all
+    commodities."""
+    strategies = {}
+    for c in instance.commodities:
+        paths = []
+
+        def walk(v, path, seen):
+            if len(paths) < 4 and v == c.destination:
+                paths.append(path)
+            for a in instance.out_arcs(v):
+                if len(paths) < 4 and v != c.destination and a.head not in seen:
+                    walk(a.head, path + [a.id], seen | {a.head})
+
+        walk(c.origin, [], {c.origin})
+        points = [F(0)] + cuts
+        shares = {e: [F(0)] * len(points) for path in paths for e in path}
+        for k in range(len(points)):
+            weights = [rng.choice([0, 0, 1, 2]) for _ in paths]
+            weights[rng.randrange(len(paths))] += 1
+            for path, w in zip(paths, weights):
+                for e in path:
+                    shares[e][k] += F(w, sum(weights))
+        for e, values in shares.items():
+            strategies[(c.id, e)] = StepFunction(points + [horizon], values + [F(0)])
+    return strategies
+
+
+class TestReferenceSweep:
+    """The sweep of ``extend_labels``, which recomputes at an event only
+    what the event changed, returns exactly what the sweep that recomputes
+    everything at every event returns (``reference.extend_labels``): the
+    same labels and waits, or the same error."""
+
+    def test_benchmark_strategies(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workload = importlib.import_module("workloads").Extend()
+        program = SimpleNamespace(netmodel=netmodel, timefn=timefn)
+        for seed in (1, 2, 3):
+            for item in workload.generate(program, seed):
+                args = (item.instance, item.data["strategies"], workload.VOLUME)
+                got = _sweep_outcome(extend_labels, *args)
+                assert got == _sweep_outcome(reference.extend_labels, *args), (seed, item.name)
+                assert isinstance(got[0], dict)
+
+    def test_random_instances(self):
+        """Seeded networks with cycles, one to three commodities whose
+        strategy cuts coincide, label flat stretches, queues that run dry,
+        and strategies that send mass through a flat."""
+        rng = random.Random(17)
+        seen = {"flat": 0, "dry": 0, "error": 0}
+        for _ in range(80):
+            n = rng.randint(3, 5)
+            nodes = [f"n{i}" for i in range(n)]
+            pairs = [(i, i + 1) for i in range(n - 1)] + [
+                tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+            arcs = tuple(Arc(f"e{k}", nodes[a], nodes[b],
+                             F(rng.randint(1, 3), rng.randint(1, 2)),
+                             F(rng.randint(1, 3), rng.randint(1, 2)))
+                         for k, (a, b) in enumerate(pairs))
+            comms = []
+            for j in range(rng.randint(1, 3)):
+                rate, start = F(rng.randint(1, 4)), F(rng.randint(0, 1), 2)
+                comms.append(Commodity(f"c{j}", rng.choice(nodes[:-1]) if j else nodes[0],
+                                       nodes[-1], rate, start, start + 2 / rate))
+            instance = validate_instance(Instance(tuple(nodes), arcs, tuple(comms)))
+            cuts = sorted(rng.sample([F(k, 4) for k in range(1, 8)], rng.randint(1, 3)))
+            strategies = _flow_strategies(rng, instance, cuts, F(2))
+            got = _sweep_outcome(extend_labels, instance, strategies, F(2))
+            assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(2))
+            if isinstance(got[0], str):
+                seen["error"] += 1
+                continue
+            labels, waits = got
+            seen["flat"] += any(a == b for ls in labels.values() for f in ls.labels.values()
+                                for a, b in zip(f.values, f.values[1:]))
+            seen["dry"] += any(max(q.values) > 0 and q.values[-1] == 0 for q in waits.values())
+        assert seen["flat"] >= 20 and seen["dry"] >= 20 and seen["error"] >= 1, seen

@@ -162,6 +162,76 @@ class TestImpulseRejection:
                                                           F(1, 2), F(1, 2))
 
 
+def _corrupt_reads(monkeypatch, name, value=None, slope=None, anchor=None):
+    """Make every ``Cursor`` on the curve ``name`` misread: ``value`` and
+    ``slope`` map the value and slope that ``curve_at`` returns, and
+    ``anchor`` the cursor's next anchor."""
+    read, next_anchor = Cursor.curve_at, Cursor.next_anchor
+
+    def curve_at(self, x):
+        y, s = read(self, x)
+        if self.name != name:
+            return y, s
+        return (value or (lambda y: y))(y), (slope or (lambda s: s))(s)
+
+    def misplaced(self):
+        nb = next_anchor(self)
+        return anchor(self, nb) if anchor and self.name == name else nb
+
+    monkeypatch.setattr(Cursor, "curve_at", curve_at)
+    monkeypatch.setattr(Cursor, "next_anchor", misplaced)
+
+
+class TestSweepInvariants:
+    """Each check of the label extension's sweep fires when the reads of one
+    curve are corrupted."""
+
+    @staticmethod
+    def _instance(arcs):
+        return validate_instance(Instance(
+            ("s", "t"), tuple(Arc(e, "s", "t", F(tau), F(1)) for e, tau in arcs),
+            (Commodity("1", "s", "t", F(2), F(0), F(1)),)))
+
+    def test_no_candidate_attains_the_frontier(self, monkeypatch):
+        # the source label read one unit late puts every arrival behind
+        _corrupt_reads(monkeypatch, "label of 1 at s", value=lambda y: y + 1)
+        with pytest.raises(SweepInvariantBroken,
+                           match=r"\(1, t\): no candidate attains the frontier time 0"):
+            extend_labels(self._instance([("e", 1)]), {}, 1)
+
+    def test_candidate_below_the_frontier(self, monkeypatch):
+        # a wait of -2 on the longer arc makes it arrive before the frontier
+        _corrupt_reads(monkeypatch, "waiting time on arc f", value=lambda y: y - 2)
+        with pytest.raises(SweepInvariantBroken,
+                           match=r"\(1, t\): arc f reaches -1 before the frontier time 0"):
+            extend_labels(self._instance([("e", 1), ("f", 2)]), {}, 1)
+
+    def test_flat_stretch_without_progress(self, monkeypatch):
+        # a flat source label whose next anchor is the point already read
+        _corrupt_reads(monkeypatch, "label of 1 at s", slope=lambda s: F(0),
+                       anchor=lambda cursor, nb: cursor.x)
+        with pytest.raises(SweepInvariantBroken,
+                           match=r"flat stretch at \(1, t\) cannot advance"):
+            extend_labels(self._instance([("e", 1)]), {}, 1)
+
+    def test_kept_event_time_behind_the_frontier(self, monkeypatch):
+        # a strategy cursor stuck on its first step keeps the time its next
+        # breakpoint is reached; the sweep refuses it once that time is now
+        seek = Cursor._seek
+
+        def stuck(self, x):
+            if self.name != "strategy of 1 on arc e" or self.i < 0:
+                return seek(self, x)
+            self.x = x
+            return self.i
+
+        monkeypatch.setattr(Cursor, "_seek", stuck)
+        strategies = {("1", "e"): StepFunction([0, 2], [1, 0], 0)}
+        with pytest.raises(SweepInvariantBroken,
+                           match="event time kept at 1 is not after the frontier time 1"):
+            extend_labels(self._instance([("e", 1)]), strategies, 3)
+
+
 class TestTypedInvariantErrors:
     """Invariant checks raise typed errors that name what broke."""
 

@@ -6,9 +6,10 @@ import pytest
 from nashflow import labels as labels_mod
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import FlowOverTime, derive_profile, load_network
-from nashflow.labels import (CyclicZeroTransit, ZeroTransitArc, arc_status,
-                             earliest_arrival, extend_labels, foreign_rate_at,
-                             rate_over_time, waiting_from_labels)
+from nashflow.labels import (CyclicZeroTransit, LabelSet, ThetaOutsideRange,
+                             ZeroTransitArc, arc_status, earliest_arrival,
+                             extend_labels, foreign_rate_at, rate_over_time,
+                             waiting_from_labels)
 from nashflow.timefn import PwlFunction, StepFunction
 
 import reference_kernels as ref
@@ -244,6 +245,15 @@ class TestWaitingFromLabels:
         q = profile.waiting["e"]
         for theta in list(q.breakpoints) + [F(1, 3), F(1, 2), F(3, 2)]:
             assert waiting_from_labels(instance, {"1": ls}, "e", theta) == q(theta)
+
+    def test_time_beyond_a_flat_right_ray(self):
+        # the tail label stops at time 1, so no particle reaches s at time 2
+        tail = PwlFunction([0, 1], [0, 1], 1, 0)
+        labels = {"1": LabelSet("1", {"s": tail, "t": tail.add_constant(1)})}
+        assert waiting_from_labels(single_arc(), labels, "e", 1) == 0
+        with pytest.raises(ThetaOutsideRange, match="commodity 1 never reach 2") as info:
+            waiting_from_labels(single_arc(), labels, "e", 2)
+        assert info.value.commodity == "1"
 
 
 class TestRateOverTime:

@@ -8,8 +8,9 @@ import pytest
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rate_at
 from nashflow.loading import QueueProfile
+from nashflow import thinflow
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
-                               ThinFlow, _partition,
+                               SizeLimitExceeded, ThinFlow, _partition,
                                check_multisource_thinflow, check_thinflow,
                                decompose,
                                solve_thinflow_multisource,
@@ -102,6 +103,19 @@ class TestSolveSingle:
         bad = ThinFlow(dict(thin.flow), {**thin.label_slopes, "t": F(7)},
                        thin.active, thin.resetting, thin.rate, thin.value)
         assert check_thinflow(inst, bad, "s", "t") != []
+
+
+class TestSizeLimit:
+    def test_refused_before_any_search(self, monkeypatch):
+        # 26 active parallel arcs, one more than the search takes on
+        inst = make_instance([(f"e{k}", "s", "t", 1) for k in range(26)])
+
+        def search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(thinflow, "_state_solutions", search)
+        with pytest.raises(SizeLimitExceeded, match="26 active arcs exceed 25"):
+            solve_thinflow_single(inst, {a.id for a in inst.arcs}, set(), "s", "t", F(1))
 
 
 class TestSolveMultisource:

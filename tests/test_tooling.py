@@ -1,6 +1,7 @@
 """Checks on the source tree itself."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
@@ -205,6 +206,47 @@ def test_untested_codes_are_found():
     codes = _violation_codes(ast.parse(source))
     assert codes == {"Alpha", "Beta", "Delta", "Zeta"}
     assert _untested(codes, ["Alpha", "a Deltas b"]) == ["Beta", "Delta", "Zeta"]
+
+
+def _builtin_exception(name) -> bool:
+    kind = getattr(builtins, name, None)
+    return isinstance(kind, type) and issubclass(kind, BaseException)
+
+
+def _exception_classes(trees) -> set:
+    """The classes the modules define that derive, through one another, from
+    a built-in exception."""
+    defined = {node.name: [getattr(base, "id", getattr(base, "attr", ""))
+                           for base in node.bases]
+               for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    found = set()
+    while True:
+        more = {name for name, bases in defined.items() if name not in found
+                and any(base in found or _builtin_exception(base) for base in bases)}
+        if not more:
+            return found
+        found |= more
+
+
+def test_exception_classes_are_tested():
+    """Every error type the program defines is named in a test, so none of
+    its raises goes unexercised."""
+    classes = _exception_classes(
+        [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES])
+    texts = [p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py")]
+    assert len(classes) >= 20, sorted(classes)
+    assert not _untested(classes, texts)
+
+
+def test_untested_exception_classes_are_found():
+    first = ("class Alpha(ValueError):\n    pass\nclass Beta(Alpha):\n    pass\n"
+             "class Gamma:\n    pass\nclass Delta(Gamma, Exception):\n    pass\n")
+    second = ("class Epsilon(Beta):\n    pass\nclass Zeta(mod.Error):\n    pass\n"
+              "class Eta(dict):\n    pass\n")
+    classes = _exception_classes([ast.parse(first), ast.parse(second)])
+    assert classes == {"Alpha", "Beta", "Delta", "Epsilon"}
+    assert _untested(classes, ["raises(Alpha)", "BetaDelta", "Epsilon"]) == ["Beta", "Delta"]
 
 
 CAMEL_CASE = re.compile(r"(?:[A-Z][A-Z0-9]*[a-z0-9]+){2,}")
