@@ -7,10 +7,9 @@ arcs as active/resetting, reconstructs waiting times from the labels of an
 equilibrium, turns a per-particle rate into a rate over time through a
 label, reads the foreign rate (the other commodities' traffic as one
 commodity samples it) at one particle, and extends labels from scratch for
-given per-particle routing strategies by an exact time-frontier sweep, which
-grows the labels and the queues as ``timefn.GrowingPwl`` curves, reads
-them, and the strategies, through forward ``timefn.Cursor``s, and at each
-event recomputes only the reads and event times that the event changed.
+given per-particle routing strategies by an exact time-frontier sweep over
+``timefn.GrowingPwl`` curves, read through forward ``timefn.Cursor``s, that
+at each event revisits only the labels, queues and event times it changed.
 
 Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) are read at a sorted
 column of particles, each function in one merge pass: the thin-flow verifier
@@ -20,12 +19,13 @@ reads the gaps on its partition mesh and at its cell midpoints.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from .netmodel import INF, Arc, Instance, topological_order, transit_distances
-from .loading import QueueProfile
+from .loading import QueueProfile, _require_known
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
                      compose, differentiate, min_compose, min_preimage,
@@ -232,87 +232,75 @@ def foreign_rate_at(instance: Instance, labels_all: dict, strategies: dict,
 
 
 class _Candidate:
-    """An in-arc (u, v) of a label, read at v's frontier particle at every
-    event: the arrival time there, entry + transit + wait(entry), and its
-    slope; and its next event time, kept while ``key`` holds."""
+    """An in-arc (u, v) of the label ``head``, read at v's frontier at time ``theta``:
+    the arrival entry + transit + wait(entry), its slope, and ``at``, its event time."""
 
-    __slots__ = ("arc", "track_u", "tail", "queue", "pending", "value", "slope",
-                 "entry_slope", "wait_slope", "key", "next_time")
+    __slots__ = ("arc", "head", "track_u", "track_v", "tail", "queue", "pending",
+                 "value", "slope", "entry_slope", "theta", "at")
 
-    def __init__(self, arc: Arc, track_u: GrowingPwl, queue: GrowingPwl):
-        self.arc, self.track_u = arc, track_u
+    def __init__(self, arc: Arc, head: int, track_u: GrowingPwl, track_v: GrowingPwl,
+                 queue: GrowingPwl):
+        self.arc, self.head, self.track_u, self.track_v = arc, head, track_u, track_v
         # the tail label is read at v's frontier particle, the queue at its entry
         self.tail, self.queue = Cursor(track_u), Cursor(queue)
-        self.entry_slope = self.wait_slope = self.key = None
+        self.at, self.pending = None, True  # unread
+        for curve, cursor in ((track_u, self.tail), (track_v, None), (queue, self.queue)):
+            curve.readers.append((self, cursor))
 
-    def read(self, phi: Fraction):
-        """Read at ``phi``; pending at or beyond u's frontier, where it
-        enters now or later and so trails the label by a transit time."""
-        self.pending = phi >= self.track_u.edge
+    def read(self, theta0: Fraction):
+        """Read now; pending (a transit time behind) at or beyond u's edge."""
+        self.pending = self.track_v.edge >= self.track_u.edge
         if self.pending:
-            self.key = None
             return
-        entry, entry_slope = self.tail.curve_at(phi)
+        entry, self.entry_slope = self.tail.curve_at(self.track_v.edge)
         wait, wait_slope = self.queue.curve_at(entry)
         self.value = entry + self.arc.transit + wait if wait else entry + self.arc.transit
-        if entry_slope is not self.entry_slope or wait_slope is not self.wait_slope:
-            self.slope = entry_slope * (1 + wait_slope) if wait_slope else entry_slope
-            self.entry_slope, self.wait_slope = entry_slope, wait_slope
+        self.slope = self.entry_slope * (1 + wait_slope) if wait_slope else self.entry_slope
+        self.theta = theta0
 
-    def next_event(self, track_v: GrowingPwl, theta0: Fraction) -> Fraction | None:
-        """The first time after theta0 of a tie, a read reaching an anchor,
-        or v's frontier catching up with u's; pending: one transit time."""
+    def next_event(self, theta0: Fraction) -> Fraction | None:
+        """The first time after theta0 of a tie, a read reaching an anchor or
+        v's edge catching up with u's, on the last read's lines; None if pending."""
         if self.pending:
-            return theta0 + self.arc.transit
-        tail, queue, track_u, m_v = self.tail, self.queue, self.track_u, track_v.slope
-        key = (track_v.version, track_u.version, queue.curve.version, tail.i, queue.i)
-        if key == self.key:
-            return self.next_time
-        self.key, times = key, []
-        if self.value > theta0 and self.slope < m_v:
-            times.append(theta0 + (self.value - theta0) / (1 - self.slope / m_v))
-        nb = tail.next_anchor()
+            return None
+        tail, queue, theta, m_v = self.tail, self.queue, self.theta, self.track_v.slope
+        times = [theta + (self.value - theta) / (1 - self.slope / m_v)] \
+            if self.value > theta and self.slope < m_v else []
+        nb, qnext = tail.next_anchor(), queue.next_anchor() if self.entry_slope > 0 else None
         if nb is not None:
-            times.append(theta0 + (nb - track_v.edge) * m_v)
-        qnext = queue.next_anchor() if self.entry_slope > 0 else None
+            times.append(theta + (nb - tail.x) * m_v)
         if qnext is not None:
-            times.append(theta0 + (qnext - queue.x) * m_v / self.entry_slope)
-        if m_v < track_u.slope:
-            times.append(theta0 + (track_u.edge - track_v.edge)
-                         / (1 / m_v - 1 / track_u.slope))
-        self.next_time = min((t for t in times if t > theta0), default=None)
-        return self.next_time
+            times.append(theta + (qnext - queue.x) * m_v / self.entry_slope)
+        u = self.track_u
+        if nb is None and m_v < u.slope:  # v's edge passes an anchor of u first
+            times.append(theta0 + (u.edge - self.track_v.edge) / (1 / m_v - 1 / u.slope))
+        return min((t for t in times if t > theta0), default=None)
 
 
 class _Queue:
-    """An arc's queue, with its slope and the times the strategies into it,
-    read at their tail labels' frontiers, reach their next breakpoints, kept
-    while those reads' keys hold, and the time it runs dry."""
+    """An arc's queue, fed by (Cursor on a strategy, tail label read at its edge)."""
 
-    __slots__ = ("arc", "curve", "feeds", "key", "growth", "floor", "events",
-                 "version", "dry")
+    __slots__ = ("arc", "curve", "feeds", "at")
 
     def __init__(self, arc: Arc, curve: GrowingPwl, feeds: list):
-        # (Cursor on the strategy, tail label) per commodity
-        self.arc, self.curve, self.feeds = arc, curve, feeds
-        self.key = self.version = None
+        self.arc, self.curve, self.feeds, self.at = arc, curve, feeds, None
+        for _, tail in feeds:
+            tail.readers.append((self, None))
 
-    def commit(self, theta0: Fraction):
-        xs = [steps.step_at(tail.edge) for steps, tail in self.feeds]
-        key = [(tail.version, steps.i) for steps, tail in self.feeds]
-        if key != self.key:
-            self.key = key
-            rate = sum((x / tail.slope for x, (_, tail) in zip(xs, self.feeds) if x), ZERO)
-            ahead = [(steps.next_anchor(), tail) for steps, tail in self.feeds]
-            self.events = [theta0 + (nb - tail.edge) * tail.slope
-                           for nb, tail in ahead if nb is not None]
-            self.growth = rate / self.arc.capacity - 1
-            self.floor = max(self.growth, ZERO)
-        q = self.curve
-        q.commit(self.growth if q.value > 0 else self.floor)
-        if q.version != self.version:
-            self.version = q.version
-            self.dry = theta0 + q.value / -q.slope if q.value > 0 and q.slope < 0 else None
+    def slope(self, theta0: Fraction) -> tuple[Fraction, Fraction | None]:
+        """The slope from theta0 on, and when a feed steps or the queue runs dry."""
+        rate, times = ZERO, []
+        for steps, tail in self.feeds:
+            x = steps.step_at(tail.edge)
+            if x:
+                rate += x / tail.slope
+            nb = steps.next_anchor()
+            if nb is not None:
+                times.append(theta0 + (nb - tail.edge) * tail.slope)
+        growth, value = rate / self.arc.capacity - 1, self.curve.value
+        if value > 0 and growth < 0:
+            times.append(theta0 + value / -growth)
+        return growth if value > 0 else max(growth, ZERO), min(times, default=None)
 
 
 def extend_labels(instance: Instance, strategies: dict, horizon,
@@ -320,12 +308,14 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     """Construct labels for all commodities from per-particle routing rates.
 
     ``strategies`` maps (commodity id, arc id) to a StepFunction over
-    particles (zero outside [0, horizon]).  All transit times must be
-    strictly positive; the sweep then always reaches data that is at least
-    one transit time old, so labels, virtual inflows and queues grow together
-    in one pass.  Returns {commodity id: LabelSet} covering [0, horizon];
-    with ``return_queues`` also the per-arc waiting functions the sweep
-    maintained (mass balance of the sampled strategy rates).
+    particles (zero outside [0, horizon]); an entry the instance lacks raises
+    UnknownEntry, a rate into an arc whose tail the commodity never reaches
+    ValueError.  All transit times must be strictly positive; the sweep then
+    always reaches data that is at least one transit time old, so labels,
+    virtual inflows and queues grow together in one pass.  Returns
+    {commodity id: LabelSet} covering [0, horizon]; with ``return_queues``
+    also the per-arc waiting functions it maintained (mass balance of the
+    sampled strategy rates).
 
     These waits are the real ones: loading the strategies' rates over time
     through the tail labels (``rate_over_time``, then ``load_queues``)
@@ -338,28 +328,33 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     The sweep moves a frontier time theta0 from event to event.  Each label
     is theta0 at its edge and each queue's edge is theta0, so an advance by
     delta moves a label's edge by delta over its slope, and only a queue
-    with a non-zero slope changes value.  An event time is kept, absolute,
-    while the versions and cursor indices it came from hold: all it came
-    from then runs on one line.  An event moves a read past an anchor,
-    changes a slope or makes a candidate pending, so no kept time falls
-    behind theta0.
+    with a non-zero slope changes value.  Candidates and queues keep their
+    next event times in a heap.  A fired time recommits its queue or
+    rereads its candidate's label, and so does a pending candidate (its
+    label's edge at or beyond its tail's, a transit time behind) once its
+    tail's edge moves ahead.  A slope change anchors the curve's edge,
+    beyond every read (a queue is read at its edge only on a flat of the
+    tail), so it recommits the queues that the curve feeds, rereads its
+    pending readers, and retimes its label's candidates and the readers
+    whose next anchor on it is the new one.
+
+    Checks run where they can fail: a label that rereads needs a candidate
+    at theta0, none before it, and progress over a flat; a time taken from
+    the heap must lie after theta0.  A label not reread keeps the first two,
+    as its candidates run on their last reads' lines up to their kept
+    times: a tied one with its slope stays tied, one with a larger slope
+    moves ahead, and one ahead returns only at its kept tie time.
     """
     horizon = Fraction(horizon)
     for a in instance.arcs:
         if a.transit <= 0:
             raise ZeroTransitArc(a.id)
-    for (j, e), f in strategies.items():
-        if not f.is_nonnegative():
-            raise ValueError(f"negative strategy rate for ({j}, {e})")
-        if f.initial != 0 or (f.breakpoints and f.breakpoints[0] < 0):
-            raise ValueError(f"strategy for ({j}, {e}) must vanish below 0")
-
+    _require_known(instance, strategies)
     budget = breakpoint_budget()
-    comms = list(instance.commodities)
     reach: dict[str, set] = {}
     # labels over particles; the edge of a label is its frontier particle
     tracks: dict[tuple[str, str], GrowingPwl] = {}
-    for c in comms:
+    for c in instance.commodities:
         dist = transit_distances(instance, c.origin)
         reach[c.id] = {v for v in instance.nodes if dist[v] is not INF}
         for v in reach[c.id]:
@@ -367,97 +362,124 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             tracks[(c.id, v)] = GrowingPwl(
                 f"label of {c.id} at {v}", phi0, ZERO, 1 / c.rate,
                 1 / c.rate if v == c.origin else None)
+    for (j, e), f in strategies.items():
+        if not f.is_nonnegative():
+            raise ValueError(f"negative strategy rate for ({j}, {e})")
+        if f.initial != 0 or (f.breakpoints and f.breakpoints[0] < 0):
+            raise ValueError(f"strategy for ({j}, {e}) must vanish below 0")
+        if any(f.values) and instance.arc(e).tail not in reach[j]:
+            raise ValueError(f"commodity {j} sends flow into arc {e}, whose "
+                             f"tail its labels never reach")
     # waiting times over entry times, with no queue before time 0
     queues = {a.id: GrowingPwl(f"waiting time on arc {a.id}", ZERO, ZERO, ZERO, ZERO)
               for a in instance.arcs}
+    heads = [(j, v, t) for (j, v), t in tracks.items() if t.slope is None]  # not sources
+    heads = [(j, v, track_v, [_Candidate(a, k, tracks[(j, a.tail)], track_v, queues[a.id])
+                              for a in instance.in_arcs(v) if a.tail in reach[j]])
+             for k, (j, v, track_v) in enumerate(heads)]
     # every read moves forward; a strategy is read at its tail's frontier
-    rates = {(j, e): Cursor(f, f"strategy of {j} on arc {e}")
-             for (j, e), f in strategies.items()}
-    heads = [(c.id, v, tracks[(c.id, v)],
-              [_Candidate(a, tracks[(c.id, a.tail)], queues[a.id])
-               for a in instance.in_arcs(v) if a.tail in reach[c.id]])
-             for c in comms for v in reach[c.id] if v != c.origin]
-    fed = [_Queue(a, queues[a.id], [(rates[(c.id, a.id)], tracks[(c.id, a.tail)])
-                                    for c in comms if a.tail in reach[c.id]
-                                    and (c.id, a.id) in rates])
+    fed = [_Queue(a, queues[a.id], [(Cursor(f, f"strategy of {j} on arc {e}"),
+                                     tracks[(j, a.tail)])
+                                    for (j, e), f in strategies.items()
+                                    if e == a.id and a.tail in reach[j]])
            for a in instance.arcs]
-    curves = [*tracks.values(), *queues.values()]
-    theta0 = ZERO
+    short, anchors, theta0 = list(tracks.values()), len(tracks) + len(queues), ZERO
+    # labels to reread; the candidates to retime and queues to recommit
+    stale, touched, heap, tiebreak = set(range(len(heads))), set(fed), [], count()
+    pending = set()
 
-    def winner_slope(j: str, v: str, track_v: GrowingPwl, cands: list) -> Fraction:
-        tied, behind = [], []
-        for c in cands:
-            c.read(track_v.edge)
-            if not c.pending and c.value <= theta0:
-                (tied if c.value == theta0 else behind).append(c)
-        if not tied:
-            raise SweepInvariantBroken(
-                f"label invariant broken at ({j}, {v}): no candidate attains "
-                f"the frontier time {theta0}")
-        if behind:
-            raise SweepInvariantBroken(
-                f"label invariant broken at ({j}, {v}): arc {behind[0].arc.id} "
-                f"reaches {behind[0].value} before the frontier time {theta0}")
-        return min(c.slope for c in tied)
+    def mark(reader):
+        touched.add(reader)
+        if reader.__class__ is _Candidate:
+            stale.add(reader.head)
+
+    def commit(curve: GrowingPwl, slope: Fraction):
+        nonlocal anchors
+        old, n = curve.slope, len(curve.xs)
+        curve.commit(slope)
+        anchors += len(curve.xs) - n
+        for r, cursor in curve.readers if curve.slope is not old else ():
+            if cursor is None or r.pending or cursor.next_anchor() is curve.xs[-1]:
+                (mark if r in pending else touched.add)(r)
+
+    def schedule(reader, at):
+        if at is not None and at != reader.at:
+            heapq.heappush(heap, (at, next(tiebreak), reader))
+        reader.at = at
 
     def mass_on(j: str, v: str, lo: Fraction, hi: Fraction) -> bool:
         """Positive strategy rate of commodity j out of v anywhere on [lo, hi)."""
-        for a in instance.out_arcs(v):
-            rate, b = rates.get((j, a.id)), lo
-            while rate is not None and b is not None and b < hi:
-                if rate.step_at(b) > 0:
-                    return True
-                b = rate.next_anchor()
-        return False
+        fs = [strategies[(j, a.id)] for a in instance.out_arcs(v) if (j, a.id) in strategies]
+        return any(f(lo) > 0 or any(x > 0 for b, x in zip(f.breakpoints, f.values)
+                                    if lo < b < hi) for f in fs)
 
     def frontier_slope(j: str, v: str, track_v: GrowingPwl, cands: list) -> Fraction:
-        """The label's slope at its frontier, once the frontier has crossed
-        any flat stretch there without moving time."""
+        """The label's slope at its frontier, past any flat stretch at theta0."""
         while True:
-            slope = winner_slope(j, v, track_v, cands)
+            tied, behind = [], []
+            for c in cands:
+                c.read(theta0)
+                (pending.add if c.pending else pending.discard)(c)
+                if not c.pending and c.value <= theta0:
+                    (tied if c.value == theta0 else behind).append(c)
+            if not tied:
+                raise SweepInvariantBroken(
+                    f"label invariant broken at ({j}, {v}): no candidate attains "
+                    f"the frontier time {theta0}")
+            if behind:
+                raise SweepInvariantBroken(
+                    f"label invariant broken at ({j}, {v}): arc {behind[0].arc.id} "
+                    f"reaches {behind[0].value} before the frontier time {theta0}")
+            slope = min(c.slope for c in tied)
             if slope != 0:
                 return slope
-            tied = [c for c in cands if not c.pending and c.value == theta0
-                    and c.slope == 0]
-            next_phi = None
-            for c in tied:
+            stops = []
+            for c in (c for c in tied if c.slope == 0):
                 nb = c.tail.next_anchor()
-                if nb is None or nb > c.tail.curve.edge:
-                    nb = c.tail.curve.edge
-                stops = [nb]
+                stop = c.tail.curve.edge if nb is None else min(nb, c.tail.curve.edge)
                 qnext = c.queue.next_anchor()
                 if qnext is not None and c.entry_slope > 0:
-                    stops.append(track_v.edge + (qnext - c.queue.x) / c.entry_slope)
-                stop = min(stops)
-                if stop > track_v.edge and (next_phi is None or stop < next_phi):
-                    next_phi = stop
-            if next_phi is None or next_phi <= track_v.edge:
+                    stop = min(stop, track_v.edge + (qnext - c.queue.x) / c.entry_slope)
+                stops.append(stop)
+            next_phi = min((stop for stop in stops if stop > track_v.edge), default=None)
+            if next_phi is None:
                 raise SweepInvariantBroken(f"flat stretch at ({j}, {v}) cannot advance")
             if mass_on(j, v, track_v.edge, next_phi):
                 raise ValueError(
                     f"strategy sends positive mass of commodity {j} through a "
                     f"label flat at node {v}; the induced inflow is impulsive")
-            track_v.commit(ZERO)
+            commit(track_v, ZERO)
             track_v.advance(next_phi - track_v.edge)
 
     for iterations in count(1):
-        if sum(len(g.xs) for g in curves) > budget or iterations > budget:
+        if anchors > budget or iterations > budget:
             raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
 
         # label slopes at the frontier (sources are fixed lines)
-        for j, v, track_v, cands in heads:
-            track_v.commit(frontier_slope(j, v, track_v, cands))
+        k = -1
+        while (k := min((i for i in stale if i > k), default=None)) is not None:
+            stale.discard(k)
+            commit(heads[k][2], frontier_slope(*heads[k]))
 
-        if all(t.edge >= horizon for t in tracks.values()):
+        while short and short[-1].edge >= horizon:
+            short.pop()
+        if not short:
             break
 
         # queue slopes, then the next event: the queue commits can append an
         # anchor beyond the point a cursor last read
-        for q in fed:
-            q.commit(theta0)
-        times = [t for q in fed for t in (q.dry, *q.events)] + [
-            c.next_event(track_v, theta0) for _, _, track_v, cands in heads for c in cands]
-        first = min((t for t in times if t is not None), default=None)
+        for q in [r for r in touched if r.__class__ is _Queue]:
+            slope, at = q.slope(theta0)
+            commit(q.curve, slope)
+            schedule(q, at)
+        for c in touched:
+            if c.__class__ is _Candidate:
+                schedule(c, c.next_event(theta0))
+        touched = set()
+        while heap and heap[0][2].at != heap[0][0]:
+            heapq.heappop(heap)
+        first = min([t for t, *_ in heap[:1]] + [theta0 + c.arc.transit for c in pending],
+                    default=None)
         if first is None:
             # no structural events ahead: jump straight to the horizon
             delta = max((horizon - t.edge) * t.slope
@@ -479,9 +501,17 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             q.edge = theta0
             if q.slope:
                 q.value += q.slope * delta
+        while heap and heap[0][0] == theta0:
+            reader = heapq.heappop(heap)[2]
+            if reader.at == theta0:
+                reader.at = None
+                mark(reader)
+        for c in pending:
+            if c.track_v.edge < c.track_u.edge:
+                mark(c)
 
     out: dict[str, LabelSet] = {}
-    for c in comms:
+    for c in instance.commodities:
         labels = {v: tracks[(c.id, v)].finish() for v in reach[c.id]}
         out[c.id] = LabelSet(c.id, labels, horizon)
     if not return_queues:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .netmodel import Instance, reachable, topological_order
 from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
                      min_preimages, sorted_union, zero_crossings)
-from .loading import QueueProfile, load_queues
+from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
 
 SIZE_LIMIT = 25
@@ -541,8 +541,9 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     Without undercut and TF2 violations every label is the minimum of
     T_e(l_u) over its incoming arcs, which defines earliest arrivals.
     ``require_tightness=True`` runs all five checks, ``False`` all but
-    ``SupportViolated``.  A strategy rate on an arc whose tail j's labels
-    never reach, or on a flat stretch of its tail label, raises ValueError.
+    ``SupportViolated``.  A strategy entry the instance lacks raises
+    UnknownEntry; a rate on an arc whose tail j's labels never reach, or on a
+    flat stretch of its tail label, ValueError.
 
     The slope conditions of a thin flow with resetting follow, so they are
     not checked again.  On an active arc e = uv, g_e = 0 on the cell, so
@@ -562,6 +563,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     The origin's label, every strategy and every gap (``labels.arc_gaps``)
     is read as one column over the sorted cell midpoints.
     """
+    _require_known(instance, strategies)
     inflows = {}
     for (j, e), x in strategies.items():
         lu = labels_all[j].labels.get(instance.arc(e).tail)

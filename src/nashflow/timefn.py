@@ -422,9 +422,8 @@ class GrowingPwl:
     ``xs``/``ys`` are its committed anchors; from the last one it runs with
     ``slope`` (None until first committed) to the live edge, where it has
     ``value``.  Left of the first anchor it runs with ``tail_slope``.
-    ``version`` counts the slope changes, even one that a later change
-    undoes; while it holds, the curve runs on as it did.  A sweep may set
-    ``edge`` and ``value`` itself, on the line that ``slope`` runs on.
+    ``readers`` lists what a sweep revisits when the slope changes.  A sweep
+    may set ``edge`` and ``value`` itself, on the line that ``slope`` runs on.
     """
 
     def __init__(self, name: str, x0: Fraction, y0: Fraction,
@@ -434,7 +433,7 @@ class GrowingPwl:
         self._right = []  # slope right of every anchor but the last
         self.edge, self.value = x0, y0
         self.tail_slope, self.slope = tail_slope, slope
-        self.version = 0
+        self.readers = []
 
     def commit(self, slope: Fraction):
         """Run on with ``slope`` from the edge, anchoring the edge if the
@@ -445,7 +444,6 @@ class GrowingPwl:
                 self.xs.append(self.edge)
                 self.ys.append(self.value)
             self.slope = slope
-            self.version += 1
 
     def advance(self, dx: Fraction):
         self.edge += dx
@@ -466,7 +464,7 @@ class Cursor:
     It keeps ``i``, the index of the last anchor at or before ``x``, the
     point last read, and only moves it forward.  A read behind ``x``, or past
     the edge of a growing curve, raises SweepInvariantBroken naming the curve.
-    While ``i`` and the curve's ``version`` hold, reads lie on one segment.
+    While ``i`` holds and the curve keeps its slope, reads lie on one segment.
     """
 
     __slots__ = ("name", "curve", "xs", "i", "x", "n")

@@ -5,7 +5,7 @@ import pytest
 
 from nashflow import labels as labels_mod
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.loading import FlowOverTime, derive_profile, load_network
+from nashflow.loading import FlowOverTime, UnknownEntry, derive_profile, load_network
 from nashflow.labels import (CyclicZeroTransit, LabelSet, ThetaOutsideRange,
                              ZeroTransitArc, arc_status, earliest_arrival,
                              extend_labels, foreign_rate_at, rate_over_time,
@@ -304,6 +304,27 @@ class TestExtendLabels:
         ))
         with pytest.raises(ZeroTransitArc):
             extend_labels(inst, {}, 1)
+
+    @pytest.mark.parametrize("key", [("9", "e"), ("1", "zz")])
+    def test_unknown_strategy_entry_is_rejected(self, key):
+        # an entry the instance lacks cannot be honoured, so it is an error
+        # rather than a strategy that changes nothing
+        strategies = {key: StepFunction([0, 1], [1, 0], 0)}
+        with pytest.raises(UnknownEntry, match=rf"\({key[0]}, {key[1]}\)"):
+            extend_labels(single_arc(), strategies, 1)
+
+    def test_rate_on_an_arc_the_labels_never_reach_is_rejected(self):
+        # u is unreachable from s, so commodity 1 cannot send flow into f
+        instance = validate_instance(Instance(
+            ("s", "u", "t"), (Arc("e", "s", "t", F(1), F(1)), Arc("f", "u", "t", F(1), F(1))),
+            (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
+        send = StepFunction([0, 1], [1, 0], 0)
+        with pytest.raises(ValueError, match="commodity 1 sends flow into arc f, whose "
+                                             "tail its labels never reach"):
+            extend_labels(instance, {("1", "e"): send, ("1", "f"): send}, 1)
+        # a zero rate there asks for nothing
+        labels = extend_labels(instance, {("1", "e"): send, ("1", "f"): StepFunction.zero()}, 1)
+        assert labels["1"].labels["t"] == PwlFunction.line(1, 0, 1)
 
     def test_single_commodity_single_arc(self):
         instance = single_arc()

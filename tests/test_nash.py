@@ -389,6 +389,23 @@ class TestStaticFlowImplication:
         assert fired >= 20, fired
 
 
+class TestVerdictAgreement:
+    """On feasible flows in random static splits, ``verify_nash`` and the
+    round trip ``check_derivatives_thinflow`` accept and reject the same
+    flows: both certify that the flow is a Nash flow, from two sides."""
+
+    def test_same_verdicts(self):
+        verdicts = {(True, True): 0, (False, False): 0}
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for trial in range(250):
+                inst, flow = _split_flow(rng)
+                verdict = (verify_nash(inst, flow).ok, check_derivatives_thinflow(inst, flow).ok)
+                assert verdict in verdicts, (seed, trial, verdict)
+                verdicts[verdict] += 1
+        assert verdicts[(False, False)] >= 600 and verdicts[(True, True)] >= 50, verdicts
+
+
 class TestCorpusConstructVerify:
     """Every constructor output passes feasibility, the equilibrium check and
     the derivative thin-flow round trip with zero violations."""

@@ -7,7 +7,7 @@ import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rate_at
-from nashflow.loading import QueueProfile
+from nashflow.loading import QueueProfile, UnknownEntry
 from nashflow import thinflow
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
                                SizeLimitExceeded, ThinFlow, _partition,
@@ -547,6 +547,14 @@ class TestVerifyMulticommodity:
         labels = extend_labels(instance, strategies, 1)
         report = verify_multicommodity_thinflow(instance, strategies, labels, 1)
         assert report.ok, [str(v) for v in report.violations]
+
+    def test_unknown_strategy_entry_is_rejected(self):
+        # a typed error naming the entry, not a KeyError for the commodity
+        instance, strategies = shared_arc_setup()
+        labels = extend_labels(instance, strategies, 1)
+        strategies[("9", "e")] = StepFunction([0, 1], [1, 0], 0)
+        with pytest.raises(UnknownEntry, match=r"\(9, e\)"):
+            verify_multicommodity_thinflow(instance, strategies, labels, 1)
 
     def test_perturbed_label_slope_fails(self):
         instance, strategies = shared_arc_setup()
