@@ -351,13 +351,14 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             raise ZeroTransitArc(a.id)
     _require_known(instance, strategies)
     budget = breakpoint_budget()
-    reach: dict[str, set] = {}
+    reach: dict[str, set] = {}  # for membership; tracks follow instance.nodes
     # labels over particles; the edge of a label is its frontier particle
     tracks: dict[tuple[str, str], GrowingPwl] = {}
     for c in instance.commodities:
         dist = transit_distances(instance, c.origin)
-        reach[c.id] = {v for v in instance.nodes if dist[v] is not INF}
-        for v in reach[c.id]:
+        order = [v for v in instance.nodes if dist[v] is not INF]
+        reach[c.id] = set(order)
+        for v in order:
             phi0 = -c.rate * (c.inflow_start + dist[v])
             tracks[(c.id, v)] = GrowingPwl(
                 f"label of {c.id} at {v}", phi0, ZERO, 1 / c.rate,
@@ -512,7 +513,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
 
     out: dict[str, LabelSet] = {}
     for c in instance.commodities:
-        labels = {v: tracks[(c.id, v)].finish() for v in reach[c.id]}
+        labels = {v: t.finish() for (j, v), t in tracks.items() if j == c.id}
         out[c.id] = LabelSet(c.id, labels, horizon)
     if not return_queues:
         return out

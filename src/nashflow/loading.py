@@ -3,8 +3,10 @@
 Given per-commodity arc inflow rates, derives total and per-commodity
 outflows, queue volumes, waiting times and exit times by an exact
 event-driven sweep (events are rate breakpoints shifted by the transit time
-and queue depletion instants, which are linear solves).  Also provides the
-feasibility checker that certifies the flow dynamics piece by piece.
+and queue depletion instants, which are linear solves) of each arc's total
+inflow; one merge pass over the arc's exit times then splits the total
+outflow among all commodities.  Also provides the feasibility checker that
+certifies the flow dynamics piece by piece.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance
-from .timefn import (ONE, ZERO, PwlFunction, StepFunction, breakpoint_budget,
-                     compose, first_difference, integrate, min_preimages,
-                     sorted_union, zero_crossings)
+from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _segment_indices,
+                     breakpoint_budget, compose, first_difference, integrate,
+                     min_preimage, sorted_union, zero_crossings)
 
 
 class NegativeInflow(ValueError):
@@ -127,8 +129,12 @@ def _waits(arc, z: PwlFunction) -> PwlFunction:
 
 
 def _exit_times(arc, q: PwlFunction) -> PwlFunction:
-    """The exit times T = theta + tau + q that the arc's waits q define."""
-    return q + PwlFunction.line(ONE, ZERO, arc.transit)
+    """The exit times T = theta + tau + q that the arc's waits q define,
+    built on q's anchors with each slope raised by 1."""
+    bps, tau = q.breakpoints, arc.transit
+    return PwlFunction._carried(bps, [v + b + tau for b, v in zip(bps, q.values)],
+                                [s + 1 for s in q._slopes],
+                                q.initial_slope + 1, q.final_slope + 1)
 
 
 def _derive_arc(profile: QueueProfile, arc, f_in: StepFunction, f_out: StepFunction):
@@ -147,18 +153,19 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     pairs mean zero inflow.  Rates must be non-negative with finite support
     (zero before their first breakpoint and, when ``horizon`` is given, zero
     from the horizon on).  Returns (FlowOverTime, QueueProfile); all outputs
-    are exact piecewise functions.
+    are exact piecewise functions.  Per arc the cost is one sweep of the total
+    inflow and one merge pass splitting the outflow (``_split_outflows``).
     """
     profile, total_in, total_out = _load_totals(instance, inflows, horizon)
     flow = FlowOverTime({}, {}, total_in, total_out)
     for a in instance.arcs:
         T = _exit_times(a, profile.waiting[a.id])
         profile.exit_time[a.id] = T
-        for c in instance.commodities:
-            f_j = inflows.get((c.id, a.id), StepFunction.zero())
+        rates = [inflows.get((c.id, a.id), StepFunction.zero()) for c in instance.commodities]
+        outflows = _split_outflows(rates, total_in[a.id], total_out[a.id], T)
+        for c, f_j, out in zip(instance.commodities, rates, outflows):
             flow.inflow[(c.id, a.id)] = f_j
-            flow.outflow[(c.id, a.id)] = _split_outflow(f_j, total_in[a.id],
-                                                        total_out[a.id], T)
+            flow.outflow[(c.id, a.id)] = out
     return flow, profile
 
 
@@ -201,11 +208,8 @@ def _load_totals(instance: Instance, inflows: dict, horizon):
 
 
 def _total_volume(f: StepFunction) -> Fraction:
-    total = ZERO
-    for lo, hi, v in f.pieces():
-        if v != 0 and lo is not None and hi is not None:
-            total += v * (hi - lo)
-    return total
+    return sum((v * (hi - lo) for lo, hi, v in f.pieces()
+                if v != 0 and lo is not None and hi is not None), ZERO)
 
 
 def _load_arc(total_in: StepFunction, arc):
@@ -265,25 +269,39 @@ def _load_arc(total_in: StepFunction, arc):
     return outflow, volume
 
 
-def _split_outflow(inflow_j: StepFunction, total_in: StepFunction,
-                   total_out: StepFunction, T: PwlFunction) -> StepFunction:
-    """Per-commodity outflow: the commodity's share of the total outflow,
-    taken at the FIFO entry time of the particles currently leaving."""
-    if not inflow_j.breakpoints and inflow_j.initial == 0:
-        return StepFunction.zero()
-    marks = sorted_union(T.breakpoints, total_in.breakpoints, inflow_j.breakpoints)
-    cuts = sorted_union(total_out.breakpoints, T.at_sorted(marks))
-    # one sample per cut; samples, and with T non-decreasing their FIFO entry
-    # times, increase, so each function is read in one merge pass
-    samples = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
-    out_totals = total_out.at_sorted(samples)
-    live = [k for k, out in enumerate(out_totals) if out != 0]
-    entries = min_preimages(T, [samples[k] for k in live])
-    vals = [ZERO] * len(samples)
-    for k, den, num in zip(live, total_in.at_sorted(entries), inflow_j.at_sorted(entries)):
-        if den != 0:
-            vals[k] = out_totals[k] * num / den
-    return StepFunction(cuts, vals, ZERO)
+def _split_outflows(inflows: list, total_in: StepFunction, total_out: StepFunction,
+                    T: PwlFunction) -> list[StepFunction]:
+    """Every commodity's outflow on one arc: its share f_j / f of the total
+    outflow, read at the FIFO entry time of the particles leaving.
+
+    The marks are the breakpoints of T, of ``total_in`` and of every
+    inflow; the cuts are ``total_out``'s breakpoints and the marks' exit
+    times.  The particles leaving in a cut cell entered right of the last
+    mark whose exit time is at or before the cell and left of the next,
+    where T is linear and rising and every inflow constant, so one merge
+    pass gives each cell its mark and no entry time is searched for."""
+    if all(f == StepFunction.zero() for f in inflows):
+        return [StepFunction.zero()] * len(inflows)
+    marks = sorted_union(T.breakpoints, total_in.breakpoints,
+                         *(f.breakpoints for f in inflows))
+    exits = T.at_sorted(marks)
+    cuts = sorted_union(total_out.breakpoints, exits)
+    outs = total_out.at_sorted(cuts)
+    at = [i + 1 for i in _segment_indices(exits, cuts)]  # 0: T's left ray
+    rising = T.is_nondecreasing()
+    rays = (rising and T.initial_slope > 0, rising and T.final_slope > 0)
+    for k, (out, i) in enumerate(zip(outs, at)):
+        if out and not (rays[0] if i == 0 else rays[1] if i == len(marks) else rising):
+            # T misses the cell: raise as the search at the cell's sample does
+            hi = cuts[k + 1] if k + 1 < len(cuts) else cuts[k] + 2
+            min_preimage(T, (cuts[k] + hi) / 2)
+    dens = [total_in.initial] + total_in.at_sorted(marks)
+    split = []
+    for f in inflows:
+        shares = [num / den if den else ZERO
+                  for num, den in zip([f.initial] + f.at_sorted(marks), dens)]
+        split.append(StepFunction(cuts, [out * shares[i] for out, i in zip(outs, at)], ZERO))
+    return split
 
 
 @dataclass
@@ -381,6 +399,13 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
         has z' = -nu, so z goes negative, and by (f) a law, inflow or
         early-outflow violation is already reported: the identity, which
         needs T to rise on its right ray, is skipped only on a failing arc.
+    (h) The last identity.  On an arc with no inflow, law or early-outflow
+        violation q >= 0 by (f), and by (c) and the law f_out = nu on
+        [theta + tau, T(theta)), so F_out(T(theta)) = F_out(theta + tau) +
+        nu q(theta) = F_out(theta + tau) + z(theta + tau) = F_in(theta): the
+        total identity holds.  As in (d), the last commodity's identity is
+        then the total's minus the others', so it is composed there only if
+        another one fails.
     """
     _require_known(instance, flow.inflow, flow.outflow)
     derived = QueueProfile(volume={}, waiting={}, exit_time={})
@@ -451,9 +476,15 @@ def _check_arc(instance: Instance, flow: FlowOverTime, claim: QueueProfile | Non
     if not T.is_nondecreasing() or T.final_slope == 0:
         return violations
 
-    # the cumulative identity per commodity (exact, via composition)
+    # the cumulative identity per commodity (exact, via composition); by (h)
+    # the last one follows from the others' on an arc that keeps the rules
     anchor = _anchor(f_in, f_out)
-    for c in instance.commodities:
+    implied = not any(v.code in ("NegativeInflow", "OutflowLawViolated", "EarlyOutflow")
+                      for v in violations)
+    before = len(violations)
+    for k, c in enumerate(instance.commodities, 1):
+        if implied and k == len(instance.commodities) and len(violations) == before:
+            break
         Fj_in = integrate(flow.inflow.get((c.id, e), StepFunction.zero()), anchor)
         Fj_out = integrate(flow.outflow.get((c.id, e), StepFunction.zero()), anchor)
         composed = compose(Fj_out, T)
@@ -474,14 +505,12 @@ def _check_conservation(instance: Instance, flow: FlowOverTime):
                  for a in instance.out_arcs(v)]) - StepFunction.sum_of(
                 [flow.outflow.get((c.id, a.id), StepFunction.zero())
                  for a in instance.in_arcs(v)])
-            if v == c.origin:
-                if c.inflow_end is None:
-                    expected = StepFunction((c.inflow_start,), (c.rate,), ZERO)
-                else:
-                    expected = StepFunction((c.inflow_start, c.inflow_end),
-                                            (c.rate, ZERO), ZERO)
-            else:
+            if v != c.origin:
                 expected = StepFunction.zero()
+            elif c.inflow_end is None:
+                expected = StepFunction((c.inflow_start,), (c.rate,))
+            else:
+                expected = StepFunction((c.inflow_start, c.inflow_end), (c.rate, ZERO))
             if net != expected:
                 violations.append(FlowViolation("ConservationViolated",
                                                 f"{v},{c.id}", _witness(net, expected)))
@@ -489,35 +518,22 @@ def _check_conservation(instance: Instance, flow: FlowOverTime):
 
 
 def flow_to_json(instance: Instance, flow: FlowOverTime) -> dict:
-    doc = {"inflows": [], "outflows": []}
-    for (j, e), f in sorted(flow.inflow.items()):
-        if f.values or f.initial != 0:
-            doc["inflows"].append({"commodity": j, "arc": e, "rate": f.to_json()})
-    for (j, e), f in sorted(flow.outflow.items()):
-        if f.values or f.initial != 0:
-            doc["outflows"].append({"commodity": j, "arc": e, "rate": f.to_json()})
-    return doc
+    return {name: [{"commodity": j, "arc": e, "rate": f.to_json()}
+                   for (j, e), f in sorted(rates.items()) if f.values or f.initial != 0]
+            for name, rates in (("inflows", flow.inflow), ("outflows", flow.outflow))}
 
 
-def inflows_from_json(doc: dict) -> dict:
-    """Read a flow-rate file: {"inflows": [{commodity, arc, rate}, ...]}."""
-    inflows = {}
-    for item in doc.get("inflows", []):
-        key = (str(item["commodity"]), str(item["arc"]))
-        inflows[key] = StepFunction.from_json(item["rate"])
-    return inflows
+def inflows_from_json(doc: dict, name: str = "inflows") -> dict:
+    """Read a flow-rate file: {"inflows": [{commodity, arc, rate}, ...]};
+    ``name`` picks another list of rates, such as "outflows"."""
+    return {(str(item["commodity"]), str(item["arc"])): StepFunction.from_json(item["rate"])
+            for item in doc.get(name, [])}
 
 
 def flow_from_json(instance: Instance, doc: dict) -> FlowOverTime:
     """Read a full flow file (inflows plus outflows) and fill totals; an
     entry the instance lacks raises UnknownEntry."""
-    flow = FlowOverTime(inflow={}, outflow={})
-    for item in doc.get("inflows", []):
-        flow.inflow[(str(item["commodity"]), str(item["arc"]))] = \
-            StepFunction.from_json(item["rate"])
-    for item in doc.get("outflows", []):
-        flow.outflow[(str(item["commodity"]), str(item["arc"]))] = \
-            StepFunction.from_json(item["rate"])
+    flow = FlowOverTime(inflows_from_json(doc), inflows_from_json(doc, "outflows"))
     _require_known(instance, flow.inflow, flow.outflow)
     for c in instance.commodities:
         for a in instance.arcs:

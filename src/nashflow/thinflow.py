@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
 from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
-                     min_preimages, sorted_union, zero_crossings)
+                     min_preimage, sorted_union, zero_crossings)
 from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
 
@@ -641,7 +641,7 @@ def _partition(instance, ls, rates, horizon, profile):
         times = list(q.breakpoints) + zero_crossings(
             q.breakpoints, q.values, q.initial_slope, q.final_slope)
         lo, hi = lu(ZERO), lu(horizon)
-        cuts.update(min_preimages(lu, sorted(t for t in times if lo < t < hi)))
+        cuts.update(min_preimage(lu, t) for t in times if lo < t < hi)
     mesh = sorted(cuts)
     gap_zeros = []
     for _, gaps in arc_gaps(instance, ls, profile, mesh).values():

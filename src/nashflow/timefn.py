@@ -24,13 +24,11 @@ primitive that evaluates on a sorted mesh goes through it: ``+`` and
 functions with N breakpoints in all costs O(N log k), ``compose`` is linear
 in the breakpoints of both functions (its level crossings come from one
 two-pointer pass), and ``min_compose`` of k functions on a mesh of N points
-costs O(k^2 N).  ``min_preimage`` is a bisection on the values,
-O(log n), and ``min_preimages`` answers m non-decreasing queries in
-O(n + m).  A ``GrowingPwl``, the curve that a forward sweep grows, appends an
-anchor only where its slope changes.  A ``Cursor`` reads it, or a step
-function, at non-decreasing points: each read steps forward over the anchors
-it passes, O(1) amortized, so m reads of a curve with n anchors cost
-O(n + m) in all.
+costs O(k^2 N).  ``min_preimage`` is a bisection on the values, O(log n).
+A ``GrowingPwl``, the curve that a forward sweep grows, appends an anchor
+only where its slope changes.  A ``Cursor`` reads it, or a step function, at
+non-decreasing points: each read steps forward over the anchors it passes,
+O(1) amortized, so m reads of a curve with n anchors cost O(n + m) in all.
 """
 
 from __future__ import annotations
@@ -583,21 +581,6 @@ def min_preimage(F: PwlFunction, value) -> Fraction:
     if not F.is_nondecreasing():
         raise ValueError("min_preimage requires a non-decreasing function")
     return _leftmost_preimage(F, value, bisect_left(F.values, value))
-
-
-def min_preimages(F: PwlFunction, values) -> list[Fraction]:
-    """``min_preimage(F, y)`` for every y of the non-decreasing ``values``,
-    found in one pass over F."""
-    if not F.is_nondecreasing():
-        raise ValueError("min_preimage requires a non-decreasing function")
-    vals = F.values
-    out = []
-    k, n = 0, len(vals)
-    for y in values:
-        while k < n and vals[k] < y:
-            k += 1
-        out.append(_leftmost_preimage(F, y, k))
-    return out
 
 
 def _leftmost_preimage(F: PwlFunction, value: Fraction, k: int) -> Fraction:

@@ -9,11 +9,13 @@ and serve the equivalence tests only.  ``queue_positivity_failures``,
 ``waiting_derivative_failures``, ``unfrozen_exit_times``, ``negative_queue``
 and ``exit_times_decrease`` are the queue-dynamics checks that
 ``check_feasibility`` proves implied rather than runs; the implication test
-in ``test_loading`` keeps them as references, and with them the FIFO split
-and the total cumulative identity (``fifo_split_failures``,
-``total_identity_fails``).  ``static_flow_failures`` is the underlying
+in ``test_loading`` keeps them as references, and with them the FIFO split,
+the total cumulative identity (``fifo_split_failures``,
+``total_identity_fails``), and every commodity's identity, of which the
+library composes all but the last on an arc that keeps the outflow rules
+(``commodity_identity_failures``).  ``static_flow_failures`` is the underlying
 static-flow check that ``verify_nash`` proves implied; ``test_nash`` keeps it
-as a reference.  These three take their cumulative flows from the library's
+as a reference.  These four take their cumulative flows from the library's
 ``integrate``.  The thin-flow verifier at the
 end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
@@ -266,17 +268,38 @@ def fifo_split_failures(instance, flow, T: PwlFunction, arc_id) -> list:
     return failures
 
 
-def total_identity_fails(instance, flow, T: PwlFunction, arc_id) -> bool:
-    """Whether the summed cumulative flows break F_in(theta) =
-    F_out(T(theta)), both integrated from 0 or the first breakpoint of
-    either total, whichever is earlier.  Nothing fails through a T that
-    does not rise."""
-    if not _rises(T):
-        return False
+def _totals(instance, flow, arc_id):
+    """The arc's summed in- and outflow, and where its cumulative flows
+    start: 0 or the first breakpoint of either total, whichever is earlier."""
     f_in = _summed(instance, flow.inflow, arc_id)
     f_out = _summed(instance, flow.outflow, arc_id)
-    anchor = min([ZERO] + [f.breakpoints[0] for f in (f_in, f_out) if f.breakpoints])
+    return f_in, f_out, min([ZERO] + [f.breakpoints[0] for f in (f_in, f_out) if f.breakpoints])
+
+
+def total_identity_fails(instance, flow, T: PwlFunction, arc_id) -> bool:
+    """Whether the summed cumulative flows break F_in(theta) =
+    F_out(T(theta)), both integrated from the arc's anchor.  Nothing fails
+    through a T that does not rise."""
+    if not _rises(T):
+        return False
+    f_in, f_out, anchor = _totals(instance, flow, arc_id)
     return compose(integrate(f_out, anchor), T) != integrate(f_in, anchor)
+
+
+def commodity_identity_failures(instance, flow, T: PwlFunction, arc_id) -> list:
+    """Commodities whose cumulative flows on the arc break F_in,j(theta) =
+    F_out,j(T(theta)), every commodity composed, both integrated from the
+    arc's anchor.  Nothing fails through a T that does not rise."""
+    if not _rises(T):
+        return []
+    anchor = _totals(instance, flow, arc_id)[2]
+    failures = []
+    for c in instance.commodities:
+        fj_in = flow.inflow.get((c.id, arc_id), StepFunction.zero())
+        fj_out = flow.outflow.get((c.id, arc_id), StepFunction.zero())
+        if compose(integrate(fj_out, anchor), T) != integrate(fj_in, anchor):
+            failures.append(c.id)
+    return failures
 
 
 def static_flow_failures(instance, commodity, labelset, flow) -> list:

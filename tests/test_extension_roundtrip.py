@@ -7,7 +7,10 @@ minimum conditions.
 """
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -262,6 +265,39 @@ class TestReferenceSweep:
         for item in items:
             extend_labels(item.instance, item.data["strategies"], workload.VOLUME)
         assert reads["curve_at"] <= 13984 // 2 and reads["step_at"] <= 7608 // 2, reads
+
+    def test_sweep_follows_the_node_order(self, monkeypatch):
+        """The sweep visits nodes in ``instance.nodes`` order, not in the
+        order of a set of names: its labels come in that order, and one
+        sweep per ``extend`` item at seed 1 makes as many cursor reads under
+        two string-hash seeds."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workload = importlib.import_module("workloads").Extend()
+        for item in workload.generate(SimpleNamespace(netmodel=netmodel, timefn=timefn), 1):
+            out = extend_labels(item.instance, item.data["strategies"], workload.VOLUME)
+            for label_set in out.values():
+                assert list(label_set.labels) == \
+                    [v for v in item.instance.nodes if v in label_set.labels]
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys, types\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+            "from nashflow import labels, netmodel, timefn\n"
+            "import workloads\n"
+            "reads = [0]\n"
+            "def counted(self, x, read=timefn.Cursor.curve_at):\n"
+            "    reads[0] += 1\n"
+            "    return read(self, x)\n"
+            "timefn.Cursor.curve_at = counted\n"
+            "w = workloads.Extend()\n"
+            "for item in w.generate(types.SimpleNamespace(netmodel=netmodel, timefn=timefn), 1):\n"
+            "    labels.extend_labels(item.instance, item.data['strategies'], w.VOLUME)\n"
+            "print(reads[0])\n")
+        runs = [subprocess.run([sys.executable, "-c", script], text=True, capture_output=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed}) for seed in "12"]
+        assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+        counts = [int(run.stdout) for run in runs]
+        assert counts[0] == counts[1] > 0, counts
 
     def test_pending_route_overtakes(self):
         """The route s -> u -> v starts pending at v (u's frontier particle

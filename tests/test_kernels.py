@@ -3,6 +3,7 @@ reference scans in ``reference_kernels``: results must agree exactly,
 exceptions included."""
 
 import json
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from nashflow import loading
-from nashflow.netmodel import Arc, Commodity, Instance
+from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, ValueNotAttained,
                              compose, integrate, min_compose, min_preimage,
-                             min_preimages)
+                             sorted_union)
 
 F = Fraction
 
@@ -75,18 +76,6 @@ class TestMinPreimage:
         f = data.draw(monotone_pwl())
         value = _query(data.draw, f)
         assert _outcome(min_preimage, f, value) == _outcome(ref.min_preimage, f, value)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_batch_matches_single(self, data):
-        f = data.draw(monotone_pwl())
-        values = sorted(data.draw(st.lists(rationals(-10, 40), max_size=8)))
-        expected = [_outcome(ref.min_preimage, f, y) for y in values]
-        if all(kind == "value" for kind, _ in expected):
-            assert min_preimages(f, values) == [x for _, x in expected]
-        else:
-            first = next(e for e in expected if e[0] != "value")
-            assert _outcome(min_preimages, f, values) == first
 
     def test_unbounded_ends(self):
         f = PwlFunction([0, 1, 2], [1, 1, 3], 0, 0)
@@ -179,6 +168,11 @@ class TestCarriedSlopes:
         _as_if_divided(z)
 
 
+def _split_one(inflow_j, total_in, total_out, T):
+    """The per-arc split of one commodity's inflow alone."""
+    return loading._split_outflows([inflow_j], total_in, total_out, T)[0]
+
+
 class TestSplitOutflow:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -187,7 +181,7 @@ class TestSplitOutflow:
         total_in = inflow_j + data.draw(step_functions())
         total_out = data.draw(step_functions())
         T = data.draw(monotone_pwl())
-        assert _outcome(loading._split_outflow, inflow_j, total_in, total_out, T) == \
+        assert _outcome(_split_one, inflow_j, total_in, total_out, T) == \
             _outcome(ref.split_outflow, inflow_j, total_in, total_out, T)
 
     @settings(max_examples=60, deadline=None)
@@ -205,7 +199,73 @@ class TestSplitOutflow:
         for j, f in zip("12", inflows):
             expected = ref.split_outflow(f, total_in, total_out, T)
             assert flow.outflow[(j, "e")] == expected
-            assert loading._split_outflow(f, total_in, total_out, T) == expected
+            assert _split_one(f, total_in, total_out, T) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scan_per_commodity(self, data):
+        """Two or three commodities split in one pass: each outflow is the
+        reference split of its own inflow, and a T that misses a live sample
+        raises what the reference raises for every nonzero commodity."""
+        inflows = data.draw(st.lists(st.one_of(st.just(StepFunction.zero()), step_functions()),
+                                     min_size=2, max_size=3))
+        total_in = StepFunction.sum_of(inflows) + data.draw(step_functions())
+        total_out = data.draw(step_functions())
+        T = data.draw(monotone_pwl())
+        expected = [_outcome(ref.split_outflow, f, total_in, total_out, T) for f in inflows]
+        errors = {e for e in expected if e[0] != "value"}
+        got = _outcome(loading._split_outflows, inflows, total_in, total_out, T)
+        if errors:
+            assert len(errors) == 1 and got in errors, (got, expected)
+            assert all(e in errors for e, f in zip(expected, inflows)
+                       if f != StepFunction.zero())
+        else:
+            assert got == ("value", [value for _, value in expected])
+
+    def test_three_commodities_load_to_the_scan(self):
+        """Seeded acyclic networks with three commodities, split at every
+        node in shares that switch at random times and loaded node by node:
+        every outflow that ``load_network`` returns is the reference split of
+        its inflow, and ``check_feasibility`` accepts the whole flow."""
+        rng = random.Random(20261019)
+        for trial in range(30):
+            nodes = tuple(f"n{k}" for k in range(4))
+            pairs = [(k, k + 1) for k in range(3)] + \
+                [tuple(sorted(rng.sample(range(4), 2))) for _ in range(rng.randint(1, 3))]
+            arcs = tuple(Arc(f"e{k}", nodes[u], nodes[v], F(rng.randint(0, 4), 2),
+                             F(rng.randint(1, 4), rng.choice([1, 2])))
+                         for k, (u, v) in enumerate(pairs))
+            instance = validate_instance(Instance(nodes, arcs, tuple(
+                Commodity(f"c{j}", nodes[rng.randint(0, 1)], nodes[-1], F(rng.randint(1, 3)),
+                          F(j, 2), F(j, 2) + rng.randint(1, 3)) for j in range(3))))
+            flow = loading.FlowOverTime({}, {})
+            for v in nodes[:-1]:
+                leaving = instance.out_arcs(v)
+                for c in instance.commodities:
+                    arriving = StepFunction.sum_of(
+                        [flow.outflow[(c.id, a.id)] for a in instance.in_arcs(v)] +
+                        [StepFunction([c.inflow_start, c.inflow_end], [c.rate, 0])
+                         for _ in range(v == c.origin)])
+                    times = [F(x, 2) for x in sorted(rng.sample(range(20), 3))]
+                    weights = [[rng.randint(1, 3) for _ in leaving] for _ in range(4)]
+                    for k, a in enumerate(leaving):
+                        shares = [F(w[k], sum(w)) for w in weights]
+                        share = StepFunction(times, shares[1:], shares[0])
+                        bps = sorted_union(arriving.breakpoints, times)
+                        flow.inflow[(c.id, a.id)] = StepFunction(
+                            bps, [arriving(b) * share(b) for b in bps], 0)
+                loaded, profile = loading.load_network(
+                    instance, {(c.id, a.id): flow.inflow[(c.id, a.id)]
+                               for c in instance.commodities for a in leaving})
+                for c in instance.commodities:
+                    for a in leaving:
+                        expected = ref.split_outflow(
+                            flow.inflow[(c.id, a.id)], loaded.total_inflow[a.id],
+                            loaded.total_outflow[a.id], profile.exit_time[a.id])
+                        assert loaded.outflow[(c.id, a.id)] == expected, (trial, c.id, a.id)
+                        flow.outflow[(c.id, a.id)] = expected
+            report = loading.check_feasibility(instance, flow.fill_totals(instance))
+            assert report.ok, (trial, [str(v) for v in report.violations])
 
 
 class TestQueuePositivity:

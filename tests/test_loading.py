@@ -417,6 +417,59 @@ class TestImpliedDynamicsChecks:
         assert fired["decreasing exit times"] >= 10, fired
 
 
+class TestLastIdentityImplied:
+    """(h) of ``check_feasibility``: on an arc that keeps the inflow rule and
+    the outflow law and has no early outflow, the last commodity's
+    cumulative identity follows from the others', and it is composed only
+    when another one fails.  So on corrupted flows the report names, per
+    arc, exactly the commodities whose identity the reference that composes
+    every one finds broken (``commodity_identity_failures``), read through
+    the exit times the report derives."""
+
+    @staticmethod
+    def transfer(rng, instance, flow):
+        """A copy of ``flow`` in which, on one arc, one piece of one
+        commodity's outflow leaves as another's: the totals, and with them
+        the outflow law, stay as they were."""
+        bad = FlowOverTime(dict(flow.inflow), dict(flow.outflow))
+        arc = rng.choice(instance.arcs)
+        i, j = (c.id for c in rng.sample(instance.commodities, 2))
+        f = bad.outflow[(i, arc.id)]
+        pieces = [(lo, hi, v) for lo, hi, v in f.pieces() if v and hi is not None]
+        if pieces:
+            lo, hi, v = rng.choice(pieces)
+            moved = StepFunction([lo, hi], [v, 0], 0)
+            bad.outflow[(i, arc.id)] = f - moved
+            bad.outflow[(j, arc.id)] = bad.outflow[(j, arc.id)] + moved
+        return bad.fill_totals(instance), None
+
+    def test_named_commodities_match_the_reference(self):
+        rng = random.Random(20261019)
+        fired = {"kept, last skipped": 0, "kept, identity broken": 0, "last broken": 0}
+        premises = {"NegativeInflow", "OutflowLawViolated", "EarlyOutflow"}
+        for trial in range(300):
+            instance = random_instance(rng)
+            flow, _ = load_network(instance, random_inflows(rng, instance))
+            several = len(instance.commodities) > 1 and rng.random() < 0.5
+            bad, profile = (self.transfer if several else corrupt)(rng, instance, flow)
+            report = check_feasibility(instance, bad, profile)
+            last = instance.commodities[-1].id
+            for a in instance.arcs:
+                named = [v.subject.split(",")[0] for v in report.violations
+                         if v.code == "CommodityCumulativeViolated"
+                         and v.subject.split(",")[1] == a.id]
+                expected = ref.commodity_identity_failures(
+                    instance, bad, report.profile.exit_time[a.id], a.id)
+                assert named == expected, (trial, a.id, named, expected)
+                kept = not any(v.code in premises and v.subject.endswith(a.id)
+                               for v in report.violations)
+                fired["kept, last skipped"] += kept and not expected
+                fired["kept, identity broken"] += kept and bool(expected)
+                fired["last broken"] += last in expected
+        assert fired["kept, last skipped"] >= 200, fired
+        assert fired["kept, identity broken"] >= 20 and fired["last broken"] >= 20, fired
+
+
 class TestExitTimeThatStopsRising:
     def test_outflow_that_never_stops_is_reported(self):
         # inflow 1 on [0, 1) through transit 1, capacity 1, with an outflow
