@@ -50,40 +50,46 @@ def _write_report(path, doc, quiet):
 
 
 def _load_instance(path):
-    inst = instance_from_json(_read_json(path))
-    result = validate_instance(inst)
-    if isinstance(result, list):
-        return None, result
-    return result, []
+    """The instance at ``path`` validated, or the list of its violations."""
+    return validate_instance(instance_from_json(_read_json(path)))
 
 
 def _valid_instance(path):
     """The validated instance at ``path``; otherwise a ValueError listing
     every violation, which ``main`` reports with exit code 2."""
-    instance, violations = _load_instance(path)
-    if instance is None:
-        raise ValueError("; ".join(map(str, violations)))
+    instance = _load_instance(path)
+    if isinstance(instance, list):
+        raise ValueError("; ".join(map(str, instance)))
     return instance
 
 
-def _export_pwl_csv(path, fn):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in fn.csv_rows():
-            writer.writerow(row)
+def _export_csvs(report_path, functions):
+    """Write each function of ``functions`` (name -> function) to
+    ``<stem>_<name>.csv`` next to the report."""
+    stem = Path(report_path).with_suffix("")
+    for name, fn in functions.items():
+        with open(f"{stem}_{name}.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(fn.csv_rows())
 
 
-def cmd_validate(args):
-    instance, violations = _load_instance(args.instance)
-    doc = {"ok": not violations, "violations": [v.record() for v in violations]}
-    _write_report(args.out, doc, args.quiet)
+def _outcome(violations, message, quiet, failure=1):
+    """Exit code ``failure`` with the violations on stderr, or 0 with
+    ``message``."""
     if violations:
         for v in violations:
             print(str(v), file=sys.stderr)
-        return 2
-    if not args.quiet:
-        print("instance valid")
+        return failure
+    if not quiet:
+        print(message)
     return 0
+
+
+def cmd_validate(args):
+    result = _load_instance(args.instance)
+    violations = result if isinstance(result, list) else []
+    doc = {"ok": not violations, "violations": [v.record() for v in violations]}
+    _write_report(args.out, doc, args.quiet)
+    return _outcome(violations, "instance valid", args.quiet, failure=2)
 
 
 def cmd_load(args):
@@ -99,18 +105,10 @@ def cmd_load(args):
         _write_report(args.out, doc, args.quiet)
     else:
         _write_report(args.out, {"feasibility": report.to_json()}, args.quiet)
-        stem = Path(args.out).with_suffix("")
-        for e in profile.volume:
-            _export_pwl_csv(f"{stem}_queue_{e}.csv", profile.volume[e])
-            _export_pwl_csv(f"{stem}_waiting_{e}.csv", profile.waiting[e])
-            _export_pwl_csv(f"{stem}_exit_{e}.csv", profile.exit_time[e])
-    if not report.ok:
-        for v in report.violations:
-            print(str(v), file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print("loaded; flow dynamics certified")
-    return 0
+        for kind, functions in (("queue", profile.volume), ("waiting", profile.waiting),
+                                ("exit", profile.exit_time)):
+            _export_csvs(args.out, {f"{kind}_{e}": fn for e, fn in functions.items()})
+    return _outcome(report.violations, "loaded; flow dynamics certified", args.quiet)
 
 
 def cmd_thinflow(args):
@@ -155,16 +153,10 @@ def cmd_nash(args):
     doc["verification"] = report.to_json()
     _write_report(args.out, doc, args.quiet)
     if args.format == "csv":
-        stem = Path(args.out).with_suffix("")
-        for v, fn in sorted(result.node_labels.items()):
-            _export_pwl_csv(f"{stem}_label_{v}.csv", fn)
-    if not report.ok:
-        for v in report.violations:
-            print(str(v), file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print(f"equilibrium constructed: {len(result.phases)} phases, verified")
-    return 0
+        _export_csvs(args.out, {f"label_{v}": fn for v, fn in result.node_labels.items()})
+    return _outcome(report.violations,
+                    f"equilibrium constructed: {len(result.phases)} phases, verified",
+                    args.quiet)
 
 
 def cmd_verify(args):
@@ -172,15 +164,8 @@ def cmd_verify(args):
     flow = flow_from_json(instance, _read_json(args.flow))
     report = nash_mod.verify_nash(instance, flow)
     _write_report(args.out, report.to_json(), args.quiet)
-    if not report.ok:
-        for v in report.feasibility.violations:
-            print(str(v), file=sys.stderr)
-        for v in report.violations:
-            print(str(v), file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print("equilibrium certified")
-    return 0
+    return _outcome(report.feasibility.violations + report.violations,
+                    "equilibrium certified", args.quiet)
 
 
 def cmd_labels(args):
@@ -192,9 +177,7 @@ def cmd_labels(args):
            "labels": {v: f.to_json() for v, f in sorted(ls.labels.items())}}
     _write_report(args.out, doc, args.quiet)
     if args.format == "csv":
-        stem = Path(args.out).with_suffix("")
-        for v, fn in sorted(ls.labels.items()):
-            _export_pwl_csv(f"{stem}_{v}.csv", fn)
+        _export_csvs(args.out, ls.labels)
     if not args.quiet:
         print(f"labels computed for commodity {args.commodity}")
     return 0

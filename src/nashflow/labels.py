@@ -315,7 +315,9 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     virtual inflows and queues grow together in one pass.  Returns
     {commodity id: LabelSet} covering [0, horizon]; with ``return_queues``
     also the per-arc waiting functions it maintained (mass balance of the
-    sampled strategy rates).
+    sampled strategy rates).  Only [0, horizon] is certified: the labels
+    run on past it up to the event at which the sweep stops, and that part
+    depends on the sweep's events, not only on the strategies.
 
     These waits are the real ones: loading the strategies' rates over time
     through the tail labels (``rate_over_time``, then ``load_queues``)

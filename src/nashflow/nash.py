@@ -1,11 +1,16 @@
 """Phase-wise construction and verification of dynamic equilibria.
 
 Constructors grow the equilibrium particle by particle: at each step the
-active and resetting arcs follow from the current labels, a thin flow gives
-the label slopes, and the phase extends until an inactive arc becomes active,
+active and resetting arcs follow from the label gaps, a thin flow gives the
+label slopes, and the phase extends until an inactive arc becomes active,
 a queue on a resetting arc depletes, the inflow interval ends, or the
-particle horizon is reached.  The flow over time is then read off each phase
-(rate = flow part / label slope on the image window).
+particle horizon is reached.  A single commodity, and the common-origin
+commodities merged on the super-sink extension, grow from one origin;
+common-destination commodities from several sources at once.  All three
+constructors end the same way: each commodity's inflow interval is cut at
+its origin's label of the last injected particle, and the flow over time is
+read off each phase once (rate = flow part / label slope on the image
+window).
 
 The verifier is independent of construction: it recomputes earliest-arrival
 labels from the flow and checks that the cumulative inflow at the tail
@@ -15,14 +20,14 @@ commodity and arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .labels import LabelSet, earliest_arrival, rate_over_time
 from .loading import (FeasibilityReport, FlowOverTime, FlowViolation,
                       QueueProfile, check_feasibility, derive_profile)
-from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Commodity,
-                       Instance, InvalidDerivedInstance, extend_with_super_sink,
+from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Instance,
+                       InvalidDerivedInstance, extend_with_super_sink,
                        transit_distances, validate_instance)
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
@@ -86,28 +91,10 @@ class NashFlowOverTime:
         }
 
 
-def _label_state(instance: Instance, labels: dict):
-    """Active/resetting arcs implied by current label values (gap test)."""
-    active, resetting = set(), set()
-    for a in instance.arcs:
-        if a.tail not in labels or a.head not in labels:
-            continue
-        gap = labels[a.head] - labels[a.tail] - a.transit
-        if gap >= 0:
-            active.add(a.id)
-        if gap > 0:
-            resetting.add(a.id)
-    return active, resetting
-
-
-def _phase_alpha(instance: Instance, labels: dict, slopes: dict,
-                 remaining: Fraction) -> Fraction:
+def _phase_alpha(gaps: list, slopes: dict, remaining: Fraction) -> Fraction:
     """Largest step before an arc activates or a standing queue depletes."""
     alpha = remaining
-    for a in instance.arcs:
-        if a.tail not in labels or a.head not in labels:
-            continue
-        gap = labels[a.head] - labels[a.tail] - a.transit
+    for a, gap in gaps:
         rate = slopes[a.head] - slopes[a.tail]
         if gap < 0 and rate > 0:
             alpha = min(alpha, -gap / rate)
@@ -118,9 +105,12 @@ def _phase_alpha(instance: Instance, labels: dict, slopes: dict,
 
 def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
                 max_phases: int, solve, split, cap, tail_slope):
-    """The phase loop both constructors share, from the initial ``labels``
+    """The phase loop all constructors share, from the initial ``labels``
     of the reachable nodes: (phases, node labels over particles).
 
+    Each phase reads the label gap l_w - l_v - tau_e of every arc between
+    labelled nodes once: the arcs with gap >= 0 are active, those with
+    gap > 0 resetting, and the phase ends where a gap changes sign.
     ``solve(active, resetting, phi, hint)`` gives the thin flow of the phase
     starting at particle phi, with the previous phase's solver states as the
     search hint, and ``split(thin)`` its flows per commodity.
@@ -129,21 +119,24 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
     """
     curves = {v: GrowingPwl(f"label at {v}", ZERO, y, tail_slope)
               for v, y in labels.items()}
+    arcs = [a for a in instance.arcs if a.tail in curves and a.head in curves]
     phases: list[Phase] = []
     phi = ZERO
     hint = None
     while phi < horizon:
         if len(phases) >= max_phases:
             raise PhaseBudgetExceeded(f"{max_phases} phases before particle {horizon}")
-        labels = {v: g.value for v, g in curves.items()}
-        active, resetting = _label_state(instance, labels)
+        gaps = [(a, curves[a.head].value - curves[a.tail].value - a.transit)
+                for a in arcs]
+        active = {a.id for a, gap in gaps if gap >= 0}
+        resetting = {a.id for a, gap in gaps if gap > 0}
         thin = solve(active, resetting, phi, hint)
         hint = thin.states
         slopes = thin.label_slopes
         remaining = horizon - phi
         if cap is not None and phi < cap:
             remaining = min(remaining, cap - phi)
-        alpha = _phase_alpha(instance, labels, slopes, remaining)
+        alpha = _phase_alpha(gaps, slopes, remaining)
         if alpha <= 0:
             raise StalledPhase(len(phases), phi)
         phases.append(Phase(phi, phi + alpha, thin, split(thin)))
@@ -154,12 +147,10 @@ def _run_phases(instance: Instance, labels: dict, horizon: Fraction,
     return phases, {v: g.finish() for v, g in curves.items()}
 
 
-def construct_nash_single(instance: Instance, horizon=None,
-                          max_phases: int = 500) -> NashFlowOverTime:
-    """Equilibrium for a single commodity, phase by phase."""
-    instance = _require_valid(instance)
-    if len(instance.commodities) != 1:
-        raise ValueError("construct_nash_single needs exactly one commodity")
+def _single_phases(instance: Instance, horizon, max_phases: int):
+    """The phases of the one commodity of a valid ``instance`` up to the
+    particle ``horizon`` (default: its volume), from free-flow labels:
+    (phases, node labels, horizon, particles injected by the horizon)."""
     c = instance.commodities[0]
     volume = c.particle_volume
     horizon = Fraction(horizon) if horizon is not None else volume
@@ -177,20 +168,48 @@ def construct_nash_single(instance: Instance, horizon=None,
     phases, node_labels = _run_phases(
         instance, labels, horizon, max_phases, solve,
         lambda thin: {c.id: dict(thin.flow)}, volume, 1 / c.rate)
-    effective = _truncate_instance(instance, {c.id: min(horizon, volume)
-                                              if volume is not None else horizon})
+    injected = horizon if volume is None else min(horizon, volume)
+    return phases, node_labels, horizon, injected
+
+
+def _finish(instance: Instance, phases: list, node_labels: dict,
+            horizon: Fraction, injected: Fraction, **extension) -> NashFlowOverTime:
+    """The equilibrium of the phases on the effective instance: each
+    commodity's inflow interval ends at its origin's label of the particle
+    ``injected``, a + injected / r, so it carries exactly the constructed
+    mass, and a commodity that injected nothing is dropped."""
+    commodities = []
+    for c in instance.commodities:
+        end = node_labels[c.origin](injected)
+        if end > c.inflow_start:
+            commodities.append(replace(c, inflow_end=end))
+    effective = validate_instance(Instance(instance.nodes, instance.arcs,
+                                           tuple(commodities), instance.mode))
+    if isinstance(effective, list):
+        raise InvalidDerivedInstance(f"truncated instance invalid: {effective}")
     flow = _reconstruct_flow(effective, phases, node_labels)
-    return NashFlowOverTime(effective, phases, node_labels, flow, horizon)
+    return NashFlowOverTime(effective, phases, node_labels, flow, horizon, **extension)
+
+
+def construct_nash_single(instance: Instance, horizon=None,
+                          max_phases: int = 500) -> NashFlowOverTime:
+    """Equilibrium for a single commodity, phase by phase up to the particle
+    ``horizon`` (default: the commodity's volume)."""
+    instance = _require_valid(instance)
+    if len(instance.commodities) != 1:
+        raise ValueError("construct_nash_single needs exactly one commodity")
+    return _finish(instance, *_single_phases(instance, horizon, max_phases))
 
 
 def construct_common_destination(instance: Instance, horizon,
                                  max_phases: int = 500) -> NashFlowOverTime:
     """Multi-commodity equilibrium when all commodities share a destination.
 
-    Runs the phase loop with multi-source thin flows; each phase's flow is
-    split into commodities by grouping the path decomposition through a
-    virtual super source.  Also yields the inflow distribution (per-particle
-    source fractions), recoverable from each phase's supplies.
+    Runs the phase loop with multi-source thin flows, which need distinct
+    sources; each phase's flow is split into commodities by grouping the
+    path decomposition through a virtual super source.  Also yields the
+    inflow distribution (per-particle source fractions), recoverable from
+    each phase's supplies.
     """
     instance = _require_valid(instance)
     if instance.mode != COMMON_DESTINATION:
@@ -199,8 +218,6 @@ def construct_common_destination(instance: Instance, horizon,
         if c.inflow_start != 0 or c.inflow_end is not None:
             raise ValueError("common-destination construction assumes inflow "
                              "intervals [0, infinity)")
-    if len({c.origin for c in instance.commodities}) != len(instance.commodities):
-        raise ValueError("sources must be distinct nodes")
     horizon = Fraction(horizon)
     sink = instance.commodities[0].destination
     sources = {c.id: (c.origin, c.rate) for c in instance.commodities}
@@ -214,54 +231,41 @@ def construct_common_destination(instance: Instance, horizon,
         lambda active, resetting, phi, hint: solve_thinflow_multisource(
             instance, active, resetting, sources, sink, hint),
         lambda thin: _group_by_source(virtual, group, thin), None, 1 / total_rate)
-    ends = {c.id: node_labels[c.origin](horizon) for c in instance.commodities}
-    effective = _truncate_instance(instance, None, time_ends=ends)
-    flow = _reconstruct_flow(effective, phases, node_labels)
-    return NashFlowOverTime(effective, phases, node_labels, flow, horizon)
+    return _finish(instance, phases, node_labels, horizon, horizon)
 
 
 def construct_common_origin(instance: Instance, horizon=None,
                             max_phases: int = 500) -> NashFlowOverTime:
     """Multi-commodity equilibrium when all commodities share an origin.
 
-    Reduces to a single commodity on the super-sink extension, then splits
-    each phase's thin flow into commodities by grouping paths through the
-    added sink arcs (their flow shares are r_j / r in every phase and the
-    added arcs stay active; both are asserted).
+    Runs the single-commodity phases on the super-sink extension, then
+    splits each phase's thin flow into commodities by grouping paths
+    through the added sink arcs (their flow shares are r_j / r in every
+    phase, which ``decompose`` checks, and their label gaps stay
+    non-negative, else ``NewArcInactive``).  The flow is rebuilt once, on
+    the original arcs.
     """
     instance = _require_valid(instance)
     if instance.mode != COMMON_ORIGIN:
         raise ValueError("instance is not in common-origin mode")
     extended, arc_map = extend_with_super_sink(instance)
-    single = construct_nash_single(extended, horizon, max_phases)
+    phases, node_labels, horizon, injected = _single_phases(extended, horizon,
+                                                            max_phases)
     total_rate = extended.commodities[0].rate
-    shares = {c.id: c.rate / total_rate for c in instance.commodities}
-    phases: list[Phase] = []
-    for p in single.phases:
+    for p in phases:
         for j, e in arc_map.items():
-            gap_start = _gap_at(extended, single.node_labels, e, p.phi_start)
-            gap_end = _gap_at(extended, single.node_labels, e, p.phi_end)
-            if e not in p.thin.active or gap_start < 0 or gap_end < 0:
+            gap_start = _gap_at(extended, node_labels, e, p.phi_start)
+            gap_end = _gap_at(extended, node_labels, e, p.phi_end)
+            if gap_start < 0 or gap_end < 0:
                 raise NewArcInactive(j)
-        expected = {j: shares[j] * p.thin.value for j in arc_map}
-        if p.thin.value == 0:
-            flows = {j: {} for j in arc_map}
-        else:
-            flows = decompose(extended, p.thin, arc_map, expected)
-        phases.append(Phase(p.phi_start, p.phi_end, p.thin, flows))
-    node_labels = {v: f for v, f in single.node_labels.items()
-                   if v in instance.nodes}
-    merged = extended.commodities[0]
-    injected = min(single.horizon, merged.particle_volume) \
-        if merged.particle_volume is not None else single.horizon
-    volumes = {c.id: injected * shares[c.id] for c in instance.commodities}
-    effective = _truncate_instance(instance, volumes)
-    flow = _reconstruct_flow(effective, phases, node_labels)
+        p.flows = decompose(extended, p.thin, arc_map,
+                            {c.id: c.rate / total_rate * p.thin.value
+                             for c in instance.commodities})
+    node_labels = {v: f for v, f in node_labels.items() if v in instance.nodes}
     nu_min = min(a.capacity for a in instance.arcs)
     sigma = min(nu_min, total_rate)
-    return NashFlowOverTime(effective, phases, node_labels, flow, single.horizon,
-                            extended_instance=extended, sink_arc_map=arc_map,
-                            sigma=sigma)
+    return _finish(instance, phases, node_labels, horizon, injected,
+                   extended_instance=extended, sink_arc_map=arc_map, sigma=sigma)
 
 
 def _gap_at(instance: Instance, node_labels: dict, arc_id: str, phi) -> Fraction:
@@ -330,26 +334,6 @@ def _reconstruct_flow(instance: Instance, phases: list, node_labels: dict
                 raise FlowReconstructionError(
                     f"commodity {c.id} on arc {a.id}: {err}") from None
     return flow.fill_totals(instance)
-
-
-def _truncate_instance(instance: Instance, volumes: dict | None,
-                       time_ends: dict | None = None) -> Instance:
-    """Instance whose inflow intervals carry exactly the constructed mass."""
-    commodities = []
-    for c in instance.commodities:
-        if time_ends is not None:
-            end = time_ends[c.id]
-        else:
-            end = c.inflow_start + volumes[c.id] / c.rate
-        if end <= c.inflow_start:
-            continue  # commodity injected nothing within the horizon
-        commodities.append(Commodity(c.id, c.origin, c.destination, c.rate,
-                                     c.inflow_start, end))
-    result = validate_instance(Instance(instance.nodes, instance.arcs,
-                                        tuple(commodities), instance.mode))
-    if isinstance(result, list):
-        raise InvalidDerivedInstance(f"truncated instance invalid: {result}")
-    return result
 
 
 # --------------------------------------------------------------------------

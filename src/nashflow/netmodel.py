@@ -9,6 +9,7 @@ Instances are immutable after validation and safe to share.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -195,10 +196,6 @@ def validate_instance(raw: Instance):
 def transit_distances(instance: Instance, source: str) -> dict:
     """Shortest transit-time distance from ``source`` (no queues); INF when
     unreachable."""
-    import heapq
-    adj: dict[str, list[Arc]] = {}
-    for a in instance.arcs:
-        adj.setdefault(a.tail, []).append(a)
     dist = {v: INF for v in instance.nodes}
     dist[source] = Fraction(0)
     heap = [(Fraction(0), source)]
@@ -208,7 +205,7 @@ def transit_distances(instance: Instance, source: str) -> dict:
         if u in done:
             continue
         done.add(u)
-        for a in adj.get(u, ()):
+        for a in instance.out_arcs(u):
             nd = d + a.transit
             if dist[a.head] is INF or nd < dist[a.head]:
                 dist[a.head] = nd

@@ -239,6 +239,20 @@ def test_nash_constructor_failure_writes_report(single_arc_file, tmp_path, capsy
                                            "error": err[len("error: "):].strip()}
 
 
+def test_nash_shared_source_is_exit_2(tmp_path, capsys):
+    inst = Instance(("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
+                    (Commodity("1", "s", "t", F(1)), Commodity("2", "s", "t", F(1))),
+                    "commonDestination")
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    out = tmp_path / "n.json"
+    code = main(["nash", str(path), "--horizon", "2", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sources must be distinct nodes\n"
+    assert json.loads(out.read_text()) == {"ok": False,
+                                           "error": "sources must be distinct nodes"}
+
+
 @pytest.fixture
 def command_inputs(tmp_path):
     """Valid inputs of the five commands that take an instance and more:

@@ -147,6 +147,14 @@ class TestCommonDestination:
         for p in result.phases:
             assert sum(p.thin.supplies.values()) == 1
 
+    def test_sources_must_be_distinct(self):
+        inst = validate_instance(Instance(
+            ("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
+            (Commodity("1", "s", "t", F(1)), Commodity("2", "s", "t", F(1))),
+            "commonDestination"))
+        with pytest.raises(ValueError, match="^sources must be distinct nodes$"):
+            construct_common_destination(inst, horizon=2)
+
 
 class TestCommonOrigin:
     def test_two_sinks_disjoint_paths(self):
@@ -447,6 +455,54 @@ def _construct_by_mode(instance, horizon):
     if instance.mode == "commonDestination":
         return construct_common_destination(instance, horizon)
     return construct_nash_single(instance, horizon)
+
+
+def _net_origin_outflow(instance, flows, origin):
+    return (sum((flows.get(a.id, F(0)) for a in instance.out_arcs(origin)), F(0))
+            - sum((flows.get(a.id, F(0)) for a in instance.in_arcs(origin)), F(0)))
+
+
+def _interval_end_formula(instance, result, horizon, c):
+    """The inflow end the constructors set before they shared one finish:
+    a + (injected particles) * r_j / r / r_j for one origin, the origin's
+    label at the horizon for several sources."""
+    if instance.mode == "commonDestination":
+        return result.node_labels[c.origin](horizon)
+    merged = (result.extended_instance or instance).commodities[0]
+    horizon = merged.particle_volume if horizon is None else horizon
+    injected = min(horizon, merged.particle_volume)
+    return c.inflow_start + injected * (c.rate / merged.rate) / c.rate
+
+
+class TestOneFinish:
+    """The three constructors share one finish: it rebuilds the flow once
+    and cuts each inflow interval where the constructed mass ends."""
+
+    @pytest.mark.parametrize("name,instance,horizon",
+                             [(n, i, h) for n, i, h in corpus()])
+    def test_one_reconstruction_per_call(self, name, instance, horizon, monkeypatch):
+        calls = []
+        rebuild = nash._reconstruct_flow
+        monkeypatch.setattr(nash, "_reconstruct_flow",
+                            lambda *args: calls.append(args[0]) or rebuild(*args))
+        result = _construct_by_mode(instance, horizon)
+        assert calls == [result.instance]
+
+    @pytest.mark.parametrize("name,instance,horizon",
+                             [(n, i, h) for n, i, h in corpus()])
+    def test_interval_ends_carry_the_constructed_mass(self, name, instance, horizon):
+        result = _construct_by_mode(instance, horizon)
+        ends = {c.id: c.inflow_end for c in result.instance.commodities}
+        assert len(ends) == len(instance.commodities)
+        for c in instance.commodities:
+            mass = sum((_net_origin_outflow(instance, p.flows[c.id], c.origin)
+                        * (p.phi_end - p.phi_start) for p in result.phases), F(0))
+            assert ends[c.id] == _interval_end_formula(instance, result, horizon, c)
+            assert ends[c.id] == c.inflow_start + mass / c.rate, (name, c.id)
+
+    def test_modes_covered(self):
+        assert {i.mode for _, i, _ in corpus()} == {
+            "general", "commonOrigin", "commonDestination"}
 
 
 def _grid(rows, cols):

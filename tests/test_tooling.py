@@ -293,3 +293,30 @@ def test_compared_codes_are_found():
               'assert v.name == "EpsilonCode"\n'
               'assert {"code": "ZetaCode"} == record\n')
     assert _compared_codes(ast.parse(source)) == {"AlphaCode", "BetaCode", "GammaCode"}
+
+
+def _uncalled_private_functions(trees) -> list:
+    """The private functions the modules define (one leading underscore)
+    whose name nothing in the modules reads, as a name or an attribute."""
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(defined - read)
+
+
+def test_no_uncalled_private_functions():
+    """A deletion leaves no private helper behind that only tests call."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert not _uncalled_private_functions(trees)
+
+
+def test_uncalled_private_functions_are_found():
+    first = ("def _alpha():\n    pass\ndef _beta():\n    return _gamma\n"
+             "def __init__(self):\n    self._delta()\ndef public():\n    pass\n")
+    second = ("class C:\n    def _gamma(self):\n        pass\n"
+              "    def _delta(self):\n        pass\n    def _epsilon(self):\n"
+              "        _alpha.x = 1\n")
+    assert _uncalled_private_functions(
+        [ast.parse(first), ast.parse(second)]) == ["_beta", "_epsilon"]
