@@ -21,7 +21,7 @@ from . import nash as nash_mod
 from .loading import (LoadingInvariantBroken, check_feasibility, derive_profile,
                       flow_from_json, flow_to_json, inflows_from_json, load_network)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, InvalidDerivedInstance,
-                       instance_from_json, validate_instance)
+                       instance_from_json, instance_to_json, validate_instance)
 from .rationals import parse_rational
 from .thinflow import (DecompositionError, solve_thinflow_multisource,
                        solve_thinflow_single)
@@ -152,6 +152,10 @@ def cmd_nash(args):
     doc = result.to_json()
     doc["verification"] = report.to_json()
     _write_report(args.out, doc, args.quiet)
+    # the flow belongs to the effective instance, whose inflow intervals end
+    # where the construction stopped
+    _write_report(f"{Path(args.out).with_suffix('')}_instance.json",
+                  instance_to_json(result.instance), args.quiet)
     if args.format == "csv":
         _export_csvs(args.out, {f"label_{v}": fn for v, fn in result.node_labels.items()})
     return _outcome(report.violations,
@@ -213,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_thinflow)
 
-    p = sub.add_parser("nash", help="construct an equilibrium (by instance mode)")
+    p = sub.add_parser("nash", help="construct an equilibrium (by instance mode); "
+                       "its flow belongs to the effective instance, written to "
+                       "<stem>_instance.json beside the report")
     p.add_argument("instance")
     p.add_argument("--horizon", help="particle horizon (rational)")
     p.add_argument("--max-phases", type=int, default=500)

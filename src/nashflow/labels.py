@@ -248,21 +248,22 @@ class _Candidate:
             curve.readers.append((self, cursor))
 
     def read(self, theta0: Fraction):
-        """Read now; pending (a transit time behind) at or beyond u's edge."""
-        self.pending = self.track_v.edge >= self.track_u.edge
+        """Read now; at or beyond u's edge it is pending: nothing is read,
+        as its value is at least theta0 plus the transit time."""
+        self.theta, self.pending = theta0, self.track_v.edge >= self.track_u.edge
         if self.pending:
             return
         entry, self.entry_slope = self.tail.curve_at(self.track_v.edge)
         wait, wait_slope = self.queue.curve_at(entry)
         self.value = entry + self.arc.transit + wait if wait else entry + self.arc.transit
         self.slope = self.entry_slope * (1 + wait_slope) if wait_slope else self.entry_slope
-        self.theta = theta0
 
     def next_event(self, theta0: Fraction) -> Fraction | None:
         """The first time after theta0 of a tie, a read reaching an anchor or
-        v's edge catching up with u's, on the last read's lines; None if pending."""
+        v's edge catching up with u's, on the last read's lines; if pending,
+        the read time plus the transit time."""
         if self.pending:
-            return None
+            return self.theta + self.arc.transit
         tail, queue, theta, m_v = self.tail, self.queue, self.theta, self.track_v.slope
         times = [theta + (self.value - theta) / (1 - self.slope / m_v)] \
             if self.value > theta and self.slope < m_v else []
@@ -313,11 +314,12 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     ValueError.  All transit times must be strictly positive; the sweep then
     always reaches data that is at least one transit time old, so labels,
     virtual inflows and queues grow together in one pass.  Returns
-    {commodity id: LabelSet} covering [0, horizon]; with ``return_queues``
-    also the per-arc waiting functions it maintained (mass balance of the
-    sampled strategy rates).  Only [0, horizon] is certified: the labels
-    run on past it up to the event at which the sweep stops, and that part
-    depends on the sweep's events, not only on the strategies.
+    {commodity id: LabelSet} whose labels end at the horizon: each is the
+    label on (-inf, horizon], run on past it with the slope that the sweep
+    commits at particle horizon, so it depends on the strategies alone and
+    not on the event at which the sweep stops.  With ``return_queues`` also
+    the per-arc waiting functions it maintained (mass balance of the sampled
+    strategy rates).
 
     These waits are the real ones: loading the strategies' rates over time
     through the tail labels (``rate_over_time``, then ``load_queues``)
@@ -331,14 +333,18 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     is theta0 at its edge and each queue's edge is theta0, so an advance by
     delta moves a label's edge by delta over its slope, and only a queue
     with a non-zero slope changes value.  Candidates and queues keep their
-    next event times in a heap.  A fired time recommits its queue or
-    rereads its candidate's label, and so does a pending candidate (its
-    label's edge at or beyond its tail's, a transit time behind) once its
-    tail's edge moves ahead.  A slope change anchors the curve's edge,
+    next event times in one heap.  A fired time recommits its queue or
+    rereads its candidate's label.  A slope change anchors the curve's edge,
     beyond every read (a queue is read at its edge only on a flat of the
-    tail), so it recommits the queues that the curve feeds, rereads its
-    pending readers, and retimes its label's candidates and the readers
-    whose next anchor on it is the new one.
+    tail), so it recommits the queues that the curve feeds and retimes its
+    label's candidates and the readers whose next anchor on it is the new
+    one.  A pending candidate, whose label's edge is at or beyond its
+    tail's, is not read; its kept time is its read time theta_r plus its
+    transit time tau, which a retime keeps.  That is soon enough: at every
+    later frontier time its value is at least theta_r + tau, since its entry
+    reads the tail label at a particle at or beyond the tail's edge at
+    theta_r, where the label is at least theta_r, and waits are
+    non-negative; so it can neither tie nor undercut before theta_r + tau.
 
     Checks run where they can fail: a label that rereads needs a candidate
     at theta0, none before it, and progress over a flat; a time taken from
@@ -386,15 +392,9 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
                                     for (j, e), f in strategies.items()
                                     if e == a.id and a.tail in reach[j]])
            for a in instance.arcs]
-    short, anchors, theta0 = list(tracks.values()), len(tracks) + len(queues), ZERO
+    anchors, theta0 = len(tracks) + len(queues), ZERO
     # labels to reread; the candidates to retime and queues to recommit
     stale, touched, heap, tiebreak = set(range(len(heads))), set(fed), [], count()
-    pending = set()
-
-    def mark(reader):
-        touched.add(reader)
-        if reader.__class__ is _Candidate:
-            stale.add(reader.head)
 
     def commit(curve: GrowingPwl, slope: Fraction):
         nonlocal anchors
@@ -403,7 +403,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         anchors += len(curve.xs) - n
         for r, cursor in curve.readers if curve.slope is not old else ():
             if cursor is None or r.pending or cursor.next_anchor() is curve.xs[-1]:
-                (mark if r in pending else touched.add)(r)
+                touched.add(r)
 
     def schedule(reader, at):
         if at is not None and at != reader.at:
@@ -422,7 +422,6 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             tied, behind = [], []
             for c in cands:
                 c.read(theta0)
-                (pending.add if c.pending else pending.discard)(c)
                 if not c.pending and c.value <= theta0:
                     (tied if c.value == theta0 else behind).append(c)
             if not tied:
@@ -459,14 +458,10 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             raise BreakpointBudgetExceeded(f"budget {budget} exceeded")
 
         # label slopes at the frontier (sources are fixed lines)
-        k = -1
-        while (k := min((i for i in stale if i > k), default=None)) is not None:
-            stale.discard(k)
+        for k in sorted(stale):
             commit(heads[k][2], frontier_slope(*heads[k]))
-
-        while short and short[-1].edge >= horizon:
-            short.pop()
-        if not short:
+        stale.clear()
+        if all(t.edge >= horizon for t in tracks.values()):
             break
 
         # queue slopes, then the next event: the queue commits can append an
@@ -481,19 +476,15 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
         touched = set()
         while heap and heap[0][2].at != heap[0][0]:
             heapq.heappop(heap)
-        first = min([t for t, *_ in heap[:1]] + [theta0 + c.arc.transit for c in pending],
-                    default=None)
-        if first is None:
+        if not heap:
             # no structural events ahead: jump straight to the horizon
             delta = max((horizon - t.edge) * t.slope
                         for t in tracks.values() if t.edge < horizon)
-            if delta <= 0:
-                break
-        elif first > theta0:
-            delta = first - theta0
+        elif heap[0][0] > theta0:
+            delta = heap[0][0] - theta0
         else:
-            raise SweepInvariantBroken(f"an event time kept at {first} is not after "
-                                       f"the frontier time {theta0}")
+            raise SweepInvariantBroken(f"an event time kept at {heap[0][0]} is not "
+                                       f"after the frontier time {theta0}")
 
         # advance, keeping both frontier invariants
         theta0 += delta
@@ -508,14 +499,13 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
             reader = heapq.heappop(heap)[2]
             if reader.at == theta0:
                 reader.at = None
-                mark(reader)
-        for c in pending:
-            if c.track_v.edge < c.track_u.edge:
-                mark(c)
+                touched.add(reader)
+                if reader.__class__ is _Candidate:
+                    stale.add(reader.head)
 
     out: dict[str, LabelSet] = {}
     for c in instance.commodities:
-        labels = {v: t.finish() for (j, v), t in tracks.items() if j == c.id}
+        labels = {v: t.finish(horizon) for (j, v), t in tracks.items() if j == c.id}
         out[c.id] = LabelSet(c.id, labels, horizon)
     if not return_queues:
         return out

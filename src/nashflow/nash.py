@@ -402,14 +402,10 @@ def verify_nash(instance: Instance, flow: FlowOverTime,
     violations: list[NashViolation] = []
     labels_all: dict[str, LabelSet] = {}
     for c in instance.commodities:
-        ls = earliest_arrival(instance, feas.profile, c.id, c.particle_volume)
+        ls, entered = _entered(instance, flow, feas.profile, c)
         labels_all[c.id] = ls
-        for a in instance.arcs:
-            lu = ls.labels.get(a.tail)
-            if lu is None:
-                continue
+        for a, lhs in entered:
             # feasible rates start at their first breakpoints; every head is labelled
-            lhs = compose(flow.cumulative_inflow(c.id, a.id), lu)
             rhs = compose(flow.cumulative_outflow(c.id, a.id), ls.labels[a.head])
             if lhs != rhs:
                 phi, u, v = first_difference(lhs, rhs)
@@ -437,6 +433,15 @@ def check_derivatives_thinflow(instance: Instance, flow: FlowOverTime,
     return report
 
 
+def _entered(instance: Instance, flow: FlowOverTime, profile: QueueProfile, c):
+    """Commodity c's earliest arrivals on ``profile`` and, per arc with a
+    labelled tail in arc order, the arc and c's cumulative inflow into it at
+    the tail label: F_in,c(l_u), its particles entered by then."""
+    ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
+    return ls, [(a, compose(flow.cumulative_inflow(c.id, a.id), ls.labels[a.tail]))
+                for a in instance.arcs if a.tail in ls.labels]
+
+
 def _read_back(instance: Instance, flow: FlowOverTime, profile: QueueProfile):
     """The strategies of the flow's inflows through the earliest arrivals of
     ``profile``, those labels, and the largest particle volume."""
@@ -446,13 +451,8 @@ def _read_back(instance: Instance, flow: FlowOverTime, profile: QueueProfile):
         if c.particle_volume is None:
             raise ValueError(f"commodity {c.id} has an unbounded inflow "
                              f"interval; the round trip needs a bounded one")
-        ls = earliest_arrival(instance, profile, c.id, c.particle_volume)
-        labels_all[c.id] = ls
-        for a in instance.arcs:
-            lu = ls.labels.get(a.tail)
-            if lu is None:
-                continue
-            cumulative = compose(flow.cumulative_inflow(c.id, a.id), lu)
+        labels_all[c.id], entered = _entered(instance, flow, profile, c)
+        for a, cumulative in entered:
             strategies[(c.id, a.id)] = differentiate(cumulative)
     horizon = max((c.particle_volume for c in instance.commodities), default=ZERO)
     return strategies, labels_all, horizon

@@ -447,12 +447,16 @@ class GrowingPwl:
         self.edge += dx
         self.value += self.slope * dx
 
-    def finish(self) -> PwlFunction:
-        xs, ys, slopes = self.xs, self.ys, self._right
+    def finish(self, cut: Fraction | None = None) -> PwlFunction:
+        """The curve up to its edge, run on with its slope; with ``cut``,
+        only its anchors up to ``cut``, run on with its slope right of it."""
+        xs, ys, slopes = self.xs, self.ys, self._right + [self.slope]
         if self.edge != xs[-1]:
             xs, ys, slopes = xs + [self.edge], ys + [self.value], slopes + [self.slope]
-        return PwlFunction._carried(xs, ys, slopes, self.tail_slope,
-                                    self.tail_slope if self.slope is None else self.slope)
+        n = len(xs) if cut is None else bisect_right(xs, cut)
+        final = slopes[n - 1] if n and slopes[n - 1] is not None else self.tail_slope
+        n = max(n, 1)
+        return PwlFunction._carried(xs[:n], ys[:n], slopes[:n - 1], self.tail_slope, final)
 
 
 class Cursor:

@@ -36,10 +36,13 @@ library's ``_conditions`` passes, and for value 0 the direct propagation of
 the slopes (``propagate_zero_flow``).  They share the library's support and
 evaluator, since their equivalence test is about the search order.
 ``extend_labels`` is the time-frontier sweep that the incremental sweep of
-``labels.extend_labels`` replaces, kept verbatim: at every event it rereads
-every candidate, recomputes every event time from the current state and
-advances every curve.  It shares the library's ``GrowingPwl`` and
-``Cursor``, since its equivalence test is about the work per event.
+``labels.extend_labels`` replaces, kept verbatim but for its end: at every
+event it rereads every candidate, recomputes every event time from the
+current state and advances every curve.  Its labels end at the horizon,
+run on past it with their slopes right of it, as the library's do; beyond
+that they depended on the event at which the sweep stops.  It shares the
+library's ``GrowingPwl`` and ``Cursor``, since its equivalence test is about
+the work per event.
 """
 
 from dataclasses import dataclass
@@ -682,7 +685,8 @@ def lexicographic_multisource(instance, active, resetting, sources, sink):
 
 
 # The time-frontier sweep that ``labels.extend_labels`` replaces, kept as it
-# was: every event rereads every candidate and recomputes every event time.
+# was but for the labels' end at the horizon: every event rereads every
+# candidate and recomputes every event time.
 
 
 @dataclass
@@ -704,8 +708,9 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     particles (zero outside [0, horizon]).  All transit times must be
     strictly positive; the sweep then always reaches data that is at least
     one transit time old, so labels, virtual inflows and queues grow together
-    in one pass.  Returns {commodity id: LabelSet} covering [0, horizon];
-    with ``return_queues`` also the per-arc waiting functions the sweep
+    in one pass.  Returns {commodity id: LabelSet} whose labels end at the
+    horizon, run on past it with their slopes right of it; with
+    ``return_queues`` also the per-arc waiting functions the sweep
     maintained (mass balance of the sampled strategy rates).
 
     These waits are the real ones: loading the strategies' rates over time
@@ -919,7 +924,7 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
 
     out: dict[str, LabelSet] = {}
     for c in comms:
-        labels = {v: tracks[(c.id, v)].finish() for v in reach[c.id]}
+        labels = {v: tracks[(c.id, v)].finish(horizon) for v in reach[c.id]}
         out[c.id] = LabelSet(c.id, labels, horizon)
     if not return_queues:
         return out

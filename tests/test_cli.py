@@ -128,6 +128,30 @@ def test_verify_certifies_constructed_flow(single_arc_file, tmp_path):
                  "--out", str(tmp_path / "v.json"), "--quiet"]) == 0
 
 
+def test_nash_flow_verifies_on_its_effective_instance(tmp_path):
+    """Over the corpus in all three modes, ``verify`` and ``labels`` accept
+    the flow of a ``nash`` report read with the effective instance that
+    ``nash`` writes beside the report."""
+    from corpus import corpus
+    modes = set()
+    for name, instance, horizon in corpus():
+        modes.add(instance.mode)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance_to_json(instance)))
+        out = tmp_path / f"{name}_nash.json"
+        assert main(["nash", str(path), "--horizon", str(horizon), "--out", str(out),
+                     "--quiet"]) == 0, name
+        flow = tmp_path / f"{name}_flow.json"
+        flow.write_text(json.dumps(json.loads(out.read_text())["flow"]))
+        effective = str(tmp_path / f"{name}_nash_instance.json")
+        assert main(["verify", effective, str(flow), "--out", str(tmp_path / "verify.json"),
+                     "--quiet"]) == 0, name
+        for c in instance.commodities:
+            assert main(["labels", effective, str(flow), c.id,
+                         "--out", str(tmp_path / "labels.json"), "--quiet"]) == 0, name
+    assert modes == {"general", "commonOrigin", "commonDestination"}
+
+
 def test_verify_corrupted_flow(single_arc_file, tmp_path, capsys):
     instance = single_arc_canonical()
     halved, _ = load_network(instance, {("1", "e"): StepFunction([0, 1], [2, 0], 0)})

@@ -231,6 +231,68 @@ def _flow_strategies(rng, instance, cuts, horizon):
     return strategies
 
 
+def _random_networks(seed, count=80):
+    """Seeded networks with cycles and one to three commodities, and their
+    strategies, whose cuts the commodities share, up to particle 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        nodes = [f"n{i}" for i in range(n)]
+        pairs = [(i, i + 1) for i in range(n - 1)] + [
+            tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+        arcs = tuple(Arc(f"e{k}", nodes[a], nodes[b],
+                         F(rng.randint(1, 3), rng.randint(1, 2)),
+                         F(rng.randint(1, 3), rng.randint(1, 2)))
+                     for k, (a, b) in enumerate(pairs))
+        comms = []
+        for j in range(rng.randint(1, 3)):
+            rate, start = F(rng.randint(1, 4)), F(rng.randint(0, 1), 2)
+            comms.append(Commodity(f"c{j}", rng.choice(nodes[:-1]) if j else nodes[0],
+                                   nodes[-1], rate, start, start + 2 / rate))
+        instance = validate_instance(Instance(tuple(nodes), arcs, tuple(comms)))
+        cuts = sorted(rng.sample([F(k, 4) for k in range(1, 8)], rng.randint(1, 3)))
+        yield instance, _flow_strategies(rng, instance, cuts, F(2))
+
+
+def _extend_items(monkeypatch, seeds):
+    """The ``extend`` benchmark's items at ``seeds`` and its particle horizon."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").Extend()
+    program = SimpleNamespace(netmodel=netmodel, timefn=timefn)
+    items = [item for seed in seeds for item in workload.generate(program, seed)]
+    return items, workload.VOLUME
+
+
+class TestHorizonCut:
+    """The labels of ``extend_labels`` end at the horizon H: none has a
+    breakpoint beyond H, and past H each runs on with its slope right of H,
+    so no label depends on the event at which the sweep stops."""
+
+    def test_labels_end_at_the_horizon(self, monkeypatch):
+        items, volume = _extend_items(monkeypatch, (1, 2, 3))
+        cases = [(item.instance, item.data["strategies"], volume) for item in items]
+        cases += [(*network, F(2)) for network in _random_networks(17)]
+        for instance, strategies, horizon in cases:
+            got = _sweep_outcome(extend_labels, instance, strategies, horizon)
+            if isinstance(got[0], str):
+                continue
+            for label in (f for ls in got[0].values() for f in ls.labels.values()):
+                assert label.breakpoints[-1] <= horizon, label
+                assert label.final_slope == label.slope_right(horizon), label
+
+    def test_stop_event_leaves_no_flat(self):
+        """On network 70 of seed 21 the sweep stops at an event that used to
+        leave a flat on [19/8, 23/8] in commodity c1's label at n4, past
+        H = 2; the label now runs on with slope 1 from H, as the reference's
+        does, and on [0, 2] it is what it was."""
+        instance, strategies = list(_random_networks(21, 71))[70]
+        got = _sweep_outcome(extend_labels, instance, strategies, F(2))
+        assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(2))
+        assert got[0]["c1"].labels["n4"] == PwlFunction(
+            [-2, F(-4, 3), F(-2, 3), 0, F(3, 4), F(5, 4)],
+            [F(7, 2), F(29, 6), F(29, 6), F(11, 2), F(13, 2), F(29, 4)], 1, 1)
+
+
 class TestReferenceSweep:
     """The sweep of ``extend_labels``, which revisits at an event only what
     the event changed, returns exactly what the sweep that recomputes
@@ -238,24 +300,19 @@ class TestReferenceSweep:
     same labels and waits, or the same error."""
 
     def test_benchmark_strategies(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workload = importlib.import_module("workloads").Extend()
-        program = SimpleNamespace(netmodel=netmodel, timefn=timefn)
-        for seed in (1, 2, 3):
-            for item in workload.generate(program, seed):
-                args = (item.instance, item.data["strategies"], workload.VOLUME)
-                got = _sweep_outcome(extend_labels, *args)
-                assert got == _sweep_outcome(reference.extend_labels, *args), (seed, item.name)
-                assert isinstance(got[0], dict)
+        items, volume = _extend_items(monkeypatch, (1, 2, 3))
+        for item in items:
+            args = (item.instance, item.data["strategies"], volume)
+            got = _sweep_outcome(extend_labels, *args)
+            assert got == _sweep_outcome(reference.extend_labels, *args), item.name
+            assert isinstance(got[0], dict)
 
     def test_benchmark_reads(self, monkeypatch):
         """An event rereads only what it changed: over one sweep per
         ``extend`` item at seed 1, at most half the cursor reads of the sweep
         that rereads every candidate and strategy at every event (13,984
         ``curve_at`` and 7,608 ``step_at`` calls)."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workload = importlib.import_module("workloads").Extend()
-        items = workload.generate(SimpleNamespace(netmodel=netmodel, timefn=timefn), 1)
+        items, volume = _extend_items(monkeypatch, (1,))
         reads = {"curve_at": 0, "step_at": 0}
         for name in reads:
             def counted(self, x, read=getattr(timefn.Cursor, name), name=name):
@@ -263,7 +320,7 @@ class TestReferenceSweep:
                 return read(self, x)
             monkeypatch.setattr(timefn.Cursor, name, counted)
         for item in items:
-            extend_labels(item.instance, item.data["strategies"], workload.VOLUME)
+            extend_labels(item.instance, item.data["strategies"], volume)
         assert reads["curve_at"] <= 13984 // 2 and reads["step_at"] <= 7608 // 2, reads
 
     def test_sweep_follows_the_node_order(self, monkeypatch):
@@ -271,10 +328,9 @@ class TestReferenceSweep:
         order of a set of names: its labels come in that order, and one
         sweep per ``extend`` item at seed 1 makes as many cursor reads under
         two string-hash seeds."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workload = importlib.import_module("workloads").Extend()
-        for item in workload.generate(SimpleNamespace(netmodel=netmodel, timefn=timefn), 1):
-            out = extend_labels(item.instance, item.data["strategies"], workload.VOLUME)
+        items, volume = _extend_items(monkeypatch, (1,))
+        for item in items:
+            out = extend_labels(item.instance, item.data["strategies"], volume)
             for label_set in out.values():
                 assert list(label_set.labels) == \
                     [v for v in item.instance.nodes if v in label_set.labels]
@@ -302,43 +358,31 @@ class TestReferenceSweep:
     def test_pending_route_overtakes(self):
         """The route s -> u -> v starts pending at v (u's frontier particle
         trails v's), and nothing else happens until its frontier overtakes
-        v's and it ties with the queueing arc s -> v: the sweep must see the
-        pending candidate's tail move ahead, and bound its next event by a
-        transit time while it is pending."""
-        instance = validate_instance(Instance(
-            ("s", "u", "v", "t"),
-            (Arc("sv", "s", "v", F(1), F(1, 2)), Arc("su", "s", "u", F(2), F(4)),
-             Arc("uv", "u", "v", F(1, 2), F(4)), Arc("vt", "v", "t", F(1), F(4))),
-            (Commodity("1", "s", "t", F(2), F(0), F(4)),)))
-        strategies = {("1", "sv"): StepFunction([0, 8], [1, 0]),
-                      ("1", "vt"): StepFunction([0, 8], [1, 0])}
-        got = _sweep_outcome(extend_labels, instance, strategies, F(8))
-        assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(8))
-        assert got[0]["1"].labels["v"] == PwlFunction([0, 1], [1, 3], F(1, 2), F(1, 2))
+        v's and it ties with the queueing arc s -> v: the pending candidate
+        must keep its read time plus its transit time as its next event,
+        and be read then.  With transit 3/5 on u -> v the route overtakes
+        after time 7/3 and ties at 47/15, before a read two transit times
+        after the one at 11/5 would see it."""
+        for transit, label in ((F(1, 2), PwlFunction([0, 1], [1, 3], F(1, 2), F(1, 2))),
+                               (F(3, 5), PwlFunction([0, F(16, 15)], [1, F(47, 15)],
+                                                     F(1, 2), F(1, 2)))):
+            instance = validate_instance(Instance(
+                ("s", "u", "v", "t"),
+                (Arc("sv", "s", "v", F(1), F(1, 2)), Arc("su", "s", "u", F(2), F(4)),
+                 Arc("uv", "u", "v", transit, F(4)), Arc("vt", "v", "t", F(1), F(4))),
+                (Commodity("1", "s", "t", F(2), F(0), F(4)),)))
+            strategies = {("1", "sv"): StepFunction([0, 8], [1, 0]),
+                          ("1", "vt"): StepFunction([0, 8], [1, 0])}
+            got = _sweep_outcome(extend_labels, instance, strategies, F(8))
+            assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(8))
+            assert got[0]["1"].labels["v"] == label, transit
 
     def test_random_instances(self):
         """Seeded networks with cycles, one to three commodities whose
         strategy cuts coincide, label flat stretches, queues that run dry,
         and strategies that send mass through a flat."""
-        rng = random.Random(17)
         seen = {"flat": 0, "dry": 0, "error": 0}
-        for _ in range(80):
-            n = rng.randint(3, 5)
-            nodes = [f"n{i}" for i in range(n)]
-            pairs = [(i, i + 1) for i in range(n - 1)] + [
-                tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
-            arcs = tuple(Arc(f"e{k}", nodes[a], nodes[b],
-                             F(rng.randint(1, 3), rng.randint(1, 2)),
-                             F(rng.randint(1, 3), rng.randint(1, 2)))
-                         for k, (a, b) in enumerate(pairs))
-            comms = []
-            for j in range(rng.randint(1, 3)):
-                rate, start = F(rng.randint(1, 4)), F(rng.randint(0, 1), 2)
-                comms.append(Commodity(f"c{j}", rng.choice(nodes[:-1]) if j else nodes[0],
-                                       nodes[-1], rate, start, start + 2 / rate))
-            instance = validate_instance(Instance(tuple(nodes), arcs, tuple(comms)))
-            cuts = sorted(rng.sample([F(k, 4) for k in range(1, 8)], rng.randint(1, 3)))
-            strategies = _flow_strategies(rng, instance, cuts, F(2))
+        for instance, strategies in _random_networks(17):
             got = _sweep_outcome(extend_labels, instance, strategies, F(2))
             assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(2))
             if isinstance(got[0], str):

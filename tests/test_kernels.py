@@ -155,9 +155,10 @@ class TestCarriedSlopes:
         _as_if_divided(min_compose(funcs)[0])
 
     @settings(max_examples=300, deadline=None)
-    @given(grown())
-    def test_finish(self, g):
+    @given(grown(), rationals(-10, 30))
+    def test_finish(self, g, cut):
         _as_if_divided(g.finish())
+        _as_if_divided(g.finish(cut))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(step_functions(), min_size=1, max_size=3),

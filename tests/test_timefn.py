@@ -320,6 +320,23 @@ class TestGrowingPwl:
             assert cursor.curve_at(x) == (f(x), f.slope_right(x))
             assert cursor.next_anchor() == _next_anchor(g.xs, x)
 
+    @given(rationals(), rationals(), rationals(-3, 3),
+           st.lists(st.tuples(rationals(-3, 3), rationals(0, 3)), max_size=8),
+           rationals(-30, 50), st.lists(rationals(-30, 50), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_cut_runs_on_with_the_slope_right_of_it(self, x0, y0, tail, steps, cut, probes):
+        """``finish(cut)`` is ``finish()`` up to ``cut``, bends nowhere
+        beyond it, and runs on with the slope right of ``cut``."""
+        g = GrowingPwl("g", x0, y0, tail)
+        for slope, dx in steps:
+            g.commit(slope)
+            g.advance(dx)
+        f, h = g.finish(), g.finish(cut)
+        assert h.final_slope == f.slope_right(cut)
+        assert all(h.slope_left(b) == h.slope_right(b) for b in h.breakpoints if b > cut)
+        for x in probes + [cut]:
+            assert h(x) == (f(x) if x <= cut else f(cut) + f.slope_right(cut) * (x - cut))
+
     def test_anchors_only_where_the_slope_changes(self):
         g = GrowingPwl("g", F(0), F(0), F(1))
         for slope in (F(1), F(1), F(2), F(2)):
