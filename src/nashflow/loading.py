@@ -274,16 +274,16 @@ def _split_outflows(inflows: list, total_in: StepFunction, total_out: StepFuncti
     """Every commodity's outflow on one arc: its share f_j / f of the total
     outflow, read at the FIFO entry time of the particles leaving.
 
-    The marks are the breakpoints of T, of ``total_in`` and of every
-    inflow; the cuts are ``total_out``'s breakpoints and the marks' exit
-    times.  The particles leaving in a cut cell entered right of the last
-    mark whose exit time is at or before the cell and left of the next,
-    where T is linear and rising and every inflow constant, so one merge
-    pass gives each cell its mark and no entry time is searched for."""
+    The marks are the breakpoints of T and of every inflow, which hold
+    those of ``total_in``, their sum; the cuts are ``total_out``'s
+    breakpoints and the marks' exit times.  The particles leaving in a cut
+    cell entered right of the last mark whose exit time is at or before the
+    cell and left of the next, where T is linear and rising and every
+    inflow constant, so one merge pass gives each cell its mark and no
+    entry time is searched for."""
     if all(f == StepFunction.zero() for f in inflows):
         return [StepFunction.zero()] * len(inflows)
-    marks = sorted_union(T.breakpoints, total_in.breakpoints,
-                         *(f.breakpoints for f in inflows))
+    marks = sorted_union(T.breakpoints, *(f.breakpoints for f in inflows))
     exits = T.at_sorted(marks)
     cuts = sorted_union(total_out.breakpoints, exits)
     outs = total_out.at_sorted(cuts)

@@ -16,12 +16,14 @@ or can no longer reach full rank.  It searches twice.  The first pass tries
 each arc's state in the previous phase's thin flow first, and its first leaf
 that passes the condition evaluator gives the label slopes, which are
 unique.  The second pass returns the first passing leaf in the lexicographic
-order of the state tuples, with those slopes pinned to prune.  The same
-evaluator, which knows nothing of the linear algebra, backs
-``check_thinflow`` and ``check_multisource_thinflow``.  The worst case stays
-exponential in the number of active arcs: on a 2-vCPU machine with Python
-3.11 the equilibrium of a 3x3 grid, whose phases reach 12 active arcs,
-builds in about 1 s.
+order of the state tuples, with those slopes pinned to prune and to leave
+each arc only the states that can pass with them.  A leaf is tested for
+what its rows leave open; ``check_thinflow`` and
+``check_multisource_thinflow`` run the same evaluator, which knows nothing
+of the linear algebra, in full.  The worst case stays exponential in the
+number of active arcs: on a 2-vCPU machine with Python 3.11 the
+equilibrium of a 3x3 grid, whose phases reach 12 active arcs, builds in
+about 0.5 s.
 """
 
 from __future__ import annotations
@@ -162,9 +164,16 @@ def _state_solutions(instance, usable, resetting, base_rows, unknowns,
     order.  The search keeps the rows in sparse row-echelon form, reducing
     each new row once, and prunes a prefix whose rows contradict each other
     or can no longer reach rank ``unknowns``; neither test depends on the
-    order, so every order visits the same leaves.  ``pins`` maps nodes to
-    label slopes for a second echelon that only prunes: it holds the base
-    rows with those slopes fixed.  Leaves are solved by back substitution.
+    order, so every order of the same states visits the same leaves.
+    ``pins`` maps every node to a label slope.  They fill a second echelon
+    that only prunes, so every leaf yielded has these slopes, and they drop
+    per arc e = uv each state that fails ``_conditions`` at every such leaf.
+    With u', v' >= 0 pinned and the stress x/nu if e resets, else
+    max(u', x/nu): v' < u' without resetting makes x = 0 (tightness), so C
+    only with v' = 0 and no L; v' > u', or resetting with v' > 0, needs a
+    stress of v' > 0 (minimum rule, then tightness), so C only; a resetting
+    arc into v' = 0 takes Z or C, and u' = v' any state.  So the first
+    passing leaf is never dropped.  Leaves are solved by back substitution.
     """
     echelon = []
     pinned = None if pins is None else [(v, {}, slope) for v, slope in pins.items()]
@@ -179,6 +188,11 @@ def _state_solutions(instance, usable, resetting, base_rows, unknowns,
         hinted = first.get(e) if first else None
         if hinted in list(order):
             order = hinted + order.replace(hinted, "")
+        if pins is not None:
+            u, v, free = pins[arc.tail], pins[arc.head], e not in resetting
+            passable = ("ZLC" if free and u == v else "ZC" if v == 0
+                        else "Z" if free and v < u else "C")
+            order = "".join(state for state in order if state in passable)
         choices.append([(state, rows[state]) for state in order])
     path = []
 
@@ -238,12 +252,14 @@ def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
     first passing leaf gives the label slopes.  Its order permutes the
     leaves of the lexicographic search, so it finds one exactly when that
     search does.  The recovery pass searches in lexicographic order with
-    those slopes pinned.  Passing leaves share one slope vector (Cominetti,
-    Correa & Larre, Oper. Res. 2015, for one source; the tests check it for
-    several on their instances), so the lexicographic search's first
-    passing leaf satisfies every pinned row and is never pruned, and every
-    leaf the recovery yields before it is one that search yields and
-    rejects.  So ``hint`` changes the work, never the result.
+    those slopes pinned, trying only the states that can pass with them.
+    Passing leaves share one slope vector (Cominetti, Correa & Larre, Oper.
+    Res. 2015, for one source; the tests check it for several on their
+    instances), so the lexicographic search's first passing leaf satisfies
+    every pinned row, keeps its states and is never pruned, and every leaf
+    the recovery yields before it is one that search yields and rejects.
+    So ``hint`` changes the work, never the result.  Leaves skip the checks
+    their rows impose (``_conditions``, ``search=True``).
     """
     if len(usable) > SIZE_LIMIT:
         raise SizeLimitExceeded(f"{len(usable)} active arcs exceed {SIZE_LIMIT}")
@@ -264,11 +280,11 @@ def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
                                                len(nodes) + len(usable), **order):
             flow = {e: values[("x", e)] for e in usable}
             slopes = {v: values[v] for v in sorted(nodes)}
-            # the source rows fix the source slopes; the evaluator checks the
-            # supplies they imply
+            # the source rows fix the source slopes; the evaluator checks that
+            # the supplies they imply are non-negative
             supplied = {s: (slopes[s], r * slopes[s]) for s, r in rates.items()}
             if next(_conditions(instance, active, resetting, supplied, sink, demand,
-                                flow, slopes, nodes), None) is None:
+                                flow, slopes, nodes, search=True), None) is None:
                 return flow, slopes, states
         raise NoThinFlow("no thin flow found; the configuration is inconsistent")
 
@@ -277,7 +293,7 @@ def _solve(instance, active, resetting, nodes, usable, rates, sink, demand,
 
 
 def _conditions(instance, active, resetting, sources, sink, demand, flow,
-                slopes, nodes):
+                slopes, nodes, search=False):
     """Yield the violations of the defining conditions, independent of the
     solver's algebra.
 
@@ -286,21 +302,26 @@ def _conditions(instance, active, resetting, sources, sink, demand, flow,
     to the demand.  A source's slope never exceeds its incoming stress; every
     other node of ``nodes``, which the sources reach through active arcs,
     takes the minimum incoming stress, attained wherever flow runs.
+
+    ``search=True`` skips four checks every leaf of ``_solve`` passes by
+    construction: SourceSlope (the leaf's own slopes), SupplySum (the source
+    rows fix value * r * (1/r), or sum r_j l'(s_j) = 1), ConservationViolated
+    (each node's row) and SupportViolated (the flow is keyed by usable arcs).
     """
     total = sum((supply for _, supply in sources.values()), ZERO)
-    if total != demand:
+    if not search and total != demand:
         yield ("SupplySum", str(total))
     for s, (slope, supply) in sources.items():
         if supply < 0:
             yield ("NegativeSupply", s)
-        if slopes.get(s) != slope:
+        if not search and slopes.get(s) != slope:
             yield ("SourceSlope", s)
     for e, x in flow.items():
         if x < 0:
             yield ("NegativeFlow", e)
-        if x > 0 and e not in active:
+        if not search and x > 0 and e not in active:
             yield ("SupportViolated", e)
-    for v in nodes:
+    for v in () if search else nodes:
         net = sum((flow.get(a.id, ZERO) for a in instance.out_arcs(v)), ZERO) \
             - sum((flow.get(a.id, ZERO) for a in instance.in_arcs(v)), ZERO)
         expected = sources[v][1] if v in sources else ZERO

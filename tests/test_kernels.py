@@ -169,21 +169,34 @@ class TestCarriedSlopes:
         _as_if_divided(z)
 
 
-def _split_one(inflow_j, total_in, total_out, T):
-    """The per-arc split of one commodity's inflow alone."""
-    return loading._split_outflows([inflow_j], total_in, total_out, T)[0]
+def _split_matches_scan(inflows, total_out, T):
+    """The arc's inflow split in one pass, its total the sum of ``inflows``:
+    each outflow is the reference split of its own inflow, and a T that
+    misses a live sample raises what the reference raises for every nonzero
+    commodity."""
+    total_in = StepFunction.sum_of(inflows)
+    expected = [_outcome(ref.split_outflow, f, total_in, total_out, T) for f in inflows]
+    errors = {e for e in expected if e[0] != "value"}
+    got = _outcome(loading._split_outflows, inflows, total_in, total_out, T)
+    if errors:
+        assert len(errors) == 1 and got in errors, (got, expected)
+        assert all(e in errors for e, f in zip(expected, inflows)
+                   if f != StepFunction.zero())
+    else:
+        assert got == ("value", [value for _, value in expected])
 
 
 class TestSplitOutflow:
+    """``_split_outflows`` takes the total of the inflows it splits, as
+    ``load_network`` passes it; a rest of the total that no commodity sends
+    is drawn as one more commodity."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_scan(self, data):
-        inflow_j = data.draw(step_functions())
-        total_in = inflow_j + data.draw(step_functions())
-        total_out = data.draw(step_functions())
-        T = data.draw(monotone_pwl())
-        assert _outcome(_split_one, inflow_j, total_in, total_out, T) == \
-            _outcome(ref.split_outflow, inflow_j, total_in, total_out, T)
+        inflow_j, rest = data.draw(step_functions()), data.draw(step_functions())
+        _split_matches_scan([inflow_j, rest], data.draw(step_functions()),
+                            data.draw(monotone_pwl()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(step_functions(lo=0, hi=3), min_size=2, max_size=2),
@@ -197,31 +210,18 @@ class TestSplitOutflow:
             instance, {("1", "e"): inflows[0], ("2", "e"): inflows[1]})
         total_in, total_out = flow.total_inflow["e"], flow.total_outflow["e"]
         T = profile.exit_time["e"]
-        for j, f in zip("12", inflows):
-            expected = ref.split_outflow(f, total_in, total_out, T)
-            assert flow.outflow[(j, "e")] == expected
-            assert _split_one(f, total_in, total_out, T) == expected
+        expected = [ref.split_outflow(f, total_in, total_out, T) for f in inflows]
+        assert [flow.outflow[(j, "e")] for j in "12"] == expected
+        assert loading._split_outflows(inflows, total_in, total_out, T) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_scan_per_commodity(self, data):
-        """Two or three commodities split in one pass: each outflow is the
-        reference split of its own inflow, and a T that misses a live sample
-        raises what the reference raises for every nonzero commodity."""
+        """Two or three commodities, each possibly zero, and a rest."""
         inflows = data.draw(st.lists(st.one_of(st.just(StepFunction.zero()), step_functions()),
                                      min_size=2, max_size=3))
-        total_in = StepFunction.sum_of(inflows) + data.draw(step_functions())
-        total_out = data.draw(step_functions())
-        T = data.draw(monotone_pwl())
-        expected = [_outcome(ref.split_outflow, f, total_in, total_out, T) for f in inflows]
-        errors = {e for e in expected if e[0] != "value"}
-        got = _outcome(loading._split_outflows, inflows, total_in, total_out, T)
-        if errors:
-            assert len(errors) == 1 and got in errors, (got, expected)
-            assert all(e in errors for e, f in zip(expected, inflows)
-                       if f != StepFunction.zero())
-        else:
-            assert got == ("value", [value for _, value in expected])
+        _split_matches_scan(inflows + [data.draw(step_functions())],
+                            data.draw(step_functions()), data.draw(monotone_pwl()))
 
     def test_three_commodities_load_to_the_scan(self):
         """Seeded acyclic networks with three commodities, split at every

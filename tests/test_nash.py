@@ -13,7 +13,7 @@ from nashflow.netmodel import (COMMON_ORIGIN, Arc, Commodity, Instance,
 from nashflow.loading import (FlowOverTime, check_feasibility, derive_profile,
                               load_network)
 from nashflow.labels import earliest_arrival, waiting_from_labels
-from nashflow import nash, netmodel
+from nashflow import nash, netmodel, thinflow
 from nashflow.nash import (FlowReconstructionError, Phase,
                            PhaseBudgetExceeded, StalledPhase,
                            _reconstruct_flow, check_derivatives_thinflow,
@@ -541,14 +541,75 @@ class TestGridScale:
         assert hashlib.sha256(document).hexdigest() == digest
 
 
-def _benchmark_grids(monkeypatch, seed, mode):
-    """The ``equilibria`` benchmark's grid instances of one mode."""
+def _benchmark_items(monkeypatch, seed):
+    """The ``equilibria`` benchmark's instances: the corpus and the grids."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     workloads = importlib.import_module("workloads")
     program = SimpleNamespace(netmodel=netmodel)
     items = workloads.Equilibria().generate(program, seed)
-    return [(item.name, item.instance, item.data["horizon"]) for item in items
-            if item.name.startswith("grid") and item.instance.mode == mode]
+    return [(item.name, item.instance, item.data["horizon"]) for item in items]
+
+
+def _benchmark_grids(monkeypatch, seed, mode):
+    """The ``equilibria`` benchmark's grid instances of one mode."""
+    return [(name, inst, horizon) for name, inst, horizon in _benchmark_items(monkeypatch, seed)
+            if name.startswith("grid") and inst.mode == mode]
+
+
+class TestSearchLeaves:
+    """The leaves the thin-flow search yields in every phase of the
+    ``equilibria`` benchmark's instances at seeds 1-3, the corpus among
+    them."""
+
+    CONSTRUCT = {"general": construct_nash_single,
+                 "commonOrigin": construct_common_origin,
+                 "commonDestination": construct_common_destination}
+
+    def _build_all(self, monkeypatch, current):
+        for seed in (1, 2, 3):
+            for name, instance, horizon in _benchmark_items(monkeypatch, seed):
+                current[:] = [seed, name]
+                self.CONSTRUCT[instance.mode](instance, horizon)
+
+    def test_recovery_yields_one_leaf(self, monkeypatch):
+        """The recovery pass tries only the states that can pass with its
+        pinned slopes, so the only leaf it yields is the one it returns."""
+        search = thinflow._state_solutions
+        current, yielded = [], []
+
+        def counted(*args, pins=None, **kwargs):
+            leaves = search(*args, pins=pins, **kwargs)
+            if pins is None:
+                return leaves
+            yielded.append([tuple(current), 0])
+
+            def count():
+                for leaf in leaves:
+                    yielded[-1][1] += 1
+                    yield leaf
+            return count()
+
+        monkeypatch.setattr(thinflow, "_state_solutions", counted)
+        self._build_all(monkeypatch, current)
+        assert len(yielded) >= 90
+        assert [(item, n) for item, n in yielded if n != 1] == []
+
+    def test_leaves_pass_the_skipped_checks(self, monkeypatch):
+        """Every leaf that either pass tests passes, in full, the four checks
+        that the search skips (``_conditions`` with ``search=True``)."""
+        conditions = thinflow._conditions
+        skipped = {"SupplySum", "SourceSlope", "ConservationViolated", "SupportViolated"}
+        current, found = [], []
+
+        def in_full(*args, search=False):
+            if search:
+                found.append((tuple(current), {c for c, _ in conditions(*args)} & skipped))
+            return conditions(*args, search=search)
+
+        monkeypatch.setattr(thinflow, "_conditions", in_full)
+        self._build_all(monkeypatch, current)
+        assert len(found) >= 600
+        assert [(item, codes) for item, codes in found if codes] == []
 
 
 class TestMultiSourceSlopesUnique:
