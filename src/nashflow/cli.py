@@ -21,7 +21,7 @@ from . import nash as nash_mod
 from .loading import (LoadingInvariantBroken, check_feasibility, derive_profile,
                       flow_from_json, flow_to_json, inflows_from_json, load_network)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, InvalidDerivedInstance,
-                       instance_from_json, instance_to_json, validate_instance)
+                       instance_to_json, load_instance, validate_instance)
 from .rationals import parse_rational
 from .thinflow import (DecompositionError, solve_thinflow_multisource,
                        solve_thinflow_single)
@@ -30,8 +30,6 @@ from .timefn import SweepInvariantBroken
 # faults of the program rather than of its input: exit code 3
 PROGRAM_FAULTS = (SweepInvariantBroken, LoadingInvariantBroken, DecompositionError,
                   nash_mod.FlowReconstructionError, InvalidDerivedInstance)
-DEFAULT_REPORTS = {"load": "load_report.json", "thinflow": "thinflow.json",
-                   "nash": "nash.json", "verify": "verify_report.json"}
 
 
 def _read_json(path):
@@ -49,15 +47,10 @@ def _write_report(path, doc, quiet):
             print(f"report written to {path}")
 
 
-def _load_instance(path):
-    """The instance at ``path`` validated, or the list of its violations."""
-    return validate_instance(instance_from_json(_read_json(path)))
-
-
 def _valid_instance(path):
     """The validated instance at ``path``; otherwise a ValueError listing
     every violation, which ``main`` reports with exit code 2."""
-    instance = _load_instance(path)
+    instance = validate_instance(load_instance(path))
     if isinstance(instance, list):
         raise ValueError("; ".join(map(str, instance)))
     return instance
@@ -85,7 +78,7 @@ def _outcome(violations, message, quiet, failure=1):
 
 
 def cmd_validate(args):
-    result = _load_instance(args.instance)
+    result = validate_instance(load_instance(args.instance))
     violations = result if isinstance(result, list) else []
     doc = {"ok": not violations, "violations": [v.record() for v in violations]}
     _write_report(args.out, doc, args.quiet)
@@ -127,9 +120,7 @@ def cmd_thinflow(args):
             str(config["sink"]), parse_rational(config["rate"]),
             parse_rational(config.get("value", 1)))
     _write_report(args.out, thin.to_json(), args.quiet)
-    if not args.quiet:
-        print("thin flow solved")
-    return 0
+    return _outcome([], "thin flow solved", args.quiet)
 
 
 def _construct(instance, args):
@@ -182,9 +173,29 @@ def cmd_labels(args):
     _write_report(args.out, doc, args.quiet)
     if args.format == "csv":
         _export_csvs(args.out, ls.labels)
-    if not args.quiet:
-        print(f"labels computed for commodity {args.commodity}")
-    return 0
+    return _outcome([], f"labels computed for commodity {args.commodity}", args.quiet)
+
+
+# name -> (handler, help, positional arguments, further options as flag ->
+# keyword arguments of add_argument, default report path); the path is a
+# format string over the arguments, and validate writes a report only where
+# --out names one
+COMMANDS = {
+    "validate": (cmd_validate, "check instance invariants", ("instance",), {}, None),
+    "load": (cmd_load, "load inflow rates through the network",
+             ("instance", "flowrates"), {"--horizon": {}}, "load_report.json"),
+    "thinflow": (cmd_thinflow, "solve a thin flow configuration",
+                 ("instance", "config"), {}, "thinflow.json"),
+    "nash": (cmd_nash, "construct an equilibrium (by instance mode); its flow "
+             "belongs to the effective instance, written to <stem>_instance.json "
+             "beside the report", ("instance",),
+             {"--horizon": {"help": "particle horizon (rational)"},
+              "--max-phases": {"type": int, "default": 500}}, "nash.json"),
+    "verify": (cmd_verify, "verify equilibrium conditions of a flow",
+               ("instance", "flow"), {}, "verify_report.json"),
+    "labels": (cmd_labels, "earliest-arrival labels of a commodity",
+               ("instance", "flow", "commodity"), {}, "labels_{commodity}.json"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,68 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact dynamic-equilibrium toolkit for the deterministic "
                     "queueing model")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, text, positionals, options, report) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", help="report path (written even on failure)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--quiet", action="store_true")
-
-    p = sub.add_parser("validate", help="check instance invariants")
-    p.add_argument("instance")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("load", help="load inflow rates through the network")
-    p.add_argument("instance")
-    p.add_argument("flowrates")
-    p.add_argument("--horizon")
-    common(p)
-    p.set_defaults(func=cmd_load)
-
-    p = sub.add_parser("thinflow", help="solve a thin flow configuration")
-    p.add_argument("instance")
-    p.add_argument("config")
-    common(p)
-    p.set_defaults(func=cmd_thinflow)
-
-    p = sub.add_parser("nash", help="construct an equilibrium (by instance mode); "
-                       "its flow belongs to the effective instance, written to "
-                       "<stem>_instance.json beside the report")
-    p.add_argument("instance")
-    p.add_argument("--horizon", help="particle horizon (rational)")
-    p.add_argument("--max-phases", type=int, default=500)
-    common(p)
-    p.set_defaults(func=cmd_nash)
-
-    p = sub.add_parser("verify", help="verify equilibrium conditions of a flow")
-    p.add_argument("instance")
-    p.add_argument("flow")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("labels", help="earliest-arrival labels of a commodity")
-    p.add_argument("instance")
-    p.add_argument("flow")
-    p.add_argument("commodity")
-    common(p)
-    p.set_defaults(func=cmd_labels)
+        p.set_defaults(func=handler, report=report)
     return parser
 
 
-def _report_path(args):
-    """``--out``, or the command's default report path; ``validate`` writes
-    a report only where ``--out`` names one."""
-    if args.out or args.command == "validate":
-        return args.out
-    if args.command == "labels":
-        return f"labels_{args.commodity}.json"
-    return DEFAULT_REPORTS[args.command]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.out = _report_path(args)
+    args = build_parser().parse_args(argv)
+    if not args.out and args.report:
+        args.out = args.report.format(**vars(args))
     try:
         return args.func(args)
     except PROGRAM_FAULTS as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .netmodel import Instance
+from .netmodel import Instance, UnknownEntry
 from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _segment_indices,
                      breakpoint_budget, compose, first_difference, integrate,
                      min_preimage, sorted_union, zero_crossings)
@@ -22,10 +22,6 @@ from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _segment_indices,
 
 class NegativeInflow(ValueError):
     """Inflow rates are non-negative and zero before their first breakpoint."""
-
-
-class UnknownEntry(ValueError):
-    """A flow names a commodity or arc that the instance lacks."""
 
 
 class UnboundedBreakpoints(RuntimeError):
@@ -123,27 +119,24 @@ def _anchor(*rates: StepFunction) -> Fraction:
     return min([ZERO] + [f.breakpoints[0] for f in rates if f.breakpoints])
 
 
-def _waits(arc, z: PwlFunction) -> PwlFunction:
-    """The waits q = z(. + tau) / nu that the arc's queue volume z defines."""
-    return z.shift(-arc.transit).scale(1 / arc.capacity)
-
-
-def _exit_times(arc, q: PwlFunction) -> PwlFunction:
-    """The exit times T = theta + tau + q that the arc's waits q define,
-    built on q's anchors with each slope raised by 1."""
+def _store(profile: QueueProfile, arc, z: PwlFunction):
+    """Store the arc's queue volume z, the waits q = z(. + tau) / nu that it
+    defines and the exit times T = theta + tau + q, built on q's anchors
+    with each slope raised by 1."""
+    q = z.shift(-arc.transit).scale(1 / arc.capacity)
     bps, tau = q.breakpoints, arc.transit
-    return PwlFunction._carried(bps, [v + b + tau for b, v in zip(bps, q.values)],
-                                [s + 1 for s in q._slopes],
-                                q.initial_slope + 1, q.final_slope + 1)
+    profile.volume[arc.id] = z
+    profile.waiting[arc.id] = q
+    profile.exit_time[arc.id] = PwlFunction._carried(
+        bps, [v + b + tau for b, v in zip(bps, q.values)], [s + 1 for s in q._slopes],
+        q.initial_slope + 1, q.final_slope + 1)
 
 
 def _derive_arc(profile: QueueProfile, arc, f_in: StepFunction, f_out: StepFunction):
     """Store the arc's z = F_in(. - tau) - F_out, and its waits and exit times."""
     anchor = _anchor(f_in, f_out)
     z = integrate(f_in, anchor).shift(arc.transit) - integrate(f_out, anchor)
-    profile.volume[arc.id] = z
-    profile.waiting[arc.id] = _waits(arc, z)
-    profile.exit_time[arc.id] = _exit_times(arc, profile.waiting[arc.id])
+    _store(profile, arc, z)
 
 
 def load_network(instance: Instance, inflows: dict, horizon=None):
@@ -159,10 +152,9 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
     profile, total_in, total_out = _load_totals(instance, inflows, horizon)
     flow = FlowOverTime({}, {}, total_in, total_out)
     for a in instance.arcs:
-        T = _exit_times(a, profile.waiting[a.id])
-        profile.exit_time[a.id] = T
         rates = [inflows.get((c.id, a.id), StepFunction.zero()) for c in instance.commodities]
-        outflows = _split_outflows(rates, total_in[a.id], total_out[a.id], T)
+        outflows = _split_outflows(rates, total_in[a.id], total_out[a.id],
+                                   profile.exit_time[a.id])
         for c, f_j, out in zip(instance.commodities, rates, outflows):
             flow.inflow[(c.id, a.id)] = f_j
             flow.outflow[(c.id, a.id)] = out
@@ -170,13 +162,14 @@ def load_network(instance: Instance, inflows: dict, horizon=None):
 
 
 def load_queues(instance: Instance, inflows: dict) -> QueueProfile:
-    """The queue volumes and waits of ``load_network``; no exit times."""
+    """The complete queue profile of ``load_network``: volumes, waits and exit
+    times, without the FIFO split of the outflows among commodities."""
     return _load_totals(instance, inflows, None)[0]
 
 
 def _load_totals(instance: Instance, inflows: dict, horizon):
-    """Check the inflows and load each arc's total inflow: the queue profile
-    without exit times, and the total in- and outflow per arc."""
+    """Check the inflows and load each arc's total inflow: the queue profile,
+    and the total in- and outflow per arc."""
     _require_known(instance, inflows)
     budget = breakpoint_budget()
     total_bps = 0
@@ -197,8 +190,7 @@ def _load_totals(instance: Instance, inflows: dict, horizon):
     for arc in instance.arcs:
         total_in[arc.id] = arc_total(instance, inflows, arc.id)
         total_out[arc.id], z = _load_arc(total_in[arc.id], arc)
-        profile.volume[arc.id] = z
-        profile.waiting[arc.id] = _waits(arc, z)
+        _store(profile, arc, z)
     if horizon is not None:
         drain = sum((a.transit for a in instance.arcs), ZERO)
         volume = sum((_total_volume(f) for f in total_in.values()), ZERO)

@@ -252,11 +252,13 @@ def construct_common_origin(instance: Instance, horizon=None,
     phases, node_labels, horizon, injected = _single_phases(extended, horizon,
                                                             max_phases)
     total_rate = extended.commodities[0].rate
+    # only the gaps at phase ends are read: at particle 0 every sink-arc gap
+    # is 0, its transit being delta_max - delta_j, and each later phase
+    # starts at the gap the previous one ended with; an arc whose start gap
+    # is negative is inactive, for which ``decompose`` raises NewArcInactive
     for p in phases:
         for j, e in arc_map.items():
-            gap_start = _gap_at(extended, node_labels, e, p.phi_start)
-            gap_end = _gap_at(extended, node_labels, e, p.phi_end)
-            if gap_start < 0 or gap_end < 0:
+            if _gap_at(extended, node_labels, e, p.phi_end) < 0:
                 raise NewArcInactive(j)
         p.flows = decompose(extended, p.thin, arc_map,
                             {c.id: c.rate / total_rate * p.thin.value

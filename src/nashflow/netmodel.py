@@ -35,6 +35,10 @@ class InvalidDerivedInstance(RuntimeError):
     """An instance the program built from a valid one failed validation."""
 
 
+class UnknownEntry(ValueError):
+    """An input names a commodity or arc that the instance lacks."""
+
+
 @dataclass(frozen=True)
 class Arc:
     id: str
@@ -85,10 +89,16 @@ class Instance:
         object.__setattr__(self, "commodities", tuple(self.commodities))
 
     def arc(self, arc_id: str) -> Arc:
-        return self._arc_index[arc_id]
+        try:
+            return self._arc_index[arc_id]
+        except KeyError:
+            raise UnknownEntry(f"the instance has no arc {arc_id}") from None
 
     def commodity(self, commodity_id: str) -> Commodity:
-        return self._commodity_index[commodity_id]
+        try:
+            return self._commodity_index[commodity_id]
+        except KeyError:
+            raise UnknownEntry(f"the instance has no commodity {commodity_id}") from None
 
     # cached in the instance's __dict__, outside the compared fields
     @cached_property

@@ -36,6 +36,7 @@ from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
                      min_preimage, sorted_union, zero_crossings)
 from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
+from .rationals import format_rational
 
 SIZE_LIMIT = 25
 
@@ -94,16 +95,8 @@ class ThinFlow:
     states: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
-        return {
-            "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
-            "label_slopes": {v: format_rational(l)
-                             for v, l in sorted(self.label_slopes.items())},
-            "active": sorted(self.active),
-            "resetting": sorted(self.resetting),
-            "rate": format_rational(self.rate),
-            "value": format_rational(self.value),
-        }
+        return {**_shared_json(self), "rate": format_rational(self.rate),
+                "value": format_rational(self.value)}
 
 
 @dataclass
@@ -116,15 +109,16 @@ class MultiSourceThinFlow:
     states: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
-        return {
-            "supplies": {j: format_rational(x) for j, x in sorted(self.supplies.items())},
-            "flow": {e: format_rational(x) for e, x in sorted(self.flow.items())},
+        return {**_shared_json(self), "supplies": {
+            j: format_rational(x) for j, x in sorted(self.supplies.items())}}
+
+
+def _shared_json(thin) -> dict:
+    """The fields that single and multi-source thin flows write alike."""
+    return {"flow": {e: format_rational(x) for e, x in sorted(thin.flow.items())},
             "label_slopes": {v: format_rational(l)
-                             for v, l in sorted(self.label_slopes.items())},
-            "active": sorted(self.active),
-            "resetting": sorted(self.resetting),
-        }
+                             for v, l in sorted(thin.label_slopes.items())},
+            "active": sorted(thin.active), "resetting": sorted(thin.resetting)}
 
 
 def _push(echelon, coeffs, rhs):
@@ -453,21 +447,18 @@ def decompose(instance: Instance, thin: ThinFlow, group_arcs: dict,
     residual = {e: x for e, x in thin.flow.items() if x > 0}
     group_of = {e: j for j, e in group_arcs.items()}
     out: dict[str, dict[str, Fraction]] = {j: {} for j in group_arcs}
+    # the arcs out of each node, sorted; the walk skips those the paths spent
     tails = {}
-    for e in residual:
-        a = instance.arc(e)
-        tails.setdefault(a.tail, []).append(e)
-    for lst in tails.values():
-        lst.sort()
+    for e in sorted(residual):
+        tails.setdefault(instance.arc(e).tail, []).append(e)
 
     def first_path():
         # start from a node with positive out-throughput and no residual in-flow
-        starts = set(tails)
-        for e in residual:
-            starts.discard(instance.arc(e).head)
+        starts = ({instance.arc(e).tail for e in residual}
+                  - {instance.arc(e).head for e in residual})
         if not starts:
             return None
-        u = sorted(starts)[0]
+        u = min(starts)
         path = []
         while u in tails:
             e = next((x for x in tails[u] if residual.get(x, ZERO) > 0), None)
@@ -492,9 +483,6 @@ def decompose(instance: Instance, thin: ThinFlow, group_arcs: dict,
             residual[e] -= delta
             if residual[e] == 0:
                 del residual[e]
-                tails[instance.arc(e).tail].remove(e)
-                if not tails[instance.arc(e).tail]:
-                    del tails[instance.arc(e).tail]
     if residual:
         raise DecompositionError(f"decomposition left residual flow on {sorted(residual)}")
     return out

@@ -357,3 +357,67 @@ def test_common_origin_dispatch(tmp_path):
                  "--quiet"])
     assert code == 0
     assert json.loads(out.read_text())["verification"]["ok"] is True
+
+
+def test_unknown_commodity_is_named(single_arc_file, command_inputs, tmp_path, capsys):
+    out = tmp_path / "labels.json"
+    flow_file = command_inputs["labels"][0]
+    assert main(["labels", str(single_arc_file), flow_file, "9", "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: the instance has no commodity 9\n"
+    assert json.loads(out.read_text()) == {"ok": False,
+                                           "error": "the instance has no commodity 9"}
+
+
+def test_unknown_arc_is_named(single_arc_file, tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"active": ["zz"], "resetting": [], "source": "s",
+                                       "sink": "t", "rate": 2}))
+    out = tmp_path / "thin.json"
+    assert main(["thinflow", str(single_arc_file), str(config_file), "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: the instance has no arc zz\n"
+    assert json.loads(out.read_text()) == {"ok": False, "error": "the instance has no arc zz"}
+
+
+COMMON_OPTIONS = {"out": None, "format": "json", "quiet": False}
+# command -> positional arguments, further options with their defaults, and
+# the default report path when the arguments are named as below
+COMMAND_TABLE = [
+    ("validate", ["instance"], {}, None),
+    ("load", ["instance", "flowrates"], {"horizon": None}, "load_report.json"),
+    ("thinflow", ["instance", "config"], {}, "thinflow.json"),
+    ("nash", ["instance"], {"horizon": None, "max_phases": 500}, "nash.json"),
+    ("verify", ["instance", "flow"], {}, "verify_report.json"),
+    ("labels", ["instance", "flow", "commodity"], {}, "labels_7.json"),
+]
+
+
+def _arguments(positionals):
+    """Values of the positional arguments: commodity 7, files that do not exist."""
+    return {arg: "7" if arg == "commodity" else f"{arg}.json" for arg in positionals}
+
+
+@pytest.mark.parametrize("command,positionals,options,report", COMMAND_TABLE,
+                         ids=[row[0] for row in COMMAND_TABLE])
+def test_command_table(command, positionals, options, report, tmp_path, monkeypatch,
+                       capsys):
+    values = _arguments(positionals)
+    args = vars(cli_mod.build_parser().parse_args([command] + list(values.values())))
+    assert {arg: args.pop(arg) for arg in positionals} == values
+    assert args.pop("command") == command
+    assert callable(args.pop("func"))
+    args.pop("report", None)  # the table's own default, read by main
+    assert args == {**COMMON_OPTIONS, **options}
+    # the inputs are missing: exit 2 with a report at the default path
+    monkeypatch.chdir(tmp_path)
+    assert main([command] + list(values.values()) + ["--quiet"]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([report] if report else [])
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{validate,load,thinflow,nash,verify,labels}" in capsys.readouterr().out
+    assert list(cli_mod.COMMANDS) == [row[0] for row in COMMAND_TABLE]

@@ -1,17 +1,23 @@
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from corpus import corpus
+from nashflow import loading, netmodel, timefn
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import (BeyondHorizon, FlowOverTime, NegativeInflow,
                               UnknownEntry, check_feasibility, derive_profile,
                               exit_time, flow_from_json, flow_to_json,
-                              load_network, queue_size, waiting_time)
-from nashflow.nash import verify_nash
+                              load_network, load_queues, queue_size, waiting_time)
+from nashflow.nash import (construct_common_destination, construct_common_origin,
+                           construct_nash_single, verify_nash)
 from nashflow.timefn import PwlFunction, StepFunction
 
 F = Fraction
@@ -495,6 +501,38 @@ class TestLoaderTotals:
         summed = FlowOverTime(dict(flow.inflow), dict(flow.outflow)).fill_totals(instance)
         assert flow.total_inflow == summed.total_inflow
         assert flow.total_outflow == summed.total_outflow
+
+
+def _breakpoints_inflows(monkeypatch):
+    """(instance, arc inflows) of the ``breakpoints`` benchmark's items."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").Breakpoints()
+    program = SimpleNamespace(netmodel=netmodel, timefn=timefn, loading=loading)
+    return [(item.instance, workload.solve(program, item)[0].inflow)
+            for seed in (1, 2) for item in workload.generate(program, seed)]
+
+
+def _corpus_inflows():
+    """(instance, arc inflows) of the corpus equilibria."""
+    constructors = {"general": construct_nash_single, "commonOrigin": construct_common_origin,
+                    "commonDestination": construct_common_destination}
+    results = [constructors[instance.mode](instance, horizon)
+               for _, instance, horizon in corpus()]
+    return [(result.instance, result.flow.inflow) for result in results]
+
+
+class TestLoadQueues:
+    def test_complete_profile_of_load_network(self, monkeypatch):
+        """``load_queues`` gives ``load_network``'s queue profile, exit times
+        included."""
+        cases = _breakpoints_inflows(monkeypatch) + _corpus_inflows()
+        assert len(cases) == 16
+        for instance, inflows in cases:
+            queues = load_queues(instance, inflows)
+            loaded = load_network(instance, inflows)[1]
+            assert queues.volume == loaded.volume
+            assert queues.waiting == loaded.waiting
+            assert queues.exit_time == loaded.exit_time
 
 
 class TestFlowJson:

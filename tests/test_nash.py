@@ -200,6 +200,26 @@ class TestCommonOrigin:
                 e = result.sink_arc_map[c.id]
                 assert p.thin.flow.get(e, F(0)) == p.thin.value * c.rate / r
 
+    def test_sink_arc_inactive_at_the_start_is_rejected(self, monkeypatch):
+        """A sink arc whose gap is negative at particle 0 starts inactive;
+        the constructor rejects its commodity although it reads the sink-arc
+        gaps only at phase ends."""
+        real = nash.extend_with_super_sink
+
+        def late_sink(instance):
+            extended, arc_map = real(instance)
+            late = arc_map["1"]
+            arcs = tuple(Arc(a.id, a.tail, a.head, a.transit + 1, a.capacity)
+                         if a.id == late else a for a in extended.arcs)
+            return validate_instance(Instance(extended.nodes, arcs, extended.commodities,
+                                              extended.mode)), arc_map
+
+        monkeypatch.setattr(nash, "extend_with_super_sink", late_sink)
+        inst = next(i for n, i, _ in corpus() if n == "origin_two_sinks")
+        with pytest.raises(nash.NewArcInactive) as raised:
+            construct_common_origin(inst, horizon=2)
+        assert raised.value.commodity == "1"
+
 
 class TestReconstructFlow:
     def instance(self):

@@ -151,6 +151,20 @@ def test_readme_module_names_exist():
         assert names and not missing, (module_name, missing)
 
 
+def _readme_commands(text) -> list:
+    """The commands, in order, that the README's "Command line" block runs."""
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1] for line in block.splitlines() if line.startswith("nashflow ")]
+
+
+def test_readme_names_the_cli_commands():
+    """The README's command block runs each command of ``cli.COMMANDS`` once,
+    so no command is added or renamed without its documentation."""
+    cli = importlib.import_module("nashflow.cli")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _readme_commands(text) == list(cli.COMMANDS)
+
+
 def _violation_codes(tree) -> set:
     """The string first argument of every ``*Violation(...)`` call, and the
     first element of every tuple that a function named ``_conditions``
