@@ -11,10 +11,10 @@ given per-particle routing strategies by an exact time-frontier sweep over
 ``timefn.GrowingPwl`` curves, read through forward ``timefn.Cursor``s, that
 at each event revisits only the labels, queues and event times it changed.
 
-Each arc's wait and gap T_e(l_u) - l_v (``arc_gaps``) are read at a sorted
-column of particles, each function in one merge pass: the thin-flow verifier
-reads the gaps on its partition mesh and at its cell midpoints.
-``arc_status`` is their one-point case.
+Each arc's gap T_e(l_u) - l_v (``arc_gaps``) is read at a sorted column of
+particles from the loaded exit times T_e, each function in one merge pass:
+the thin-flow verifier reads the gaps on its partition mesh and at its cell
+midpoints.  ``arc_status`` reads them at one particle, and the waits there.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .netmodel import INF, Arc, Instance, topological_order, transit_distances
 from .loading import QueueProfile, _require_known
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
                      SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
-                     compose, differentiate, min_compose, min_preimage,
-                     sorted_union)
+                     compose, min_compose, min_preimage, sorted_union)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -119,13 +118,13 @@ def earliest_arrival(instance: Instance, profile: QueueProfile, commodity_id: st
 
 
 def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
-             points) -> dict[str, tuple[list, list | None]]:
-    """Per arc whose tail a commodity's labels reach: its wait q_e(l_u) and
-    gap T_e(l_u) - l_v (None if the head is unlabelled) at every particle of
-    the non-decreasing ``points``.  Each label and wait is read in one merge
+             points) -> dict[str, list]:
+    """Per arc whose two ends a commodity's labels reach: its gap
+    T_e(l_u) - l_v at every particle of the non-decreasing ``points``, read
+    off the loaded exit times.  Each label and exit time is read in one merge
     pass; a tail label that decreases between the points raises ValueError."""
     values = {v: f.at_sorted(points) for v, f in labelset.labels.items()}
-    columns = {}
+    gaps = {}
     for a in instance.arcs:
         entries = values.get(a.tail)
         if entries is None:
@@ -133,21 +132,21 @@ def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
         if any(t < s for s, t in zip(entries, entries[1:])):
             raise ValueError(f"the label at {a.tail} decreases between the "
                              f"points read")
-        waits = profile.waiting[a.id].at_sorted(entries)
         heads = values.get(a.head)
-        gaps = None if heads is None else [
-            entry + a.transit + wait - head
-            for entry, wait, head in zip(entries, waits, heads)]
-        columns[a.id] = (waits, gaps)
-    return columns
+        if heads is not None:
+            gaps[a.id] = [t - head for t, head in
+                          zip(profile.exit_time[a.id].at_sorted(entries), heads)]
+    return gaps
 
 
 def arc_status(instance: Instance, labelset: LabelSet, profile: QueueProfile,
                phi) -> tuple[set, set]:
     """Active (gap 0) and resetting (wait > 0) arc ids at one particle."""
-    columns = arc_gaps(instance, labelset, profile, [Fraction(phi)])
-    return ({e for e, (_, gaps) in columns.items() if gaps is not None and gaps[0] == 0},
-            {e for e, (waits, _) in columns.items() if waits[0] > 0})
+    phi = Fraction(phi)
+    gaps = arc_gaps(instance, labelset, profile, [phi])
+    return ({e for e, gap in gaps.items() if gap[0] == 0},
+            {a.id for a in instance.arcs if a.tail in labelset.labels
+             and profile.waiting[a.id](labelset.labels[a.tail](phi)) > 0})
 
 
 def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
@@ -186,8 +185,8 @@ def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
     mesh = sorted_union(x.breakpoints, label.breakpoints)
     # time -> rate; a flat stretch's zero gives way to the cell after it
     pieces = {}
-    for phi, t, rate, slope in zip(mesh, label.at_sorted(mesh), x.at_sorted(mesh),
-                                   differentiate(label).at_sorted(mesh)):
+    times, slopes = label._read(mesh)
+    for phi, t, rate, slope in zip(mesh, times, x.at_sorted(mesh), slopes):
         if rate and not slope:
             raise ValueError(f"rate {rate} at particle {phi} on a flat stretch "
                              f"of the label")

@@ -27,7 +27,7 @@ from .labels import LabelSet, earliest_arrival, rate_over_time
 from .loading import (FeasibilityReport, FlowOverTime, FlowViolation,
                       QueueProfile, check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Instance,
-                       InvalidDerivedInstance, extend_with_super_sink,
+                       InvalidDerivedInstance, _fresh_name, extend_with_super_sink,
                        transit_distances, validate_instance)
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
@@ -252,27 +252,24 @@ def construct_common_origin(instance: Instance, horizon=None,
     phases, node_labels, horizon, injected = _single_phases(extended, horizon,
                                                             max_phases)
     total_rate = extended.commodities[0].rate
-    # only the gaps at phase ends are read: at particle 0 every sink-arc gap
-    # is 0, its transit being delta_max - delta_j, and each later phase
-    # starts at the gap the previous one ended with; an arc whose start gap
-    # is negative is inactive, for which ``decompose`` raises NewArcInactive
     for p in phases:
-        for j, e in arc_map.items():
-            if _gap_at(extended, node_labels, e, p.phi_end) < 0:
-                raise NewArcInactive(j)
         p.flows = decompose(extended, p.thin, arc_map,
                             {c.id: c.rate / total_rate * p.thin.value
                              for c in instance.commodities})
+    # a sink arc with a negative gap at a phase start is inactive, so
+    # ``decompose`` has raised NewArcInactive for it; at particle 0 every
+    # such gap is 0 (transit delta_max - delta_j), so the last end is left
+    if phases:
+        end = phases[-1].phi_end
+        for j, e in arc_map.items():
+            a = extended.arc(e)
+            if node_labels[a.head](end) - node_labels[a.tail](end) - a.transit < 0:
+                raise NewArcInactive(j)
     node_labels = {v: f for v, f in node_labels.items() if v in instance.nodes}
     nu_min = min(a.capacity for a in instance.arcs)
     sigma = min(nu_min, total_rate)
     return _finish(instance, phases, node_labels, horizon, injected,
                    extended_instance=extended, sink_arc_map=arc_map, sigma=sigma)
-
-
-def _gap_at(instance: Instance, node_labels: dict, arc_id: str, phi) -> Fraction:
-    a = instance.arc(arc_id)
-    return node_labels[a.head](phi) - node_labels[a.tail](phi) - a.transit
 
 
 def _require_valid(instance: Instance) -> Instance:
@@ -286,13 +283,11 @@ def _require_valid(instance: Instance) -> Instance:
 
 def _virtual_super_source(instance: Instance, sources: dict):
     """Instance extended by a virtual super source, for path grouping only."""
-    origin = "__source__"
-    while origin in instance.nodes:
-        origin += "_"
+    origin = _fresh_name("__source__", instance.nodes)
     arcs = list(instance.arcs)
     group = {}
     for j, (s_j, _) in sorted(sources.items()):
-        arc_id = f"__from_source_{j}__"
+        arc_id = _fresh_name(f"__from_source_{j}__", {a.id for a in arcs})
         arcs.append(Arc(arc_id, origin, s_j, ZERO, ONE))
         group[j] = arc_id
     virtual = Instance(instance.nodes + (origin,), tuple(arcs), (), instance.mode)

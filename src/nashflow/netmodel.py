@@ -266,6 +266,13 @@ def topological_order(instance: Instance, arc_ids) -> list | None:
     return finished[::-1]
 
 
+def _fresh_name(name: str, taken) -> str:
+    """``name`` with the fewest underscores appended that ``taken`` lacks."""
+    while name in taken:
+        name += "_"
+    return name
+
+
 SUPER_SINK = "__sink__"
 MERGED_COMMODITY = "__merged__"
 
@@ -296,23 +303,19 @@ def extend_with_super_sink(instance: Instance):
     total_rate = sum((c.rate for c in instance.commodities), Fraction(0))
     nu_min = min(a.capacity for a in instance.arcs)
     sigma = min(nu_min, total_rate)
-    sink = SUPER_SINK
-    while sink in instance.nodes:
-        sink += "_"
-    new_arcs = []
+    sink = _fresh_name(SUPER_SINK, instance.nodes)
+    arcs = list(instance.arcs)
     arc_map = {}
     for c in instance.commodities:
-        arc_id = f"__to_sink_{c.id}__"
-        while arc_id in {a.id for a in instance.arcs}:
-            arc_id += "_"
-        new_arcs.append(Arc(arc_id, c.destination, sink,
-                            delta_max - delta[c.id],
-                            c.rate * sigma / (2 * total_rate)))
+        arc_id = _fresh_name(f"__to_sink_{c.id}__", {a.id for a in arcs})
+        arcs.append(Arc(arc_id, c.destination, sink,
+                        delta_max - delta[c.id],
+                        c.rate * sigma / (2 * total_rate)))
         arc_map[c.id] = arc_id
     merged = Commodity(MERGED_COMMODITY, origin, sink, total_rate,
                        instance.commodities[0].inflow_start,
                        instance.commodities[0].inflow_end)
-    extended = Instance(instance.nodes + (sink,), instance.arcs + tuple(new_arcs),
+    extended = Instance(instance.nodes + (sink,), tuple(arcs),
                         (merged,), GENERAL)
     extended = validate_instance(extended)
     if isinstance(extended, list):

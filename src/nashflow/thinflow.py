@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, _as_fractions, differentiate,
-                     min_preimage, sorted_union, zero_crossings)
+from .timefn import (ONE, ZERO, StepFunction, _as_fractions, min_preimage,
+                     sorted_union, zero_crossings)
 from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
 from .rationals import format_rational
@@ -518,7 +518,6 @@ class ThinFlowViolation:
         return f"{self.code}({self.commodity},{self.subject}) on [{lo},{hi})"
 
     def record(self) -> dict:
-        from .rationals import format_rational
         return {"code": self.code, "commodity": self.commodity,
                 "subject": self.subject,
                 "piece": [format_rational(self.piece[0]),
@@ -569,8 +568,8 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     over them, of which TF2 leaves at least one (TF2's slope condition), and
     every active arc carrying flow attains it (TF3).
 
-    The origin's label, every strategy and every gap (``labels.arc_gaps``)
-    is read as one column over the sorted cell midpoints.
+    The origin's label and its slopes, every strategy and every gap
+    (``labels.arc_gaps``) is read as one column over the sorted cell midpoints.
     """
     _require_known(instance, strategies)
     inflows = {}
@@ -592,13 +591,10 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
         cells = _partition(instance, ls, rates, horizon, profile)
         pieces_per_commodity[j] = cells
         mids = [(lo + hi) / 2 for lo, hi in cells]
-        source = ls.labels[c.origin]
-        source_values = source.at_sorted(mids)
-        source_slopes = differentiate(source).at_sorted(mids)
+        source_values, source_slopes = ls.labels[c.origin]._read(mids)
         own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mids)
                for a in instance.arcs}
-        gaps = {e: g for e, (_, g) in arc_gaps(instance, ls, profile, mids).items()
-                if g is not None}
+        gaps = arc_gaps(instance, ls, profile, mids)
         for k, piece in enumerate(cells):
             in_k = c.particle_volume is None or mids[k] < c.particle_volume
             if (source_slopes[k] != 1 / c.rate
@@ -634,10 +630,13 @@ def _partition(instance, ls, rates, horizon, profile):
     per arc id.
 
     The cuts are the label and strategy breakpoints and, per arc, the first
-    particles to reach the tail where q_e bends or crosses zero.  On that
-    mesh each gap T_e(l_u) - l_v is linear per cell; its zeros finish the
-    partition.  Other commodities act on these checks only through the
-    loaded queues.
+    particles to reach the tail where the exit times T_e bend, which is
+    where the waits q_e bend.  On that mesh each gap T_e(l_u) - l_v is
+    linear per cell; its zeros finish the partition.  No wait crosses 0
+    between its bends: ``load_queues`` never lets a queue fall below 0,
+    empties it at an anchor, and gives it a flat left ray and a
+    non-decreasing right one.  Other commodities act on these checks only
+    through the loaded queues.
     """
     cuts = {ZERO, horizon}
     for f in (*ls.labels.values(), *rates.values()):
@@ -646,15 +645,12 @@ def _partition(instance, ls, rates, horizon, profile):
         lu = ls.labels.get(a.tail)
         if lu is None:
             continue
-        q = profile.waiting[a.id]
-        times = list(q.breakpoints) + zero_crossings(
-            q.breakpoints, q.values, q.initial_slope, q.final_slope)
         lo, hi = lu(ZERO), lu(horizon)
-        cuts.update(min_preimage(lu, t) for t in times if lo < t < hi)
+        cuts.update(min_preimage(lu, t) for t in profile.exit_time[a.id].breakpoints
+                    if lo < t < hi)
     mesh = sorted(cuts)
     gap_zeros = []
-    for _, gaps in arc_gaps(instance, ls, profile, mesh).values():
-        if gaps is not None:
-            gap_zeros += zero_crossings(mesh, gaps)
+    for gaps in arc_gaps(instance, ls, profile, mesh).values():
+        gap_zeros += zero_crossings(mesh, gaps)
     mesh = sorted_union(mesh, gap_zeros)
     return list(zip(mesh, mesh[1:]))

@@ -19,11 +19,14 @@ as a reference.  These four take their cumulative flows from the library's
 ``integrate``.  The thin-flow verifier at the
 end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
-reads.  ``stress_conditions`` keeps the slope conditions that the verifier
-proves implied rather than runs, read through the one-point ``arc_status``
-here and the library's one-point ``foreign_rate_at``; it passes ``stress``
-a commodity's own rate plus its foreign rate as the one flow on the arc, and
-reads them on the partition refined where the foreign rate changes.
+reads.  ``partition`` is that partition as it was built from the waits: cut
+where each q_e bends or crosses 0, with each gap read as entry + transit +
+wait - head, where the library cuts at the bends of the exit times and reads
+the gaps off them.  ``stress_conditions`` keeps the slope conditions that the
+verifier proves implied rather than runs, read through the one-point
+``arc_status`` here and the library's one-point ``foreign_rate_at``; it passes
+``stress`` a commodity's own rate plus its foreign rate as the one flow on the
+arc, and reads them on the partition refined where the foreign rate changes.
 ``earliest_arrival`` is the round-based label iteration that the ordered
 sweep of ``labels.earliest_arrival`` replaces: every round recomputes every
 node from all its in-arcs and its old label, with the library's
@@ -425,6 +428,40 @@ def arc_status(instance, labelset, profile, phi):
         if lv is not None and lv(phi) == entry + a.transit + wait:
             active.add(a.id)
     return active, resetting
+
+
+def partition(instance, ls, rates, horizon, profile):
+    """The cells of ``thinflow._partition`` cut where each wait q_e bends or
+    crosses 0, their gaps entry + transit + q_e(entry) - l_v; a tail label
+    that decreases on the mesh raises ValueError at the first such arc."""
+    cuts = {ZERO, horizon}
+    for f in (*ls.labels.values(), *rates.values()):
+        cuts |= {b for b in f.breakpoints if 0 < b < horizon}
+    for a in instance.arcs:
+        lu = ls.labels.get(a.tail)
+        if lu is None:
+            continue
+        q = profile.waiting[a.id]
+        times = list(q.breakpoints) + timefn.zero_crossings(
+            q.breakpoints, q.values, q.initial_slope, q.final_slope)
+        lo, hi = lu(ZERO), lu(horizon)
+        cuts.update(min_preimage(lu, t) for t in times if lo < t < hi)
+    mesh = sorted(cuts)
+    gap_zeros = []
+    for a in instance.arcs:
+        lu, lv = ls.labels.get(a.tail), ls.labels.get(a.head)
+        if lu is None:
+            continue
+        entries = [lu(m) for m in mesh]
+        if any(t < s for s, t in zip(entries, entries[1:])):
+            raise ValueError(f"the label at {a.tail} decreases between the "
+                             f"points read")
+        if lv is not None:
+            gaps = [entry + a.transit + profile.waiting[a.id](entry) - lv(m)
+                    for m, entry in zip(mesh, entries)]
+            gap_zeros += timefn.zero_crossings(mesh, gaps)
+    mesh = sorted(set(mesh) | set(gap_zeros))
+    return list(zip(mesh, mesh[1:]))
 
 
 def strategy_profile(instance, strategies, labels_all):

@@ -277,6 +277,23 @@ def test_nash_shared_source_is_exit_2(tmp_path, capsys):
                                            "error": "sources must be distinct nodes"}
 
 
+def test_nash_keeps_grouping_arcs_apart_from_instance_arcs(tmp_path):
+    """An instance arc named like an arc of the virtual super source that
+    groups the paths by source (``__from_source_1__``) leaves both in place:
+    the grouping arc takes a name the instance lacks."""
+    inst = Instance(("s1", "s2", "v", "t"),
+                    (Arc("__from_source_1__", "s1", "v", F(1), F(1)),
+                     Arc("b", "s2", "v", F(1), F(1)), Arc("c", "v", "t", F(1), F(1))),
+                    (Commodity("1", "s1", "t", F(1)), Commodity("2", "s2", "t", F(1))),
+                    "commonDestination")
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    out = tmp_path / "n.json"
+    code = main(["nash", str(path), "--horizon", "2", "--out", str(out), "--quiet"])
+    assert code == 0
+    assert json.loads(out.read_text())["verification"]["ok"] is True
+
+
 @pytest.fixture
 def command_inputs(tmp_path):
     """Valid inputs of the five commands that take an instance and more:

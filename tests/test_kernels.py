@@ -14,7 +14,7 @@ from nashflow import loading
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, ValueNotAttained,
                              compose, integrate, min_compose, min_preimage,
-                             sorted_union)
+                             sorted_union, zero_crossings)
 
 F = Fraction
 
@@ -290,6 +290,26 @@ class TestQueuePositivity:
         report = loading.check_feasibility(instance, flow, profile)
         assert not report.ok
         assert "WaitingMismatch" in {v.code for v in report.violations}
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_loaded_waits_never_cross_zero(self, data):
+        """The thin-flow verifier cuts its cells only where the exit times
+        bend: no wait that ``load_queues`` builds crosses 0 between its
+        anchors or on a ray."""
+        arcs = tuple(Arc(e, u, v, data.draw(rationals(0, 3)),
+                         data.draw(rationals(1, 3)))
+                     for e, u, v in (("a", "s", "v"), ("b", "v", "t"), ("c", "s", "t")))
+        instance = validate_instance(Instance(("s", "v", "t"), arcs,
+                                              (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
+        inflows = {}
+        for a in arcs:
+            f = data.draw(step_functions())
+            inflows[("1", a.id)] = StepFunction(f.breakpoints, f.values, 0)
+        for q in loading.load_queues(instance, inflows).waiting.values():
+            assert zero_crossings(q.breakpoints, q.values, q.initial_slope,
+                                  q.final_slope) == [], q
 
 
 class TestCache:

@@ -221,6 +221,45 @@ class TestCommonOrigin:
         assert raised.value.commodity == "1"
 
 
+    def test_sink_arc_gap_negative_at_the_end_is_rejected(self, monkeypatch):
+        """A sink-arc gap that turns negative inside the last phase leaves
+        every phase's active set as it was; the constructor reads it at the
+        last phase end."""
+        real = nash._single_phases
+
+        def sunk(instance, horizon, max_phases):
+            phases, labels, horizon, injected = real(instance, horizon, max_phases)
+            sink, last = instance.commodities[0].destination, phases[-1]
+            gap = min(labels[sink](last.phi_end) - labels[a.tail](last.phi_end) - a.transit
+                      for a in instance.in_arcs(sink))
+            drop = PwlFunction([last.phi_start, last.phi_end], [0, gap + 1])
+            return phases, {**labels, sink: labels[sink] - drop}, horizon, injected
+
+        monkeypatch.setattr(nash, "_single_phases", sunk)
+        inst = next(i for n, i, _ in corpus() if n == "origin_two_sinks")
+        with pytest.raises(nash.NewArcInactive) as raised:
+            construct_common_origin(inst, horizon=2)
+        assert raised.value.commodity == "1"
+
+    def test_sink_arcs_take_names_no_arc_has(self):
+        """Commodity 1's sink arc steps aside from the instance's arc
+        ``__to_sink_1__``, and commodity ``1_``'s from that new name."""
+        inst = validate_instance(Instance(
+            ("s", "t1", "t2"),
+            (Arc("__to_sink_1__", "s", "t1", F(1), F(1)), Arc("b", "s", "t2", F(1), F(1))),
+            (Commodity("1", "s", "t1", F(1), F(0), F(2)),
+             Commodity("1_", "s", "t2", F(1), F(0), F(2))),
+            COMMON_ORIGIN))
+        result = construct_common_origin(inst)
+        assert result.sink_arc_map == {"1": "__to_sink_1___", "1_": "__to_sink_1____"}
+        report = verify_nash(result.instance, result.flow)
+        assert report.ok, [str(v) for v in report.violations]
+
+    def test_zero_horizon_builds_no_phase(self):
+        inst = next(i for n, i, _ in corpus() if n == "origin_two_sinks")
+        assert construct_common_origin(inst, horizon=0).phases == []
+
+
 class TestReconstructFlow:
     def instance(self):
         return validate_instance(Instance(

@@ -1,14 +1,18 @@
+import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.labels import LabelSet, arc_gaps, extend_labels, foreign_rate_at
+from nashflow.labels import (LabelSet, arc_gaps, arc_status, extend_labels,
+                             foreign_rate_at)
 from nashflow.loading import QueueProfile, UnknownEntry
-from nashflow import thinflow
+from nashflow import labels as labels_mod, nash, netmodel, thinflow, timefn
 from nashflow.thinflow import (Cyclic, NewArcInactive, NoSinkPath,
                                SizeLimitExceeded, ThinFlow, _partition,
                                check_multisource_thinflow, check_thinflow,
@@ -803,11 +807,10 @@ class TestPointwiseReference:
                 ends = sorted({x for cell in cells for x in cell})
                 points = [ends[0] - 1] + sorted(
                     ends + [(lo + hi) / 2 for lo, hi in cells]) + [ends[-1] + 1]
-                columns = arc_gaps(instance, ls, profile, points)
-                statuses = [({e for e, (_, gaps) in columns.items()
-                              if gaps is not None and gaps[k] == 0},
-                             {e for e, (waits, _) in columns.items() if waits[k] > 0})
-                            for k in range(len(points))]
+                gaps = arc_gaps(instance, ls, profile, points)
+                statuses = [({e for e, gap in gaps.items() if gap[k] == 0},
+                             arc_status(instance, ls, profile, p)[1])
+                            for k, p in enumerate(points)]
                 assert statuses == [
                     reference.arc_status(instance, ls, profile, p) for p in points], name
 
@@ -843,5 +846,51 @@ class TestPartition:
     def test_refines_at_gap_crossings(self):
         instance, labels = self._crossing_gap()
         no_queue = QueueProfile(volume={}, waiting={"e": PwlFunction.constant(0)},
-                                exit_time={})
+                                exit_time={"e": PwlFunction.line(1, 0, 1)})
         assert _partition(instance, labels["1"], {}, F(2), no_queue) == [(0, 1), (1, 2)]
+
+
+class TestWaitPartition:
+    """The partition cut at the bends of the exit times, with the gaps read
+    off them, equals the one cut where the waits bend or cross 0, with the
+    gaps built from the waits (``reference.partition``)."""
+
+    def test_pointwise_reference_cases(self):
+        compared = 0
+        for name, instance, strategies, labels, horizon, profile in \
+                TestPointwiseReference().cases():
+            for j, ls in labels.items():
+                rates = {e: x for (i, e), x in strategies.items() if i == j}
+                got = _outcome(_partition, instance, ls, rates, horizon, profile)
+                assert got == _outcome(reference.partition, instance, ls, rates,
+                                       horizon, profile), (name, j)
+                compared += got is not ValueError
+        assert compared >= 50
+
+    def test_benchmark_certificates(self, monkeypatch):
+        """Every partition that the verifier builds to certify the ``extend``
+        items and the ``equilibria`` round trips at seeds 1-3."""
+        real, compared = thinflow._partition, []
+
+        def both(*args):
+            cells = real(*args)
+            assert cells == reference.partition(*args)
+            compared.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(thinflow, "_partition", both)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        program = SimpleNamespace(netmodel=netmodel, timefn=timefn, labels=labels_mod,
+                                  thinflow=thinflow, nash=nash)
+        for seed in (1, 2, 3):
+            for name in ("extend", "equilibria"):
+                workload = workloads.WORKLOADS[name]
+                for item in workload.generate(program, seed):
+                    result = workload.solve(program, item)
+                    if name == "extend":
+                        workload.certify(program, item, result)
+                    else:
+                        nash.check_derivatives_thinflow(result.instance, result.flow)
+        assert len(compared) == 96 and sum(compared) == 943, compared

@@ -129,6 +129,39 @@ def test_unused_imports_are_found():
     assert _unused_imports(ast.parse(source)) == ["a", "g"]
 
 
+def _redundant_local_imports(tree) -> list:
+    """(line, name) of every import inside a function that binds a name the
+    module already imports at its top."""
+    top = {alias.asname or alias.name.split(".")[0]
+           for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for alias in node.names}
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(node.lineno, name) for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for name in (alias.asname or alias.name.split(".")[0]
+                                   for alias in node.names)
+                      if name in top}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    """A function imports nothing that its module imports at the top."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    redundant = _redundant_local_imports(tree)
+    assert not redundant, f"{path.name}: redundant local imports {redundant}"
+
+
+def test_redundant_local_imports_are_found():
+    source = ("from a import b, c as d\nimport e.f\n"
+              "def g():\n    from a import b\n    import e\n    from h import i\n"
+              "class K:\n    def m(self):\n        from x import d\n"
+              "        def n():\n            from a import c\n")
+    assert _redundant_local_imports(ast.parse(source)) == [(4, "b"), (5, "e"), (9, "d")]
+
+
 def _module_table(text) -> dict:
     """Module name -> the back-ticked names in its row of the README's
     module table."""
