@@ -121,22 +121,28 @@ def _anchor(*rates: StepFunction) -> Fraction:
 
 def _store(profile: QueueProfile, arc, z: PwlFunction):
     """Store the arc's queue volume z, the waits q = z(. + tau) / nu that it
-    defines and the exit times T = theta + tau + q, built on q's anchors
-    with each slope raised by 1."""
-    q = z.shift(-arc.transit).scale(1 / arc.capacity)
-    bps, tau = q.breakpoints, arc.transit
+    defines, built on z's anchors moved by -tau, and the exit times
+    T = theta + tau + q, built on q's anchors with each slope raised by 1."""
+    tau, c = arc.transit, 1 / arc.capacity
+    q = PwlFunction._carried([b - tau for b in z.breakpoints], [c * v for v in z.values],
+                             [c * s for s in z._slopes], c * z.initial_slope, c * z.final_slope)
     profile.volume[arc.id] = z
     profile.waiting[arc.id] = q
     profile.exit_time[arc.id] = PwlFunction._carried(
-        bps, [v + b + tau for b, v in zip(bps, q.values)], [s + 1 for s in q._slopes],
-        q.initial_slope + 1, q.final_slope + 1)
+        q.breakpoints, [v + b + tau for b, v in zip(q.breakpoints, q.values)],
+        [s + 1 for s in q._slopes], q.initial_slope + 1, q.final_slope + 1)
 
 
 def _derive_arc(profile: QueueProfile, arc, f_in: StepFunction, f_out: StepFunction):
-    """Store the arc's z = F_in(. - tau) - F_out, and its waits and exit times."""
-    anchor = _anchor(f_in, f_out)
-    z = integrate(f_in, anchor).shift(arc.transit) - integrate(f_out, anchor)
+    """Store the arc's z = F_in(. - tau) - F_out, waits and exit times, and
+    return g = f_in(. - tau).  From the anchor, left of every breakpoint of
+    f_in, z is the integral of g - f_out less f_in(-inf) tau (tau >= 0)."""
+    g = f_in.shift(arc.transit)
+    z = integrate(g - f_out, _anchor(f_in, f_out))
+    if f_in.initial and arc.transit:
+        z = z.add_constant(-f_in.initial * arc.transit)
     _store(profile, arc, z)
+    return g
 
 
 def load_network(instance: Instance, inflows: dict, horizon=None):
@@ -339,6 +345,7 @@ def check_feasibility(instance: Instance, flow: FlowOverTime,
 
     Reads the commodity rates alone.  Each arc's totals f_in and f_out are
     their sums (``arc_total``); its queue volume z = F_in(. - tau) - F_out,
+    one integral of the net rate f_in(. - tau) - f_out less f_in(-inf) tau,
     waits q = z(. + tau) / nu and exit times T = theta + tau + q are derived
     from them once, into the report's ``profile``.  A given ``profile`` is a
     claim: each field is compared with the derivation (QueueMismatch,
@@ -428,7 +435,7 @@ def _check_arc(instance: Instance, flow: FlowOverTime, claim: QueueProfile | Non
             violations.append(FlowViolation("NegativeInflow", f"{c.id},{e}", where))
     f_in = arc_total(instance, flow.inflow, e)
     f_out = arc_total(instance, flow.outflow, e)
-    _derive_arc(derived, arc, f_in, f_out)
+    g = _derive_arc(derived, arc, f_in, f_out)
     z, q, T = derived.volume[e], derived.waiting[e], derived.exit_time[e]
 
     if claim is not None:
@@ -444,7 +451,6 @@ def _check_arc(instance: Instance, flow: FlowOverTime, claim: QueueProfile | Non
 
     # the total outflow law, on every cell and ray of a mesh on which z
     # keeps its sign and g and f_out are constant
-    g = f_in.shift(arc.transit)
     mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
     mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh),
                                              z.initial_slope, z.final_slope))

@@ -17,18 +17,18 @@ fields only.  The public constructor divides the slopes out of the anchors;
 kernel results divide no slopes, since every kernel that builds one (``+``,
 ``-``, ``scale``, ``shift``, ``add_constant``, ``integrate``, ``compose``,
 ``min_compose``, ``GrowingPwl.finish``) hands over the slopes it already
-knows.  ``at_sorted`` evaluates
-a function at m non-decreasing points in one merge pass, O(n + m), and every
-primitive that evaluates on a sorted mesh goes through it: ``+`` and
-``integrate`` are linear in the breakpoints involved, ``sum_of`` of k
-functions with N breakpoints in all costs O(N log k), ``compose`` is linear
-in the breakpoints of both functions (its level crossings come from one
-two-pointer pass), and ``min_compose`` of k functions on a mesh of N points
-costs O(k^2 N).  ``min_preimage`` is a bisection on the values, O(log n).
-A ``GrowingPwl``, the curve that a forward sweep grows, appends an anchor
-only where its slope changes.  A ``Cursor`` reads it, or a step function, at
-non-decreasing points: each read steps forward over the anchors it passes,
-O(1) amortized, so m reads of a curve with n anchors cost O(n + m) in all.
+knows.  ``at_sorted`` evaluates a function at m non-decreasing points in one
+merge pass, O(n + m): step ``+`` and ``-`` are one merge each, ``sum_of`` of
+k functions with N breakpoints in all costs O(N log k), ``compose`` is
+linear in the breakpoints of both functions (its level crossings come from
+one two-pointer pass), and ``min_compose`` of k functions on a mesh of N
+points costs O(k^2 N), reading the candidates again only at the crossings it
+adds.  ``integrate`` takes its rates from the step values and needs one
+bisection, for its start, and no merge.  ``min_preimage`` is a bisection on
+the values, O(log n).  A ``GrowingPwl``, the curve that a forward sweep
+grows, appends an anchor only where its slope changes.  A ``Cursor`` reads
+it, or a step function, at non-decreasing points: each read steps forward
+over the anchors it passes, O(1) amortized, so m reads cost O(n + m) in all.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, reduce
+from itertools import chain, combinations
+from operator import add, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,11 +75,11 @@ def sorted_union(*seqs) -> list:
 
 def _segment_indices(bps, xs) -> list[int]:
     """``bisect_right(bps, x) - 1`` for every x of the non-decreasing ``xs``,
-    found in one merge pass over both sequences."""
+    in one merge pass; a point that is the breakpoint itself is not compared."""
     out = []
     i, last = -1, len(bps) - 1
     for x in xs:
-        while i < last and bps[i + 1] <= x:
+        while i < last and (bps[i + 1] is x or bps[i + 1] <= x):
             i += 1
         out.append(i)
     return out
@@ -151,17 +152,17 @@ class StepFunction:
             hi = self.breakpoints[k + 1] if k + 1 < len(self.breakpoints) else None
             yield (b, hi, self.values[k])
 
-    def __add__(self, other: "StepFunction") -> "StepFunction":
+    def _merge(self, other: "StepFunction", op) -> "StepFunction":
+        """``op`` of the two functions, on the union of their breakpoints."""
         bps = sorted_union(self.breakpoints, other.breakpoints)
-        return StepFunction(bps, [a + b for a, b in zip(self.at_sorted(bps),
-                                                        other.at_sorted(bps))],
-                            self.initial + other.initial)
+        return StepFunction(bps, list(map(op, self.at_sorted(bps), other.at_sorted(bps))),
+                            op(self.initial, other.initial))
 
-    def __neg__(self) -> "StepFunction":
-        return StepFunction(self.breakpoints, [-v for v in self.values], -self.initial)
+    def __add__(self, other: "StepFunction") -> "StepFunction":
+        return self._merge(other, add)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
-        return self + (-other)
+        return self._merge(other, sub)
 
     def scale(self, c) -> "StepFunction":
         c = Fraction(c)
@@ -188,9 +189,9 @@ class StepFunction:
         if not funcs:
             return StepFunction.zero()
         bps = sorted_union(*(f.breakpoints for f in funcs))
-        init = sum((f.initial for f in funcs), ZERO)
         columns = [f.at_sorted(bps) for f in funcs]
-        return StepFunction(bps, [sum(col, ZERO) for col in zip(*columns)], init)
+        return StepFunction(bps, [reduce(add, col) for col in zip(*columns)],
+                            reduce(add, (f.initial for f in funcs)))
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -304,8 +305,8 @@ class PwlFunction:
         """Value at x, given i = bisect_right(breakpoints, x) - 1."""
         if i < 0:
             return self.values[0] + self.initial_slope * (x - self.breakpoints[0])
-        d = x - self.breakpoints[i]
-        if not d:
+        b = self.breakpoints[i]
+        if x is b or not (d := x - b):  # at a breakpoint, read its value
             return self.values[i]
         return self.values[i] + self._slope_on(i) * d
 
@@ -515,11 +516,13 @@ class Cursor:
 def integrate(f: StepFunction, start) -> PwlFunction:
     """Exact antiderivative F(x) = integral of f from ``start`` to x."""
     start = Fraction(start)
-    bps = sorted_union(f.breakpoints, (start,))
-    rates = f.at_sorted(bps)
+    bps, rates = f.breakpoints, f.values
+    idx = bisect_left(bps, start)
+    if idx == len(bps) or bps[idx] != start:  # insert the start, at its rate
+        bps = bps[:idx] + (start,) + bps[idx:]
+        rates = rates[:idx] + (rates[idx - 1] if idx else f.initial,) + rates[idx:]
     vals = [ZERO] * len(bps)
     # accumulate from the anchor outwards in both directions
-    idx = bisect_left(bps, start)
     acc = ZERO
     for k in range(idx + 1, len(bps)):
         if rates[k - 1]:
@@ -624,15 +627,16 @@ def min_compose(candidates) -> tuple[PwlFunction, list]:
     reads = [f._read(mesh) for f in funcs]
     # refine by pairwise crossings so that the order is constant per cell
     extra = []
-    for a in range(len(funcs)):
-        for b in range(a + 1, len(funcs)):
-            diff = [u - v for u, v in zip(reads[a][0], reads[b][0])]
-            extra += zero_crossings(mesh, diff,
-                                    funcs[a].initial_slope - funcs[b].initial_slope,
-                                    funcs[a].final_slope - funcs[b].final_slope)
-    if extra:
-        mesh = sorted_union(mesh, extra)
-        reads = [f._read(mesh) for f in funcs]
+    for a, b in combinations(range(len(funcs)), 2):
+        diff = [u - v for u, v in zip(reads[a][0], reads[b][0])]
+        extra += zero_crossings(mesh, diff, funcs[a].initial_slope - funcs[b].initial_slope,
+                                funcs[a].final_slope - funcs[b].final_slope)
+    if extra:  # read the candidates at the added points only, merge by index
+        added = sorted_union(extra)
+        at = [bisect_left(mesh, x) for x in added]
+        mesh = _interleave(mesh, added, at)
+        reads = [[_interleave(col, new, at) for col, new in zip(read, f._read(added))]
+                 for f, read in zip(funcs, reads)]
     table = [col for col, _ in reads]
     vals = [min(col) for col in zip(*table)]
     # one unit beyond the mesh every candidate runs with its outer slope
@@ -650,6 +654,12 @@ def min_compose(candidates) -> tuple[PwlFunction, list]:
     slopes = [reads[next(iter(members))][1][k]
               for k, (_, _, members) in enumerate(segments[1:-1])]
     return PwlFunction._carried(mesh, vals, slopes, s0, s1), segments
+
+
+def _interleave(base, extra, at) -> list:
+    """``base`` with each ``extra[k]`` inserted before ``base[at[k]]``."""
+    parts = chain.from_iterable((*base[i:j], x) for i, j, x in zip([0] + at, at, extra))
+    return [*parts, *base[at[-1]:]]
 
 
 def _argmins(column, least) -> frozenset:

@@ -16,7 +16,11 @@ library composes all but the last on an arc that keeps the outflow rules
 (``commodity_identity_failures``).  ``static_flow_failures`` is the underlying
 static-flow check that ``verify_nash`` proves implied; ``test_nash`` keeps it
 as a reference.  These four take their cumulative flows from the library's
-``integrate``.  The thin-flow verifier at the
+``integrate``.  ``antiderivative`` is ``integrate`` summed piece by piece
+at every anchor, and ``derive_arc`` the derivation of an arc's queue
+volume, waits and exit times from two integrals, F_in shifted by the
+transit time less F_out, that ``loading._derive_arc`` replaces with one
+integral of the net arrival rate.  The thin-flow verifier at the
 end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
 reads.  ``partition`` is that partition as it was built from the waits: cut
@@ -190,6 +194,29 @@ def min_compose(candidates):
                             if f(a) == mv_a and f(b) == mv_b)
         segments.append((lo, hi, members))
     return result, segments
+
+
+def antiderivative(f: StepFunction, start) -> PwlFunction:
+    """The integral of f from ``start``, anchored at ``start`` and every
+    breakpoint, each anchor's value summed piece by piece from ``start``."""
+    start = Fraction(start)
+    mesh = sorted(set(f.breakpoints) | {start})
+
+    def area(lo, hi):
+        cuts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
+        return sum((f(a) * (b - a) for a, b in zip(cuts, cuts[1:])), ZERO)
+    vals = [area(start, x) if x >= start else -area(x, start) for x in mesh]
+    return PwlFunction(mesh, vals, f.initial, f.final)
+
+
+def derive_arc(arc: Arc, f_in: StepFunction, f_out: StepFunction):
+    """The arc's queue volume z = F_in(. - tau) - F_out from two integrals
+    from the anchor, its waits q = z(. + tau) / nu and its exit times
+    T = theta + tau + q, as (z, q, T)."""
+    anchor = min([ZERO] + [f.breakpoints[0] for f in (f_in, f_out) if f.breakpoints])
+    z = integrate(f_in, anchor).shift(arc.transit) - integrate(f_out, anchor)
+    q = z.shift(-arc.transit).scale(1 / arc.capacity)
+    return z, q, q + PwlFunction.line(ONE, ZERO, arc.transit)
 
 
 def earliest_arrival(instance, profile, commodity_id, phi_max=None):

@@ -6,7 +6,7 @@ import json
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -106,6 +106,98 @@ class TestMinCompose:
         f = PwlFunction([0, 2], [0, 2], 1, 0)
         g = PwlFunction([1, 2], [1, 2], 1, 1)
         assert min_compose([f, g, f]) == ref.min_compose([f, g, f])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_crossing_candidates(self, data):
+        """The candidates cross inside a cell or on a ray, where the minimum
+        reads them at the added crossing only."""
+        f, g = data.draw(pwl_functions()), data.draw(pwl_functions())
+        mesh = sorted_union(f.breakpoints, g.breakpoints)
+        x = data.draw(st.sampled_from([mesh[0] - 1, mesh[-1] + 1] +
+                                      [(a + b) / 2 for a, b in zip(mesh, mesh[1:])]))
+        g = g.add_constant(f(x) - g(x))
+        assume(f.slope_right(x) != g.slope_right(x))
+        funcs = [f, g] + data.draw(st.lists(pwl_functions(), max_size=2))
+        minimum, segments = min_compose(funcs)
+        assert (minimum, segments) == ref.min_compose(funcs)
+        assert x in {lo for lo, _, _ in segments}
+
+
+def _probes(*funcs) -> list:
+    """Every breakpoint of the functions, every cell midpoint and a point of
+    each ray."""
+    mesh = sorted_union(*(f.breakpoints for f in funcs)) or [F(0)]
+    return [mesh[0] - 1] + mesh + [(a + b) / 2 for a, b in zip(mesh, mesh[1:])] + \
+        [mesh[-1] + 1]
+
+
+class TestStepArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(step_functions(lo=-5), step_functions(lo=-5))
+    def test_difference(self, f, g):
+        d = f - g
+        assert all(d(x) == f(x) - g(x) for x in _probes(f, g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(step_functions(lo=-5), min_size=1, max_size=4))
+    def test_sum_of(self, funcs):
+        total = StepFunction.sum_of(funcs)
+        assert all(total(x) == sum(f(x) for f in funcs) for x in _probes(*funcs))
+
+
+class TestIntegrate:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_piecewise_sums(self, data):
+        """The start lies before, at, between or after the breakpoints."""
+        f = data.draw(step_functions(lo=-5))
+        bps = list(f.breakpoints) or [F(0)]
+        start = data.draw(st.one_of(
+            st.sampled_from([bps[0] - 1, bps[-1] + 1] + bps +
+                            [(a + b) / 2 for a, b in zip(bps, bps[1:])]),
+            rationals(-25, 25)))
+        assert integrate(f, start) == ref.antiderivative(f, start)
+
+
+class TestValueAtBreakpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(pwl_functions())
+    def test_breakpoint_object_or_equal_copy(self, f):
+        for i, b in enumerate(f.breakpoints):
+            copy = F(b.numerator, b.denominator)
+            assert copy is not b and copy == b
+            assert f._value(i, b) == f._value(i, copy) == f.values[i]
+        copies = [F(b.numerator, b.denominator) for b in f.breakpoints]
+        assert f.at_sorted(f.breakpoints) == f.at_sorted(copies) == list(f.values)
+
+
+class TestDeriveArc:
+    """One integral of the net arrival rate gives the queue volume, waits
+    and exit times of the two-integral derivation."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_functions(lo=-5), step_functions(lo=-5),
+           st.one_of(st.just(F(0)), rationals(0, 3)), rationals(1, 3))
+    def test_matches_two_integrals(self, f_in, f_out, transit, capacity):
+        self._check(f_in, f_out, transit, capacity)
+
+    def test_inflow_on_its_left_ray_and_early_outflow(self):
+        """An inflow nonzero since -inf, and an outflow that starts before
+        it, through a transit time or none."""
+        f_in = StepFunction([1, 3], [2, 0], F(1, 2))
+        f_out = StepFunction([-4, 2], [1, 0], 0)
+        for transit in (F(0), F(3, 2)):
+            self._check(f_in, f_out, transit, F(2))
+
+    @staticmethod
+    def _check(f_in, f_out, transit, capacity):
+        arc = Arc("e", "s", "t", transit, capacity)
+        profile = loading.QueueProfile({}, {}, {})
+        g = loading._derive_arc(profile, arc, f_in, f_out)
+        assert g == f_in.shift(transit)
+        assert (profile.volume["e"], profile.waiting["e"], profile.exit_time["e"]) == \
+            ref.derive_arc(arc, f_in, f_out)
 
 
 def _as_if_divided(f: PwlFunction):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from corpus import corpus
-from nashflow import loading, netmodel, timefn
+from nashflow import labels, loading, netmodel, timefn
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import (BeyondHorizon, FlowOverTime, NegativeInflow,
                               UnknownEntry, check_feasibility, derive_profile,
@@ -533,6 +533,39 @@ class TestLoadQueues:
             assert queues.volume == loaded.volume
             assert queues.waiting == loaded.waiting
             assert queues.exit_time == loaded.exit_time
+
+
+class TestCertificateWork:
+    """The work of the ``breakpoints`` benchmark's certificate at seed 1,
+    ``check_feasibility`` and ``earliest_arrival`` of both items: each arc's
+    queue volume is one integral of its net arrival rate, and its waits and
+    exit times one construction each."""
+
+    def test_integrals_and_constructions(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workload = importlib.import_module("workloads").Breakpoints()
+        program = SimpleNamespace(netmodel=netmodel, timefn=timefn, loading=loading,
+                                  labels=labels)
+        items = workload.generate(program, 1)
+        outputs = [workload.solve(program, item) for item in items]
+        counts = {"integrate": 0, "_carried": 0}
+        integrate, carried = timefn.integrate, PwlFunction._carried.__func__
+
+        def counted_integrate(*args):
+            counts["integrate"] += 1
+            return integrate(*args)
+
+        def counted_carried(cls, *args):
+            counts["_carried"] += 1
+            return carried(cls, *args)
+
+        for module in (timefn, loading):
+            monkeypatch.setattr(module, "integrate", counted_integrate)
+        monkeypatch.setattr(PwlFunction, "_carried", classmethod(counted_carried))
+        for item, output in zip(items, outputs):
+            report, _ = workload.certify(program, item, output)
+            assert report.ok
+        assert counts["integrate"] <= 24 and counts["_carried"] <= 72, counts
 
 
 class TestFlowJson:
