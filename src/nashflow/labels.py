@@ -27,8 +27,8 @@ from itertools import count
 from .netmodel import INF, Arc, Instance, topological_order, transit_distances
 from .loading import QueueProfile, _require_known
 from .timefn import (ZERO, Cursor, GrowingPwl, PwlFunction, StepFunction,
-                     SweepInvariantBroken, ValueNotAttained, breakpoint_budget,
-                     compose, min_compose, min_preimage, sorted_union)
+                     SweepInvariantBroken, ValueNotAttained, _align, breakpoint_budget,
+                     compose, min_compose, min_preimage)
 
 
 class CyclicZeroTransit(RuntimeError):
@@ -182,11 +182,11 @@ def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
     if x.initial and not label.initial_slope:
         raise ValueError(f"rate {x.initial} on the flat left ray of the label")
     initial = x.initial / label.initial_slope if x.initial else ZERO
-    mesh = sorted_union(x.breakpoints, label.breakpoints)
+    mesh, (i_x, i_label) = _align(x.breakpoints, label.breakpoints)
     # time -> rate; a flat stretch's zero gives way to the cell after it
     pieces = {}
-    times, slopes = label._read(mesh)
-    for phi, t, rate, slope in zip(mesh, times, x.at_sorted(mesh), slopes):
+    times, slopes = label._read(i_label, mesh)
+    for phi, t, rate, slope in zip(mesh, times, x._values_at(i_x), slopes):
         if rate and not slope:
             raise ValueError(f"rate {rate} at particle {phi} on a flat stretch "
                              f"of the label")

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, UnknownEntry
-from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _segment_indices,
-                     breakpoint_budget, compose, first_difference, integrate,
-                     min_preimage, sorted_union, zero_crossings)
+from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _align, breakpoint_budget,
+                     compose, first_difference, integrate, min_preimage, zero_crossings)
 
 
 class NegativeInflow(ValueError):
@@ -221,17 +220,13 @@ def _load_arc(total_in: StepFunction, arc):
     g = total_in.shift(arc.transit)  # arrival rate at the queue
     if not g.breakpoints:
         return StepFunction.zero(), PwlFunction.constant(ZERO)
-    start = g.breakpoints[0]
-    z_bps = [start]
+    z_bps = [g.breakpoints[0]]
     z_vals = [ZERO]
     z_slopes = []  # right of every anchor but the last
     outflows = {}  # time -> outflow; the last value set at a time wins
-    t = start
     z = ZERO
-    pieces = [(lo, hi, v) for lo, hi, v in g.pieces() if lo is not None]
-    final_slope = ZERO
-    final_out = ZERO
-    for lo, hi, rate in pieces:
+    # from the first breakpoint on; the last piece, a ray, sets final_slope and final_out
+    for lo, hi, rate in list(g.pieces())[1:]:
         t = lo
         while True:
             if z > 0:
@@ -257,7 +252,6 @@ def _load_arc(total_in: StepFunction, arc):
             z_bps.append(hi)
             z_vals.append(z)
             z_slopes.append(slope)
-            t = hi
             break
     volume = PwlFunction._carried(z_bps, z_vals, z_slopes, ZERO, final_slope)
     outflow = StepFunction(list(outflows), list(outflows.values()), ZERO)
@@ -274,18 +268,20 @@ def _split_outflows(inflows: list, total_in: StepFunction, total_out: StepFuncti
 
     The marks are the breakpoints of T and of every inflow, which hold
     those of ``total_in``, their sum; the cuts are ``total_out``'s
-    breakpoints and the marks' exit times.  The particles leaving in a cut
-    cell entered right of the last mark whose exit time is at or before the
-    cell and left of the next, where T is linear and rising and every
-    inflow constant, so one merge pass gives each cell its mark and no
-    entry time is searched for."""
+    breakpoints and the marks' exit times, in order as the loader's T does
+    not decrease.  The particles leaving in a cut cell entered right of the
+    last mark whose exit time is at or before the cell and left of the
+    next, where T is linear and rising and every inflow constant.  One
+    ``_align`` merge reads every function at the marks, a second gives each
+    cut cell its mark, so no entry time is searched for."""
     if all(f == StepFunction.zero() for f in inflows):
         return [StepFunction.zero()] * len(inflows)
-    marks = sorted_union(T.breakpoints, *(f.breakpoints for f in inflows))
-    exits = T.at_sorted(marks)
-    cuts = sorted_union(total_out.breakpoints, exits)
-    outs = total_out.at_sorted(cuts)
-    at = [i + 1 for i in _segment_indices(exits, cuts)]  # 0: T's left ray
+    marks, (i_T, i_in, *cols) = _align(T.breakpoints, total_in.breakpoints,
+                                       *(f.breakpoints for f in inflows))
+    exits = T._read(i_T, marks)[0]
+    cuts, (i_out, i_exit) = _align(total_out.breakpoints, exits)
+    outs = total_out._values_at(i_out)
+    at = [i + 1 for i in i_exit]  # 0: T's left ray
     rising = T.is_nondecreasing()
     rays = (rising and T.initial_slope > 0, rising and T.final_slope > 0)
     for k, (out, i) in enumerate(zip(outs, at)):
@@ -293,11 +289,11 @@ def _split_outflows(inflows: list, total_in: StepFunction, total_out: StepFuncti
             # T misses the cell: raise as the search at the cell's sample does
             hi = cuts[k + 1] if k + 1 < len(cuts) else cuts[k] + 2
             min_preimage(T, (cuts[k] + hi) / 2)
-    dens = [total_in.initial] + total_in.at_sorted(marks)
+    dens = [total_in.initial] + total_in._values_at(i_in)
     split = []
-    for f in inflows:
+    for f, col in zip(inflows, cols):
         shares = [num / den if den else ZERO
-                  for num, den in zip([f.initial] + f.at_sorted(marks), dens)]
+                  for num, den in zip([f.initial] + f._values_at(col), dens)]
         split.append(StepFunction(cuts, [out * shares[i] for out, i in zip(outs, at)], ZERO))
     return split
 
@@ -449,18 +445,21 @@ def _check_arc(instance: Instance, flow: FlowOverTime, claim: QueueProfile | Non
             violations.append(FlowViolation("ExitTimeMismatch", e,
                                             _witness(claim.exit_time[e], T)))
 
-    # the total outflow law, on every cell and ray of a mesh on which z
-    # keeps its sign and g and f_out are constant
-    mesh = sorted_union(z.breakpoints, g.breakpoints, f_out.breakpoints)
-    mesh = sorted_union(mesh, zero_crossings(mesh, z.at_sorted(mesh),
-                                             z.initial_slope, z.final_slope))
-    probes = [mesh[0] - 1] + [(lo + hi) / 2 for lo, hi in zip(mesh, mesh[1:])] + \
-        [mesh[-1] + 1]
-    ends = [None] + mesh + [None]
-    for lo, hi, zm, gm, out in zip(ends, ends[1:], z.at_sorted(probes),
-                                   g.at_sorted(probes), f_out.at_sorted(probes)):
-        expected = arc.capacity if zm > 0 else min(gm, arc.capacity)
-        if out != expected:
+    # the total outflow law on every cell and ray of a mesh on which z keeps
+    # its sign and g and f_out are constant: read at the cell's left end, and
+    # z by the sign of z(lo) + z(hi), with z = 0 at the crossings the mesh adds
+    mesh, (i_z, i_g, i_out) = _align(z.breakpoints, g.breakpoints, f_out.breakpoints)
+    zs = z._read(i_z, mesh)[0]
+    cells, (at, _) = _align(mesh, zero_crossings(mesh, zs, z.initial_slope, z.final_slope))
+    zc = [zs[i] if i != j else ZERO for i, j in zip(at, [-1] + at)]
+    signs = [zc[0] - z.initial_slope] + [u + v for u, v in zip(zc, zc[1:])] + \
+        [zc[-1] + z.final_slope]
+    gs = [g.initial] + g._values_at(i_g)  # by mesh index + 1
+    outs = [f_out.initial] + f_out._values_at(i_out)
+    ends = [None] + cells + [None]
+    for lo, hi, zm, i in zip(ends, ends[1:], signs, [-1] + at):
+        expected = arc.capacity if zm > 0 else min(gs[i + 1], arc.capacity)
+        if outs[i + 1] != expected:
             left = "(-inf" if lo is None else f"[{lo}"
             right = "inf" if hi is None else str(hi)
             violations.append(FlowViolation("OutflowLawViolated", e, f"{left}, {right})"))

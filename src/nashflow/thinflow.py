@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, _as_fractions, min_preimage,
-                     sorted_union, zero_crossings)
+from .timefn import (ONE, ZERO, StepFunction, _align, _as_fractions, _segment_indices,
+                     min_preimage, zero_crossings)
 from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
 from .rationals import format_rational
@@ -591,7 +591,9 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
         cells = _partition(instance, ls, rates, horizon, profile)
         pieces_per_commodity[j] = cells
         mids = [(lo + hi) / 2 for lo, hi in cells]
-        source_values, source_slopes = ls.labels[c.origin]._read(mids)
+        origin = ls.labels[c.origin]
+        at = _segment_indices(origin.breakpoints, mids)
+        source_values, source_slopes = origin._read(at, mids)
         own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mids)
                for a in instance.arcs}
         gaps = arc_gaps(instance, ls, profile, mids)
@@ -649,8 +651,7 @@ def _partition(instance, ls, rates, horizon, profile):
         cuts.update(min_preimage(lu, t) for t in profile.exit_time[a.id].breakpoints
                     if lo < t < hi)
     mesh = sorted(cuts)
-    gap_zeros = []
-    for gaps in arc_gaps(instance, ls, profile, mesh).values():
-        gap_zeros += zero_crossings(mesh, gaps)
-    mesh = sorted_union(mesh, gap_zeros)
+    gap_zeros = [zero_crossings(mesh, gaps)
+                 for gaps in arc_gaps(instance, ls, profile, mesh).values()]
+    mesh = _align(mesh, *gap_zeros)[0]
     return list(zip(mesh, mesh[1:]))

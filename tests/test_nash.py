@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -598,6 +599,47 @@ class TestGridScale:
         assert max(len(p.thin.active) for p in result.phases) == widest
         document = json.dumps(result.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(document).hexdigest() == digest
+
+
+def _rescaled(instance, a, b):
+    """The instance with transit times and inflow intervals scaled by a,
+    capacities and inflow rates by b."""
+    arcs = [replace(e, transit=a * e.transit, capacity=b * e.capacity) for e in instance.arcs]
+    commodities = [replace(c, rate=b * c.rate, inflow_start=a * c.inflow_start,
+                           inflow_end=None if c.inflow_end is None else a * c.inflow_end)
+                   for c in instance.commodities]
+    return validate_instance(Instance(instance.nodes, arcs, commodities, instance.mode))
+
+
+class TestScaling:
+    """Scaling time by a and flow by b maps an equilibrium onto the scaled
+    instance's, the premise of the ``equilibria`` benchmark's rescaled grids.
+    Particles are indexed by volume, which scales by ab, so the labels are
+    l'_v = a l_v(. / ab), the waits q'_e(a t) = a q_e(t), and every phase
+    keeps its active and resetting arcs.  Checked exactly."""
+
+    PAIRS = [(F(2), F(3, 4)), (F(2, 3), F(5, 2))]
+    CASES = [(name, inst, horizon) for name, inst, horizon in corpus()] + \
+        [("grid3x3", _grid(3, 3), None)]
+
+    @pytest.mark.parametrize("name,instance,horizon", CASES, ids=[c[0] for c in CASES])
+    def test_equilibrium_scales(self, name, instance, horizon):
+        base = _construct_by_mode(instance, horizon)
+        base_waits = derive_profile(base.instance, base.flow).waiting
+        for a, b in self.PAIRS:
+            scaled = _construct_by_mode(_rescaled(instance, a, b),
+                                        None if horizon is None else a * b * horizon)
+            assert [(p.thin.active, p.thin.resetting) for p in scaled.phases] == \
+                [(p.thin.active, p.thin.resetting) for p in base.phases], (a, b)
+            assert scaled.node_labels == {
+                v: PwlFunction([a * b * x for x in f.breakpoints], [a * y for y in f.values],
+                               f.initial_slope / b, f.final_slope / b)
+                for v, f in base.node_labels.items()}, (a, b)
+            waits = derive_profile(scaled.instance, scaled.flow).waiting
+            assert waits == {e: PwlFunction([a * x for x in q.breakpoints],
+                                            [a * y for y in q.values],
+                                            q.initial_slope, q.final_slope)
+                             for e, q in base_waits.items()}, (a, b)
 
 
 def _benchmark_items(monkeypatch, seed):
