@@ -13,8 +13,9 @@ at each event revisits only the labels, queues and event times it changed.
 
 Each arc's gap T_e(l_u) - l_v (``arc_gaps``) is read at a sorted column of
 particles from the loaded exit times T_e, each function in one merge pass:
-the thin-flow verifier reads the gaps on its partition mesh and at its cell
-midpoints.  ``arc_status`` reads them at one particle, and the waits there.
+the thin-flow verifier reads the gaps once, on its partition mesh, and its
+checks take them at the ends of each cell.  ``arc_status`` reads them at
+one particle, and the waits there.
 """
 
 from __future__ import annotations
@@ -122,14 +123,16 @@ def arc_gaps(instance: Instance, labelset: LabelSet, profile: QueueProfile,
     """Per arc whose two ends a commodity's labels reach: its gap
     T_e(l_u) - l_v at every particle of the non-decreasing ``points``, read
     off the loaded exit times.  Each label and exit time is read in one merge
-    pass; a tail label that decreases between the points raises ValueError."""
+    pass; a tail label that decreases between the points raises ValueError.
+    Only a label that decreases somewhere is scanned for that."""
     values = {v: f.at_sorted(points) for v, f in labelset.labels.items()}
     gaps = {}
     for a in instance.arcs:
         entries = values.get(a.tail)
         if entries is None:
             continue
-        if any(t < s for s, t in zip(entries, entries[1:])):
+        if (not labelset.labels[a.tail].is_nondecreasing()
+                and any(t < s for s, t in zip(entries, entries[1:]))):
             raise ValueError(f"the label at {a.tail} decreases between the "
                              f"points read")
         heads = values.get(a.head)
@@ -178,7 +181,10 @@ def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
     passes at time label(phi): x(phi) / l'(phi) at time l(phi), on the
     merged breakpoints of both functions.  ``label`` must be
     non-decreasing; a flat stretch of it passes no time, so a nonzero rate
-    there raises ValueError."""
+    there raises ValueError.  A zero rate through a non-decreasing label is
+    zero at once."""
+    if not x.breakpoints and not x.initial and label.is_nondecreasing():
+        return StepFunction.zero()
     if x.initial and not label.initial_slope:
         raise ValueError(f"rate {x.initial} on the flat left ray of the label")
     initial = x.initial / label.initial_slope if x.initial else ZERO

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, UnknownEntry
-from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _align, breakpoint_budget,
-                     compose, first_difference, integrate, min_preimage, zero_crossings)
+from .timefn import (ONE, ZERO, PwlFunction, StepFunction, _align, _anchors,
+                     breakpoint_budget, compose, first_difference, integrate, min_preimage,
+                     zero_crossings)
 
 
 class NegativeInflow(ValueError):
@@ -253,7 +254,7 @@ def _load_arc(total_in: StepFunction, arc):
             z_vals.append(z)
             z_slopes.append(slope)
             break
-    volume = PwlFunction._carried(z_bps, z_vals, z_slopes, ZERO, final_slope)
+    volume = PwlFunction._carried(*_anchors(z_bps, z_vals), z_slopes, ZERO, final_slope)
     outflow = StepFunction(list(outflows), list(outflows.values()), ZERO)
     if outflow.final != final_out:
         raise LoadingInvariantBroken(
@@ -294,7 +295,8 @@ def _split_outflows(inflows: list, total_in: StepFunction, total_out: StepFuncti
     for f, col in zip(inflows, cols):
         shares = [num / den if den else ZERO
                   for num, den in zip([f.initial] + f._values_at(col), dens)]
-        split.append(StepFunction(cuts, [out * shares[i] for out, i in zip(outs, at)], ZERO))
+        split.append(StepFunction._carried(cuts, [out * shares[i] for out, i in zip(outs, at)],
+                                           ZERO))
     return split
 
 

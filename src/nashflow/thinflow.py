@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netmodel import Instance, reachable, topological_order
-from .timefn import (ONE, ZERO, StepFunction, _align, _as_fractions, _segment_indices,
-                     min_preimage, zero_crossings)
+from .timefn import (ONE, ZERO, StepFunction, _align, _as_fractions, min_preimage,
+                     zero_crossings)
 from .loading import QueueProfile, _require_known, load_queues
 from .labels import arc_gaps, rate_over_time
 from .rationals import format_rational
@@ -533,8 +533,8 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     The strategies enter their arcs at the times the tail labels give
     (``labels.rate_over_time``), and ``load_queues`` loads them into the
     report's ``queues``.  On every cell of ``_partition`` each quantity read
-    is linear and no gap g_e = T_e(l_u) - l_v changes sign, so one read at
-    the cell's midpoint is exact.  Per commodity j and cell:
+    is linear and no gap g_e = T_e(l_u) - l_v changes sign, so the reads at
+    the cell's two ends decide every check.  Per commodity j and cell:
 
     - ``TF1Violated``: the origin's label is not inflow_start + phi/r, in
       value or in slope.
@@ -568,9 +568,17 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     over them, of which TF2 leaves at least one (TF2's slope condition), and
     every active arc carrying flow attains it (TF3).
 
-    The origin's label and its slopes, every strategy and every gap
-    (``labels.arc_gaps``) is read as one column over the sorted cell midpoints.
+    Every quantity is read once, as one column over the mesh of
+    ``_partition``, which hands over the gaps (``labels.arc_gaps``) it
+    read.  On a cell a gap has the sign of g_e(lo) + g_e(hi), that of its
+    left end unless that is 0; the origin's label is inflow_start + phi/r
+    iff it is at both ends; a strategy keeps its left end's value; and the
+    particles lie in [0, V) iff lo + hi < 2V.  A negative ``horizon``
+    raises ValueError, and 0 gives no cell.
     """
+    horizon = Fraction(horizon)
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
     _require_known(instance, strategies)
     inflows = {}
     for (j, e), x in strategies.items():
@@ -581,35 +589,34 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
             raise ValueError(f"commodity {j} sends flow into arc {e}, whose "
                              f"tail its labels never reach")
     profile = load_queues(instance, inflows)
-    horizon = Fraction(horizon)
     violations = []
     pieces_per_commodity = {}
     for c in instance.commodities:
         j = c.id
         ls = labels_all[j]
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        cells = _partition(instance, ls, rates, horizon, profile)
+        mesh, gaps = _partition(instance, ls, rates, horizon, profile)
+        cells = list(zip(mesh, mesh[1:]))
         pieces_per_commodity[j] = cells
-        mids = [(lo + hi) / 2 for lo, hi in cells]
-        origin = ls.labels[c.origin]
-        at = _segment_indices(origin.breakpoints, mids)
-        source_values, source_slopes = origin._read(at, mids)
-        own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mids)
+        slope = 1 / c.rate
+        on_line = [v == c.inflow_start + x * slope
+                   for x, v in zip(mesh, ls.labels[c.origin].at_sorted(mesh))]
+        own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mesh)
                for a in instance.arcs}
-        gaps = arc_gaps(instance, ls, profile, mids)
+        signs = {e: [lo or hi for lo, hi in zip(gap, gap[1:])] for e, gap in gaps.items()}
+        twice_volume = None if c.particle_volume is None else 2 * c.particle_volume
         for k, piece in enumerate(cells):
-            in_k = c.particle_volume is None or mids[k] < c.particle_volume
-            if (source_slopes[k] != 1 / c.rate
-                    or source_values[k] != c.inflow_start + mids[k] / c.rate):
+            in_k = twice_volume is None or piece[0] + piece[1] < twice_volume
+            if not (on_line[k] and on_line[k + 1]):
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
             for a in instance.arcs:
                 if (require_tightness and own[a.id][k] > 0
-                        and (a.id not in gaps or gaps[a.id][k])):
+                        and (a.id not in signs or signs[a.id][k])):
                     violations.append(ThinFlowViolation("SupportViolated", j, a.id, piece))
-            for e, gap in gaps.items():
-                if gap[k] < 0:
+            for e, sign in signs.items():
+                if sign[k] < 0:
                     violations.append(ThinFlowViolation("LabelUndercut", j, e, piece))
-            reached = {instance.arc(e).head for e, gap in gaps.items() if gap[k] == 0}
+            reached = {instance.arc(e).head for e, sign in signs.items() if sign[k] == 0}
             for v in instance.nodes:
                 if v in ls.labels and v != c.origin and v not in reached:
                     violations.append(ThinFlowViolation("TF2Violated", j, v, piece))
@@ -626,18 +633,21 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
 
 
 def _partition(instance, ls, rates, horizon, profile):
-    """Cells of [0, horizon] on which every quantity that one commodity's
-    checks read is linear and every gap keeps its sign, so that one probe
-    per cell is exact; ``ls`` is its label set and ``rates`` its strategy
-    per arc id.
+    """The mesh of [0, horizon] on whose cells every quantity that one
+    commodity's checks read is linear and every gap keeps its sign, so that
+    the reads at a cell's two ends decide it, and each gap's values on the
+    mesh, {arc id: column}; ``ls`` is its label set and ``rates`` its
+    strategy per arc id.
 
     The cuts are the label and strategy breakpoints and, per arc, the first
     particles to reach the tail where the exit times T_e bend, which is
     where the waits q_e bend.  On that mesh each gap T_e(l_u) - l_v is
-    linear per cell; its zeros finish the partition.  No wait crosses 0
-    between its bends: ``load_queues`` never lets a queue fall below 0,
-    empties it at an anchor, and gives it a flat left ray and a
-    non-decreasing right one.  Other commodities act on these checks only
+    linear per cell; ``arc_gaps`` reads it there, and its zeros inside the
+    cells finish the mesh.  At such a zero every gap is interpolated
+    exactly inside its coarse cell, so the crossing arc's own gap is 0.  No
+    wait crosses 0 between its bends: ``load_queues`` never lets a queue
+    fall below 0, empties it at an anchor, and gives it a flat left ray and
+    a non-decreasing right one.  Other commodities act on these checks only
     through the loaded queues.
     """
     cuts = {ZERO, horizon}
@@ -651,7 +661,14 @@ def _partition(instance, ls, rates, horizon, profile):
         cuts.update(min_preimage(lu, t) for t in profile.exit_time[a.id].breakpoints
                     if lo < t < hi)
     mesh = sorted(cuts)
-    gap_zeros = [zero_crossings(mesh, gaps)
-                 for gaps in arc_gaps(instance, ls, profile, mesh).values()]
-    mesh = _align(mesh, *gap_zeros)[0]
-    return list(zip(mesh, mesh[1:]))
+    gaps = arc_gaps(instance, ls, profile, mesh)
+    crossings = [zero_crossings(mesh, gap) for gap in gaps.values()]
+    if not any(crossings):
+        return mesh, gaps
+    fine, (at, *_) = _align(mesh, *crossings)
+    # a point onto which the coarse column steps is a coarse point; every
+    # other one lies inside coarse cell ``at``, where each gap is linear
+    steps = [None if i != before else (x - mesh[i]) / (mesh[i + 1] - mesh[i])
+             for x, i, before in zip(fine, at, [-1] + at)]
+    return fine, {e: [gap[i] if t is None else gap[i] + (gap[i + 1] - gap[i]) * t
+                      for i, t in zip(at, steps)] for e, gap in gaps.items()}

@@ -13,20 +13,22 @@ point anywhere.
 Cost.  With n breakpoints, one evaluation is a bisection, O(log n).  A
 ``PwlFunction`` keeps its n - 1 segment slopes, and whether it is
 non-decreasing once asked; equality, hashing and ``to_json`` read the four
-fields only.  The public constructor divides the slopes out of the anchors;
-every kernel hands over the slopes it already knows.  One k-way merge,
-``_align``, lines up sorted breakpoint sequences: it gives their union and
-each input's segment at every point, without sorting runs already in order
-or searching the union again, in about two comparisons per point for two
-inputs.  Step ``+``, ``-`` and ``sum_of`` and piecewise-linear ``+`` are one
-merge each, O(kN) for k functions with N breakpoints in all; ``compose`` is
-linear in the breakpoints of both functions, and ``min_compose`` of k
-functions on a mesh of N points costs O(k^2 N), reading the candidates
-again only at the crossings it adds.  ``at_sorted`` reads one function at m
-non-decreasing points, O(n + m); ``integrate`` and ``min_preimage`` need one
-bisection.  A ``GrowingPwl``, the curve that a forward sweep grows, appends
-an anchor only where its slope changes.  A ``Cursor`` reads it, or a step
-function, at non-decreasing points in O(1) amortized each.
+fields only.  The public constructors check and convert their input and
+divide the slopes out of the anchors; a kernel whose breakpoints come from
+a merge or an order-keeping map hands over what it already knows, slopes
+included, and skips the check.  One k-way merge, ``_align``, lines up
+sorted breakpoint sequences: it gives their union and each input's segment
+at every point, without sorting runs already in order or searching the
+union again, in about two comparisons per point for two inputs.  Step
+``+``, ``-`` and ``sum_of`` and piecewise-linear ``+`` are one merge each,
+O(kN) for k functions with N breakpoints in all; ``compose`` is linear in
+the breakpoints of both functions, and ``min_compose`` of k functions on a
+mesh of N points costs O(k^2 N), reading the candidates again only at the
+crossings it adds.  ``at_sorted`` reads one function at m non-decreasing
+points, O(n + m); ``integrate`` and ``min_preimage`` need one bisection.
+A ``GrowingPwl``, the curve that a forward sweep grows, appends an anchor
+only where its slope changes.  A ``Cursor`` reads it, or a step function,
+at non-decreasing points in O(1) amortized each.
 """
 
 from __future__ import annotations
@@ -116,13 +118,26 @@ class StepFunction:
     def __post_init__(self):
         bps = _as_fractions(self.breakpoints)
         vals = _as_fractions(self.values)
-        init = Fraction(self.initial)
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        self._canonicalize(bps, vals, Fraction(self.initial))
+
+    @classmethod
+    def _carried(cls, bps, vals, initial) -> "StepFunction":
+        """The step function of a kernel whose breakpoints are ``Fraction``s
+        in strictly increasing order, as a merge (``_align``) or an
+        order-keeping map of checked breakpoints gives them, with one
+        ``Fraction`` value each; nothing checks or converts them again."""
+        self = object.__new__(cls)
+        self._canonicalize(bps, vals, initial)
+        return self
+
+    def _canonicalize(self, bps, vals, initial):
+        """Drop every breakpoint whose value repeats the one before it."""
         keep_b, keep_v = [], []
-        prev = init
+        prev = initial
         for b, v in zip(bps, vals):
             if v != prev:
                 keep_b.append(b)
@@ -130,7 +145,7 @@ class StepFunction:
                 prev = v
         object.__setattr__(self, "breakpoints", tuple(keep_b))
         object.__setattr__(self, "values", tuple(keep_v))
-        object.__setattr__(self, "initial", init)
+        object.__setattr__(self, "initial", initial)
 
     @classmethod
     def constant(cls, c) -> "StepFunction":
@@ -168,8 +183,9 @@ class StepFunction:
     def _merge(self, other: "StepFunction", op) -> "StepFunction":
         """``op`` of the two functions, on the union of their breakpoints."""
         bps, (a, b) = _align(self.breakpoints, other.breakpoints)
-        return StepFunction(bps, list(map(op, self._values_at(a), other._values_at(b))),
-                            op(self.initial, other.initial))
+        return StepFunction._carried(
+            bps, list(map(op, self._values_at(a), other._values_at(b))),
+            op(self.initial, other.initial))
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self._merge(other, add)
@@ -179,12 +195,14 @@ class StepFunction:
 
     def scale(self, c) -> "StepFunction":
         c = Fraction(c)
-        return StepFunction(self.breakpoints, [c * v for v in self.values], c * self.initial)
+        return StepFunction._carried(self.breakpoints, [c * v for v in self.values],
+                                     c * self.initial)
 
     def shift(self, delta) -> "StepFunction":
         """Return g with g(x) = f(x - delta)."""
         delta = Fraction(delta)
-        return StepFunction([b + delta for b in self.breakpoints], self.values, self.initial)
+        return StepFunction._carried([b + delta for b in self.breakpoints], self.values,
+                                     self.initial)
 
     def is_nonnegative(self) -> bool:
         return self.initial >= 0 and all(v >= 0 for v in self.values)
@@ -203,8 +221,8 @@ class StepFunction:
             return StepFunction.zero()
         bps, idx = _align(*(f.breakpoints for f in funcs))
         columns = [f._values_at(col) for f, col in zip(funcs, idx)]
-        return StepFunction(bps, [reduce(add, col) for col in zip(*columns)],
-                            reduce(add, (f.initial for f in funcs)))
+        return StepFunction._carried(bps, [reduce(add, col) for col in zip(*columns)],
+                                     reduce(add, (f.initial for f in funcs)))
 
     def to_json(self) -> dict:
         from .rationals import format_rational
@@ -252,10 +270,12 @@ class PwlFunction:
     def _carried(cls, bps, vals, slopes, s0, s1) -> "PwlFunction":
         """The function through the anchors whose segment slopes the caller
         already knows: ``slopes[k]`` on [bps[k], bps[k+1]].  They must be
-        the slopes between the anchors; nothing divides them out again."""
+        the slopes between the anchors; nothing divides them out again.
+        Breakpoints, values and slopes must be ``Fraction``s, and the
+        breakpoints strictly increasing, as a merge (``_align``) or an
+        order-keeping map of checked breakpoints gives them; anchors not
+        known to be so go through ``_anchors`` first."""
         self = object.__new__(cls)
-        bps, vals = _anchors(bps, vals)
-        slopes = _as_fractions(slopes)
         if len(slopes) != len(bps) - 1:
             raise ValueError("one slope per segment is needed")
         self._canonicalize(bps, vals, slopes, s0, s1)
@@ -465,7 +485,8 @@ class GrowingPwl:
         n = len(xs) if cut is None else bisect_right(xs, cut)
         final = slopes[n - 1] if n and slopes[n - 1] is not None else self.tail_slope
         n = max(n, 1)
-        return PwlFunction._carried(xs[:n], ys[:n], slopes[:n - 1], self.tail_slope, final)
+        return PwlFunction._carried(*_anchors(xs[:n], ys[:n]), slopes[:n - 1],
+                                    self.tail_slope, final)
 
 
 class Cursor:
@@ -546,7 +567,7 @@ def integrate(f: StepFunction, start) -> PwlFunction:
 
 def differentiate(F: PwlFunction) -> StepFunction:
     """Slope function of a piecewise-linear function (right-continuous)."""
-    return StepFunction(F.breakpoints, F._slopes + (F.final_slope,), F.initial_slope)
+    return StepFunction._carried(F.breakpoints, F._slopes + (F.final_slope,), F.initial_slope)
 
 
 def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
@@ -554,10 +575,13 @@ def compose(outer: PwlFunction, inner: PwlFunction) -> PwlFunction:
 
     The mesh is the inner breakpoints plus the points where ``inner`` crosses
     an outer breakpoint strictly inside a segment or an outer ray; both
-    functions are then evaluated on it by merge passes.
+    functions are then evaluated on it by merge passes.  A constant outer
+    function is the composition itself.
     """
     if not inner.is_nondecreasing():
         raise ValueError("compose requires a non-decreasing inner function")
+    if len(outer.breakpoints) == 1 and not outer.initial_slope and not outer.final_slope:
+        return outer
     ivals = inner.values
     crossings = []
     k, n = 0, len(ivals)

@@ -20,7 +20,9 @@ as a reference.  These four take their cumulative flows from the library's
 at every anchor, and ``derive_arc`` the derivation of an arc's queue
 volume, waits and exit times from two integrals, F_in shifted by the
 transit time less F_out, that ``loading._derive_arc`` replaces with one
-integral of the net arrival rate.  The thin-flow verifier at the
+integral of the net arrival rate.  ``rate_over_time_by_points`` is
+``labels.rate_over_time`` read particle by particle, with no shortcut for a
+zero rate.  The thin-flow verifier at the
 end reads every check cell by cell, one gap at a time; it shares the loading
 and the partition with the library, since the equivalence test is about the
 reads.  ``partition`` is that partition as it was built from the waits: cut
@@ -207,6 +209,20 @@ def antiderivative(f: StepFunction, start) -> PwlFunction:
         return sum((f(a) * (b - a) for a, b in zip(cuts, cuts[1:])), ZERO)
     vals = [area(start, x) if x >= start else -area(x, start) for x in mesh]
     return PwlFunction(mesh, vals, f.initial, f.final)
+
+
+def rate_over_time_by_points(x: StepFunction, label: PwlFunction) -> StepFunction:
+    if x.initial and not label.initial_slope:
+        raise ValueError(f"rate {x.initial} on the flat left ray of the label")
+    pieces = {}
+    for phi in sorted(set(x.breakpoints) | set(label.breakpoints)):
+        rate, slope = x(phi), label.slope_right(phi)
+        if rate and not slope:
+            raise ValueError(f"rate {rate} at particle {phi} on a flat stretch "
+                             f"of the label")
+        pieces[label(phi)] = rate / slope if slope else ZERO
+    return StepFunction(list(pieces), list(pieces.values()),
+                        x.initial / label.initial_slope if x.initial else ZERO)
 
 
 def derive_arc(arc: Arc, f_in: StepFunction, f_out: StepFunction):
@@ -491,6 +507,12 @@ def partition(instance, ls, rates, horizon, profile):
     return list(zip(mesh, mesh[1:]))
 
 
+def partition_cells(instance, ls, rates, horizon, profile):
+    """The cells of the mesh of ``thinflow._partition``."""
+    mesh = _partition(instance, ls, rates, horizon, profile)[0]
+    return list(zip(mesh, mesh[1:]))
+
+
 def strategy_profile(instance, strategies, labels_all):
     """The queues of the strategies loaded through their tail labels."""
     inflows = {}
@@ -516,7 +538,7 @@ def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
         j = c.id
         ls = labels_all[j]
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        cells = _partition(instance, ls, rates, horizon, profile)
+        cells = partition_cells(instance, ls, rates, horizon, profile)
         pieces[j] = cells
         source = ls.labels[c.origin]
         for lo, hi in cells:
@@ -602,7 +624,7 @@ def stress_conditions(instance, strategies, labels_all, horizon, profile,
         ls = labels_all[j]
         lslope = {v: differentiate(f) for v, f in ls.labels.items()}
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        cells = _partition(instance, ls, rates, Fraction(horizon), profile)
+        cells = partition_cells(instance, ls, rates, Fraction(horizon), profile)
         for lo, hi in foreign_cells(instance, labels_all, strategies, j, cells):
             m = (lo + hi) / 2
             active, resetting = arc_status(instance, ls, profile, m)

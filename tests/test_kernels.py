@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from nashflow import loading
+from nashflow.labels import rate_over_time
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.timefn import (GrowingPwl, PwlFunction, StepFunction, ValueNotAttained,
-                             _align, _segment_indices, compose, integrate, min_compose,
-                             min_preimage, zero_crossings)
+                             _align, _segment_indices, compose, differentiate, integrate,
+                             min_compose, min_preimage, zero_crossings)
 
 F = Fraction
 
@@ -104,6 +105,30 @@ class TestCompose:
     @given(pwl_functions(), monotone_pwl())
     def test_matches_scan(self, outer, inner):
         assert compose(outer, inner) == ref.compose(outer, inner)
+
+
+class TestZeroFlow:
+    """A zero rate through a non-decreasing label and a constant outer
+    function return at once; what they return, or raise, is what the
+    general path gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(StepFunction.zero()), step_functions()),
+           st.one_of(monotone_pwl(), pwl_functions()))
+    def test_rate_over_time(self, x, label):
+        assert (_outcome(rate_over_time, x, label)
+                == _outcome(ref.rate_over_time_by_points, x, label))
+
+    def test_zero_rate_through_a_decreasing_label_raises(self):
+        label = PwlFunction([0, 1], [1, 0], 1, 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rate_over_time(StepFunction.zero(), label)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rationals(), st.one_of(monotone_pwl(), pwl_functions()))
+    def test_compose_with_a_constant(self, c, inner):
+        outer = PwlFunction.constant(c)
+        assert _outcome(compose, outer, inner) == _outcome(ref.compose, outer, inner)
 
 
 class TestMinCompose:
@@ -235,9 +260,10 @@ def _comparisons(fn, *args) -> int:
 
 class TestComparisonCount:
     """The sums merge their inputs' breakpoints once, without sorting them
-    or searching the union again: their rational comparisons stay within
-    a multiple of the breakpoints they are given, counted on seeded inputs
-    of 25 and 100 breakpoints each."""
+    or searching the union again, and no kernel result checks the order of
+    its breakpoints again: their rational comparisons stay within a
+    multiple of the breakpoints they are given, counted on seeded inputs of
+    25 and 100 breakpoints each."""
 
     @staticmethod
     def _inputs(n):
@@ -255,9 +281,18 @@ class TestComparisonCount:
     @pytest.mark.parametrize("n", [25, 100])
     def test_sums(self, n):
         (f, g, h), (p, q) = self._inputs(n)
-        assert _comparisons(StepFunction.__add__, f, g) <= F(21, 5) * 2 * n
-        assert _comparisons(StepFunction.sum_of, [f, g, h]) <= F(11, 2) * 3 * n
-        assert _comparisons(PwlFunction.__add__, p, q) <= F(9, 2) * 2 * n
+        assert _comparisons(StepFunction.__add__, f, g) <= F(17, 5) * 2 * n
+        assert _comparisons(StepFunction.sum_of, [f, g, h]) <= F(47, 10) * 3 * n
+        assert _comparisons(PwlFunction.__add__, p, q) <= F(7, 2) * 2 * n
+
+    @pytest.mark.parametrize("n", [25, 100])
+    def test_order_keeping_maps(self, n):
+        """Only the canonical form's comparisons of neighbouring values or
+        slopes are left, about one per breakpoint."""
+        (f, _, _), (p, _) = self._inputs(n)
+        for fn, *args in ((StepFunction.shift, f, 3), (StepFunction.scale, f, 3),
+                          (differentiate, p), (PwlFunction.shift, p, 3)):
+            assert _comparisons(fn, *args) <= F(11, 10) * n, fn
 
 
 class TestDeriveArc:

@@ -609,6 +609,29 @@ class TestVerifyMulticommodity:
         assert [str(v) for v in report.violations] == [
             "TF1Violated(1,s) on [0,1)", "TF1Violated(2,s) on [0,1)"]
 
+    def test_horizon_below_zero_raises_and_zero_checks_nothing(self):
+        instance, strategies = shared_arc_setup()
+        labels = extend_labels(instance, strategies, 1)
+        with pytest.raises(ValueError, match="horizon must be non-negative, got -1"):
+            verify_multicommodity_thinflow(instance, strategies, labels, -1)
+        report = verify_multicommodity_thinflow(instance, strategies, labels, 0)
+        assert report.ok and report.pieces == {"1": [], "2": []}
+
+    def test_particle_volume_inside_a_cell(self):
+        """The particle volume 1 is no cut here, so the cell [1/2, H) holds
+        it; like the reference, the static-flow check takes its particles
+        to lie in [0, 1) iff the cell's midpoint does."""
+        instance = validate_instance(Instance(
+            ("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
+            (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
+        strategies = {("1", "e"): StepFunction([0, F(1, 2)], [1, 0])}
+        labels = extend_labels(instance, strategies, 2)
+        for horizon in (F(5, 4), F(3, 2), F(2)):
+            report = verify_multicommodity_thinflow(instance, strategies, labels, horizon)
+            assert report == reference.verify_multicommodity_thinflow(
+                instance, strategies, labels, horizon)
+            assert report.ok == (horizon != F(5, 4)), [str(v) for v in report.violations]
+
     def test_flow_into_an_unreached_tail_raises(self):
         instance = validate_instance(Instance(
             nodes=("s", "t", "u"),
@@ -682,7 +705,8 @@ class TestBypassedQueue:
             instance, strategies, labels, self.HORIZON,
             require_tightness=False).queues
         rates = {e: f for (i, e), f in strategies.items() if i == "1"}
-        cells = _partition(instance, labels["1"], rates, self.HORIZON, profile)
+        cells = reference.partition_cells(instance, labels["1"], rates, self.HORIZON,
+                                          profile)
         mesh = [F(0), F(1, 4), F(1, 3), F(3, 8), F(2), F(9, 4), F(7, 3),
                 F(55, 16), F(7, 2), F(61, 16), F(31, 8), F(4)]
         assert cells == list(zip(mesh, mesh[1:]))
@@ -801,7 +825,7 @@ class TestPointwiseReference:
             for j, ls in labels.items():
                 rates = {e: x for (i, e), x in strategies.items() if i == j}
                 try:
-                    cells = _partition(instance, ls, rates, horizon, profile)
+                    cells = reference.partition_cells(instance, ls, rates, horizon, profile)
                 except ValueError:
                     continue
                 ends = sorted({x for cell in cells for x in cell})
@@ -843,47 +867,86 @@ class TestPartition:
                                       "t": PwlFunction([0, 2], [0, 4], 1, 1)}, F(2))}
         return instance, labels
 
+    NO_QUEUE = QueueProfile(volume={}, waiting={"e": PwlFunction.constant(0)},
+                            exit_time={"e": PwlFunction.line(1, 0, 1)})
+
     def test_refines_at_gap_crossings(self):
         instance, labels = self._crossing_gap()
-        no_queue = QueueProfile(volume={}, waiting={"e": PwlFunction.constant(0)},
-                                exit_time={"e": PwlFunction.line(1, 0, 1)})
-        assert _partition(instance, labels["1"], {}, F(2), no_queue) == [(0, 1), (1, 2)]
+        # the gap T_e(l_s) - l_t, 1 at 0 and -1 at 2, is 0 at the crossing
+        assert _partition(instance, labels["1"], {}, F(2), self.NO_QUEUE) == \
+            ([0, 1, 2], {"e": [1, 0, -1]})
+
+    def test_tail_label_decreasing_between_the_points_raises(self):
+        """A tail label that decreases somewhere is read for the points; it
+        raises only where it decreases between them."""
+        instance, labels = self._crossing_gap()
+        dip = PwlFunction([0, 1, 2], [0, 1, F(1, 2)], 1, 1)
+        ls = LabelSet("1", {**labels["1"].labels, "s": dip})
+        assert arc_gaps(instance, ls, self.NO_QUEUE, [0, 1, 3]) == {"e": [1, 0, F(-5, 2)]}
+        with pytest.raises(ValueError, match="the label at s decreases"):
+            arc_gaps(instance, ls, self.NO_QUEUE, [0, 1, 2])
 
 
 class TestWaitPartition:
     """The partition cut at the bends of the exit times, with the gaps read
     off them, equals the one cut where the waits bend or cross 0, with the
-    gaps built from the waits (``reference.partition``)."""
+    gaps built from the waits (``reference.partition``).  The gaps it
+    returns, interpolated at the crossings it adds, equal a direct
+    ``arc_gaps`` read on its mesh."""
 
-    def test_pointwise_reference_cases(self):
+    @staticmethod
+    def _checked(partition, *args):
+        """``partition(*args)``, its gaps checked against ``arc_gaps``."""
+        instance, ls, _, _, profile = args
+        mesh, gaps = partition(*args)
+        assert gaps == arc_gaps(instance, ls, profile, mesh)
+        return mesh, gaps
+
+    @staticmethod
+    def _crossings(monkeypatch) -> list:
+        """The zeros of gaps that the partition adds to its mesh, as it finds them."""
+        found = []
+
+        def listed(*args):
+            zeros = timefn.zero_crossings(*args)
+            found.extend(zeros)
+            return zeros
+
+        monkeypatch.setattr(thinflow, "zero_crossings", listed)
+        return found
+
+    def test_pointwise_reference_cases(self, monkeypatch):
+        crossings = self._crossings(monkeypatch)
         compared = 0
         for name, instance, strategies, labels, horizon, profile in \
                 TestPointwiseReference().cases():
             for j, ls in labels.items():
                 rates = {e: x for (i, e), x in strategies.items() if i == j}
-                got = _outcome(_partition, instance, ls, rates, horizon, profile)
-                assert got == _outcome(reference.partition, instance, ls, rates,
-                                       horizon, profile), (name, j)
+                args = instance, ls, rates, horizon, profile
+                got = _outcome(self._checked, _partition, *args)
+                if got is not ValueError:
+                    got = list(zip(got[0], got[0][1:]))
+                assert got == _outcome(reference.partition, *args), (name, j)
                 compared += got is not ValueError
         assert compared >= 50
+        assert len(crossings) == 1, crossings
 
     def test_benchmark_certificates(self, monkeypatch):
         """Every partition that the verifier builds to certify the ``extend``
-        items and the ``equilibria`` round trips at seeds 1-3."""
+        items and the ``equilibria`` round trips at seeds 1-3.  No gap there
+        crosses 0 inside a cell of the cuts, so the pointwise cases and
+        ``TestCorruptedExtendItems`` exercise the interpolation."""
         real, compared = thinflow._partition, []
+        crossings = self._crossings(monkeypatch)
 
         def both(*args):
-            cells = real(*args)
-            assert cells == reference.partition(*args)
-            compared.append(len(cells))
-            return cells
+            mesh, gaps = self._checked(real, *args)
+            assert list(zip(mesh, mesh[1:])) == reference.partition(*args)
+            compared.append(len(mesh) - 1)
+            return mesh, gaps
 
         monkeypatch.setattr(thinflow, "_partition", both)
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
-                                        / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        program = SimpleNamespace(netmodel=netmodel, timefn=timefn, labels=labels_mod,
-                                  thinflow=thinflow, nash=nash)
+        workloads, program = _benchmark(monkeypatch)
         for seed in (1, 2, 3):
             for name in ("extend", "equilibria"):
                 workload = workloads.WORKLOADS[name]
@@ -894,3 +957,79 @@ class TestWaitPartition:
                     else:
                         nash.check_derivatives_thinflow(result.instance, result.flow)
         assert len(compared) == 96 and sum(compared) == 943, compared
+        assert crossings == []
+
+
+def _benchmark(monkeypatch):
+    """The benchmark's workloads module, and the program its calls go through."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return (importlib.import_module("workloads"),
+            SimpleNamespace(netmodel=netmodel, timefn=timefn, labels=labels_mod,
+                            thinflow=thinflow, nash=nash))
+
+
+class TestCorruptedExtendItems:
+    """The benchmark's ``extend`` items at seed 1, each corrupted on seeded
+    windows: a label shifted up and back by a plateau, or up and then down
+    past its old value, or a strategy rescaled.  The
+    verifier's reports, violations in order and pieces included, equal the
+    cell-by-cell reference's for both ``require_tightness`` values, and the
+    gaps of every partition equal a direct ``arc_gaps`` read on its mesh."""
+
+    CORRUPTIONS = 18  # per item
+
+    def cases(self, workload, program):
+        for item in workload.generate(program, 1):
+            strategies = item.data["strategies"]
+            labels = workload.solve(program, item)
+            rng = random.Random(item.name)
+            for k in range(self.CORRUPTIONS):
+                j = rng.choice(sorted(labels))
+                lo, hi = (workload.VOLUME * F(x, 32) for x in sorted(rng.sample(range(33), 2)))
+                if k % 3 < 2:
+                    # up and back by a plateau, or up and then down past 0
+                    v = rng.choice(sorted(labels[j].labels))
+                    ramp = (hi - lo) / 4
+                    lift = ramp * F(rng.choice((-1, 1)) * rng.randint(1, 3), 4)
+                    shift = PwlFunction([lo, lo + ramp, hi - ramp, hi],
+                                        [0, lift, -lift if k % 3 else lift, 0])
+                    bent = LabelSet(j, {**labels[j].labels, v: labels[j].labels[v] + shift},
+                                    labels[j].phi_max)
+                    yield f"{item.name}-shift-{j}-{v}", strategies, {**labels, j: bent}
+                else:
+                    e = rng.choice(sorted(e for i, e in strategies if i == j))
+                    x = strategies[(j, e)]
+                    factor = F(rng.choice((0, 1, 3, 5)), 2)
+                    rescaled = x + _on(x, lo, hi).scale(factor - 1)
+                    yield (f"{item.name}-rescale-{j}-{e}", {**strategies, (j, e): rescaled},
+                           labels)
+
+    def test_reports_match(self, monkeypatch):
+        workloads, program = _benchmark(monkeypatch)
+        workload = workloads.WORKLOADS["extend"]
+        instance = workload.generate(program, 1)[0].instance
+        real = thinflow._partition
+        monkeypatch.setattr(thinflow, "_partition",
+                            lambda *args: TestWaitPartition._checked(real, *args))
+        crossings = TestWaitPartition._crossings(monkeypatch)
+        reports, fired = 0, {}
+        for name, strategies, labels in self.cases(workload, program):
+            for tight in (True, False):
+                got = _outcome(verify_multicommodity_thinflow, instance, strategies,
+                               labels, workload.VOLUME, require_tightness=tight)
+                want = _outcome(reference.verify_multicommodity_thinflow, instance,
+                                strategies, labels, workload.VOLUME,
+                                require_tightness=tight)
+                assert got == want, (name, tight)
+                if got is not ValueError:
+                    reports += 1
+                    for v in got.violations:
+                        fired[v.code] = fired.get(v.code, 0) + 1
+        assert reports >= 58, reports
+        floors = {"SupportViolated": 9386, "LabelUndercut": 898, "TF2Violated": 2268,
+                  "StaticFlowViolated": 710, "TF1Violated": 174}
+        assert fired.keys() == floors.keys(), fired
+        assert all(fired[code] >= floor for code, floor in floors.items()), fired
+        # the reference's cells come from the same partition, which finds each
+        # crossing again
+        assert len(set(crossings)) >= 11, crossings

@@ -367,3 +367,40 @@ def test_uncalled_private_functions_are_found():
               "        _alpha.x = 1\n")
     assert _uncalled_private_functions(
         [ast.parse(first), ast.parse(second)]) == ["_beta", "_epsilon"]
+
+
+def _midpoint_probes(tree) -> set:
+    """(innermost enclosing function, or None at module level, line) of
+    every ``(x + y) / 2``."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2):
+            found.add((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_midpoint_probes():
+    """A check reads the ends of cells on which its quantities are linear,
+    not their midpoints.  Only the witness probes of
+    ``timefn.first_difference`` and the error path of
+    ``loading._split_outflows`` take one."""
+    probes = {(path.name, func) for path in SOURCES
+              for func, _ in _midpoint_probes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert probes == {("timefn.py", "first_difference"), ("loading.py", "_split_outflows")}
+
+
+def test_midpoint_probes_are_found():
+    source = ("m = (a + b) / 2\ndef f(x, y):\n    def g():\n"
+              "        return [(u + v) / 2 for u in x]\n"
+              "    return (x + y) / 3, (x - y) / 2, x + y / 2, (x + y) // 2\n"
+              "class C:\n    def h(self):\n        return (self.a + self.b) / 2\n")
+    assert _midpoint_probes(ast.parse(source)) == {(None, 1), ("g", 4), ("h", 8)}
