@@ -13,9 +13,9 @@ at each event revisits only the labels, queues and event times it changed.
 
 Each arc's gap T_e(l_u) - l_v (``arc_gaps``) is read at a sorted column of
 particles from the loaded exit times T_e, each function in one merge pass:
-the thin-flow verifier reads the gaps once, on its partition mesh, and its
-checks take them at the ends of each cell.  ``arc_status`` reads them at
-one particle, and the waits there.
+the thin-flow verifier reads them on its partition mesh, and again where
+they cross 0, and its checks take them at the ends of each cell.
+``arc_status`` reads them at one particle, and the waits there.
 """
 
 from __future__ import annotations
@@ -179,11 +179,13 @@ def waiting_from_labels(instance: Instance, labels_all: dict, arc_id: str,
 def rate_over_time(x: StepFunction, label: PwlFunction) -> StepFunction:
     """The rate over time of a per-particle rate ``x`` whose particle phi
     passes at time label(phi): x(phi) / l'(phi) at time l(phi), on the
-    merged breakpoints of both functions.  ``label`` must be
-    non-decreasing; a flat stretch of it passes no time, so a nonzero rate
-    there raises ValueError.  A zero rate through a non-decreasing label is
-    zero at once."""
-    if not x.breakpoints and not x.initial and label.is_nondecreasing():
+    merged breakpoints of both functions.  A ``label`` that decreases
+    somewhere raises ValueError; a flat stretch of it passes no time, so a
+    nonzero rate there raises ValueError too.  A zero rate is zero at once."""
+    if not label.is_nondecreasing():
+        raise ValueError("the label decreases somewhere, so its particles do "
+                         "not pass in order")
+    if not x.breakpoints and not x.initial:
         return StepFunction.zero()
     if x.initial and not label.initial_slope:
         raise ValueError(f"rate {x.initial} on the flat left ray of the label")
@@ -309,8 +311,7 @@ class _Queue:
         return growth if value > 0 else max(growth, ZERO), min(times, default=None)
 
 
-def extend_labels(instance: Instance, strategies: dict, horizon,
-                  return_queues: bool = False):
+def extend_labels(instance: Instance, strategies: dict, horizon) -> dict:
     """Construct labels for all commodities from per-particle routing rates.
 
     ``strategies`` maps (commodity id, arc id) to a StepFunction over
@@ -322,17 +323,16 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     {commodity id: LabelSet} whose labels end at the horizon: each is the
     label on (-inf, horizon], run on past it with the slope that the sweep
     commits at particle horizon, so it depends on the strategies alone and
-    not on the event at which the sweep stops.  With ``return_queues`` also
-    the per-arc waiting functions it maintained (mass balance of the sampled
-    strategy rates).
+    not on the event at which the sweep stops.
 
-    These waits are the real ones: loading the strategies' rates over time
-    through the tail labels (``rate_over_time``, then ``load_queues``)
-    gives the same queues up to the last particle's arrival, and the labels
-    are the earliest arrivals against them, which
-    ``verify_multicommodity_thinflow`` checks.  Flow
-    entering an arc that the labels bypass queues up without widening any
-    label gap, so there ``waiting_from_labels`` can understate the wait.
+    The waits the sweep maintains are the real ones: loading the strategies'
+    rates over time through the tail labels (``rate_over_time``, then
+    ``load_queues``) gives the same queues up to the last particle's
+    arrival, and the labels are the earliest arrivals against them, which
+    ``verify_multicommodity_thinflow`` checks; its report's ``queues`` are
+    those loaded queues.  Flow entering an arc that the labels bypass queues
+    up without widening any label gap, so there ``waiting_from_labels`` can
+    understate the wait.
 
     The sweep moves a frontier time theta0 from event to event.  Each label
     is theta0 at its edge and each queue's edge is theta0, so an advance by
@@ -512,6 +512,4 @@ def extend_labels(instance: Instance, strategies: dict, horizon,
     for c in instance.commodities:
         labels = {v: t.finish(horizon) for (j, v), t in tracks.items() if j == c.id}
         out[c.id] = LabelSet(c.id, labels, horizon)
-    if not return_queues:
-        return out
-    return out, {e: q.finish() for e, q in queues.items()}
+    return out

@@ -27,8 +27,8 @@ from .labels import LabelSet, earliest_arrival, rate_over_time
 from .loading import (FeasibilityReport, FlowOverTime, FlowViolation,
                       QueueProfile, check_feasibility, derive_profile)
 from .netmodel import (COMMON_DESTINATION, COMMON_ORIGIN, INF, Arc, Instance,
-                       InvalidDerivedInstance, _fresh_name, extend_with_super_sink,
-                       transit_distances, validate_instance)
+                       InvalidDerivedInstance, _fresh_name, _rate_and_sigma,
+                       extend_with_super_sink, transit_distances, validate_instance)
 from .thinflow import (MultiSourceThinFlow, NewArcInactive, ThinFlow,
                        decompose, solve_thinflow_multisource,
                        solve_thinflow_single, verify_multicommodity_thinflow)
@@ -251,7 +251,7 @@ def construct_common_origin(instance: Instance, horizon=None,
     extended, arc_map = extend_with_super_sink(instance)
     phases, node_labels, horizon, injected = _single_phases(extended, horizon,
                                                             max_phases)
-    total_rate = extended.commodities[0].rate
+    total_rate, sigma = _rate_and_sigma(instance)
     for p in phases:
         p.flows = decompose(extended, p.thin, arc_map,
                             {c.id: c.rate / total_rate * p.thin.value
@@ -266,8 +266,6 @@ def construct_common_origin(instance: Instance, horizon=None,
             if node_labels[a.head](end) - node_labels[a.tail](end) - a.transit < 0:
                 raise NewArcInactive(j)
     node_labels = {v: f for v, f in node_labels.items() if v in instance.nodes}
-    nu_min = min(a.capacity for a in instance.arcs)
-    sigma = min(nu_min, total_rate)
     return _finish(instance, phases, node_labels, horizon, injected,
                    extended_instance=extended, sink_arc_map=arc_map, sigma=sigma)
 

@@ -277,6 +277,13 @@ SUPER_SINK = "__sink__"
 MERGED_COMMODITY = "__merged__"
 
 
+def _rate_and_sigma(instance: Instance) -> tuple[Fraction, Fraction]:
+    """The total inflow rate r and sigma = min(minimum capacity, r)."""
+    total_rate = sum((c.rate for c in instance.commodities), Fraction(0))
+    nu_min = min(a.capacity for a in instance.arcs)
+    return total_rate, min(nu_min, total_rate)
+
+
 def extend_with_super_sink(instance: Instance):
     """Reduce a common-origin instance to a single commodity.
 
@@ -300,9 +307,7 @@ def extend_with_super_sink(instance: Instance):
     if any(d is INF for d in delta.values()):
         raise NotCommonOrigin("some sink is unreachable")
     delta_max = max(delta.values())
-    total_rate = sum((c.rate for c in instance.commodities), Fraction(0))
-    nu_min = min(a.capacity for a in instance.arcs)
-    sigma = min(nu_min, total_rate)
+    total_rate, sigma = _rate_and_sigma(instance)
     sink = _fresh_name(SUPER_SINK, instance.nodes)
     arcs = list(instance.arcs)
     arc_map = {}

@@ -572,9 +572,9 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
     ``_partition``, which hands over the gaps (``labels.arc_gaps``) it
     read.  On a cell a gap has the sign of g_e(lo) + g_e(hi), that of its
     left end unless that is 0; the origin's label is inflow_start + phi/r
-    iff it is at both ends; a strategy keeps its left end's value; and the
-    particles lie in [0, V) iff lo + hi < 2V.  A negative ``horizon``
-    raises ValueError, and 0 gives no cell.
+    iff it is at both ends; a strategy keeps its left end's value; and, V
+    being a cut, the particles lie in [0, V) iff lo < V.  A negative
+    ``horizon`` raises ValueError, and 0 gives no cell.
     """
     horizon = Fraction(horizon)
     if horizon < 0:
@@ -595,7 +595,7 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
         j = c.id
         ls = labels_all[j]
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        mesh, gaps = _partition(instance, ls, rates, horizon, profile)
+        mesh, gaps = _partition(instance, ls, rates, horizon, c.particle_volume, profile)
         cells = list(zip(mesh, mesh[1:]))
         pieces_per_commodity[j] = cells
         slope = 1 / c.rate
@@ -604,9 +604,8 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
         own = {a.id: rates.get(a.id, StepFunction.zero()).at_sorted(mesh)
                for a in instance.arcs}
         signs = {e: [lo or hi for lo, hi in zip(gap, gap[1:])] for e, gap in gaps.items()}
-        twice_volume = None if c.particle_volume is None else 2 * c.particle_volume
         for k, piece in enumerate(cells):
-            in_k = twice_volume is None or piece[0] + piece[1] < twice_volume
+            in_k = c.particle_volume is None or piece[0] < c.particle_volume
             if not (on_line[k] and on_line[k + 1]):
                 violations.append(ThinFlowViolation("TF1Violated", j, c.origin, piece))
             for a in instance.arcs:
@@ -632,25 +631,26 @@ def verify_multicommodity_thinflow(instance: Instance, strategies: dict,
                           pieces=pieces_per_commodity, queues=profile)
 
 
-def _partition(instance, ls, rates, horizon, profile):
+def _partition(instance, ls, rates, horizon, volume, profile):
     """The mesh of [0, horizon] on whose cells every quantity that one
     commodity's checks read is linear and every gap keeps its sign, so that
     the reads at a cell's two ends decide it, and each gap's values on the
-    mesh, {arc id: column}; ``ls`` is its label set and ``rates`` its
-    strategy per arc id.
+    mesh, {arc id: column}; ``ls`` is its label set, ``rates`` its strategy
+    per arc id and ``volume`` its particle volume V (None if unbounded).
 
-    The cuts are the label and strategy breakpoints and, per arc, the first
-    particles to reach the tail where the exit times T_e bend, which is
-    where the waits q_e bend.  On that mesh each gap T_e(l_u) - l_v is
+    The cuts are V, the label and strategy breakpoints and, per arc, the
+    first particles to reach the tail where the exit times T_e bend, which
+    is where the waits q_e bend.  On that mesh each gap T_e(l_u) - l_v is
     linear per cell; ``arc_gaps`` reads it there, and its zeros inside the
-    cells finish the mesh.  At such a zero every gap is interpolated
-    exactly inside its coarse cell, so the crossing arc's own gap is 0.  No
-    wait crosses 0 between its bends: ``load_queues`` never lets a queue
-    fall below 0, empties it at an anchor, and gives it a flat left ray and
-    a non-decreasing right one.  Other commodities act on these checks only
-    through the loaded queues.
+    cells finish the mesh, where it reads the gaps again, exactly: the
+    crossing arc's own gap is 0.  No wait crosses 0 between its bends:
+    ``load_queues`` never lets a queue fall below 0, empties it at an
+    anchor, and gives it a flat left ray and a non-decreasing right one.
+    Other commodities act on these checks only through the loaded queues.
     """
     cuts = {ZERO, horizon}
+    if volume is not None and 0 < volume < horizon:
+        cuts.add(volume)
     for f in (*ls.labels.values(), *rates.values()):
         cuts |= {b for b in f.breakpoints if 0 < b < horizon}
     for a in instance.arcs:
@@ -665,10 +665,5 @@ def _partition(instance, ls, rates, horizon, profile):
     crossings = [zero_crossings(mesh, gap) for gap in gaps.values()]
     if not any(crossings):
         return mesh, gaps
-    fine, (at, *_) = _align(mesh, *crossings)
-    # a point onto which the coarse column steps is a coarse point; every
-    # other one lies inside coarse cell ``at``, where each gap is linear
-    steps = [None if i != before else (x - mesh[i]) / (mesh[i + 1] - mesh[i])
-             for x, i, before in zip(fine, at, [-1] + at)]
-    return fine, {e: [gap[i] if t is None else gap[i] + (gap[i + 1] - gap[i]) * t
-                      for i, t in zip(at, steps)] for e, gap in gaps.items()}
+    mesh = _align(mesh, *crossings)[0]
+    return mesh, arc_gaps(instance, ls, profile, mesh)

@@ -22,17 +22,18 @@ volume, waits and exit times from two integrals, F_in shifted by the
 transit time less F_out, that ``loading._derive_arc`` replaces with one
 integral of the net arrival rate.  ``rate_over_time_by_points`` is
 ``labels.rate_over_time`` read particle by particle, with no shortcut for a
-zero rate.  The thin-flow verifier at the
-end reads every check cell by cell, one gap at a time; it shares the loading
-and the partition with the library, since the equivalence test is about the
-reads.  ``partition`` is that partition as it was built from the waits: cut
-where each q_e bends or crosses 0, with each gap read as entry + transit +
-wait - head, where the library cuts at the bends of the exit times and reads
-the gaps off them.  ``stress_conditions`` keeps the slope conditions that the
-verifier proves implied rather than runs, read through the one-point
-``arc_status`` here and the library's one-point ``foreign_rate_at``; it passes
-``stress`` a commodity's own rate plus its foreign rate as the one flow on the
-arc, and reads them on the partition refined where the foreign rate changes.
+zero rate, after the same check that the label never decreases.  The
+thin-flow verifier at the end reads every check cell by cell, one gap at a
+time; it shares the loading and the partition with the library, since the
+equivalence test is about the reads.  ``partition`` is that partition as it
+was built from the waits: cut at the particle volume and where each q_e
+bends or crosses 0, with each gap read as entry + transit + wait - head,
+where the library cuts at the bends of the exit times and reads the gaps off
+them.  ``stress_conditions`` keeps the slope conditions that the verifier
+proves implied rather than runs, read through the one-point ``arc_status``
+here and the library's one-point ``foreign_rate_at``; it passes ``stress`` a
+commodity's own rate plus its foreign rate as the one flow on the arc, and
+reads them on the partition refined where the foreign rate changes.
 ``earliest_arrival`` is the round-based label iteration that the ordered
 sweep of ``labels.earliest_arrival`` replaces: every round recomputes every
 node from all its in-arcs and its old label, with the library's
@@ -212,6 +213,9 @@ def antiderivative(f: StepFunction, start) -> PwlFunction:
 
 
 def rate_over_time_by_points(x: StepFunction, label: PwlFunction) -> StepFunction:
+    if not is_nondecreasing(label):
+        raise ValueError("the label decreases somewhere, so its particles do "
+                         "not pass in order")
     if x.initial and not label.initial_slope:
         raise ValueError(f"rate {x.initial} on the flat left ray of the label")
     pieces = {}
@@ -473,11 +477,14 @@ def arc_status(instance, labelset, profile, phi):
     return active, resetting
 
 
-def partition(instance, ls, rates, horizon, profile):
-    """The cells of ``thinflow._partition`` cut where each wait q_e bends or
-    crosses 0, their gaps entry + transit + q_e(entry) - l_v; a tail label
-    that decreases on the mesh raises ValueError at the first such arc."""
+def partition(instance, ls, rates, horizon, volume, profile):
+    """The cells of ``thinflow._partition`` cut at the particle volume
+    ``volume`` and where each wait q_e bends or crosses 0, their gaps
+    entry + transit + q_e(entry) - l_v; a tail label that decreases on the
+    mesh raises ValueError at the first such arc."""
     cuts = {ZERO, horizon}
+    if volume is not None and 0 < volume < horizon:
+        cuts.add(volume)
     for f in (*ls.labels.values(), *rates.values()):
         cuts |= {b for b in f.breakpoints if 0 < b < horizon}
     for a in instance.arcs:
@@ -507,9 +514,9 @@ def partition(instance, ls, rates, horizon, profile):
     return list(zip(mesh, mesh[1:]))
 
 
-def partition_cells(instance, ls, rates, horizon, profile):
+def partition_cells(instance, ls, rates, horizon, volume, profile):
     """The cells of the mesh of ``thinflow._partition``."""
-    mesh = _partition(instance, ls, rates, horizon, profile)[0]
+    mesh = _partition(instance, ls, rates, horizon, volume, profile)[0]
     return list(zip(mesh, mesh[1:]))
 
 
@@ -538,7 +545,7 @@ def verify_multicommodity_thinflow(instance, strategies, labels_all, horizon,
         j = c.id
         ls = labels_all[j]
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        cells = partition_cells(instance, ls, rates, horizon, profile)
+        cells = partition_cells(instance, ls, rates, horizon, c.particle_volume, profile)
         pieces[j] = cells
         source = ls.labels[c.origin]
         for lo, hi in cells:
@@ -624,7 +631,8 @@ def stress_conditions(instance, strategies, labels_all, horizon, profile,
         ls = labels_all[j]
         lslope = {v: differentiate(f) for v, f in ls.labels.items()}
         rates = {e: x for (i, e), x in strategies.items() if i == j}
-        cells = partition_cells(instance, ls, rates, Fraction(horizon), profile)
+        cells = partition_cells(instance, ls, rates, Fraction(horizon),
+                                c.particle_volume, profile)
         for lo, hi in foreign_cells(instance, labels_all, strategies, j, cells):
             m = (lo + hi) / 2
             active, resetting = arc_status(instance, ls, profile, m)

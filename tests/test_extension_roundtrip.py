@@ -17,8 +17,8 @@ from types import SimpleNamespace
 
 from nashflow import netmodel, timefn
 from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
-from nashflow.loading import _anchor, derive_profile, load_network
-from nashflow.labels import earliest_arrival, extend_labels, rate_over_time
+from nashflow.loading import _anchor, derive_profile
+from nashflow.labels import earliest_arrival, extend_labels
 from nashflow.thinflow import verify_multicommodity_thinflow
 from nashflow.timefn import PwlFunction, StepFunction, compose, differentiate, integrate
 
@@ -116,10 +116,11 @@ def _sample_paths(rng, instance, source, sink, tries):
 
 def test_arbitrary_strategies_stay_bellman_consistent():
     """For arbitrary routing strategies the extension's labels solve the
-    shortest-arrival recursion against the waits it maintained: the source
-    label has slope 1/r and every other label is the pointwise minimum of
-    entry + transit + wait(entry) over the incoming arcs.  The verifier,
-    which loads the strategies into the real queues, accepts them."""
+    shortest-arrival recursion against the queues the strategies load: the
+    source label has slope 1/r and every other label is the pointwise
+    minimum of entry + transit + wait(entry) over the incoming arcs.  The
+    verifier, which loads the strategies into those queues, accepts them,
+    and the reference sweep's waits are those queues."""
     rng = random.Random(60606)
     built = 0
     while built < 20:
@@ -145,8 +146,7 @@ def test_arbitrary_strategies_stay_bellman_consistent():
             continue
         horizon = max(c.particle_volume for c in inst.commodities)
         try:
-            labels, waits = extend_labels(inst, strategies, horizon,
-                                          return_queues=True)
+            labels = extend_labels(inst, strategies, horizon)
         except ValueError as exc:
             # mass routed through a label flat has no rate representation
             assert "flat" in str(exc)
@@ -155,19 +155,18 @@ def test_arbitrary_strategies_stay_bellman_consistent():
         report = verify_multicommodity_thinflow(inst, strategies, labels, horizon,
                                                 require_tightness=False)
         assert report.ok, (built, [str(v) for v in report.violations])
-        # the sweep's waits are the queues of the strategies loaded through
-        # the tail labels, up to the last arrival at the tail
-        _, loaded = load_network(inst, {
-            (j, e): rate_over_time(x, labels[j].labels[inst.arc(e).tail])
-            for (j, e), x in strategies.items()})
-        for e, q in waits.items():
+        waits = report.queues.waiting
+        # the waits that the sweep maintains are the queues of the strategies
+        # loaded through the tail labels, up to the last arrival at the tail
+        _, swept = reference.extend_labels(inst, strategies, horizon, return_queues=True)
+        for e, q in swept.items():
             tail = inst.arc(e).tail
             end = max((ls.labels[tail](horizon) for ls in labels.values()
                        if tail in ls.labels), default=F(0))
-            mesh = sorted({b for b in q.breakpoints + loaded.waiting[e].breakpoints
+            mesh = sorted({b for b in q.breakpoints + waits[e].breakpoints
                            if 0 <= b <= end} | {F(0), end})
             for theta in mesh + [(x + y) / 2 for x, y in zip(mesh, mesh[1:])]:
-                assert q(theta) == loaded.waiting[e](theta), (built, e, theta)
+                assert q(theta) == waits[e](theta), (built, e, theta)
         for c in inst.commodities:
             ls = labels[c.id]
             source = ls.labels[c.origin]
@@ -194,10 +193,10 @@ def test_arbitrary_strategies_stay_bellman_consistent():
                         (built, c.id, v, phi)
 
 
-def _sweep_outcome(extend, instance, strategies, horizon):
-    """Labels and waits of one sweep, or its error's type and message."""
+def _sweep_outcome(extend, *args, **options):
+    """What one sweep returns, or its error's type and message."""
     try:
-        return extend(instance, strategies, horizon, return_queues=True)
+        return extend(*args, **options)
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -274,9 +273,9 @@ class TestHorizonCut:
         cases += [(*network, F(2)) for network in _random_networks(17)]
         for instance, strategies, horizon in cases:
             got = _sweep_outcome(extend_labels, instance, strategies, horizon)
-            if isinstance(got[0], str):
+            if isinstance(got, tuple):
                 continue
-            for label in (f for ls in got[0].values() for f in ls.labels.values()):
+            for label in (f for ls in got.values() for f in ls.labels.values()):
                 assert label.breakpoints[-1] <= horizon, label
                 assert label.final_slope == label.slope_right(horizon), label
 
@@ -288,7 +287,7 @@ class TestHorizonCut:
         instance, strategies = list(_random_networks(21, 71))[70]
         got = _sweep_outcome(extend_labels, instance, strategies, F(2))
         assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(2))
-        assert got[0]["c1"].labels["n4"] == PwlFunction(
+        assert got["c1"].labels["n4"] == PwlFunction(
             [-2, F(-4, 3), F(-2, 3), 0, F(3, 4), F(5, 4)],
             [F(7, 2), F(29, 6), F(29, 6), F(11, 2), F(13, 2), F(29, 4)], 1, 1)
 
@@ -297,7 +296,7 @@ class TestReferenceSweep:
     """The sweep of ``extend_labels``, which revisits at an event only what
     the event changed, returns exactly what the sweep that recomputes
     everything at every event returns (``reference.extend_labels``): the
-    same labels and waits, or the same error."""
+    same labels, or the same error."""
 
     def test_benchmark_strategies(self, monkeypatch):
         items, volume = _extend_items(monkeypatch, (1, 2, 3))
@@ -305,7 +304,7 @@ class TestReferenceSweep:
             args = (item.instance, item.data["strategies"], volume)
             got = _sweep_outcome(extend_labels, *args)
             assert got == _sweep_outcome(reference.extend_labels, *args), item.name
-            assert isinstance(got[0], dict)
+            assert isinstance(got, dict)
 
     def test_benchmark_reads(self, monkeypatch):
         """An event rereads only what it changed: over one sweep per
@@ -375,7 +374,7 @@ class TestReferenceSweep:
                           ("1", "vt"): StepFunction([0, 8], [1, 0])}
             got = _sweep_outcome(extend_labels, instance, strategies, F(8))
             assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(8))
-            assert got[0]["1"].labels["v"] == label, transit
+            assert got["1"].labels["v"] == label, transit
 
     def test_random_instances(self):
         """Seeded networks with cycles, one to three commodities whose
@@ -384,11 +383,14 @@ class TestReferenceSweep:
         seen = {"flat": 0, "dry": 0, "error": 0}
         for instance, strategies in _random_networks(17):
             got = _sweep_outcome(extend_labels, instance, strategies, F(2))
-            assert got == _sweep_outcome(reference.extend_labels, instance, strategies, F(2))
-            if isinstance(got[0], str):
+            want = _sweep_outcome(reference.extend_labels, instance, strategies, F(2),
+                                  return_queues=True)
+            if isinstance(got, tuple):
+                assert got == want
                 seen["error"] += 1
                 continue
-            labels, waits = got
+            labels, waits = want
+            assert got == labels
             seen["flat"] += any(a == b for ls in labels.values() for f in ls.labels.values()
                                 for a, b in zip(f.values, f.values[1:]))
             seen["dry"] += any(max(q.values) > 0 and q.values[-1] == 0 for q in waits.values())

@@ -11,6 +11,7 @@ from nashflow.netmodel import Arc, Commodity, Instance, validate_instance
 from nashflow.loading import check_feasibility, derive_profile, load_network
 from nashflow.labels import earliest_arrival, extend_labels
 from nashflow.nash import check_derivatives_thinflow, construct_nash_single, verify_nash
+from nashflow.thinflow import verify_multicommodity_thinflow
 from nashflow.timefn import StepFunction
 
 F = Fraction
@@ -69,17 +70,17 @@ class TestCrossingCommodities:
             ("1", "b"): StepFunction([0, 1], [1, 0], 0),
             ("2", "b"): StepFunction([0, 1], [1, 0], 0),
         }
-        labels, waits = extend_labels(self.instance, strategies, 1,
-                                      return_queues=True)
+        labels = extend_labels(self.instance, strategies, 1)
         ls1 = earliest_arrival(self.instance, self.profile, "1")
         ls2 = earliest_arrival(self.instance, self.profile, "2")
         for phi in (F(0), F(1, 3), F(1, 2), F(1)):
             assert labels["1"].labels["w"](phi) == ls1.labels["w"](phi)
             assert labels["2"].labels["w"](phi) == ls2.labels["w"](phi)
-        # the sweep's waits agree with the loaded queue on the shared range
+        # the strategies' loaded queue agrees with the flow's on the shared range
+        queues = verify_multicommodity_thinflow(self.instance, strategies, labels, 1).queues
         q = self.profile.waiting["b"]
         for theta in (F(0), F(1, 2), F(1)):
-            assert waits["b"](theta) == q(theta)
+            assert queues.waiting["b"](theta) == q(theta)
 
 
 class TestDelayedInflowStart:

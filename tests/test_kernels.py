@@ -121,7 +121,7 @@ class TestZeroFlow:
 
     def test_zero_rate_through_a_decreasing_label_raises(self):
         label = PwlFunction([0, 1], [1, 0], 1, 1)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="the label decreases"):
             rate_over_time(StepFunction.zero(), label)
 
     @settings(max_examples=300, deadline=None)

@@ -280,6 +280,17 @@ class TestRateOverTime:
         with pytest.raises(ValueError, match="flat"):
             rate_over_time(StepFunction([0, 2], [1, 0], 0), label)
 
+    def test_label_falling_on_its_right_ray_raises(self):
+        with pytest.raises(ValueError, match="the label decreases"):
+            rate_over_time(StepFunction([0], [1]), PwlFunction([0], [0], 1, -1))
+
+    def test_label_up_then_down_raises(self):
+        # times 0, 1, 0 at particles 0, 1, 2: a dict keyed by time would
+        # merge the two visits of time 0
+        label = PwlFunction([0, 1, 2], [0, 1, 0], 1, 1)
+        with pytest.raises(ValueError, match="the label decreases"):
+            rate_over_time(StepFunction([0], [1]), label)
+
 
 def shared_arc_instance():
     return validate_instance(Instance(

@@ -618,9 +618,10 @@ class TestVerifyMulticommodity:
         assert report.ok and report.pieces == {"1": [], "2": []}
 
     def test_particle_volume_inside_a_cell(self):
-        """The particle volume 1 is no cut here, so the cell [1/2, H) holds
-        it; like the reference, the static-flow check takes its particles
-        to lie in [0, 1) iff the cell's midpoint does."""
+        """The strategy stops at particle 1/2, before the particle volume 1,
+        which no label or strategy breakpoint marks.  The partition cuts at
+        1, so the static-flow check sees the particles on [1/2, 1) routed
+        nowhere, whatever the horizon past 1."""
         instance = validate_instance(Instance(
             ("s", "t"), (Arc("e", "s", "t", F(1), F(1)),),
             (Commodity("1", "s", "t", F(1), F(0), F(1)),)))
@@ -630,7 +631,28 @@ class TestVerifyMulticommodity:
             report = verify_multicommodity_thinflow(instance, strategies, labels, horizon)
             assert report == reference.verify_multicommodity_thinflow(
                 instance, strategies, labels, horizon)
-            assert report.ok == (horizon != F(5, 4)), [str(v) for v in report.violations]
+            assert [str(v) for v in report.violations] == [
+                "StaticFlowViolated(1,s) on [1/2,1)"], horizon
+            assert report.pieces["1"] == [(0, F(1, 2)), (F(1, 2), 1), (1, horizon)]
+
+    def test_strategy_stops_before_its_volume_beside_another(self):
+        """Commodity 1 (volume 1) routes over e1 up to particle 1/2 only,
+        while commodity 2 (volume 2) routes over e2 up to the horizon 2.
+        Only commodity 1's report fails, on [1/2, 1)."""
+        instance = validate_instance(Instance(
+            ("s", "t"), (Arc("e1", "s", "t", F(1), F(1)), Arc("e2", "s", "t", F(1), F(1))),
+            (Commodity("1", "s", "t", F(1), F(0), F(1)),
+             Commodity("2", "s", "t", F(1), F(0), F(2)))))
+        strategies = {("1", "e1"): StepFunction([0, F(1, 2)], [1, 0]),
+                      ("2", "e2"): StepFunction([0, 2], [1, 0])}
+        labels = extend_labels(instance, strategies, 2)
+        report = verify_multicommodity_thinflow(instance, strategies, labels, 2)
+        assert report == reference.verify_multicommodity_thinflow(
+            instance, strategies, labels, 2)
+        assert [str(v) for v in report.violations] == [
+            "StaticFlowViolated(1,s) on [1/2,1)"]
+        assert report.pieces == {"1": [(0, F(1, 2)), (F(1, 2), 1), (1, 2)],
+                                 "2": [(0, 2)]}
 
     def test_flow_into_an_unreached_tail_raises(self):
         instance = validate_instance(Instance(
@@ -706,6 +728,7 @@ class TestBypassedQueue:
             require_tightness=False).queues
         rates = {e: f for (i, e), f in strategies.items() if i == "1"}
         cells = reference.partition_cells(instance, labels["1"], rates, self.HORIZON,
+                                          instance.commodity("1").particle_volume,
                                           profile)
         mesh = [F(0), F(1, 4), F(1, 3), F(3, 8), F(2), F(9, 4), F(7, 3),
                 F(55, 16), F(7, 2), F(61, 16), F(31, 8), F(4)]
@@ -825,7 +848,9 @@ class TestPointwiseReference:
             for j, ls in labels.items():
                 rates = {e: x for (i, e), x in strategies.items() if i == j}
                 try:
-                    cells = reference.partition_cells(instance, ls, rates, horizon, profile)
+                    cells = reference.partition_cells(
+                        instance, ls, rates, horizon,
+                        instance.commodity(j).particle_volume, profile)
                 except ValueError:
                     continue
                 ends = sorted({x for cell in cells for x in cell})
@@ -873,7 +898,7 @@ class TestPartition:
     def test_refines_at_gap_crossings(self):
         instance, labels = self._crossing_gap()
         # the gap T_e(l_s) - l_t, 1 at 0 and -1 at 2, is 0 at the crossing
-        assert _partition(instance, labels["1"], {}, F(2), self.NO_QUEUE) == \
+        assert _partition(instance, labels["1"], {}, F(2), F(2), self.NO_QUEUE) == \
             ([0, 1, 2], {"e": [1, 0, -1]})
 
     def test_tail_label_decreasing_between_the_points_raises(self):
@@ -891,13 +916,13 @@ class TestWaitPartition:
     """The partition cut at the bends of the exit times, with the gaps read
     off them, equals the one cut where the waits bend or cross 0, with the
     gaps built from the waits (``reference.partition``).  The gaps it
-    returns, interpolated at the crossings it adds, equal a direct
+    returns, read again at the crossings it adds, equal a direct
     ``arc_gaps`` read on its mesh."""
 
     @staticmethod
     def _checked(partition, *args):
         """``partition(*args)``, its gaps checked against ``arc_gaps``."""
-        instance, ls, _, _, profile = args
+        instance, ls, *_, profile = args
         mesh, gaps = partition(*args)
         assert gaps == arc_gaps(instance, ls, profile, mesh)
         return mesh, gaps
@@ -922,7 +947,8 @@ class TestWaitPartition:
                 TestPointwiseReference().cases():
             for j, ls in labels.items():
                 rates = {e: x for (i, e), x in strategies.items() if i == j}
-                args = instance, ls, rates, horizon, profile
+                args = (instance, ls, rates, horizon,
+                        instance.commodity(j).particle_volume, profile)
                 got = _outcome(self._checked, _partition, *args)
                 if got is not ValueError:
                     got = list(zip(got[0], got[0][1:]))
@@ -935,7 +961,7 @@ class TestWaitPartition:
         """Every partition that the verifier builds to certify the ``extend``
         items and the ``equilibria`` round trips at seeds 1-3.  No gap there
         crosses 0 inside a cell of the cuts, so the pointwise cases and
-        ``TestCorruptedExtendItems`` exercise the interpolation."""
+        ``TestCorruptedExtendItems`` exercise the second read."""
         real, compared = thinflow._partition, []
         crossings = self._crossings(monkeypatch)
 

@@ -404,3 +404,69 @@ def test_midpoint_probes_are_found():
               "    return (x + y) / 3, (x - y) / 2, x + y / 2, (x + y) // 2\n"
               "class C:\n    def h(self):\n        return (self.a + self.b) / 2\n")
     assert _midpoint_probes(ast.parse(source)) == {(None, 1), ("g", 4), ("h", 8)}
+
+
+def _passes(call, index, name) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at position ``index``
+    (None if keyword-only); an unpacked ``*args`` or ``**kwargs`` passes
+    every parameter."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg is None for keyword in call.keywords)):
+        return True
+    return ((index is not None and index < len(call.args))
+            or any(keyword.arg == name for keyword in call.keywords))
+
+
+def _uncalled_options(defining, calling) -> list:
+    """``module.function.parameter`` of every defaulted parameter of a
+    public module-level function in ``defining`` ({module name: tree}) that
+    no call in the ``calling`` trees passes.  Calls are matched by the name
+    they call, as a name or an attribute."""
+    calls = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in defining.items():
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            options = [(k, arg.arg) for k, arg in enumerate(positional) if k >= first]
+            options += [(None, arg.arg) for arg, default in
+                        zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            found += [f"{module}.{func.name}.{name}" for index, name in options
+                      if not any(_passes(call, index, name)
+                                 for call in calls.get(func.name, []))]
+    return sorted(found)
+
+
+# options that no production code sets, each with its reason
+UNCALLED_OPTIONS = {
+    "cli.main.argv": "the seam through which tests drive the console script",
+}
+
+
+def test_every_option_has_a_production_caller():
+    """An option that only tests set keeps code that only tests need: every
+    defaulted parameter of a public function is passed by some call in
+    ``src/`` or ``perfbench/``, but for the listed exemptions."""
+    defining = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    calling = [*defining.values(),
+               *(ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((ROOT / "perfbench").glob("*.py")))]
+    assert _uncalled_options(defining, calling) == sorted(UNCALLED_OPTIONS)
+
+
+def test_uncalled_options_are_found():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4, g=None):\n    pass\n"
+              "def h(x=1):\n    pass\ndef k(y=1):\n    pass\n"
+              "def _private(z=1):\n    pass\n"
+              "class C:\n    def m(self, w=1):\n        pass\n"
+              "f(0, 1)\nmod.f(0, e=5)\nh(*xs)\nk(**opts)\n")
+    tree = ast.parse(source)
+    assert _uncalled_options({"mod": tree}, [tree]) == ["mod.f.c", "mod.f.d", "mod.f.g"]
